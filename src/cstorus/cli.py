@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional
 
@@ -82,6 +83,9 @@ def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+    for key, val in dataclasses.asdict(cfg).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise SchemaError(f"{key} must be a finite number, got {val}")
     return cfg
 
 
@@ -107,7 +111,10 @@ def _parse_complex(text: str) -> complex:
 def _emit(cfg: RunConfig, payload: dict) -> None:
     doc = {"config": cfg.to_json_dict(), "version": __version__}
     doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise SchemaError(f"artifact would contain a non-finite number: {e}")
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + "\n")
@@ -126,6 +133,11 @@ def _load_samples(path: str):
         raise SchemaError(f"cannot read grid samples from {path}: {e}")
     if len(y) != len(vals):
         raise SchemaError(f"{path}: y and values have different lengths")
+    # the trapezoid quadrature of the kernels assumes an increasing uniform grid
+    dy = np.diff(y)
+    if len(y) < 2 or not (np.all(dy > 0) and np.ptp(dy) <= 1e-9 * dy.mean()):
+        raise SchemaError(f"{path}: y must hold at least two increasing, "
+                          "uniformly spaced points")
     return GridSamples1D(y=y, values=vals)
 
 

@@ -7,11 +7,16 @@ step 1/N, N a multiple of the denominators appearing in the dual-lattice
 basis, so every dual-lattice shift theta + lambda lands exactly on a grid
 point and the theta-integrals reduce to aliasing-free periodic trapezoid
 sums.  Box radii are specified in units of the k-scaled orthonormal frame.
+
+Because the shifts are grid-aligned, the lattice sum of the forward transform
+is a discrete Zak (polyphase) transform: a fold of the shifted samples onto
+residues mod N followed by an n-dimensional fftn.  The inverse is its adjoint,
+an ifftn scattered back to the box.  Besides the sampled family, memory is
+O(|Z| * C * N^n) for C = N^n cells; no (cells x box points) matrix is formed.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,11 +30,13 @@ from .lattice import QuotientGroup, quotient_group, scaled_dual_lattice
 from .roots import RootSystem
 
 
-def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2) -> complex:
+def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     """Multiplier e_lambda(A) of the level-k line bundle over the torus pair.
 
     Returns (-1)^(<lam1,lam2>_k) * exp(-pi*i*(<theta1,lam2>_k - <lam1,theta2>_k))
-    with the parity exponent computed exactly.
+    with the parity exponent computed exactly.  theta1 and theta2 may be
+    arrays of shape (..., n) that broadcast against each other; the result
+    then has their broadcast shape without the last axis.
     """
     l1 = tuple(Fraction(x) for x in lam1)
     l2 = tuple(Fraction(x) for x in lam2)
@@ -39,12 +46,12 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2) -> compl
     assert parity.denominator == 1
     sign = -1.0 if int(parity) % 2 else 1.0
     gm = np.array(rs.gram1, dtype=float) * k
-    t1 = np.asarray([float(x) for x in theta1])
-    t2 = np.asarray([float(x) for x in theta2])
     l1f = np.asarray([float(x) for x in l1])
     l2f = np.asarray([float(x) for x in l2])
-    expo = float(t1 @ gm @ l2f - l1f @ gm @ t2)
-    return sign * complex(math.cos(math.pi * expo), -math.sin(math.pi * expo))
+    # gm is symmetric, so <lam1, theta2>_k = theta2 . (gm lam1)
+    expo = (np.asarray(theta1, dtype=float) @ (gm @ l2f)
+            - np.asarray(theta2, dtype=float) @ (gm @ l1f))
+    return sign * np.exp(-1j * math.pi * expo)
 
 
 @dataclass(frozen=True)
@@ -108,10 +115,7 @@ class GridSpec:
         b = self.box_points_per_axis
         if np.any(shifted < 0) or np.any(shifted >= b):
             raise DomainError("grid coordinates outside the sampling box")
-        idx = shifted[..., 0]
-        for j in range(1, self.n):
-            idx = idx * b + shifted[..., j]
-        return idx
+        return _ravel(shifted, (b,) * self.n)
 
     def cell_volume(self) -> float:
         """dvol_k of one grid cell."""
@@ -143,6 +147,11 @@ class GridSpec:
 def _mesh(axes) -> np.ndarray:
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _ravel(coords: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
+    """Row-major flat index of integer coordinates (..., n) in the grid."""
+    return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), grid)
 
 
 def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
@@ -188,29 +197,6 @@ class GridFunctionFamily:
         mn = self.spec.half_width * self.spec.divisions
         shell = np.abs(coords).max(axis=1) == mn
         return float(np.abs(self.values[:, shell]).max()) if shell.any() else 0.0
-
-    def copy(self) -> "GridFunctionFamily":
-        return GridFunctionFamily(self.spec, self.quotient, self.values.copy())
-
-    def to_json_dict(self, encoding: str = "base64") -> dict:
-        head = {
-            "type": str(self.spec.rs.lie_type),
-            "level": self.spec.k,
-            "divisions": self.spec.divisions,
-            "half_width": self.spec.half_width,
-            "shape": list(self.values.shape),
-            "encoding": encoding,
-        }
-        if encoding == "base64":
-            head["data"] = base64.b64encode(
-                np.ascontiguousarray(self.values, dtype=complex).tobytes()).decode()
-        elif encoding == "csv":
-            head["data"] = "\n".join(
-                ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row)
-                for row in self.values)
-        else:
-            raise SchemaError(f"unknown encoding {encoding!r}")
-        return head
 
 
 def family_from_callable(spec: GridSpec, quotient: QuotientGroup,
@@ -285,53 +271,49 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
     """The transform series evaluated at (theta1 + off1, theta2 + off2) for
     theta1, theta2 on the F_Lambda grid; offsets are integer coroot vectors.
 
+    A dual-lattice shift has grid coordinates lambda*N = N (kG)^{-1} x with x
+    integral, so its phase exp(-2 pi i x.(theta2 + gamma) / N) depends on
+    x mod N only: the lambda-sum is a fold of f(theta1 + lambda) onto the
+    residues x mod N, then an n-dimensional DFT read off at theta2 + gamma.
+
     skip_outside drops lattice shifts whose translate leaves the box (their
     contribution is bounded by the boundary decay of f).
     """
     spec, quotient = f.spec, f.quotient
-    nn = spec.divisions
+    n, nn = spec.n, spec.divisions
+    mn = spec.half_width * nn
     cell = spec.cell_coords()                       # (C, n) in units 1/N
     kg = spec.pairing_matrix()
     gam = _gamma_grid_coords(spec, quotient)        # (|Z|, n) in units 1/N
-    mn = spec.half_width * nn
     t1 = cell + off1 * nn
     t2 = cell + off2 * nn
-    pref = np.exp(-1j * math.pi * (t1 @ kg @ t2.T) / nn ** 2)
+    shifts = np.asarray(spec.lattice_shifts())      # (S, n), lambda*N
+    inside = np.all((shifts + t1.min(axis=0) >= -mn)
+                    & (shifts + t1.max(axis=0) <= mn), axis=1)
+    if not inside.all():
+        if not skip_outside:
+            raise DomainError("lattice shift leaves the sampling box; "
+                              "enlarge half_width or pass skip_outside")
+        shifts = shifts[inside]
+    grid = (nn,) * n
+    residue = _ravel(np.rint(shifts @ kg / nn).astype(int) % nn, grid)
+    idx = spec.box_flat_index(t1[:, None, :] + shifts[None, :, :])   # (C, S)
     out = np.zeros((len(cell), len(cell)), dtype=complex)
     for g in range(quotient.order):
-        for lam_n in spec.lattice_shifts():
-            shifted = t1 + lam_n
-            if np.abs(shifted).max() > mn:
-                if skip_outside:
-                    continue
-                raise DomainError("lattice shift leaves the sampling box; "
-                                  "enlarge half_width or pass skip_outside")
-            idx = spec.box_flat_index(shifted)
-            vals = f.values[g, idx]
-            expo = (lam_n @ kg @ (t2 + gam[g]).T) / nn ** 2
-            out += np.multiply.outer(vals, np.exp(-2j * math.pi * expo))
+        folded = np.zeros((len(cell), nn ** n), dtype=complex)
+        # residues collide when the grid aliases (alias_margin <= 0)
+        np.add.at(folded, (slice(None), residue), f.values[g, idx])
+        spectrum = np.fft.fftn(folded.reshape((-1,) + grid), axes=range(1, n + 1))
+        out += spectrum.reshape(len(cell), -1)[:, _ravel((t2 + gam[g]) % nn, grid)]
+    pref = np.exp(-1j * math.pi * (t1 @ kg @ t2.T) / nn ** 2)
     return pref * out / math.sqrt(quotient.order)
 
 
-def wgz_forward(f: GridFunctionFamily,
-                lam_radius: Optional[int] = None) -> SectionSamples:
-    """Transform a function family into section samples on F_Lambda^2.
-
-    lam_radius (max |lambda*N| per axis, in grid units) may shrink the
-    shift set; requesting more shifts than the box supports is an error.
-    """
-    spec = f.spec
-    shifts = spec.lattice_shifts()
-    if lam_radius is not None:
-        supported = max(int(np.abs(s).max()) for s in shifts)
-        if lam_radius > supported:
-            raise DomainError(
-                f"box supports lattice shifts up to {supported} grid units, "
-                f"requested {lam_radius}; enlarge half_width (truncation error "
-                f"~ boundary decay {f.boundary_decay():.3e})")
-    vals = _forward_values(f, np.zeros(spec.n, dtype=int),
-                           np.zeros(spec.n, dtype=int))
-    return SectionSamples(spec, f.quotient, vals,
+def wgz_forward(f: GridFunctionFamily) -> SectionSamples:
+    """Transform a function family into section samples on F_Lambda^2."""
+    n = f.spec.n
+    vals = _forward_values(f, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+    return SectionSamples(f.spec, f.quotient, vals,
                           truncation_error=f.boundary_decay())
 
 
@@ -366,27 +348,27 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
             "grid too coarse for alias-free inversion; increase divisions "
             f"(alias margin {alias_margin(s.spec)} grid units)")
     spec, quotient = s.spec, s.quotient
-    nn = spec.divisions
+    n, nn = spec.n, spec.divisions
+    grid = (nn,) * n
     cell = spec.cell_coords()
     box = spec.box_coords()
     kg = spec.pairing_matrix()
     gam = _gamma_grid_coords(spec, quotient)
-    # strip the transform prefactor: st[p, q] = s[p, q] e^{-pi i <p, q>_k}
-    st = s.values * np.exp(-1j * math.pi * (cell @ kg @ cell.T) / nn ** 2)
-    # half-angle Fourier back to the box: B[p, m] = mean_q st[p, q] e^{2 pi i <m, q>_k}
-    em = np.exp(2j * math.pi * (cell @ kg @ box.T) / nn ** 2)
-    bmat = st @ em / nn ** spec.n                  # (C, B^n)
+    # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
+    #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
+    #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i <ghat, q>_k} e^{2 pi i (kG nu).q / N},
+    # an inverse DFT over q read off at (kG nu) mod N: the adjoint of the forward.
+    st = s.values * np.exp(1j * math.pi * (cell @ kg @ cell.T) / nn ** 2)
     fam = np.zeros((quotient.order, len(box)), dtype=complex)
     for ghat in range(quotient.order):
-        folded = (box - gam[ghat]) % nn             # p(m, ghat)
-        p_idx = folded[:, 0].copy()
-        for j in range(1, spec.n):
-            p_idx = p_idx * nn + folded[:, j]
-        col = bmat[p_idx, np.arange(len(box))]
-        for g in range(quotient.order):
-            phase = np.exp(2j * math.pi
-                           * float(gam[g] @ kg @ gam[ghat]) / nn ** 2)
-            fam[g] += phase * col
+        pre = st * np.exp(2j * math.pi * (cell @ kg @ gam[ghat]) / nn ** 2)
+        coef = np.fft.ifftn(pre.reshape((-1,) + grid), axes=range(1, n + 1))
+        p = (box - gam[ghat]) % nn
+        nu = (box - gam[ghat] - p) // nn
+        freq = np.rint(nu @ kg).astype(int) % nn
+        col = coef.reshape(len(cell), -1)[_ravel(p, grid), _ravel(freq, grid)]
+        phase = np.exp(2j * math.pi * (gam @ kg @ gam[ghat]) / nn ** 2)
+        fam += phase[:, None] * col
     fam /= math.sqrt(quotient.order)
     return GridFunctionFamily(spec, quotient, fam)
 
@@ -420,10 +402,7 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
             continue
         lhs = _forward_values(f, np.asarray(mu1), np.asarray(mu2),
                               skip_outside=True)
-        mult = np.empty_like(s.values)
-        for p, t1 in enumerate(cell):
-            for q, t2 in enumerate(cell):
-                mult[p, q] = multiplier_eval(rs, k, mu1, mu2, t1, t2)
+        mult = multiplier_eval(rs, k, mu1, mu2, cell[:, None], cell[None, :])
         worst = max(worst, float(np.abs(lhs - mult * s.values).max()))
     return worst
 
@@ -496,11 +475,8 @@ def section_S(s: SectionSamples) -> SectionSamples:
     for p, t1 in enumerate(cell):
         folded = (-t1) % nn
         mu = (-t1 - folded) // nn
-        pp = 0
-        for j in range(spec.n):
-            pp = pp * nn + folded[j]
         phases = np.exp(-1j * math.pi * (cell @ kg @ mu) / nn)
-        out[p, :] = phases * s.values[:, pp]
+        out[p, :] = phases * s.values[:, _ravel(folded, (nn,) * spec.n)]
     return SectionSamples(spec, s.quotient, out, s.truncation_error)
 
 
@@ -515,9 +491,7 @@ def section_T(s: SectionSamples) -> SectionSamples:
         tot = cell + t2
         folded = tot % nn
         mu = (tot - folded) // nn
-        q_idx = folded[:, 0].copy()
-        for j in range(1, spec.n):
-            q_idx = q_idx * nn + folded[:, j]
+        q_idx = _ravel(folded, (nn,) * spec.n)
         phases = np.exp(-1j * math.pi
                         * np.einsum("pi,ij,pj->p", cell, kg, mu) / nn)
         out[:, q] = phases * s.values[np.arange(len(cell)), q_idx]

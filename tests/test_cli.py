@@ -145,3 +145,52 @@ def test_kernel_verify_bad_sigma_exits_schema(capsys):
     code, _ = run(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
                   "--sigma", "1-1i", "--L", "6")
     assert code == 2
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "verify", "--k", "2", "--s", "nan", "--L", "6"),
+    ("kernel", "verify", "--k", "2", "--s", "1.0", "--box-radius", "inf"),
+    ("wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "1",
+     "--tol=-inf"),
+])
+def test_non_finite_flag_exits_schema(capsys, argv):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_config_value_exits_schema(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 2, "s": float("nan")}))   # bare NaN token
+    code, out, err = run_err(capsys, "kernel", "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_artifact_exits_schema(tmp_path, capsys):
+    y = np.linspace(-6, 6, 41)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": list(y),
+                               "values": [[float("nan"), 0.0]] * len(y)}))
+    code, out, err = run_err(capsys, "kernel", "heat", "--k", "2", "--s", "0.0",
+                             "--input", str(src))
+    assert code == 2
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("y", [[0.0], [0.0, 0.5, 1.5, 2.0], [2.0, 1.0, 0.0],
+                               [0.0, 0.0, 0.0]])
+def test_kernel_heat_rejects_bad_grid(tmp_path, capsys, y):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": y, "values": [[1.0, 0.0]] * len(y)}))
+    code, out, err = run_err(capsys, "kernel", "heat", "--k", "2", "--s", "0.0",
+                             "--input", str(src))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1

@@ -8,11 +8,12 @@ import pytest
 from cstorus.errors import DomainError, SchemaError
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
-from cstorus.wgz import (GridSpec, alias_margin, apply_finite_fourier,
-                         family_from_callable, gaussian_family,
-                         grid_spec_from_box, inner_family, inner_section,
-                         multiplier_eval, prequantum_S, prequantum_T,
-                         quasi_periodicity_residual,
+from cstorus.wgz import (GridSpec, SectionSamples, _forward_values,
+                         _gamma_grid_coords, alias_margin,
+                         apply_finite_fourier, family_from_callable,
+                         gaussian_family, grid_spec_from_box, inner_family,
+                         inner_section, multiplier_eval, prequantum_S,
+                         prequantum_T, quasi_periodicity_residual,
                          random_gaussian_poly_family, roundtrip_report,
                          section_S, section_T, weyl_action, wgz_forward,
                          wgz_inverse)
@@ -22,6 +23,122 @@ def make(fam, rank, k, resolution, radius):
     rs = build_root_system(LieType(fam, rank))
     spec = grid_spec_from_box(rs, k, resolution, radius)
     return rs, spec, quotient_group(rs, k)
+
+
+def relmax(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+# -- brute-force oracles of the production transform --------------------------
+
+def multiplier_oracle(rs, k, lam1, lam2, theta1, theta2):
+    """One multiplier value, parity in exact arithmetic, phase by cos/sin."""
+    parity = k * rs.pairing1(lam1, lam2)
+    gm = np.array(rs.gram1, dtype=float) * k
+    expo = float(theta1 @ gm @ lam2 - lam1 @ gm @ theta2)
+    return (-1) ** int(parity) * complex(math.cos(math.pi * expo),
+                                         -math.sin(math.pi * expo))
+
+
+def forward_oracle(f, off1, off2, skip_outside=False):
+    """Transform series summed shift by shift, one outer product each."""
+    spec, quotient = f.spec, f.quotient
+    nn, mn = spec.divisions, spec.half_width * spec.divisions
+    cell = spec.cell_coords()
+    kg = spec.pairing_matrix()
+    gam = _gamma_grid_coords(spec, quotient)
+    t1, t2 = cell + off1 * nn, cell + off2 * nn
+    out = np.zeros((len(cell), len(cell)), dtype=complex)
+    for g in range(quotient.order):
+        for lam_n in spec.lattice_shifts():
+            shifted = t1 + lam_n
+            if np.abs(shifted).max() > mn:
+                if skip_outside:
+                    continue
+                raise DomainError("lattice shift leaves the sampling box")
+            vals = f.values[g, spec.box_flat_index(shifted)]
+            expo = (lam_n @ kg @ (t2 + gam[g]).T) / nn ** 2
+            out += np.multiply.outer(vals, np.exp(-2j * math.pi * expo))
+    pref = np.exp(-1j * math.pi * (t1 @ kg @ t2.T) / nn ** 2)
+    return pref * out / math.sqrt(quotient.order)
+
+
+def inverse_oracle(s, chunk=2048):
+    """Dense half-angle Fourier sum B[p, m] = mean_q st[p, q] e^{2 pi i <m, q>_k}
+    over all cells p and box points m, in chunks of box points."""
+    spec, quotient = s.spec, s.quotient
+    nn = spec.divisions
+    cell, box = spec.cell_coords(), spec.box_coords()
+    kg = spec.pairing_matrix()
+    gam = _gamma_grid_coords(spec, quotient)
+    st = s.values * np.exp(-1j * math.pi * (cell @ kg @ cell.T) / nn ** 2)
+    fam = np.zeros((quotient.order, len(box)), dtype=complex)
+    for lo in range(0, len(box), chunk):
+        m = box[lo:lo + chunk]
+        em = np.exp(2j * math.pi * (cell @ kg @ m.T) / nn ** 2)
+        bmat = st @ em / nn ** spec.n
+        for ghat in range(quotient.order):
+            p_idx = np.ravel_multi_index(tuple(((m - gam[ghat]) % nn).T),
+                                         (nn,) * spec.n)
+            col = bmat[p_idx, np.arange(len(m))]
+            for g in range(quotient.order):
+                phase = np.exp(2j * math.pi * float(gam[g] @ kg @ gam[ghat]) / nn ** 2)
+                fam[g, lo:lo + chunk] += phase * col
+    return fam / math.sqrt(quotient.order)
+
+
+ORACLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0)]   # A2: N=27, M=4
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", ORACLE_GRIDS)
+def test_forward_matches_shift_by_shift_oracle(fam, rank, k, res, radius):
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(7))
+    zero = np.zeros(rank, dtype=int)
+    assert relmax(wgz_forward(f).values, forward_oracle(f, zero, zero)) <= 1e-12
+    # offset translate: some shifts leave the box and are dropped whole
+    eye = np.eye(rank, dtype=int)
+    with pytest.raises(DomainError):
+        _forward_values(f, eye[0], eye[-1])
+    got = _forward_values(f, eye[0], eye[-1], skip_outside=True)
+    assert relmax(got, forward_oracle(f, eye[0], eye[-1], skip_outside=True)) <= 1e-12
+
+
+def test_forward_matches_oracle_when_residues_collide():
+    rs = build_root_system(LieType("A", 1))
+    q = quotient_group(rs, 2)
+    spec = GridSpec(rs=rs, k=2, divisions=8, half_width=4)
+    # more shifts than residues mod N: several shifts share a residue
+    assert len(spec.lattice_shifts()) > spec.divisions ** spec.n
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(8))
+    zero = np.zeros(1, dtype=int)
+    assert relmax(wgz_forward(f).values, forward_oracle(f, zero, zero)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", ORACLE_GRIDS)
+def test_inverse_matches_dense_oracle(fam, rank, k, res, radius):
+    rs, spec, q = make(fam, rank, k, res, radius)
+    rng = np.random.default_rng(9)
+    shape = (spec.divisions ** rank,) * 2
+    # arbitrary samples, not only transforms, so the whole linear map is checked
+    s = SectionSamples(spec, q, rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    assert relmax(wgz_inverse(s).values, inverse_oracle(s)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius,stride",
+                         [("A", 1, 2, 32, 5.0, 1), ("A", 2, 1, 6, 3.0, 13)])
+def test_multiplier_broadcast_matches_pointwise_loop(fam, rank, k, res, radius,
+                                                     stride):
+    rs, spec, q = make(fam, rank, k, res, radius)
+    cell = spec.cell_coords()[::stride] / spec.divisions
+    eye = np.eye(rank, dtype=int)
+    for mu1, mu2 in [(eye[0], 0 * eye[0]), (0 * eye[0], eye[-1]),
+                     (eye[0], eye[-1]), (eye[0] + eye[-1], 2 * eye[-1])]:
+        got = multiplier_eval(rs, k, mu1, mu2, cell[:, None], cell[None, :])
+        want = np.array([[multiplier_oracle(rs, k, mu1, mu2, t1, t2)
+                          for t2 in cell] for t1 in cell])
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_multiplier_trivial_and_parity():
@@ -81,8 +198,10 @@ def test_forward_of_zero_is_zero():
     assert np.abs(wgz_inverse(s).values).max() == 0
 
 
-def test_quasi_periodicity():
-    rs, spec, q = make("A", 1, 2, 32, 5.0)
+@pytest.mark.parametrize("fam,rank,k,res,radius",
+                         [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0)])
+def test_quasi_periodicity(fam, rank, k, res, radius):
+    rs, spec, q = make(fam, rank, k, res, radius)
     f = gaussian_family(spec, q)
     s = wgz_forward(f)
     assert quasi_periodicity_residual(f, s) < 1e-9
