@@ -7,7 +7,8 @@ import time
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
 from cstorus.roots import LieType, build_root_system
 
-SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3)]
+SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3),
+         ("D", 4, 2), ("F", 4, 2), ("E", 6, 2), ("E", 7, 2), ("E", 8, 2)]
 
 
 def main():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import Optional
 
@@ -83,22 +82,41 @@ def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    for key, val in dataclasses.asdict(cfg).items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise SchemaError(f"{key} must be a finite number, got {val}")
+    for f in dataclasses.fields(RunConfig):
+        setattr(cfg, f.name, _checked(f.name, f.type, getattr(cfg, f.name)))
     return cfg
+
+
+_KINDS = {"int": "an integer", "float": "a finite number", "str": "a string"}
+
+
+def _checked(key: str, declared: str, val):
+    """`val` as the declared RunConfig type: an int field takes an integral
+    number, a float field a finite number, a str field a string."""
+    kind = declared.removeprefix("Optional[").rstrip("]")
+    if val is None and kind != declared:
+        return None
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    finite = number and abs(val) <= sys.float_info.max
+    if kind == "str" and isinstance(val, str):
+        return val
+    if kind == "int" and number and (isinstance(val, int) or finite and val == int(val)):
+        return int(val)
+    if kind == "float" and finite:
+        return float(val)
+    raise SchemaError(f"{key} must be {_KINDS[kind]}, got {val!r}")
 
 
 def _root_system(cfg: RunConfig):
     if cfg.family is None or cfg.rank is None:
         raise SchemaError("this command requires --type and --rank")
-    return build_root_system(LieType(cfg.family, int(cfg.rank)))
+    return build_root_system(LieType(cfg.family, cfg.rank))
 
 
 def _require_level(cfg: RunConfig) -> int:
     if cfg.level is None:
         raise SchemaError("this command requires --level")
-    return int(cfg.level)
+    return cfg.level
 
 
 def _parse_complex(text: str) -> complex:
@@ -165,7 +183,7 @@ def _cmd_rep(cfg: RunConfig, verify_only: bool) -> int:
     rs = _root_system(cfg)
     if cfg.sector is None:
         raise SchemaError("rep commands require --sector")
-    mats = rep_matrices(rs, _require_level(cfg), int(cfg.sector),
+    mats = rep_matrices(rs, _require_level(cfg), cfg.sector,
                         convention=Convention.from_name(cfg.convention))
     tol = cfg.tol if cfg.tol is not None else 1e-10
     rep = verify_sl2z(mats, tol=tol)
@@ -191,7 +209,7 @@ def _kernel_params(cfg: RunConfig):
     from .heatkernel import solve_params
     if cfg.level is None or cfg.s is None:
         raise SchemaError("kernel commands require --k and --s")
-    return solve_params(int(cfg.level), float(cfg.s), branch=cfg.branch)
+    return solve_params(cfg.level, cfg.s, branch=cfg.branch)
 
 
 def _cmd_kernel_heat(cfg: RunConfig) -> int:
@@ -209,7 +227,7 @@ def _cmd_kernel_eta(cfg: RunConfig) -> int:
         raise SchemaError("kernel eta requires --input")
     if cfg.sector is None or cfg.generator is None:
         raise SchemaError("kernel eta requires --sector and --generator")
-    spec = EtaKernelSpec(sector=int(cfg.sector), generator=cfg.generator,
+    spec = EtaKernelSpec(sector=cfg.sector, generator=cfg.generator,
                          params=_kernel_params(cfg))
     g = eta_apply(_load_samples(cfg.input), spec)
     _emit(cfg, {"samples": _samples_payload(g)})
@@ -222,7 +240,7 @@ def _cmd_kernel_verify(cfg: RunConfig) -> int:
         raise SchemaError("kernel verify requires --k and --s")
     sigma = _parse_complex(cfg.sigma) if cfg.sigma else None
     tol = cfg.tol if cfg.tol is not None else 1e-5
-    rep = verify_conjugation(int(cfg.level), float(cfg.s), sigma=sigma, L=cfg.L,
+    rep = verify_conjugation(cfg.level, cfg.s, sigma=sigma, L=cfg.L,
                              tol=tol, grid_points=cfg.grid_points,
                              box_radius=cfg.box_radius, branch=cfg.branch)
     _emit(cfg, {"conjugation": rep})

@@ -11,7 +11,6 @@ identity row and carry exact rational T phases.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 from . import exact
 from .errors import DomainError, SchemaError
 from .finrep import Convention, rep_matrices, unit_phase
-from .lattice import _comarks
+from .lattice import _alcove_pairings
 from .roots import RootSystem
 
 Vec = Tuple[Fraction, ...]
@@ -63,15 +62,9 @@ def is_simply_laced(rs: RootSystem) -> bool:
 def _integrable_shifted_weights(rs: RootSystem, k: int) -> List[Vec]:
     """rho-shifted dominant weights of level <= k, as coroot-basis vectors,
     sorted by pairing with rho then lexicographically."""
-    n = rs.rank
-    marks = _comarks(rs)
     ginv = exact.inverse(exact.mat(rs.gram1))
-    out: List[Vec] = []
-    for nvec in itertools.product(*[range(0, k // m + 1) for m in marks]):
-        if sum(m * x for m, x in zip(marks, nvec)) > k:
-            continue
-        shifted = tuple(Fraction(x + 1) for x in nvec)
-        out.append(exact.mat_vec(ginv, shifted))
+    out = [exact.mat_vec(ginv, tuple(Fraction(x + 1) for x in nvec))
+           for nvec in _alcove_pairings(rs, k)]
     out.sort(key=lambda v: (rs.pairing1(v, rs.weyl_vector), v))
     return out
 

@@ -13,10 +13,6 @@ Vec = Tuple[Fraction, ...]
 Mat = Tuple[Tuple[Fraction, ...], ...]
 
 
-def vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def mat(rows) -> Mat:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
@@ -42,10 +38,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence[Fraction]) -> Vec:
-    return tuple(Fraction(c) * a for a in v)
 
 
 def bilinear(g: Mat, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -1,25 +1,23 @@
 """Finite-dimensional sector of the genus-one mapping class group action:
-symmetrized bases on the quotient group, finite Fourier/Gauss operators,
-the sector S and T matrices, and SL(2,Z) relation checks.
+the sector S and T matrices, assembled from Weyl orbits on the quotient
+group, and SL(2,Z) relation checks.
 
-Phase bookkeeping is exact: every matrix entry is a sum of unit phases
-exp(2*pi*i*q) with q an explicit rational, evaluated once at the end.
+Phase bookkeeping is exact: every phase exponent is an integer numerator
+over a fixed denominator, reduced as an integer and evaluated once.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from . import exact
-from .errors import InconsistencyError, SchemaError
-from .lattice import AlcoveSet, QuotientGroup, alcove_points, quotient_group
+from .errors import InconsistencyError, ResourceLimitError, SchemaError
+from .lattice import weyl_orbits
 from .roots import RootSystem
 
 
@@ -76,57 +74,6 @@ class Convention:
 
 
 @dataclass
-class FiniteVector:
-    quotient: QuotientGroup
-    coefficients: np.ndarray   # complex, indexed like quotient.reps
-    label: Tuple[Fraction, ...]
-
-
-def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
-                      sector: int) -> List[FiniteVector]:
-    """Orthonormal Weyl-(anti)symmetrized delta bases indexed by alcove points.
-
-    Sector 0 symmetrizes over the closed alcove, sector 1 antisymmetrizes
-    over the open alcove; each vector is renormalized to unit norm (points
-    with a nontrivial stabilizer are not unit norm under the bare 1/sqrt|W|
-    normalization).
-    """
-    if sector not in (0, 1):
-        raise SchemaError(f"sector must be 0 or 1, got {sector}")
-    rs = quotient.rs
-    wg = rs.weyl_group()
-    points = alcove.closed_points if sector == 0 else alcove.open_points
-    out: List[FiniteVector] = []
-    for gamma in points:
-        coeff = [0] * quotient.order
-        for w in wg.elements:
-            idx = quotient.index_of(w.apply(gamma))
-            coeff[idx] += w.determinant if sector == 1 else 1
-        arr = np.asarray(coeff, dtype=complex)
-        norm = np.linalg.norm(arr)
-        assert norm > 0, "anti-invariant vector vanished on an interior point"
-        out.append(FiniteVector(quotient=quotient, coefficients=arr / norm,
-                                label=gamma))
-    return out
-
-
-def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
-    """Unitary discrete Fourier matrix with kernel exp(2 pi i <a,b>_k)."""
-    m = quotient.order
-    out = np.empty((m, m), dtype=complex)
-    for i, a in enumerate(quotient.reps):
-        for j, b in enumerate(quotient.reps):
-            out[i, j] = unit_phase(quotient.pairing_k(a, b))
-    return out / math.sqrt(m)
-
-
-def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
-    """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
-    diag = [unit_phase(quotient.pairing_k(a, a) / 2) for a in quotient.reps]
-    return np.diag(diag)
-
-
-@dataclass
 class SectorMatrices:
     rs: RootSystem
     k: int
@@ -155,51 +102,64 @@ class SectorMatrices:
         }
 
 
+# sector dimension above this raises ResourceLimitError: S and T are dense
+# dim x dim complex128 and the `rep build` JSON artifact writes every entry
+# as text; peak memory grows as dim^2 (about 0.3 GB at dim 512)
+SECTOR_DIM_CEILING = 1024
+
+
 def rep_matrices(rs: RootSystem, k: int, sector: int,
                  phases: Optional[PhasePair] = None,
                  convention: Convention = Convention()) -> SectorMatrices:
-    """Sector S and T matrices, assembled entrywise from exact rational
-    phase exponents.
+    """Sector S and T matrices from the Weyl orbits on the quotient Z.
 
     S is the finite factor of the inverse discrete Fourier operator, so its
-    kernel is exp(-2 pi i <w a, b>_k); T is diagonal with entries
-    omega^{-1} exp(pi i <a,a>_k) under the default convention.
+    kernel is exp(-2 pi i <w a, b>_k). The sum over W is |Stab_a| times the
+    sum over the orbit O_a, with det(w) signs where the convention asks for
+    them; a sign-carrying orbit whose stabilizer holds an odd element sums
+    to zero. T is diagonal with entries omega^{-1} exp(pi i <a,a>_k) under
+    the default convention. Every phase is an integer numerator over D or
+    2D (D the exponent of Z), evaluated once. A sector of dimension above
+    SECTOR_DIM_CEILING raises ResourceLimitError before S is allocated.
     """
     if sector not in (0, 1):
         raise SchemaError(f"sector must be 0 or 1, got {sector}")
     if phases is None:
         phases = phase_constants(rs)
-    quotient = quotient_group(rs, k)
-    alcove = alcove_points(rs, k)
-    wg = rs.weyl_group()
-
-    if sector == 0:
-        points = alcove.closed_points
-        stabs = alcove.stabilizer_sizes
-    else:
-        points = alcove.open_points
-        stabs = tuple(1 for _ in points)  # interior points have trivial stabilizer
-
+    orbits = weyl_orbits(rs, k)
+    d = orbits.denom
+    idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(orbits.pairings))
+    if len(idx) > SECTOR_DIM_CEILING:
+        raise ResourceLimitError(
+            f"sector {sector} dimension {len(idx)} exceeds the ceiling "
+            f"{SECTOR_DIM_CEILING} for {rs.lie_type}, k={k}")
     use_det = convention.det_in_invariant == (sector == 0)
-    dim = len(points)
-    s = np.zeros((dim, dim), dtype=complex)
-    root_z = math.sqrt(quotient.order)
-    for a, (ga, sta) in enumerate(zip(points, stabs)):
-        images = [(w.determinant if use_det else 1, w.apply(ga)) for w in wg.elements]
-        for b, (gb, stb) in enumerate(zip(points, stabs)):
-            acc = 0j
-            for eps, wga in images:
-                acc += eps * unit_phase(-k * rs.pairing1(wga, gb))
-            s[a, b] = acc / (root_z * math.sqrt(sta * stb))
-    s *= unit_phase(-phases.j_exponent)
+    cols = orbits.pairings[idx]
+    roots = np.exp(-2j * math.pi * np.arange(d) / d)
+    members = orbits.members()
+    s = np.zeros((len(idx), len(idx)), dtype=complex)
+    for r, a in enumerate(idx):
+        if use_det and orbits.odd_stabilizer[a]:
+            continue
+        m = members[a]
+        phase = roots[orbits.elements[m] @ cols.T % d]
+        s[r] = (orbits.sign[m] @ phase) if use_det else phase.sum(axis=0)
+    # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
+    # interior points have trivial stabilizers
+    root_stab = np.sqrt(np.array(orbits.stabilizer_sizes, dtype=float)[idx])
+    s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent)
+                                               / math.sqrt(len(orbits.elements)))
 
-    t = np.zeros((dim, dim), dtype=complex)
-    for a, ga in enumerate(points):
-        q = -phases.omega_exponent + convention.t_sign * k * rs.pairing1(ga, ga) / 2
-        t[a, a] = unit_phase(q)
+    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = x.n / (2D), over lcm(2D, den(omega))
+    om = phases.omega_exponent
+    den = math.lcm(2 * d, om.denominator)
+    norms = np.einsum("ij,ij->i", orbits.numerators[idx], cols) % (2 * d)
+    num = (convention.t_sign * norms * (den // (2 * d))
+           - om.numerator * (den // om.denominator)) % den
+    t = np.diag(np.exp(2j * math.pi * num / den))
 
     return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
-                          labels=tuple(points), s=s, t=t)
+                          labels=orbits.labels(idx), s=s, t=t)
 
 
 @dataclass
@@ -250,9 +210,3 @@ def verify_sl2z(m: SectorMatrices, tol: float = 1e-10) -> SL2ZReport:
         residual_s_unitary=_maxabs(s.conj().T @ s - eye),
         residual_t_unitary=_maxabs(t.conj().T @ t - eye),
     )
-
-
-def rep_report_json(m: SectorMatrices, tol: float = 1e-10) -> str:
-    d = m.to_json_dict()
-    d["verification"] = verify_sl2z(m, tol).to_json_dict()
-    return json.dumps(d, indent=2, sort_keys=True)

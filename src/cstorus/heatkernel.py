@@ -58,7 +58,12 @@ class HWParams:
 def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
     """Solve exp(-4 k r) = -(k - i s)/(k + i s) for r through the unit-circle
     parameter b with b^2 = (k - i s)/(k + i s); branch picks the sign in
-    q = exp(-2 k r) = (+/-) i b."""
+    q = exp(-2 k r) = (+/-) i b.
+
+    Self-checks: the two unit-size relations to 1e-12 absolute, and
+    is = k(1-b^2)/(1+b^2) to 1e-12 relative to max(k, |s|). That relation
+    loses digits as |s|/k grows (1 + b^2 = 2k/(k+is)); supported range
+    |s| <= 1e4 k, past ~1e5 k the check may raise InconsistencyError."""
     if not isinstance(k, int) or k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k!r}")
     s = float(s)
@@ -70,12 +75,13 @@ def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
         raise DomainError(f"no unit-circle b with positive real part for k={k}, s={s}")
     q = (1j if branch == "principal" else -1j) * b
     r = -cmath.log(q) / (2 * k)
-    for name, resid in [
-        ("exp(-4kr) = -(k-is)/(k+is)", abs(cmath.exp(-4 * k * r) + t.conjugate() / t)),
-        ("is = k(1-b^2)/(1+b^2)", abs(1j * s - k * (1 - b * b) / (1 + b * b))),
-        ("exp(-2kr) = q", abs(cmath.exp(-2 * k * r) - q)),
+    for name, resid, scale in [
+        ("exp(-4kr) = -(k-is)/(k+is)", abs(cmath.exp(-4 * k * r) + t.conjugate() / t), 1.0),
+        ("is = k(1-b^2)/(1+b^2)", abs(1j * s - k * (1 - b * b) / (1 + b * b)),
+         max(k, abs(s))),
+        ("exp(-2kr) = q", abs(cmath.exp(-2 * k * r) - q), 1.0),
     ]:
-        if resid > 1e-12:
+        if resid > 1e-12 * scale:
             raise InconsistencyError(f"parameter solve violated {name}: residual {resid}")
     return HWParams(k=k, s=s, branch=branch, b=b, q=q, r=r, sigma=1j * b)
 
@@ -236,9 +242,6 @@ class HermiteExpansion:
     k: int
     sigma: complex
     coeffs: Dict[MultiIndex, complex]
-
-    def degree(self) -> int:
-        return max((sum(l) for l in self.coeffs), default=0)
 
     def evaluate(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -452,16 +455,6 @@ def _rho_matrix(generator: str, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     if generator == "S":
         return j_const * np.exp(2j * math.pi * np.outer(y, y)) * w[None, :]
     return np.diag(omega * np.exp(-1j * math.pi * y ** 2))
-
-
-def _heat_grid(params: HWParams, sigma: complex, y: np.ndarray, w: np.ndarray,
-               levels: int, inverse: bool) -> np.ndarray:
-    """exp(-+r Laplacian_sigma) as a grid operator through the truncated basis."""
-    b = _basis_matrix(y, sigma, levels, params.k)
-    sign = 1 if inverse else -1
-    d = np.array([cmath.exp(sign * params.r * 2 * params.k * (l + 0.5))
-                  for l in range(levels)])
-    return b @ (d[:, None] * _projector(b, w))
 
 
 def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,

@@ -9,7 +9,7 @@ so every pairing used in a phase exponent is an exact rational.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -19,7 +19,18 @@ from .errors import ResourceLimitError, SchemaError
 
 VALID_FAMILIES = "ABCDEFG"
 
-# classical Weyl group orders and dual Coxeter numbers, used as cross-checks
+# Weyl group orders in closed form, so |W| never needs the group enumerated
+_WEYL_ORDER = {
+    "A": lambda n: math.factorial(n + 1),
+    "B": lambda n: 2 ** n * math.factorial(n),
+    "C": lambda n: 2 ** n * math.factorial(n),
+    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
+    "E": {6: 51_840, 7: 2_903_040, 8: 696_729_600},
+    "F": {4: 1152},
+    "G": {2: 12},
+}
+
+# dual Coxeter numbers, used as a cross-check
 _DUAL_COXETER = {
     "A": lambda n: n + 1,
     "B": lambda n: 2 * n - 1,
@@ -57,6 +68,16 @@ class LieType:
 
     def __str__(self):
         return f"{self.family}{self.rank}"
+
+
+def _lookup(table, lt: LieType) -> int:
+    entry = table[lt.family]
+    return entry(lt.rank) if callable(entry) else entry[lt.rank]
+
+
+def weyl_order(lt: LieType) -> int:
+    """|W| from the closed-form table, without enumerating the group."""
+    return _lookup(_WEYL_ORDER, lt)
 
 
 def cartan_matrix(lt: LieType) -> Tuple[Tuple[int, ...], ...]:
@@ -145,11 +166,8 @@ class WeylGroup:
 class RootSystem:
     lie_type: LieType
     cartan: Tuple[Tuple[int, ...], ...]
-    lengths_half: Tuple[Fraction, ...]          # d_i = <alpha_i,alpha_i>_1/2
     gram1: Tuple[Tuple[int, ...], ...]          # <b_i, b_j>_1
-    simple_roots: Tuple[Tuple[Fraction, ...], ...]
     positive_roots: Tuple[Tuple[Fraction, ...], ...]
-    coroots: Tuple[Tuple[int, ...], ...]        # h_beta per positive root
     weyl_vector: Tuple[Fraction, ...]
     dual_coxeter: int
     highest_root: Tuple[Fraction, ...]
@@ -174,19 +192,15 @@ class RootSystem:
         return self._weyl_cache[key]
 
     def summary(self) -> dict:
-        wg = self.weyl_group()
         return {
             "family": self.lie_type.family,
             "rank": self.rank,
             "gram1": [[f"{e}/1" if isinstance(e, int) else str(Fraction(e))
                        for e in row] for row in self.gram1],
             "positive_root_count": self.num_positive,
-            "weyl_order": wg.order,
+            "weyl_order": weyl_order(self.lie_type),
             "dual_coxeter": self.dual_coxeter,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
 def _positive_roots_in_simple_coords(a):
@@ -221,19 +235,9 @@ def build_root_system(lt: LieType) -> RootSystem:
         raise AssertionError("gram1 is not integral; Cartan data inconsistent")
     gram1 = tuple(tuple(int(e) for e in row) for row in gram1_frac)
 
-    pos_simple_coords = _positive_roots_in_simple_coords(a)
-    pos_roots = []
-    coroots = []
-    for m in pos_simple_coords:
-        c = tuple(Fraction(m[i]) * d[i] for i in range(n))  # coroot-basis coords
-        sq = exact.bilinear(exact.mat(gram1), c, c)
-        h = tuple((ci * 2) / sq for ci in c)
-        if not exact.is_integral(h):
-            raise AssertionError("coroot has non-integer coroot coordinates")
-        pos_roots.append(c)
-        coroots.append(tuple(int(x) for x in h))
-    simple_roots = tuple(tuple(d[j] if i == j else Fraction(0) for i in range(n))
-                         for j in range(n))
+    # coroot-basis coordinates of the positive roots
+    pos_roots = [tuple(Fraction(m[i]) * d[i] for i in range(n))
+                 for m in _positive_roots_in_simple_coords(a)]
 
     rho = tuple(sum(r[i] for r in pos_roots) / 2 for i in range(n))
 
@@ -246,19 +250,15 @@ def build_root_system(lt: LieType) -> RootSystem:
     h_dual = 1 + exact.bilinear(gm, rho, highest)
     if h_dual.denominator != 1:
         raise AssertionError("dual Coxeter number is not an integer")
-    table = _DUAL_COXETER[lt.family]
-    expected = table(lt.rank) if callable(table) else table[lt.rank]
+    expected = _lookup(_DUAL_COXETER, lt)
     if int(h_dual) != expected:
         raise AssertionError(f"dual Coxeter mismatch for {lt}: {h_dual} != {expected}")
 
     return RootSystem(
         lie_type=lt,
         cartan=a,
-        lengths_half=d,
         gram1=gram1,
-        simple_roots=simple_roots,
         positive_roots=tuple(pos_roots),
-        coroots=tuple(coroots),
         weyl_vector=rho,
         dual_coxeter=int(h_dual),
         highest_root=highest,

@@ -20,13 +20,15 @@ from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
 
 SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3)]
+# rank >= 4 types, E7 and E8 included: orbit closure on Z, no Weyl enumeration
+HIGH_RANK_SWEEP = [("D", 4, 2), ("F", 4, 2), ("E", 6, 2), ("E", 7, 2), ("E", 8, 2)]
 
 
 def test_modular_relations_full_sweep_within_budget():
     """S^4 = Id, (ST)^3 = S^2, unitarity below 1e-10 across the family sweep,
     both sectors, in under 10 seconds."""
     start = time.monotonic()
-    for fam, rank, kmax in SWEEP:
+    for fam, rank, kmax in SWEEP + HIGH_RANK_SWEEP:
         rs = build_root_system(LieType(fam, rank))
         for k in range(1, kmax + 1):
             for sector in (0, 1):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cstorus.cli import main
 
@@ -21,6 +23,28 @@ def test_roots_info(capsys):
     assert doc["roots"]["weyl_order"] == 6
     assert doc["config"]["command"] == "roots info"
     assert "version" in doc
+
+
+@pytest.mark.parametrize("rank,order", [(7, 2_903_040), (8, 696_729_600)])
+def test_roots_info_e7_e8(capsys, rank, order):
+    code, doc = run(capsys, "roots", "info", "--type", "E", "--rank", str(rank))
+    assert code == 0
+    assert doc["roots"]["weyl_order"] == order
+
+
+def test_rep_build_e8(capsys):
+    code, doc = run(capsys, "rep", "build", "--type", "E", "--rank", "8",
+                    "--level", "2", "--sector", "0")
+    assert code == 0
+    assert doc["verification"]["passed"] and doc["verification"]["dim"] == 3
+
+
+def test_rep_build_over_dimension_ceiling_exits_resource(capsys):
+    # |Z_k| = 100000 is within its ceiling; the 50001-dim sector is not
+    code, out, err = run_err(capsys, "rep", "build", "--type", "A", "--rank", "1",
+                             "--level", "50000", "--sector", "0")
+    assert code == 3
+    assert out == "" and "dimension 50001 exceeds the ceiling" in err
 
 
 def test_invalid_type_exits_schema(capsys):
@@ -194,3 +218,53 @@ def test_kernel_heat_rejects_bad_grid(tmp_path, capsys, y):
                              "--input", str(src))
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("level", ["abc", 2.7, True, [2]])
+def test_config_field_of_wrong_type_exits_schema(tmp_path, capsys, level):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "A", "rank": 1, "level": level, "sector": 0}))
+    code, out, err = run_err(capsys, "rep", "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "level" in err
+
+
+def test_config_integral_float_is_an_int(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "A", "rank": 1.0, "level": 2.0, "sector": 0,
+                               "box_radius": 6}))
+    code, doc = run(capsys, "rep", "verify", "--config", str(cfg))
+    assert code == 0
+    assert doc["config"]["level"] == 2 and isinstance(doc["config"]["level"], int)
+    assert doc["config"]["box_radius"] == 6.0
+    assert isinstance(doc["config"]["box_radius"], float)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+
+
+def _scalar_or(*valid):
+    # half the draws valid, so that whole valid E6-E8 configs come up too
+    return st.booleans().flatmap(lambda ok: st.sampled_from(valid) if ok else JSON_SCALARS)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(level=_scalar_or(1, 2, 3, 4), rank=_scalar_or(6, 7, 8), sector=_scalar_or(0, 1))
+def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, sector):
+    """Any JSON scalar for level, rank or sector exits 0-3: exit 0/1 with
+    strict JSON on stdout, exit 2/3 with one stderr line. The E family is
+    used because it is the one the orbit route opens; ranks other than
+    6-8 are refused before any root system is built."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "E", "rank": rank, "level": level,
+                               "sector": sector}))
+    code, out, err = run_err(capsys, "rep", "verify", "--config", str(cfg))
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+        assert err == ""
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1

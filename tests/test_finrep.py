@@ -1,17 +1,174 @@
 """Finite sector matrices: phases, bases, operators, modular relations."""
 
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
-from cstorus.errors import SchemaError
-from cstorus.finrep import (Convention, finite_fourier, finite_gauss,
-                            phase_constants, rep_matrices, symmetrized_basis,
+from cstorus import exact
+from cstorus.errors import ResourceLimitError, SchemaError
+from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
+                            SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
-from cstorus.lattice import alcove_points, quotient_group
-from cstorus.roots import LieType, build_root_system
+from cstorus.lattice import AlcoveSet, QuotientGroup, alcove_points, quotient_group
+from cstorus.roots import LieType, RootSystem, build_root_system
+
+
+# -- brute-force oracles: Weyl-group sums and full quotient-space operators --
+
+@dataclass
+class FiniteVector:
+    quotient: QuotientGroup
+    coefficients: np.ndarray   # complex, indexed like quotient.reps
+    label: Tuple[Fraction, ...]
+
+
+def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
+                      sector: int) -> List[FiniteVector]:
+    """Orthonormal Weyl-(anti)symmetrized delta bases indexed by alcove points.
+
+    Sector 0 symmetrizes over the closed alcove, sector 1 antisymmetrizes
+    over the open alcove; each vector is renormalized to unit norm (points
+    with a nontrivial stabilizer are not unit norm under the bare 1/sqrt|W|
+    normalization).
+    """
+    rs = quotient.rs
+    wg = rs.weyl_group()
+    points = alcove.closed_points if sector == 0 else alcove.open_points
+    out: List[FiniteVector] = []
+    for gamma in points:
+        coeff = [0] * quotient.order
+        for w in wg.elements:
+            idx = quotient.index_of(w.apply(gamma))
+            coeff[idx] += w.determinant if sector == 1 else 1
+        arr = np.asarray(coeff, dtype=complex)
+        norm = np.linalg.norm(arr)
+        assert norm > 0, "anti-invariant vector vanished on an interior point"
+        out.append(FiniteVector(quotient=quotient, coefficients=arr / norm,
+                                label=gamma))
+    return out
+
+
+def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
+    """Unitary discrete Fourier matrix with kernel exp(2 pi i <a,b>_k)."""
+    m = quotient.order
+    out = np.empty((m, m), dtype=complex)
+    for i, a in enumerate(quotient.reps):
+        for j, b in enumerate(quotient.reps):
+            out[i, j] = unit_phase(quotient.k * quotient.rs.pairing1(a, b))
+    return out / math.sqrt(m)
+
+
+def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
+    """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
+    diag = [unit_phase(quotient.k * quotient.rs.pairing1(a, a) / 2) for a in quotient.reps]
+    return np.diag(diag)
+
+
+def stabilizer_scan(rs: RootSystem, points) -> Tuple[int, ...]:
+    """|{w in W : w(gamma) - gamma in the coroot lattice}| per point, by a
+    scan over the whole Weyl group."""
+    wg = rs.weyl_group()
+    return tuple(sum(1 for w in wg.elements
+                     if exact.is_integral(exact.vec_sub(w.apply(g), g)))
+                 for g in points)
+
+
+def alcove_points_bruteforce(rs: RootSystem, k: int):
+    """Closed and open alcove points (kG)^{-1} n, exact, over the pairings
+    n >= 0 with sum_i a_i n_i <= k taken from a sorted itertools.product."""
+    a = [int(x) for x in rs.highest_root]
+    n = rs.rank
+    basis = exact.inverse(exact.mat([[k * rs.gram1[i][j] for j in range(n)]
+                                     for i in range(n)]))
+    closed, opened = [], []
+    for nvec in sorted(itertools.product(*[range(k // ai + 1) for ai in a])):
+        height = sum(ai * ni for ai, ni in zip(a, nvec))
+        if height > k:
+            continue
+        gamma = exact.mat_vec(basis, tuple(Fraction(x) for x in nvec))
+        closed.append(gamma)
+        if all(ni >= 1 for ni in nvec) and height <= k - 1:
+            opened.append(gamma)
+    return tuple(closed), tuple(opened)
+
+
+def rep_matrices_bruteforce(rs: RootSystem, k: int, sector: int,
+                            phases: Optional[PhasePair] = None,
+                            convention: Convention = Convention()) -> SectorMatrices:
+    """Sector S and T matrices assembled entrywise from exact rational phase
+    exponents, with a sum over the whole Weyl group per entry."""
+    if phases is None:
+        phases = phase_constants(rs)
+    quotient = quotient_group(rs, k)
+    closed, opened = alcove_points_bruteforce(rs, k)
+    wg = rs.weyl_group()
+
+    if sector == 0:
+        points = closed
+        stabs = stabilizer_scan(rs, points)
+    else:
+        points = opened
+        stabs = tuple(1 for _ in points)  # interior points have trivial stabilizer
+
+    use_det = convention.det_in_invariant == (sector == 0)
+    dim = len(points)
+    s = np.zeros((dim, dim), dtype=complex)
+    root_z = math.sqrt(quotient.order)
+    for a, (ga, sta) in enumerate(zip(points, stabs)):
+        images = [(w.determinant if use_det else 1, w.apply(ga)) for w in wg.elements]
+        for b, (gb, stb) in enumerate(zip(points, stabs)):
+            acc = 0j
+            for eps, wga in images:
+                acc += eps * unit_phase(-k * rs.pairing1(wga, gb))
+            s[a, b] = acc / (root_z * math.sqrt(sta * stb))
+    s *= unit_phase(-phases.j_exponent)
+
+    t = np.zeros((dim, dim), dtype=complex)
+    for a, ga in enumerate(points):
+        q = -phases.omega_exponent + convention.t_sign * k * rs.pairing1(ga, ga) / 2
+        t[a, a] = unit_phase(q)
+
+    return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
+                          labels=tuple(points), s=s, t=t)
+
+
+ORACLE_CASES = ([("A", 1, k) for k in range(1, 9)] + [("A", 2, k) for k in range(1, 6)]
+                + [("B", 2, k) for k in range(1, 4)] + [("G", 2, k) for k in range(1, 4)]
+                + [("A", 1, 40), ("A", 2, 12), ("D", 4, 2), ("F", 4, 1), ("A", 3, 4)])
+
+
+@pytest.mark.parametrize("fam,rank,k", ORACLE_CASES)
+def test_alcove_points_match_bruteforce(fam, rank, k):
+    """Orbit-closure alcove points and stabilizers equal the exact
+    enumeration and the scan over W."""
+    rs = build_root_system(LieType(fam, rank))
+    closed, opened = alcove_points_bruteforce(rs, k)
+    alc = alcove_points(rs, k)
+    assert alc.closed_points == closed
+    assert alc.open_points == opened
+    assert alc.stabilizer_sizes == stabilizer_scan(rs, closed)
+
+
+@pytest.mark.parametrize("convention", ["lemma", "theorem"])
+@pytest.mark.parametrize("fam,rank,k", ORACLE_CASES)
+def test_orbit_route_matches_weyl_sum(fam, rank, k, convention):
+    """The orbit sums on Z equal the per-entry sums over W, in both sectors;
+    under 'theorem' the sector-0 orbits with an odd stabilizer give zero
+    rows and columns."""
+    rs = build_root_system(LieType(fam, rank))
+    conv = Convention.from_name(convention)
+    for sector in (0, 1):
+        got = rep_matrices(rs, k, sector, convention=conv)
+        want = rep_matrices_bruteforce(rs, k, sector, convention=conv)
+        assert got.labels == want.labels
+        assert got.s.shape == want.s.shape
+        assert np.abs(got.s - want.s).max(initial=0.0) < 1e-12
+        assert np.abs(got.t - want.t).max(initial=0.0) < 1e-12
 
 
 def test_unit_phase_exact_values():
@@ -129,6 +286,25 @@ def test_negative_control_conventions_break_relations():
             rep = verify_sl2z(rep_matrices(rs, k, sector, convention=alt))
             worst = max(worst, rep.residual_braid, rep.residual_s4)
     assert worst >= 1e-2
+
+
+@pytest.mark.parametrize("fam,rank,k,order", [("A", 1, 50_001, 100_002),
+                                               ("E", 8, 5, 390_625)])
+def test_quotient_ceiling_raises_resource_limit(fam, rank, k, order):
+    rs = build_root_system(LieType(fam, rank))
+    with pytest.raises(ResourceLimitError,
+                       match=rf"\|Z_k\| = {order} exceeds the ceiling 100000"):
+        rep_matrices(rs, k, sector=0)
+
+
+def test_sector_dimension_ceiling_raises_resource_limit():
+    """|Z_k| = 100000 passes its ceiling but the dense sector-0 S and T
+    would be 50001 x 50001."""
+    rs = build_root_system(LieType("A", 1))
+    with pytest.raises(ResourceLimitError,
+                       match=rf"sector 0 dimension 50001 exceeds the ceiling {SECTOR_DIM_CEILING}"):
+        rep_matrices(rs, 50_000, sector=0)
+    assert rep_matrices(rs, SECTOR_DIM_CEILING - 1, sector=0).dim == SECTOR_DIM_CEILING
 
 
 def test_sector_validation():

@@ -38,6 +38,18 @@ def test_solve_params_invariant_sweep(k):
         assert abs(abs(p.b) - 1) < 1e-12 and p.b.real > 0
 
 
+@pytest.mark.parametrize("s", [999.0, -999.0, 1e4, -1e4])
+def test_solve_params_large_coupling(s):
+    """The is = k(1-b^2)/(1+b^2) self-check is relative to max(k, |s|): its
+    absolute residual is ~1e-9 at |s| = 1e4, which an absolute 1e-12 refused."""
+    k = 2
+    p = solve_params(k, s)
+    t = k + 1j * s
+    assert abs(cmath.exp(-4 * k * p.r) + t.conjugate() / t) < 1e-12
+    assert abs(1j * s - k * (1 - p.b ** 2) / (1 + p.b ** 2)) < 1e-12 * abs(s)
+    assert abs(abs(p.b) - 1) < 1e-12 and p.b.real > 0
+
+
 def test_solve_params_validation():
     with pytest.raises(SchemaError):
         solve_params(0, 1.0)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cstorus import exact
-from cstorus.errors import DomainError, SchemaError
+from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.lattice import (alcove_points, enumerate_report, fold_to_alcove,
-                             in_scaled_dual, quotient_group, scaled_dual_lattice)
+                             in_scaled_dual, quotient_group, scaled_dual_lattice,
+                             weyl_orbits)
 from cstorus.roots import LieType, build_root_system
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
@@ -86,6 +87,40 @@ def test_stabilizers_and_orbit_sizes():
     assert alc.stabilizer_sizes[0] == 2
     assert alc.stabilizer_sizes[-1] == 2
     assert all(s == 1 for s in alc.stabilizer_sizes[1:-1])
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 1, 4), ("A", 2, 3), ("B", 2, 2),
+                                        ("G", 2, 3), ("A", 3, 2), ("D", 4, 2)])
+def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
+    """Each orbit is the set of w(gamma) mod the coroot lattice over all of W,
+    its sign is det(w), and odd_stabilizer flags exactly the points fixed on
+    Z by some w with det(w) = -1."""
+    rs = build_root_system(LieType(fam, rank))
+    orbits = weyl_orbits(rs, k)
+    q = quotient_group(rs, k)
+    assert len(orbits.elements) == q.order
+    d = orbits.denom
+    alc = alcove_points(rs, k)
+    members = orbits.members()
+    for i, gamma in enumerate(alc.closed_points):
+        signs = {}
+        for w in rs.weyl_group().elements:
+            image = exact.frac_part(w.apply(gamma))
+            signs.setdefault(image, set()).add(w.determinant)
+        got = {tuple(Fraction(int(x), d) for x in orbits.elements[j]): int(orbits.sign[j])
+               for j in members[i]}
+        assert set(got) == set(signs)
+        odd = any(len(v) > 1 for v in signs.values())
+        assert bool(orbits.odd_stabilizer[i]) == odd
+        if not odd:
+            assert all(signs[x] == {e} for x, e in got.items())
+        assert alc.stabilizer_sizes[i] * len(signs) == rs.weyl_group().order
+
+
+def test_weyl_orbits_quotient_ceiling():
+    rs = build_root_system(LieType("A", 2))
+    with pytest.raises(ResourceLimitError, match="exceeds the ceiling"):
+        weyl_orbits(rs, 200)
 
 
 def test_enumerate_report_shape():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstorus.errors import SchemaError
-from cstorus.roots import LieType, build_root_system, pairing
+from cstorus.roots import LieType, build_root_system, pairing, weyl_order
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
 
@@ -23,6 +23,26 @@ DUAL_COXETER = {("A", 1): 2, ("A", 2): 3, ("A", 3): 4,
 def test_weyl_group_order(fam, rank):
     rs = build_root_system(LieType(fam, rank))
     assert rs.weyl_group().order == WEYL_ORDERS[(fam, rank)]
+
+
+# every type whose Weyl group has at most 1152 elements
+ENUMERABLE_TYPES = ([("A", n) for n in range(1, 6)] + [("B", n) for n in (2, 3, 4)]
+                    + [("C", n) for n in (2, 3, 4)] + [("D", 3), ("D", 4), ("F", 4),
+                                                       ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", ENUMERABLE_TYPES)
+def test_weyl_order_table_matches_enumeration(fam, rank):
+    lt = LieType(fam, rank)
+    assert weyl_order(lt) == build_root_system(lt).weyl_group().order
+
+
+def test_weyl_order_table_exceptional_and_summary():
+    assert [weyl_order(LieType("E", n)) for n in (6, 7, 8)] == \
+        [51_840, 2_903_040, 696_729_600]
+    rs = build_root_system(LieType("E", 8))
+    assert rs.summary()["weyl_order"] == 696_729_600
+    assert rs.summary()["positive_root_count"] == 120
 
 
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
