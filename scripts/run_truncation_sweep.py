@@ -1,7 +1,13 @@
-"""Conjugated-generator diagnostics as the Hermite truncation grows: the two
-constructions agree to machine precision at every L, the faithfully composed
-relations hold at quadrature accuracy, and the compressed-algebra residuals
-shrink monotonically."""
+"""Conjugated-generator diagnostics as the Hermite truncation grows.
+
+The two constructions agree to machine precision at every L. The
+compressed-algebra (truncated) residuals shrink with L only down to a
+rounding floor of a few 1e-13: unitarity reaches it near L = 40 and S^4 near
+L = 64, while the braid residual keeps falling to ~5e-13 at L = 200. The
+faithfully composed relations hold at quadrature accuracy (~7e-13) up to
+L ~ 64 on the default 1601-point grid, then degrade as the basis outgrows
+the box: 1.5e-4 at L = 88, 1.7e-2 at L = 96 and 0.5 at L = 200 (k = 2,
+s = 1, box radius 10)."""
 
 import argparse
 

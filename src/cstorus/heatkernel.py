@@ -4,6 +4,10 @@ Mehler heat kernel for exp(-r Laplacian), the conjugated generator kernels
 on the folded domain, and a numerical verification of the conjugation
 identity in a truncated basis.
 
+The eigenbasis is evaluated by one normalized recurrence,
+hermite_function_table; verify_conjugation applies each operator factor to
+the block of L basis columns and never multiplies two N x N kernels.
+
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
 and is the working coordinate everywhere below.  The ground state is
@@ -22,17 +26,18 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .errors import DomainError, InconsistencyError, SchemaError
+from .errors import DomainError, InconsistencyError, ResourceLimitError, SchemaError
 
 MultiIndex = Tuple[int, ...]
 
 
 def alpha_constant(sigma: complex) -> float:
-    """alpha = 2 pi Im(sigma) / |sigma|^2, the real Gaussian width of |v|^2."""
+    """alpha = 2 pi Im(sigma) / |sigma|^2 = 2 pi Im(-1/sigma), the real
+    Gaussian width of |v|^2 (the second form cannot overflow in |sigma|^2)."""
     sigma = complex(sigma)
-    if sigma.imag <= 0:
-        raise DomainError(f"sigma must lie in the upper half plane, got {sigma}")
-    return 2.0 * math.pi * sigma.imag / abs(sigma) ** 2
+    if not (sigma.imag > 0 and cmath.isfinite(sigma)):
+        raise DomainError(f"sigma must be a finite point of the upper half plane, got {sigma}")
+    return 2.0 * math.pi * (-1.0 / sigma).imag
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,6 @@ def mobius_sigma(generator: str, sigma: complex) -> complex:
     raise SchemaError(f"generator must be 'S' or 'T', got {generator!r}")
 
 
-def hermite_table(lmax: int, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Values h_m(y) for m = 0..lmax of the polynomials generated by the
-    ladder recurrence h_{m+1} = -2 alpha (y h_m + m h_{m-1}), h_0 = 1.
-
-    These satisfy v_m = h_m * v for the repeated-ladder eigenfunctions;
-    h_m(y) = (-sqrt(alpha))^m H_m(sqrt(alpha) y) in terms of the physicists'
-    Hermite polynomials.
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.empty((lmax + 1,) + y.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = -2.0 * alpha * y
-    for m in range(1, lmax):
-        out[m + 1] = -2.0 * alpha * (y * out[m] + m * out[m - 1])
-    return out
-
-
 def ground_state(y: np.ndarray, sigma: complex) -> np.ndarray:
     """v(y, sigma) = exp(-pi i |y|^2 / sigma) with y of shape (..., n) or (...,)."""
     y = np.asarray(y, dtype=float)
@@ -129,28 +116,6 @@ def norm_sq(l: MultiIndex, sigma: complex) -> float:
     for lj in l:
         out *= (2 * a) ** lj * math.factorial(lj)
     return out
-
-
-def hermite_eval(l: MultiIndex, theta, sigma: complex, k: int) -> np.ndarray:
-    """Eigenfunction v_l evaluated at points theta given in level-1
-    orthonormal coordinates (internally rescaled to y = sqrt(k) theta).
-
-    theta has shape (n,) for one point or (m, n) for m points.
-    """
-    l = tuple(int(x) for x in l)
-    if any(x < 0 for x in l):
-        raise SchemaError(f"multi-index must be nonnegative, got {l}")
-    a = alpha_constant(sigma)
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    pts = theta[None, :] if single else theta
-    if pts.shape[1] != len(l):
-        raise SchemaError(f"point dimension {pts.shape[1]} does not match index {l}")
-    y = math.sqrt(k) * pts
-    vals = ground_state(y, sigma)
-    for j, lj in enumerate(l):
-        vals = vals * hermite_table(lj, y[:, j], a)[lj]
-    return vals[0] if single else vals
 
 
 @dataclass
@@ -249,16 +214,16 @@ class HermiteExpansion:
             y = y[:, None]
         if y.shape[1] != self.n:
             raise SchemaError(f"points have dimension {y.shape[1]}, expected {self.n}")
-        a = alpha_constant(self.sigma)
         lmax = max((max(l) for l in self.coeffs), default=0)
-        tables = [hermite_table(lmax, y[:, j], a) for j in range(self.n)]
+        tables = [hermite_function_table(lmax, y[:, j], self.sigma) for j in range(self.n)]
         acc = np.zeros(len(y), dtype=complex)
         for l, c in sorted(self.coeffs.items()):
-            term = np.full(len(y), complex(c))
+            # unit-norm rows times ||v_l||: the coefficients refer to the raw v_l
+            term = np.full(len(y), complex(c) * math.sqrt(norm_sq(l, self.sigma)))
             for j, lj in enumerate(l):
                 term = term * tables[j][lj]
             acc += term
-        return acc * ground_state(y, self.sigma)
+        return acc
 
 
 def laplacian_apply(f: HermiteExpansion, params: Optional[HWParams] = None) -> HermiteExpansion:
@@ -286,6 +251,19 @@ class GridSamples1D:
     y: np.ndarray
     values: np.ndarray
     truncation_error: float = 0.0
+
+
+# a grid of more points than this raises ResourceLimitError: the heat, eta and
+# conjugation kernels are dense N x N complex128 arrays (16 N^2 bytes, 268 MB
+# at the ceiling) and verify_conjugation holds several of them at once
+GRID_POINTS_CEILING = 4096
+
+
+def _check_grid_size(points: int) -> None:
+    if points > GRID_POINTS_CEILING:
+        raise ResourceLimitError(
+            f"grid of {points} points exceeds the ceiling {GRID_POINTS_CEILING} "
+            "for the dense N x N kernels")
 
 
 def uniform_grid(radius: float, points: int) -> np.ndarray:
@@ -368,11 +346,13 @@ def heat_apply(psi, params: HWParams, inverse: bool = False):
                for l, c in psi.coeffs.items()}
         return HermiteExpansion(n=psi.n, k=psi.k, sigma=psi.sigma, coeffs=new)
     if isinstance(psi, GridSamples1D):
+        _check_grid_size(len(psi.y))
         kern = mehler_kernel(params, psi.y, psi.y, inverse=inverse)
         w = trapezoid_weights(psi.y)
         vals = kern @ (w * psi.values)
-        return GridSamples1D(y=psi.y.copy(), values=vals,
-                             truncation_error=float(abs(psi.values[-1])))
+        # the line is truncated at both ends of the grid
+        edge = max(abs(psi.values[0]), abs(psi.values[-1]))
+        return GridSamples1D(y=psi.y.copy(), values=vals, truncation_error=float(edge))
     raise SchemaError(f"unsupported input type {type(psi).__name__}")
 
 
@@ -416,6 +396,7 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     y = np.asarray(f.y, dtype=float)
     if y[0] < -1e-12:
         raise DomainError("folded-domain samples must have y >= 0")
+    _check_grid_size(len(y))
     bb = p.b - p.b.conjugate()
     env_out = np.exp(math.pi * bb * y ** 2)
     env_in = np.exp(-math.pi * bb * y ** 2)
@@ -430,31 +411,30 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     pref = j_const if spec.generator == "S" else omega * cmath.exp(-1j * math.pi / 4)
     w_quad = trapezoid_weights(y)
     vals = pref * env_out * (kern @ (w_quad * env_in * f.values))
+    # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
 
 
-def _basis_matrix(y: np.ndarray, sigma: complex, levels: int, k: int) -> np.ndarray:
-    """Columns are unit-norm v_l(y, sigma), l = 0..levels-1."""
-    a = alpha_constant(sigma)
-    table = hermite_table(levels - 1, y, a)
-    g = ground_state(y, sigma)
-    cols = [table[l] * g / math.sqrt(norm_sq((l,), sigma)) for l in range(levels)]
-    return np.stack(cols, axis=1)
-
-
 def _projector(b: np.ndarray, w: np.ndarray) -> np.ndarray:
     bw = b.conj().T * w[None, :]
-    return np.linalg.solve(bw @ b, bw)
+    try:
+        return np.linalg.solve(bw @ b, bw)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"Gram matrix of the L={b.shape[1]} Hermite basis is "
+                          f"singular on the {len(w)}-point grid")
 
 
-def _rho_matrix(generator: str, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _rho(generator: str, y: np.ndarray, w: np.ndarray):
     """Grid realization of the continuous generator factors
-    rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2}."""
+    rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
+    as a map on N x L blocks."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
-        return j_const * np.exp(2j * math.pi * np.outer(y, y)) * w[None, :]
-    return np.diag(omega * np.exp(-1j * math.pi * y ** 2))
+        kern = j_const * np.exp(2j * math.pi * np.outer(y, y)) * w[None, :]
+        return lambda x: kern @ x
+    phase = omega * np.exp(-1j * math.pi * y ** 2)
+    return lambda x: phase[:, None] * x
 
 
 def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
@@ -471,19 +451,27 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     "truncated_relation_residuals" multiply the compressed L x L matrices
     themselves and so expose the truncation error directly (these decrease
     as L grows).  Also reports the Laplacian intertwining residual.
+
+    Needs 0 < box_radius and 1 <= L < grid_points; grid_points above
+    GRID_POINTS_CEILING raises ResourceLimitError before any kernel is built.
     """
     params = solve_params(k, s, branch=branch)
     sigma = params.sigma if sigma is None else complex(sigma)
-    if sigma.imag <= 0:
-        raise DomainError(f"sigma must lie in the upper half plane, got {sigma}")
-    if L < 1 or grid_points < 8:
-        raise SchemaError("need L >= 1 and grid_points >= 8")
+    alpha_constant(sigma)   # refuses sigma off the upper half plane
+    if L < 1 or grid_points < 8 or L >= grid_points:
+        raise SchemaError(f"need 1 <= L < grid_points and grid_points >= 8, "
+                          f"got L={L}, grid_points={grid_points}")
+    if not 0 < box_radius < math.inf:
+        raise SchemaError(f"box_radius must be positive and finite, got {box_radius}")
+    _check_grid_size(grid_points)
     y = uniform_grid(box_radius, grid_points)
     w = trapezoid_weights(y)
-    b0 = _basis_matrix(y, sigma, L, k)
+    b0 = hermite_function_table(L - 1, y, sigma).T
     p0 = _projector(b0, w)
     heat_m = mehler_kernel(params, y, y, sigma=sigma) * w[None, :]
     heat_p = mehler_kernel(params, y, y, sigma=sigma, inverse=True) * w[None, :]
+    # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
+    eigen = np.array([2 * k * (l + 0.5) for l in range(L)])[:, None]
 
     report = {
         "k": k, "s": s, "branch": branch,
@@ -491,42 +479,42 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         "L": L, "grid_points": grid_points, "box_radius": box_radius,
         "tol": tol,
     }
-    eta_grid = {}
-    eta_block = {}
+    eta = {}
+    eta_b0 = {}
     conj_resid = {}
     invariance = {}
+    lap0_b0 = b0 @ (eigen * (p0 @ b0))
     for gen in ("S", "T"):
-        rho = _rho_matrix(gen, y, w)
         sig2 = mobius_sigma(gen, sigma)
-        heat_p2 = mehler_kernel(params, y, y, sigma=sig2, inverse=True) * w[None, :]
-        op = heat_m @ (rho @ heat_p)
-        m_i = p0 @ (op @ b0)
-        m_ii = p0 @ (heat_m @ (heat_p2 @ (rho @ b0)))
-        conj_resid[gen] = float(np.max(np.abs(m_i - m_ii)))
-        eta_grid[gen] = op
-        eta_block[gen] = m_i
-        lap0 = b0 @ (np.diag([2 * k * (l + 0.5) for l in range(L)]) @ p0)
-        b2 = _basis_matrix(y, sig2, L, k)
-        lap2 = b2 @ (np.diag([2 * k * (l + 0.5) for l in range(L)]) @ _projector(b2, w))
-        invariance[gen] = float(np.max(np.abs(p0 @ ((rho @ lap0 - lap2 @ rho) @ b0))))
+        b2 = hermite_function_table(L - 1, y, sig2).T
+        p2 = _projector(b2, w)
+        rho = _rho(gen, y, w)
+        rho_b0 = rho(b0)
+        eta[gen] = lambda x, rho=rho: heat_m @ rho(heat_p @ x)
+        eta_b0[gen] = eta[gen](b0)
+        flow2 = mehler_kernel(params, y, y, sigma=sig2, inverse=True) @ (w[:, None] * rho_b0)
+        conj_resid[gen] = float(np.max(np.abs(p0 @ (eta_b0[gen] - heat_m @ flow2))))
+        invariance[gen] = float(np.max(np.abs(
+            p0 @ (rho(lap0_b0) - b2 @ (eigen * (p2 @ rho_b0))))))
 
     # faithful composition on the grid, projected to the observed block
-    esg, etg = eta_grid["S"], eta_grid["T"]
-    s2g = esg @ esg
-    stg = esg @ etg
+    s2_b0 = eta["S"](eta_b0["S"])
+    braid_b0 = b0
+    for _ in range(3):
+        braid_b0 = eta["S"](eta["T"](braid_b0))
     gram0 = b0.conj().T @ (w[:, None] * b0)
     relations = {
-        "residual_S4": float(np.max(np.abs(p0 @ ((s2g @ s2g) @ b0) - np.eye(L)))),
-        "residual_braid": float(np.max(np.abs(p0 @ ((stg @ stg @ stg - s2g) @ b0)))),
+        "residual_S4": float(np.max(np.abs(p0 @ eta["S"](eta["S"](s2_b0)) - np.eye(L)))),
+        "residual_braid": float(np.max(np.abs(p0 @ (braid_b0 - s2_b0)))),
         "residual_S_unitary": float(np.max(np.abs(
-            (esg @ b0).conj().T @ (w[:, None] * (esg @ b0)) - gram0))),
+            eta_b0["S"].conj().T @ (w[:, None] * eta_b0["S"]) - gram0))),
         "residual_T_unitary": float(np.max(np.abs(
-            (etg @ b0).conj().T @ (w[:, None] * (etg @ b0)) - gram0))),
+            eta_b0["T"].conj().T @ (w[:, None] * eta_b0["T"]) - gram0))),
     }
     # truncation-sensitivity curve: multiply the compressed L x L matrices
     # and track the ground-state column, whose error is set by the basis
     # tail the compression discards (decreases as L grows)
-    es, et = eta_block["S"], eta_block["T"]
+    es, et = p0 @ eta_b0["S"], p0 @ eta_b0["T"]
     e0 = np.zeros(L)
     e0[0] = 1.0
     s2 = es @ es

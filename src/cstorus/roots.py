@@ -226,7 +226,14 @@ def _positive_roots_in_simple_coords(a):
     return sorted(roots, key=lambda m: (sum(m), m))
 
 
+# rank above this raises ResourceLimitError: root data are built in Python
+# and Fraction arithmetic at a cost of ~rank^4 (B40 ~1.2 s, A100 ~13 s)
+RANK_CEILING = 40
+
+
 def build_root_system(lt: LieType) -> RootSystem:
+    if lt.rank > RANK_CEILING:
+        raise ResourceLimitError(f"rank {lt.rank} of {lt} exceeds the ceiling {RANK_CEILING}")
     a = cartan_matrix(lt)
     n = lt.rank
     d = _symmetrizer(a)

@@ -10,10 +10,9 @@ import pytest
 from cstorus import exact
 from cstorus.compactcheck import compare_shifted, su2_modular_data
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
-from cstorus.heatkernel import (GridSamples1D, HermiteExpansion, alpha_constant,
-                                ground_state, heat_apply, hermite_table,
-                                laplacian_apply, laplacian_explicit,
-                                solve_params, trapezoid_weights, uniform_grid,
+from cstorus.heatkernel import (GridSamples1D, HermiteExpansion, heat_apply,
+                                hermite_function_table, laplacian_apply,
+                                laplacian_explicit, solve_params, uniform_grid,
                                 verify_conjugation)
 from cstorus.lattice import alcove_points, quotient_group
 from cstorus.roots import LieType, build_root_system
@@ -100,10 +99,9 @@ def test_mehler_flow_eigenvalues(s):
     k = 2
     p = solve_params(k, s)
     y = uniform_grid(6.0, 801)
-    table = hermite_table(10, y, alpha_constant(p.sigma))
-    g = ground_state(y, p.sigma)
+    table = hermite_function_table(10, y, p.sigma)
     for l in range(11):
-        f = GridSamples1D(y=y, values=table[l] * g)
+        f = GridSamples1D(y=y, values=table[l])
         out = heat_apply(f, p)
         target = (1j * p.b) ** (l + 0.5) * f.values
         assert np.abs(out.values - target).max() / np.abs(target).max() < 1e-6

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cstorus.cli import main
+from cstorus.heatkernel import GRID_POINTS_CEILING
+from cstorus.roots import RANK_CEILING
 
 
 def run(capsys, *argv):
@@ -262,6 +265,78 @@ def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, se
     cfg.write_text(json.dumps({"family": "E", "rank": rank, "level": level,
                                "sector": sector}))
     code, out, err = run_err(capsys, "rep", "verify", "--config", str(cfg))
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+        assert err == ""
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,rank,expected", [
+    ("info", RANK_CEILING, 0), ("info", RANK_CEILING + 1, 3),
+    ("verify", RANK_CEILING, 0), ("verify", RANK_CEILING + 1, 3)])
+def test_rank_ceiling(capsys, command, rank, expected):
+    argv = (("roots", "info") if command == "info"
+            else ("rep", "verify", "--level", "1", "--sector", "0"))
+    code, out, err = run_err(capsys, *argv, "--type", "A", "--rank", str(rank))
+    assert code == expected
+    if expected == 3:
+        assert out == "" and f"ceiling {RANK_CEILING}" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--box-radius", "0", "--grid-points", "8", "--L", "1"),
+    ("--box-radius", "-5"),
+    ("--grid-points", "8", "--L", "20"),
+    ("--sigma", "1000000i", "--grid-points", "201"),
+    ("--box-radius", "1000000", "--grid-points", "201"),
+])
+def test_kernel_verify_degenerate_grid_exits_schema(capsys, extra):
+    code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0", *extra)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "heat", "eta"])
+def test_kernel_grid_over_ceiling_exits_resource(tmp_path, capsys, command):
+    """One point over the ceiling is refused before any N x N kernel exists."""
+    n = GRID_POINTS_CEILING + 1
+    if command == "verify":
+        extra = ("--grid-points", str(n))
+    else:
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"y": list(np.linspace(0.0, 8.0, n)),
+                                   "values": [[1.0, 0.0]] * n}))
+        extra = ("--input", str(src))
+        if command == "eta":
+            extra += ("--sector", "0", "--generator", "S")
+    start = time.monotonic()
+    code, out, err = run_err(capsys, "kernel", command, "--k", "2", "--s", "0.0", *extra)
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert out == "" and f"ceiling {GRID_POINTS_CEILING}" in err
+
+
+def _not_a_large_grid(n):
+    # grid sizes from 202 up to the ceiling are valid but allocate N x N kernels
+    return not (isinstance(n, (int, float)) and not isinstance(n, bool)
+                and 201 < n <= GRID_POINTS_CEILING)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(L=_scalar_or(1, 6, 12), grid_points=_scalar_or(8, 101, 201).filter(_not_a_large_grid),
+       box_radius=_scalar_or(4.0, 10.0), s=_scalar_or(0.0, 1.0, -2.5),
+       sigma=_scalar_or(None, "1i", "0.3+1.1i"))
+def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
+                                               box_radius, s, sigma):
+    """Any JSON scalar for the kernel verify fields exits 0-3: exit 0/1 with
+    strict JSON on stdout, exit 2/3 with one stderr line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 2, "L": L, "grid_points": grid_points,
+                               "box_radius": box_radius, "s": s, "sigma": sigma}))
+    code, out, err = run_err(capsys, "kernel", "verify", "--config", str(cfg))
     assert code in (0, 1, 2, 3)
     if code in (0, 1):
         json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ import pytest
 from cstorus.errors import DomainError, InconsistencyError, SchemaError
 from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
                                 alpha_constant, eta_apply, ground_state,
-                                heat_apply, hermite_eval, hermite_table,
+                                heat_apply, hermite_function_table,
                                 ladder_basis_element, laplacian_apply,
                                 laplacian_explicit, mehler_closed_kernel,
                                 mehler_kernel, mehler_series_kernel,
                                 mobius_sigma, norm_sq, solve_params,
                                 trapezoid_weights, uniform_grid,
                                 verify_conjugation)
+from cstorus.heatkernel import _rank_one_phases
 
 
 def test_solve_params_examples():
@@ -66,7 +68,8 @@ def test_alpha_constant_domain():
 def test_ground_state_and_hermite_eval():
     sigma = 0.3 + 1.1j
     theta = np.array([[0.2], [0.7], [-0.4]])
-    v0 = hermite_eval((0,), theta, sigma, 2)
+    v0 = HermiteExpansion(n=1, k=2, sigma=sigma, coeffs={(0,): 1.0}).evaluate(
+        math.sqrt(2) * theta)
     y2 = 2 * theta[:, 0] ** 2
     assert np.abs(v0 - np.exp(-1j * math.pi * y2 / sigma)).max() < 1e-14
 
@@ -77,7 +80,7 @@ def test_hermite_two_code_paths(l):
     k = 2
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 1))
-    via_table = hermite_eval((l,), pts / math.sqrt(k), sigma, k)
+    via_table = HermiteExpansion(n=1, k=k, sigma=sigma, coeffs={(l,): 1.0}).evaluate(pts)
     via_ladder = ladder_basis_element((l,), sigma, k).evaluate(pts)
     scale = np.abs(via_table).max()
     assert np.abs(via_table - via_ladder).max() / scale < 1e-10
@@ -87,14 +90,13 @@ def test_hermite_orthogonality_by_quadrature():
     sigma = 0.5 + 0.9j
     y = uniform_grid(9.0, 2001)
     w = trapezoid_weights(y)
-    a = alpha_constant(sigma)
-    table = hermite_table(4, y, a)
-    g = ground_state(y, sigma)
+    table = hermite_function_table(4, y, sigma)
     for l in range(4):
         for m in range(l + 1, 5):
-            val = np.sum(w * table[l] * g * np.conj(table[m] * g))
+            val = np.sum(w * table[l] * np.conj(table[m]))
             assert abs(val) < 1e-8
-    n0 = np.sum(w * np.abs(table[3] * g) ** 2)
+    v3 = HermiteExpansion(n=1, k=2, sigma=sigma, coeffs={(3,): 1.0}).evaluate(y)
+    n0 = np.sum(w * np.abs(v3) ** 2)
     assert abs(n0 - norm_sq((3,), sigma)) / norm_sq((3,), sigma) < 1e-10
 
 
@@ -140,11 +142,9 @@ def test_mehler_quadrature_matches_eigenvalues(s):
     k = 2
     p = solve_params(k, s)
     y = uniform_grid(6.0, 801)
-    a = alpha_constant(p.sigma)
-    table = hermite_table(10, y, a)
-    g = ground_state(y, p.sigma)
+    table = hermite_function_table(10, y, p.sigma)
     for l in range(11):
-        f = GridSamples1D(y=y, values=table[l] * g)
+        f = GridSamples1D(y=y, values=table[l])
         out = heat_apply(f, p)
         target = cmath.exp(-p.r * 2 * k * (l + 0.5)) * f.values
         assert np.abs(out.values - target).max() / np.abs(target).max() < 1e-6
@@ -186,11 +186,9 @@ def test_mehler_two_dimensional_quadrature_eigen_action():
     y = uniform_grid(6.0, 401)
     w = trapezoid_weights(y)
     op = mehler_kernel(p, y, y) * w[None, :]
-    a = alpha_constant(p.sigma)
-    table = hermite_table(3, y, a)
-    g = ground_state(y, p.sigma)
+    table = hermite_function_table(3, y, p.sigma)
     for l1, l2 in [(0, 0), (1, 2), (3, 0), (2, 2)]:
-        f = np.outer(table[l1] * g, table[l2] * g)
+        f = np.outer(table[l1], table[l2])
         out = op @ f @ op.T
         target = cmath.exp(-p.r * 2 * k * (l1 + l2 + 1)) * f
         assert np.abs(out - target).max() / np.abs(target).max() < 1e-6
@@ -230,20 +228,96 @@ def test_eta_gaussian_self_duality_at_s_zero():
     assert np.abs(out.values + 1j * f.values).max() < 1e-5
 
 
+def _dense_rho(generator, y, w):
+    """rho(S) = j F and rho(T) = omega e^{-pi i y^2} as dense N x N matrices."""
+    j_const, omega = _rank_one_phases()
+    if generator == "S":
+        return j_const * np.exp(2j * math.pi * np.outer(y, y)) * w[None, :]
+    return np.diag(omega * np.exp(-1j * math.pi * y ** 2))
+
+
+def _dense_projector(b, w):
+    bw = b.conj().T * w[None, :]
+    return np.linalg.solve(bw @ b, bw)
+
+
+def _dense_verify_conjugation(k, s, sigma, L, grid_points, box_radius, tol=1e-5):
+    """Reference for verify_conjugation: every operator is composed as a dense
+    N x N matrix on the grid before it is projected onto the basis block."""
+    params = solve_params(k, s)
+    sigma = params.sigma if sigma is None else complex(sigma)
+    y = uniform_grid(box_radius, grid_points)
+    w = trapezoid_weights(y)
+    b0 = hermite_function_table(L - 1, y, sigma).T
+    p0 = _dense_projector(b0, w)
+    heat_m = mehler_kernel(params, y, y, sigma=sigma) * w[None, :]
+    heat_p = mehler_kernel(params, y, y, sigma=sigma, inverse=True) * w[None, :]
+    eigen = np.diag([2 * k * (l + 0.5) for l in range(L)])
+    lap0 = b0 @ (eigen @ p0)
+    eta, conj, inv = {}, {}, {}
+    for gen in ("S", "T"):
+        rho = _dense_rho(gen, y, w)
+        sig2 = mobius_sigma(gen, sigma)
+        heat_p2 = mehler_kernel(params, y, y, sigma=sig2, inverse=True) * w[None, :]
+        eta[gen] = heat_m @ (rho @ heat_p)
+        m_ii = p0 @ (heat_m @ (heat_p2 @ (rho @ b0)))
+        conj[gen] = float(np.max(np.abs(p0 @ (eta[gen] @ b0) - m_ii)))
+        b2 = hermite_function_table(L - 1, y, sig2).T
+        lap2 = b2 @ (eigen @ _dense_projector(b2, w))
+        inv[gen] = float(np.max(np.abs(p0 @ ((rho @ lap0 - lap2 @ rho) @ b0))))
+    es, et = eta["S"], eta["T"]
+    s2g, stg = es @ es, es @ et
+    gram0 = b0.conj().T @ (w[:, None] * b0)
+    relations = {
+        "residual_S4": float(np.max(np.abs(p0 @ ((s2g @ s2g) @ b0) - np.eye(L)))),
+        "residual_braid": float(np.max(np.abs(p0 @ ((stg @ stg @ stg - s2g) @ b0)))),
+        "residual_S_unitary": float(np.max(np.abs(
+            (es @ b0).conj().T @ (w[:, None] * (es @ b0)) - gram0))),
+        "residual_T_unitary": float(np.max(np.abs(
+            (et @ b0).conj().T @ (w[:, None] * (et @ b0)) - gram0))),
+    }
+    ms, mt = p0 @ (es @ b0), p0 @ (et @ b0)
+    e0 = np.eye(L)[0]
+    s2 = ms @ ms
+    braid_vec = ms @ (mt @ (ms @ (mt @ (ms @ (mt @ e0)))))
+    truncated = {
+        "residual_S4": float(np.max(np.abs(s2 @ (s2 @ e0) - e0))),
+        "residual_braid": float(np.max(np.abs(braid_vec - s2 @ e0))),
+        "residual_S_unitary": float(abs(np.vdot(ms @ e0, ms @ e0) - 1.0)),
+        "residual_T_unitary": float(abs(np.vdot(mt @ e0, mt @ e0) - 1.0)),
+    }
+    return {
+        "k": k, "s": s, "branch": "principal", "sigma": [sigma.real, sigma.imag],
+        "L": L, "grid_points": grid_points, "box_radius": box_radius, "tol": tol,
+        "conjugation_residuals": conj, "invariance_residuals": inv,
+        "relation_residuals": relations, "truncated_relation_residuals": truncated,
+        "max_conjugation_residual": max(conj.values()),
+        "max_relation_residual": max(relations.values()),
+        "passed": max(conj.values()) < tol and max(relations.values()) < 10 * tol,
+    }
+
+
+def _flat(report, prefix=""):
+    for key, val in report.items():
+        if isinstance(val, dict):
+            yield from _flat(val, prefix + key + "/")
+        else:
+            yield prefix + key, val
+
+
 def test_eta_matches_conjugation_on_the_line():
-    from cstorus.heatkernel import _basis_matrix, _rho_matrix
     p = solve_params(2, 1.0)
     y = uniform_grid(10.0, 1601)
     w = trapezoid_weights(y)
     km = mehler_kernel(p, y, y) * w[None, :]
     kp = mehler_kernel(p, y, y, inverse=True) * w[None, :]
     half = y >= 0
-    basis = _basis_matrix(y, p.sigma, 6, 2)
+    basis = hermite_function_table(5, y, p.sigma).T
     for sector in (0, 1):
         for gen in ("S", "T"):
             for l in range(sector, 6, 2):
                 f = basis[:, l]
-                ref = (km @ (_rho_matrix(gen, y, w) @ (kp @ f)))[half]
+                ref = (km @ (_dense_rho(gen, y, w) @ (kp @ f)))[half]
                 out = eta_apply(GridSamples1D(y=y[half], values=f[half]),
                                 EtaKernelSpec(sector, gen, p))
                 assert np.abs(out.values - ref).max() < 1e-5
@@ -278,3 +352,42 @@ def test_verify_conjugation_validation():
         verify_conjugation(2, 1.0, sigma=1.0 - 1j, L=6)
     with pytest.raises(SchemaError):
         verify_conjugation(2, 1.0, L=0)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.3 + 1.1j])
+def test_verify_conjugation_matches_dense_composition(sigma):
+    """Operators applied to the N x L block one factor at a time give every
+    report field of the dense N x N composition. Box radius 6 keeps the
+    201-point grid resolving e^{2 pi i y yt}; at radius 10 it aliases and the
+    faithful braid residual is ~1.6e4."""
+    size = dict(L=6, grid_points=201, box_radius=6.0)
+    got = dict(_flat(verify_conjugation(2, 1.0, sigma=sigma, **size)))
+    want = dict(_flat(_dense_verify_conjugation(2, 1.0, sigma=sigma, **size)))
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        if isinstance(val, (bool, str)):
+            assert got[key] == val, key
+        else:
+            assert np.max(np.abs(np.subtract(got[key], val))) <= 1e-12, key
+
+
+def test_verify_conjugation_large_L_stays_finite():
+    """The unit-norm recurrence keeps L = 200 finite and warning-free; raw
+    polynomials divided by their norms overflow at this size."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_conjugation(2, 1.0, L=200, grid_points=801)
+    values = np.hstack([v for _, v in _flat(rep) if not isinstance(v, str)])
+    assert np.all(np.isfinite(values))
+
+
+def test_truncation_error_reads_every_truncated_end():
+    """heat_apply bounds its line at both ends; eta_apply at the right end
+    only, since y = 0 is the fold of its domain."""
+    p = solve_params(2, 0.0)
+    vals = np.zeros(41, dtype=complex)
+    vals[0], vals[-1] = 0.5, 0.25
+    line = GridSamples1D(y=uniform_grid(6.0, 41), values=vals)
+    assert heat_apply(line, p).truncation_error == 0.5
+    half = GridSamples1D(y=np.linspace(0.0, 6.0, 41), values=vals)
+    assert eta_apply(half, EtaKernelSpec(0, "S", p)).truncation_error == 0.25

@@ -290,3 +290,17 @@ def test_roundtrip_report_keys():
     assert rep["parseval_relative_error"] < 1e-10
     assert rep["quasi_periodicity_residual"] < 1e-9
     assert rep["trials"] == 3
+
+
+def test_roundtrip_report_boundary_decay_covers_every_family():
+    """On a box too small for the inputs, boundary_decay is the worst outer
+    shell over all families, not the Gaussian one alone."""
+    rs = build_root_system(LieType("A", 1))
+    rep = roundtrip_report(rs, 2, 32, 0.1, trials=5, seed=0)
+    spec = grid_spec_from_box(rs, 2, 32, 0.1)
+    q = quotient_group(rs, 2)
+    rng = np.random.default_rng(0)
+    fams = [gaussian_family(spec, q)]
+    fams += [random_gaussian_poly_family(spec, q, rng) for _ in range(4)]
+    decays = [f.boundary_decay() for f in fams]
+    assert rep["boundary_decay"] == max(decays) > decays[0]
