@@ -141,7 +141,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 
 def _load_samples(path: str):
-    from .heatkernel import GridSamples1D
+    from .heatkernel import GridSamples1D, check_uniform_grid
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -151,12 +151,7 @@ def _load_samples(path: str):
         raise SchemaError(f"cannot read grid samples from {path}: {e}")
     if len(y) != len(vals):
         raise SchemaError(f"{path}: y and values have different lengths")
-    # the trapezoid quadrature of the kernels assumes an increasing uniform grid
-    dy = np.diff(y)
-    if len(y) < 2 or not (np.all(dy > 0) and np.ptp(dy) <= 1e-9 * dy.mean()):
-        raise SchemaError(f"{path}: y must hold at least two increasing, "
-                          "uniformly spaced points")
-    return GridSamples1D(y=y, values=vals)
+    return GridSamples1D(y=check_uniform_grid(y), values=vals)
 
 
 def _samples_payload(g) -> dict:

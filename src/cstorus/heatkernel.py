@@ -5,8 +5,13 @@ on the folded domain, and a numerical verification of the conjugation
 identity in a truncated basis.
 
 The eigenbasis is evaluated by one normalized recurrence,
-hermite_function_table; verify_conjugation applies each operator factor to
-the block of L basis columns and never multiplies two N x N kernels.
+hermite_function_table.  On the flow's parameters |q| = 1, so every grid
+kernel here (the Mehler kernel, rho(S) and both eta kernels) has the form
+diag * exp(i beta y yt) * diag on a uniform grid.  Such a kernel is applied
+by one zero-padded FFT convolution with a chirp (Bluestein's chirp-z
+identity) in O(N log N) per column and is never formed as an N x N array;
+verify_conjugation applies each operator factor to the block of L basis
+columns.
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -253,17 +258,31 @@ class GridSamples1D:
     truncation_error: float = 0.0
 
 
-# a grid of more points than this raises ResourceLimitError: the heat, eta and
-# conjugation kernels are dense N x N complex128 arrays (16 N^2 bytes, 268 MB
-# at the ceiling) and verify_conjugation holds several of them at once
+# a grid of more points than this raises ResourceLimitError.  No N x N kernel
+# is formed: the cost is the N x L blocks of verify_conjugation (L < N,
+# about a dozen alive at once) and FFT buffers of under 4N x L complex numbers
 GRID_POINTS_CEILING = 4096
 
 
 def _check_grid_size(points: int) -> None:
     if points > GRID_POINTS_CEILING:
         raise ResourceLimitError(
-            f"grid of {points} points exceeds the ceiling {GRID_POINTS_CEILING} "
-            "for the dense N x N kernels")
+            f"grid of {points} points exceeds the ceiling {GRID_POINTS_CEILING}")
+
+
+def check_uniform_grid(y) -> np.ndarray:
+    """y as a float array, refused unless it is an increasing grid of 2 to
+    GRID_POINTS_CEILING points that equals linspace(y[0], y[-1], N) to 16
+    ulps of its largest |y|.  The FFT kernels and trapezoid_weights use only
+    y[0], y[-1] and N; at that bound the phase error beta y dy the kernels
+    inherit is of the order of the rounding of beta y yt itself."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1 and len(y) >= 2:
+        _check_grid_size(len(y))
+        dev = np.max(np.abs(y - np.linspace(y[0], y[-1], len(y))))
+        if np.all(np.diff(y) > 0) and dev <= 16 * np.finfo(float).eps * max(abs(y[0]), abs(y[-1])):
+            return y
+    raise SchemaError("y must hold at least two increasing, uniformly spaced points")
 
 
 def uniform_grid(radius: float, points: int) -> np.ndarray:
@@ -293,46 +312,57 @@ def hermite_function_table(lmax: int, y: np.ndarray, sigma: complex) -> np.ndarr
     return out
 
 
-def mehler_closed_kernel(q: complex, sigma: complex, y_out: np.ndarray,
-                         y_in: np.ndarray, root_q: Optional[complex] = None) -> np.ndarray:
-    """Closed form of sum_m q^{m+1/2} v_m(y) conj(v_m(yt)) / ||v_m||^2;
-    root_q fixes the branch of q^{1/2} (principal by default)."""
-    q = complex(q)
-    a = alpha_constant(sigma)
+def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
+    """The map x -> d_out_i sum_j exp(i beta y_i y_j) d_in_j x_j for x of shape
+    (N,) or (N, L) on the uniform grid y, without an N x N array.  With
+    y_i = y_c + h m_i and centred indices m,
+        y_i y_j = y_c^2 + y_c h (m_i + m_j) + h^2 (m_i^2 + m_j^2 - (i - j)^2) / 2,
+    so the sum is a convolution with the chirp exp(-i beta h^2 d^2 / 2), done
+    by one zero-padded FFT (Bluestein 1970)."""
+    n = len(y)
+    yc, h = 0.5 * (y[0] + y[-1]), (y[-1] - y[0]) / (n - 1)
+    m = np.arange(n) - 0.5 * (n - 1)
+    half = beta * (yc * h * m + 0.5 * (h * m) ** 2)
+    pre = (np.exp(1j * half) * d_in)[:, None]
+    post = (np.exp(1j * (half + beta * yc * yc)) * d_out)[:, None]
+    size = 1 << (2 * n - 2).bit_length()    # >= 2n - 1: no wrap-around
+    lag = np.arange(1 - n, n)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[lag % size] = np.exp(-0.5j * beta * (h * lag) ** 2)
+    chirp = np.fft.fft(chirp)[:, None]
+
+    def apply(x):
+        x = np.asarray(x)
+        u = np.fft.fft(pre * (x if x.ndim == 2 else x[:, None]), size, axis=0)
+        out = post * np.fft.ifft(chirp * u, axis=0)[:n]
+        return out if x.ndim == 2 else out[:, 0]
+    return apply
+
+
+def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
+            inverse: bool = False):
+    """exp(-+ r Laplacian_sigma) by quadrature with weights w on the uniform
+    grid y, as a map on (N,) or (N, L) arrays.  The Mehler closed form with
+    ratio q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2):
+        q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
+        e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
+    On |q| = 1 c is imaginary; each diagonal is one exp of its summed
+    exponent, which stays bounded where its two factors over- and underflow."""
+    sign = 1 if inverse else -1
+    q = cmath.exp(2 * sign * params.k * params.r)
     if (1 - q * q).real <= 0:
         raise DomainError(f"Mehler kernel diverges: Re(1 - q^2) <= 0 for q = {q}")
-    yo = np.asarray(y_out, dtype=float)
-    yi = np.asarray(y_in, dtype=float)
-    quad = (2 * a * q * np.outer(yo, yi)
-            - a * q * q * (yo[:, None] ** 2 + yi[None, :] ** 2)) / (1 - q * q)
-    root = (cmath.sqrt(q) if root_q is None else root_q) \
-        * cmath.sqrt(a / (math.pi * (1 - q * q)))
-    return root * np.exp(quad) * ground_state(yo, sigma)[:, None] \
-        * np.conj(ground_state(yi, sigma))[None, :]
-
-
-def mehler_series_kernel(q: complex, sigma: complex, y_out: np.ndarray,
-                         y_in: np.ndarray, terms: int) -> np.ndarray:
-    """Truncated eigen-sum of the same kernel (independent code path;
-    geometric convergence requires |q| < 1)."""
-    to = hermite_function_table(terms - 1, np.asarray(y_out, dtype=float), sigma)
-    ti = hermite_function_table(terms - 1, np.asarray(y_in, dtype=float), sigma)
-    out = np.zeros((to.shape[1], ti.shape[1]), dtype=complex)
-    for m in range(terms):
-        out += q ** (m + 0.5) * np.outer(to[m], np.conj(ti[m]))
-    return out
-
-
-def mehler_kernel(params: HWParams, y_out: np.ndarray, y_in: np.ndarray,
-                  sigma: Optional[complex] = None, inverse: bool = False) -> np.ndarray:
-    """Kernel of exp(-+ r Laplacian_sigma) on the line: the Mehler closed form
-    with ratio q = exp(-2kr) (or 1/q for the inverse flow)."""
-    if params.b.real <= 0:
-        raise DomainError("kernel diverges for Re(b) <= 0")
-    sigma = params.sigma if sigma is None else complex(sigma)
-    q = cmath.exp((2 if inverse else -2) * params.k * params.r)
-    root_q = cmath.exp((1 if inverse else -1) * params.k * params.r)
-    return mehler_closed_kernel(q, sigma, y_out, y_in, root_q=root_q)
+    a = alpha_constant(sigma)
+    c = 2 * a * q / (1 - q * q)
+    if abs(c.real) > 1e-12 * abs(c):
+        raise InconsistencyError(f"Mehler kernel at q = {q} is not a phase in y yt: "
+                                 f"coefficient {c}")
+    d = -a * q * q / (1 - q * q)
+    root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
+    y2 = y * y
+    return _bilinear_phase(c.imag, y,
+                           d_out=root * np.exp((d - 1j * math.pi / sigma) * y2),
+                           d_in=w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2))
 
 
 def heat_apply(psi, params: HWParams, inverse: bool = False):
@@ -346,10 +376,8 @@ def heat_apply(psi, params: HWParams, inverse: bool = False):
                for l, c in psi.coeffs.items()}
         return HermiteExpansion(n=psi.n, k=psi.k, sigma=psi.sigma, coeffs=new)
     if isinstance(psi, GridSamples1D):
-        _check_grid_size(len(psi.y))
-        kern = mehler_kernel(params, psi.y, psi.y, inverse=inverse)
-        w = trapezoid_weights(psi.y)
-        vals = kern @ (w * psi.values)
+        y = check_uniform_grid(psi.y)
+        vals = _mehler(params, y, trapezoid_weights(y), params.sigma, inverse)(psi.values)
         # the line is truncated at both ends of the grid
         edge = max(abs(psi.values[0]), abs(psi.values[-1]))
         return GridSamples1D(y=psi.y.copy(), values=vals, truncation_error=float(edge))
@@ -393,24 +421,21 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
         raise DomainError(
             "closed-form generator kernels require sigma = i b; "
             "use verify_conjugation for generic sigma")
-    y = np.asarray(f.y, dtype=float)
+    y = check_uniform_grid(f.y)
     if y[0] < -1e-12:
         raise DomainError("folded-domain samples must have y >= 0")
-    _check_grid_size(len(y))
-    bb = p.b - p.b.conjugate()
-    env_out = np.exp(math.pi * bb * y ** 2)
-    env_in = np.exp(-math.pi * bb * y ** 2)
     j_const, omega = _rank_one_phases()
-    kern = np.zeros((len(y), len(y)), dtype=complex)
-    for det, w in ((1, 1.0), (-1, -1.0)):
-        sign = det if spec.sector == 1 else 1
-        if spec.generator == "S":
-            kern += sign * np.exp(2j * math.pi * np.outer(w * y, y))
-        else:
-            kern += sign * np.exp(1j * math.pi * (w * y[:, None] - y[None, :]) ** 2)
-    pref = j_const if spec.generator == "S" else omega * cmath.exp(-1j * math.pi / 4)
-    w_quad = trapezoid_weights(y)
-    vals = pref * env_out * (kern @ (w_quad * env_in * f.values))
+    # T: e^{pi i (w y - yt)^2} = e^{pi i y^2} e^{-2 pi i w y yt} e^{pi i yt^2}
+    if spec.generator == "S":
+        pref, beta, chirp = j_const, 2 * math.pi, 0.0
+    else:
+        pref, beta, chirp = omega * cmath.exp(-1j * math.pi / 4), -2 * math.pi, 1j * math.pi
+    bb = p.b - p.b.conjugate()
+    d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
+    d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
+    det = -1 if spec.sector == 1 else 1     # det(w) of w = -1, in sector 1 only
+    vals = (_bilinear_phase(beta, y, d_out, d_in)(f.values)
+            + det * _bilinear_phase(-beta, y, d_out, d_in)(f.values))
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
@@ -431,8 +456,7 @@ def _rho(generator: str, y: np.ndarray, w: np.ndarray):
     as a map on N x L blocks."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
-        kern = j_const * np.exp(2j * math.pi * np.outer(y, y)) * w[None, :]
-        return lambda x: kern @ x
+        return _bilinear_phase(2 * math.pi, y, d_out=j_const, d_in=w)
     phase = omega * np.exp(-1j * math.pi * y ** 2)
     return lambda x: phase[:, None] * x
 
@@ -468,8 +492,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     w = trapezoid_weights(y)
     b0 = hermite_function_table(L - 1, y, sigma).T
     p0 = _projector(b0, w)
-    heat_m = mehler_kernel(params, y, y, sigma=sigma) * w[None, :]
-    heat_p = mehler_kernel(params, y, y, sigma=sigma, inverse=True) * w[None, :]
+    heat_m = _mehler(params, y, w, sigma)
+    heat_p = _mehler(params, y, w, sigma, inverse=True)
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
     eigen = np.array([2 * k * (l + 0.5) for l in range(L)])[:, None]
 
@@ -490,10 +514,10 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         p2 = _projector(b2, w)
         rho = _rho(gen, y, w)
         rho_b0 = rho(b0)
-        eta[gen] = lambda x, rho=rho: heat_m @ rho(heat_p @ x)
+        eta[gen] = lambda x, rho=rho: heat_m(rho(heat_p(x)))
         eta_b0[gen] = eta[gen](b0)
-        flow2 = mehler_kernel(params, y, y, sigma=sig2, inverse=True) @ (w[:, None] * rho_b0)
-        conj_resid[gen] = float(np.max(np.abs(p0 @ (eta_b0[gen] - heat_m @ flow2))))
+        flow2 = _mehler(params, y, w, sig2, inverse=True)(rho_b0)
+        conj_resid[gen] = float(np.max(np.abs(p0 @ (eta_b0[gen] - heat_m(flow2)))))
         invariance[gen] = float(np.max(np.abs(
             p0 @ (rho(lap0_b0) - b2 @ (eigen * (p2 @ rho_b0))))))
 

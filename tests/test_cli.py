@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -298,9 +299,22 @@ def test_kernel_verify_degenerate_grid_exits_schema(capsys, extra):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", [("--sigma", "100i"), ("--box-radius", "100")])
+def test_kernel_verify_wide_gaussian_stays_finite(capsys, extra):
+    """Each Mehler diagonal is one exp of its summed exponent, so a wide
+    ground state or box neither overflows nor turns into NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "6", "--grid-points", "201", *extra)
+    assert code in (0, 1) and err == ""
+    doc = json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+    assert math.isfinite(doc["conjugation"]["max_relation_residual"])
+
+
 @pytest.mark.parametrize("command", ["verify", "heat", "eta"])
 def test_kernel_grid_over_ceiling_exits_resource(tmp_path, capsys, command):
-    """One point over the ceiling is refused before any N x N kernel exists."""
+    """One point over the ceiling is refused before any kernel is applied."""
     n = GRID_POINTS_CEILING + 1
     if command == "verify":
         extra = ("--grid-points", str(n))
@@ -319,7 +333,8 @@ def test_kernel_grid_over_ceiling_exits_resource(tmp_path, capsys, command):
 
 
 def _not_a_large_grid(n):
-    # grid sizes from 202 up to the ceiling are valid but allocate N x N kernels
+    # grid sizes from 202 up to the ceiling are valid; left out to keep the
+    # examples small
     return not (isinstance(n, (int, float)) and not isinstance(n, bool)
                 and 201 < n <= GRID_POINTS_CEILING)
 

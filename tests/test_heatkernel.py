@@ -12,12 +12,52 @@ from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
                                 alpha_constant, eta_apply, ground_state,
                                 heat_apply, hermite_function_table,
                                 ladder_basis_element, laplacian_apply,
-                                laplacian_explicit, mehler_closed_kernel,
-                                mehler_kernel, mehler_series_kernel,
-                                mobius_sigma, norm_sq, solve_params,
-                                trapezoid_weights, uniform_grid,
+                                laplacian_explicit, mobius_sigma, norm_sq,
+                                solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
-from cstorus.heatkernel import _rank_one_phases
+from cstorus.heatkernel import _bilinear_phase, _mehler, _rank_one_phases
+
+
+def mehler_closed_kernel(q, sigma, y_out, y_in, root_q=None):
+    """Dense closed form of sum_m q^{m+1/2} v_m(y) conj(v_m(yt)) / ||v_m||^2
+    for any |q| with Re(1 - q^2) > 0; root_q fixes the branch of q^{1/2}
+    (principal by default).  Oracle for the FFT-applied Mehler operator."""
+    q = complex(q)
+    a = alpha_constant(sigma)
+    assert (1 - q * q).real > 0
+    yo = np.asarray(y_out, dtype=float)
+    yi = np.asarray(y_in, dtype=float)
+    quad = (2 * a * q * np.outer(yo, yi)
+            - a * q * q * (yo[:, None] ** 2 + yi[None, :] ** 2)) / (1 - q * q)
+    root = (cmath.sqrt(q) if root_q is None else root_q) \
+        * cmath.sqrt(a / (math.pi * (1 - q * q)))
+    return root * np.exp(quad) * ground_state(yo, sigma)[:, None] \
+        * np.conj(ground_state(yi, sigma))[None, :]
+
+
+def mehler_kernel(params, y_out, y_in, sigma=None, inverse=False):
+    """Dense kernel of exp(-+ r Laplacian_sigma) on the line: the closed form
+    with ratio q = exp(-+ 2kr)."""
+    sigma = params.sigma if sigma is None else complex(sigma)
+    q = cmath.exp((2 if inverse else -2) * params.k * params.r)
+    root_q = cmath.exp((1 if inverse else -1) * params.k * params.r)
+    return mehler_closed_kernel(q, sigma, y_out, y_in, root_q=root_q)
+
+
+def mehler_series_kernel(q, sigma, y_out, y_in, terms):
+    """Truncated eigen-sum sum_m q^{m+1/2} v_m(y) conj(v_m(yt)) / ||v_m||^2,
+    the independent oracle of the closed form (geometric convergence
+    requires |q| < 1)."""
+    to = hermite_function_table(terms - 1, np.asarray(y_out, dtype=float), sigma)
+    ti = hermite_function_table(terms - 1, np.asarray(y_in, dtype=float), sigma)
+    out = np.zeros((to.shape[1], ti.shape[1]), dtype=complex)
+    for m in range(terms):
+        out += q ** (m + 0.5) * np.outer(to[m], np.conj(ti[m]))
+    return out
+
+
+def _relmax(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 def test_solve_params_examples():
@@ -184,12 +224,11 @@ def test_mehler_two_dimensional_quadrature_eigen_action():
     k = 2
     p = solve_params(k, 1.0)
     y = uniform_grid(6.0, 401)
-    w = trapezoid_weights(y)
-    op = mehler_kernel(p, y, y) * w[None, :]
+    heat = _mehler(p, y, trapezoid_weights(y), p.sigma)
     table = hermite_function_table(3, y, p.sigma)
     for l1, l2 in [(0, 0), (1, 2), (3, 0), (2, 2)]:
         f = np.outer(table[l1], table[l2])
-        out = op @ f @ op.T
+        out = heat(heat(f).T).T
         target = cmath.exp(-p.r * 2 * k * (l1 + l2 + 1)) * f
         assert np.abs(out - target).max() / np.abs(target).max() < 1e-6
 
@@ -199,7 +238,7 @@ def test_heat_kernel_at_s_zero_is_phase_times_fourier():
     y = uniform_grid(6.0, 801)
     w = trapezoid_weights(y)
     f = ground_state(y, 1j)
-    heat = mehler_kernel(p, y, y) @ (w * f)
+    heat = heat_apply(GridSamples1D(y=y, values=f), p).values
     four = np.exp(2j * math.pi * np.outer(y, y)) @ (w * f)
     assert np.abs(heat - cmath.exp(1j * math.pi / 4) * four).max() < 1e-12
 
@@ -333,6 +372,106 @@ def test_eta_requires_special_sigma():
                   EtaKernelSpec(0, "S", bad))
 
 
+def _dense_eta_apply(f, spec):
+    """The eta kernels of eta_apply summed over w = +-1 as dense N x N
+    arrays, then applied by trapezoid quadrature."""
+    p = spec.params
+    y = f.y
+    bb = p.b - p.b.conjugate()
+    j_const, omega = _rank_one_phases()
+    kern = np.zeros((len(y), len(y)), dtype=complex)
+    for det, w in ((1, 1.0), (-1, -1.0)):
+        sign = det if spec.sector == 1 else 1
+        if spec.generator == "S":
+            kern += sign * np.exp(2j * math.pi * np.outer(w * y, y))
+        else:
+            kern += sign * np.exp(1j * math.pi * (w * y[:, None] - y[None, :]) ** 2)
+    pref = j_const if spec.generator == "S" else omega * cmath.exp(-1j * math.pi / 4)
+    env_in = np.exp(-math.pi * bb * y ** 2)
+    return pref * np.exp(math.pi * bb * y ** 2) * (
+        kern @ (trapezoid_weights(y) * env_in * f.values))
+
+
+# offset grids with beta y_c^2 not a multiple of 2 pi, so a dropped global
+# phase shows
+GRIDS = [(-6.0, 6.0, 301), (-6.0, 6.0, 400), (0.0, 7.0, 301), (0.0, 7.0, 400)]
+
+
+def _mehler_beta(sigma=0.3 + 1.1j):
+    """Im(2 alpha q/(1 - q^2)); 2 pi at sigma = i b, not at a generic sigma."""
+    q = solve_params(2, 1.0).q
+    return (2 * alpha_constant(sigma) * q / (1 - q ** 2)).imag
+
+
+@pytest.mark.parametrize("beta", [2 * math.pi, -2 * math.pi, _mehler_beta()])
+@pytest.mark.parametrize("lo, hi, n", GRIDS)
+def test_bilinear_phase_matches_dense(lo, hi, n, beta):
+    """The chirp convolution equals the dense exp(i beta y yt) product on
+    symmetric and offset grids, odd and even N, for 1-d and N x L inputs."""
+    y = np.linspace(lo, hi, n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    dense = np.exp(1j * beta * np.outer(y, y))
+    op = _bilinear_phase(beta, y)
+    assert op(x).shape == (n, 3)
+    assert _relmax(op(x), dense @ x) <= 1e-12
+    assert _relmax(op(x[:, 0]), dense @ x[:, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("s", [0.0, 1.0, -2.5])
+@pytest.mark.parametrize("lo, hi, n", [(-6.0, 6.0, 801), (-2.5, 6.0, 400)])
+def test_heat_apply_matches_dense_quadrature(lo, hi, n, s, inverse):
+    """Closed-form series oracle -> dense Mehler kernel -> FFT operator."""
+    p = solve_params(2, s)
+    y = np.linspace(lo, hi, n)
+    rng = np.random.default_rng(7)
+    f = hermite_function_table(7, y, p.sigma).T @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    got = heat_apply(GridSamples1D(y=y, values=f), p, inverse=inverse).values
+    want = mehler_kernel(p, y, y, inverse=inverse) @ (trapezoid_weights(y) * f)
+    assert _relmax(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("sector", [0, 1])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_eta_apply_matches_dense_kernel(s, sector, generator):
+    p = solve_params(2, s)
+    for y in (np.linspace(0.0, 7.0, 801), np.linspace(0.0, 5.0, 400)):
+        f = GridSamples1D(y=y, values=(1 + y) * np.exp(-math.pi * y ** 2) + 0j)
+        spec = EtaKernelSpec(sector, generator, p)
+        assert _relmax(eta_apply(f, spec).values, _dense_eta_apply(f, spec)) <= 1e-12
+
+
+def test_grid_must_be_uniform_to_rounding():
+    """The FFT kernels use y[0], y[-1] and N only, so a library call with any
+    other grid is refused; one ulp off linspace is rounding and passes."""
+    p = solve_params(2, 0.0)
+    y = np.linspace(0.0, 8.0, 101)
+    nudged = y.copy()
+    nudged[7] = np.nextafter(nudged[7], math.inf)
+    heat_apply(GridSamples1D(y=nudged, values=np.ones(101)), p)
+    bad = y.copy()
+    bad[7] += 1e-11
+    for grid in (bad, np.array([0.0, 0.5, 1.5, 2.0])):
+        f = GridSamples1D(y=grid, values=np.ones(len(grid), dtype=complex))
+        with pytest.raises(SchemaError):
+            heat_apply(f, p)
+        with pytest.raises(SchemaError):
+            eta_apply(f, EtaKernelSpec(0, "S", p))
+
+
+def test_mehler_refuses_a_ratio_off_the_unit_circle():
+    """Off |q| = 1 the y yt coefficient has a real part that the FFT path
+    cannot carry; it raises instead of dropping it."""
+    p = solve_params(2, 1.0)
+    off = p.__class__(k=p.k, s=p.s, branch=p.branch, b=p.b, q=p.q,
+                      r=p.r + 0.05, sigma=p.sigma)
+    y = uniform_grid(6.0, 101)
+    with pytest.raises(InconsistencyError):
+        heat_apply(GridSamples1D(y=y, values=np.ones(101)), off)
+
+
 def test_verify_conjugation_report():
     rep = verify_conjugation(2, 1.0, L=8, grid_points=1201, box_radius=9.0)
     assert rep["max_conjugation_residual"] < 1e-5
@@ -354,13 +493,19 @@ def test_verify_conjugation_validation():
         verify_conjugation(2, 1.0, L=0)
 
 
-@pytest.mark.parametrize("sigma", [None, 0.3 + 1.1j])
-def test_verify_conjugation_matches_dense_composition(sigma):
+SMALL = dict(L=6, grid_points=201, box_radius=6.0)
+
+
+@pytest.mark.parametrize("sigma, size", [
+    pytest.param(None, SMALL, id="None"),
+    pytest.param(0.3 + 1.1j, SMALL, id="(0.3+1.1j)"),
+    pytest.param(None, dict(L=8, grid_points=601, box_radius=8.0), id="L8-601"),
+])
+def test_verify_conjugation_matches_dense_composition(sigma, size):
     """Operators applied to the N x L block one factor at a time give every
     report field of the dense N x N composition. Box radius 6 keeps the
     201-point grid resolving e^{2 pi i y yt}; at radius 10 it aliases and the
     faithful braid residual is ~1.6e4."""
-    size = dict(L=6, grid_points=201, box_radius=6.0)
     got = dict(_flat(verify_conjugation(2, 1.0, sigma=sigma, **size)))
     want = dict(_flat(_dense_verify_conjugation(2, 1.0, sigma=sigma, **size)))
     assert got.keys() == want.keys()
