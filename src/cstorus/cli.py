@@ -200,6 +200,13 @@ def _cmd_wgz_roundtrip(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _require_rank_one(cfg: RunConfig) -> None:
+    """The kernel commands are rank one: --type and --rank may only name A1."""
+    if cfg.family not in (None, "A") or cfg.rank not in (None, 1):
+        raise SchemaError(f"kernel commands support type A rank 1 only, "
+                          f"got type {cfg.family} rank {cfg.rank}")
+
+
 def _kernel_params(cfg: RunConfig):
     from .heatkernel import solve_params
     if cfg.level is None or cfg.s is None:
@@ -209,6 +216,7 @@ def _kernel_params(cfg: RunConfig):
 
 def _cmd_kernel_heat(cfg: RunConfig) -> int:
     from .heatkernel import heat_apply
+    _require_rank_one(cfg)
     if not cfg.input:
         raise SchemaError("kernel heat requires --input")
     g = heat_apply(_load_samples(cfg.input), _kernel_params(cfg))
@@ -218,6 +226,7 @@ def _cmd_kernel_heat(cfg: RunConfig) -> int:
 
 def _cmd_kernel_eta(cfg: RunConfig) -> int:
     from .heatkernel import EtaKernelSpec, eta_apply
+    _require_rank_one(cfg)
     if not cfg.input:
         raise SchemaError("kernel eta requires --input")
     if cfg.sector is None or cfg.generator is None:
@@ -231,6 +240,7 @@ def _cmd_kernel_eta(cfg: RunConfig) -> int:
 
 def _cmd_kernel_verify(cfg: RunConfig) -> int:
     from .heatkernel import verify_conjugation
+    _require_rank_one(cfg)
     if cfg.level is None or cfg.s is None:
         raise SchemaError("kernel verify requires --k and --s")
     sigma = _parse_complex(cfg.sigma) if cfg.sigma else None

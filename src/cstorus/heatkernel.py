@@ -476,7 +476,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     themselves and so expose the truncation error directly (these decrease
     as L grows).  Also reports the Laplacian intertwining residual.
 
-    Needs 0 < box_radius and 1 <= L < grid_points; grid_points above
+    Needs 0 < box_radius with pi r^2 / |sigma| finite and 1 <= L < grid_points;
+    grid_points above
     GRID_POINTS_CEILING raises ResourceLimitError before any kernel is built.
     """
     params = solve_params(k, s, branch=branch)
@@ -487,6 +488,10 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
                           f"got L={L}, grid_points={grid_points}")
     if not 0 < box_radius < math.inf:
         raise SchemaError(f"box_radius must be positive and finite, got {box_radius}")
+    # the ground state's exponent pi y^2 / sigma at the grid edge
+    if not math.isfinite(box_radius * box_radius * math.pi / abs(sigma)):
+        raise SchemaError(f"box_radius {box_radius} is too large: pi r^2 / |sigma| "
+                          "overflows")
     _check_grid_size(grid_points)
     y = uniform_grid(box_radius, grid_points)
     w = trapezoid_weights(y)

@@ -9,10 +9,17 @@ point and the theta-integrals reduce to aliasing-free periodic trapezoid
 sums.  Box radii are specified in units of the k-scaled orthonormal frame.
 
 Because the shifts are grid-aligned, the lattice sum of the forward transform
-is a discrete Zak (polyphase) transform: a fold of the shifted samples onto
-residues mod N followed by an n-dimensional fftn.  The inverse is its adjoint,
-an ifftn scattered back to the box.  Besides the sampled family, memory is
-O(|Z| * C * N^n) for C = N^n cells; no (cells x box points) matrix is formed.
+is a discrete Zak (polyphase) transform: one fold of the shifted samples onto
+residues mod N followed by one n-dimensional fftn.  The finite index gamma
+enters only as a frequency shift, so it is applied as a modulation before the
+fold, and every gamma shares that one fftn.  The inverse is its adjoint: one
+ifftn, read off once per gamma-hat at a shifted frequency and scattered back
+to the box.  The half-angle phase e^{-pi i <p, q>_k} over cell pairs is built
+once per GridSpec.  Besides the sampled family, memory is O(C * S + C * N^n)
+for C = N^n cells and S lattice shifts; no (cells x box points) matrix is
+formed.  A grid whose section samples (N^(2n)) or family values (|Z| B^n)
+exceed WGZ_ARRAY_CEILING complex entries is refused before any array is
+allocated.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, ResourceLimitError, SchemaError
 from .lattice import QuotientGroup, quotient_group, scaled_dual_lattice
 from .roots import RootSystem
 
@@ -122,9 +129,10 @@ class GridSpec:
         det = float(np.linalg.det(self.pairing_matrix()))
         return math.sqrt(det) / self.divisions ** self.n
 
-    def lattice_shifts(self) -> List[np.ndarray]:
-        """Integer grid coordinates lam*N of the dual-lattice vectors whose
-        F_Lambda translate lies entirely inside the box."""
+    def lattice_shifts(self) -> np.ndarray:
+        """Integer grid coordinates lam*N, shape (S, n), of the dual-lattice
+        vectors whose F_Lambda translate lies entirely inside the box, in
+        order of max-norm, then lexicographic."""
         if "shifts" in self._cache:
             return self._cache["shifts"]
         n, nn, mn = self.n, self.divisions, self.half_width * self.divisions
@@ -132,16 +140,13 @@ class GridSpec:
         basis = np.array([[float(e) for e in row] for row in dual.basis])
         kg = self.pairing_matrix()
         bound = int(np.ceil(np.abs(kg).sum(axis=1).max() * self.half_width)) + 1
-        shifts = []
-        for x in itertools.product(range(-bound, bound + 1), repeat=n):
-            lam = basis @ np.asarray(x, dtype=float)
-            lam_n = np.rint(lam * nn).astype(int)
-            assert np.allclose(lam * nn, lam_n), "dual vector not grid-aligned"
-            if np.all(lam_n >= -mn) and np.all(lam_n + nn - 1 <= mn):
-                shifts.append(lam_n)
-        shifts.sort(key=lambda v: (int(np.abs(v).max()), tuple(v.tolist())))
-        self._cache["shifts"] = shifts
-        return shifts
+        lam = _mesh([np.arange(-bound, bound + 1)] * n) @ basis.T * nn
+        lam_n = np.rint(lam).astype(int)
+        assert np.allclose(lam, lam_n), "dual vector not grid-aligned"
+        shifts = lam_n[np.all((lam_n >= -mn) & (lam_n + nn - 1 <= mn), axis=1)]
+        order = np.lexsort(tuple(shifts.T[::-1]) + (np.abs(shifts).max(axis=1),))
+        self._cache["shifts"] = shifts[order]
+        return self._cache["shifts"]
 
 
 def _mesh(axes) -> np.ndarray:
@@ -154,16 +159,28 @@ def _ravel(coords: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), grid)
 
 
+WGZ_ARRAY_CEILING = 2 ** 21
+
+
+def _check_array_size(rs: RootSystem, k: int, divisions: int, half_width: int) -> None:
+    """Refuse a grid whose largest complex array, the N^(2n) section samples
+    or the |Z| B^n family values, exceeds WGZ_ARRAY_CEILING entries."""
+    n = rs.rank
+    order = k ** n * round(float(np.linalg.det(np.array(rs.gram1, dtype=float))))
+    entries = max(divisions ** (2 * n),
+                  order * (2 * half_width * divisions + 1) ** n)
+    if entries > WGZ_ARRAY_CEILING:
+        raise ResourceLimitError(
+            f"{rs.lie_type} k={k} grid with N={divisions}, M={half_width} needs "
+            f"arrays over the ceiling {WGZ_ARRAY_CEILING} entries")
+
+
 def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
                        box_radius: float) -> GridSpec:
     """Pick (divisions, half_width) so the coroot box contains the centered
-    orthonormal-frame box of the given radius and shifts stay grid-aligned."""
-    kg = np.array(rs.gram1, dtype=float) * k
-    c = np.linalg.cholesky(kg)
-    # coroot coords of an orthonormal-frame point y: c = C^{-T} y
-    cinv_t = np.linalg.inv(c.T)
-    reach = np.abs(cinv_t).sum(axis=1) * box_radius
-    half_width = int(np.ceil(reach.max()))
+    orthonormal-frame box of the given radius and shifts stay grid-aligned.
+    A grid over WGZ_ARRAY_CEILING raises ResourceLimitError before any array
+    is allocated."""
     dual = scaled_dual_lattice(rs, k)
     lcm = 1
     for row in dual.basis:
@@ -171,11 +188,22 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
             lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
     divisions = max(resolution, lcm)
     divisions += (-divisions) % lcm
-    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
-    while alias_margin(spec) <= 0:
-        divisions += lcm
+    # the smallest box first: refuses a level or resolution over the ceiling
+    # before k is taken to floating point
+    _check_array_size(rs, k, divisions, 1)
+    kg = np.array(rs.gram1, dtype=float) * k
+    c = np.linalg.cholesky(kg)
+    # coroot coords of an orthonormal-frame point y: c = C^{-T} y
+    cinv_t = np.linalg.inv(c.T)
+    reach = np.abs(cinv_t).sum(axis=1).max() * box_radius
+    # capped: a wider box is over the ceiling whatever N is
+    half_width = int(np.ceil(min(reach, WGZ_ARRAY_CEILING)))
+    while True:
         spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
-    return spec
+        _check_array_size(rs, k, divisions, half_width)
+        if alias_margin(spec) > 0:
+            return spec
+        divisions += lcm
 
 
 @dataclass
@@ -273,8 +301,10 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
 
     A dual-lattice shift has grid coordinates lambda*N = N (kG)^{-1} x with x
     integral, so its phase exp(-2 pi i x.(theta2 + gamma) / N) depends on
-    x mod N only: the lambda-sum is a fold of f(theta1 + lambda) onto the
-    residues x mod N, then an n-dimensional DFT read off at theta2 + gamma.
+    x mod N only.  The gamma part is a modulation of the shifted samples, so
+    the lambda- and gamma-sums are one fold of the modulated f(theta1 + lambda)
+    onto the residues x mod N, then one n-dimensional DFT whose frequency
+    theta2 mod N is the cell index itself.
 
     skip_outside drops lattice shifts whose translate leaves the box (their
     contribution is bounded by the boundary decay of f).
@@ -286,8 +316,7 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
     kg = spec.pairing_matrix()
     gam = _gamma_grid_coords(spec, quotient)        # (|Z|, n) in units 1/N
     t1 = cell + off1 * nn
-    t2 = cell + off2 * nn
-    shifts = np.asarray(spec.lattice_shifts())      # (S, n), lambda*N
+    shifts = spec.lattice_shifts()                  # (S, n), lambda*N
     inside = np.all((shifts + t1.min(axis=0) >= -mn)
                     & (shifts + t1.max(axis=0) <= mn), axis=1)
     if not inside.all():
@@ -296,17 +325,32 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
                               "enlarge half_width or pass skip_outside")
         shifts = shifts[inside]
     grid = (nn,) * n
-    residue = _ravel(np.rint(shifts @ kg / nn).astype(int) % nn, grid)
+    x = np.rint(shifts @ kg / nn).astype(int)       # (S, n), x = kG lambda
     idx = spec.box_flat_index(t1[:, None, :] + shifts[None, :, :])   # (C, S)
-    out = np.zeros((len(cell), len(cell)), dtype=complex)
-    for g in range(quotient.order):
-        folded = np.zeros((len(cell), nn ** n), dtype=complex)
-        # residues collide when the grid aliases (alias_margin <= 0)
-        np.add.at(folded, (slice(None), residue), f.values[g, idx])
-        spectrum = np.fft.fftn(folded.reshape((-1,) + grid), axes=range(1, n + 1))
-        out += spectrum.reshape(len(cell), -1)[:, _ravel((t2 + gam[g]) % nn, grid)]
-    pref = np.exp(-1j * math.pi * (t1 @ kg @ t2.T) / nn ** 2)
-    return pref * out / math.sqrt(quotient.order)
+    mod = np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)            # (|Z|, S)
+    shifted = np.zeros(idx.shape, dtype=complex)
+    for g in range(quotient.order):     # one gather at a time: O(C S) memory
+        shifted += f.values[g, idx] * mod[g]
+    folded = np.zeros((len(cell), nn ** n), dtype=complex)
+    # residues collide when the grid aliases (alias_margin <= 0)
+    np.add.at(folded, (slice(None), _ravel(x % nn, grid)), shifted)
+    out = np.fft.fftn(folded.reshape((-1,) + grid), axes=range(1, n + 1))
+    # e^{-pi i <t1, t2>_k} at t = cell + N off: the cell table times two
+    # diagonal modulations and a constant
+    row = np.exp(-1j * math.pi * (cell @ kg @ off2) / nn)
+    col = (np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
+           / math.sqrt(quotient.order))
+    return (out.reshape(len(cell), -1) * _half_angle_phase(spec)
+            * row[:, None] * col[None, :])
+
+
+def _half_angle_phase(spec: GridSpec) -> np.ndarray:
+    """e^{-pi i <p, q>_k} over cell pairs (p, q), shape (C, C), cached."""
+    if "half_angle" not in spec._cache:
+        cell = spec.cell_coords()
+        expo = (cell @ spec.pairing_matrix() @ cell.T) / spec.divisions ** 2
+        spec._cache["half_angle"] = np.exp(-1j * math.pi * expo)
+    return spec._cache["half_angle"]
 
 
 def wgz_forward(f: GridFunctionFamily) -> SectionSamples:
@@ -350,27 +394,27 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     spec, quotient = s.spec, s.quotient
     n, nn = spec.n, spec.divisions
     grid = (nn,) * n
-    cell = spec.cell_coords()
     box = spec.box_coords()
     kg = spec.pairing_matrix()
     gam = _gamma_grid_coords(spec, quotient)
     # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
     #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
-    #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i <ghat, q>_k} e^{2 pi i (kG nu).q / N},
-    # an inverse DFT over q read off at (kG nu) mod N: the adjoint of the forward.
-    st = s.values * np.exp(1j * math.pi * (cell @ kg @ cell.T) / nn ** 2)
-    fam = np.zeros((quotient.order, len(box)), dtype=complex)
+    #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i (y + kG nu).q / N},
+    # with y = kG ghat integral: one inverse DFT over q serves every ghat,
+    # read off at (y + kG nu) mod N.  This is the adjoint of the forward.
+    y = gam @ kg / nn
+    y_int = np.rint(y).astype(int)
+    assert np.allclose(y, y_int), "kG ghat not integral"
+    st = s.values * _half_angle_phase(spec).conj()
+    coef = np.fft.ifftn(st.reshape((-1,) + grid), axes=range(1, n + 1))
+    coef = coef.reshape(len(st), -1)
+    cols = np.empty((quotient.order, len(box)), dtype=complex)
     for ghat in range(quotient.order):
-        pre = st * np.exp(2j * math.pi * (cell @ kg @ gam[ghat]) / nn ** 2)
-        coef = np.fft.ifftn(pre.reshape((-1,) + grid), axes=range(1, n + 1))
         p = (box - gam[ghat]) % nn
         nu = (box - gam[ghat] - p) // nn
-        freq = np.rint(nu @ kg).astype(int) % nn
-        col = coef.reshape(len(cell), -1)[_ravel(p, grid), _ravel(freq, grid)]
-        phase = np.exp(2j * math.pi * (gam @ kg @ gam[ghat]) / nn ** 2)
-        fam += phase[:, None] * col
-    fam /= math.sqrt(quotient.order)
-    return GridFunctionFamily(spec, quotient, fam)
+        freq = (np.rint(nu @ kg).astype(int) + y_int[ghat]) % nn
+        cols[ghat] = coef[_ravel(p, grid), _ravel(freq, grid)]
+    return apply_finite_fourier(GridFunctionFamily(spec, quotient, cols))
 
 
 def inner_family(f: GridFunctionFamily, g: GridFunctionFamily) -> complex:
@@ -504,31 +548,36 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
     spec = grid_spec_from_box(rs, k, resolution, box_radius)
     quotient = quotient_group(rs, k)
     rng = np.random.default_rng(seed)
-    worst_rt = 0.0
-    worst_parseval = 0.0
-    fams = [gaussian_family(spec, quotient)]
-    fams += [random_gaussian_poly_family(spec, quotient, rng)
-             for _ in range(max(trials, 2) - 1)]
-    sections = [wgz_forward(f) for f in fams]
-    for f, s in zip(fams, sections):
+    worst_rt = worst_parseval = decay = 0.0
+    count = max(trials, 2)
+    # one family and section at a time: the first for quasi-periodicity,
+    # the previous one for Parseval
+    for i in range(count):
+        f = (gaussian_family(spec, quotient) if i == 0
+             else random_gaussian_poly_family(spec, quotient, rng))
+        s = wgz_forward(f)
         back = wgz_inverse(s)
         scale = max(float(np.abs(f.values).max()), 1e-30)
         worst_rt = max(worst_rt,
                        float(np.abs(back.values - f.values).max()) / scale)
-    for (f, sf), (g, sg) in zip(zip(fams, sections), zip(fams[1:], sections[1:])):
-        lhs = inner_section(sf, sg)
-        rhs = inner_family(f, g)
-        worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    qp = quasi_periodicity_residual(fams[0], sections[0])
+        if i == 0:
+            first = f, s
+        else:
+            lhs = inner_section(prev[1], s)
+            rhs = inner_family(prev[0], f)
+            worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        decay = max(decay, s.truncation_error)
+        prev = f, s
+    qp = quasi_periodicity_residual(*first)
     return {
         "type": str(rs.lie_type),
         "level": k,
         "divisions": spec.divisions,
         "half_width": spec.half_width,
         "box_radius": box_radius,
-        "trials": len(fams),
+        "trials": count,
         "roundtrip_residual": worst_rt,
         "parseval_relative_error": worst_parseval,
         "quasi_periodicity_residual": qp,
-        "boundary_decay": max(s.truncation_error for s in sections),
+        "boundary_decay": decay,
     }

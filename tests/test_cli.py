@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cstorus.cli import main
 from cstorus.heatkernel import GRID_POINTS_CEILING
 from cstorus.roots import RANK_CEILING
+from cstorus.wgz import WGZ_ARRAY_CEILING
 
 
 def run(capsys, *argv):
@@ -352,6 +353,92 @@ def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
     cfg.write_text(json.dumps({"level": 2, "L": L, "grid_points": grid_points,
                                "box_radius": box_radius, "s": s, "sigma": sigma}))
     code, out, err = run_err(capsys, "kernel", "verify", "--config", str(cfg))
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+        assert err == ""
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rank", "1", "--resolution", "100000"),
+    ("--rank", "3", "--resolution", "16"),       # A3 k=1: 16^6 section samples
+    ("--rank", "3"),
+])
+def test_wgz_grid_over_ceiling_exits_resource(capsys, argv):
+    """Refused before any section or family array is allocated."""
+    start = time.monotonic()
+    code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--level", "1", *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert out == "" and f"ceiling {WGZ_ARRAY_CEILING}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _kernel_argv(tmp_path, command):
+    if command == "verify":
+        return ("kernel", "verify", "--k", "2", "--s", "1.0", "--L", "6",
+                "--grid-points", "201")
+    y = np.linspace(0.0, 8.0, 41)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": list(y), "values": [[math.exp(-math.pi * t * t), 0.0]
+                                                         for t in y]}))
+    extra = ("--sector", "0", "--generator", "S") if command == "eta" else ()
+    return ("kernel", command, "--k", "2", "--s", "0.0", "--input", str(src), *extra)
+
+
+@pytest.mark.parametrize("command", ["verify", "heat", "eta"])
+@pytest.mark.parametrize("family,expected", [
+    (("--type", "Q", "--rank", "99"), 2), (("--type", "B", "--rank", "2"), 2),
+    (("--type", "A", "--rank", "2"), 2), (("--rank", "3"), 2),
+    (("--type", "A", "--rank", "1"), 0), ((), 0)])
+def test_kernel_commands_accept_only_a1(tmp_path, capsys, command, family, expected):
+    """The kernel commands are rank one; any other --type/--rank is refused
+    instead of silently ignored."""
+    code, out, err = run_err(capsys, *_kernel_argv(tmp_path, command), *family)
+    assert code == expected
+    if expected == 2:
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "rank 1 only" in err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("radius", ["1e160", "1.3e154"])
+def test_kernel_verify_huge_box_radius_exits_schema(capsys, radius):
+    """A radius whose Gaussian exponent pi r^2 overflows is refused up front,
+    without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "6", "--grid-points", "8", "--box-radius", radius)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "box_radius" in err
+
+
+def _quick_or_refused(quick, refused):
+    # numbers between the two bounds are valid but slow; left out to keep
+    # every example under a second
+    return lambda v: not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                          and quick < v < refused)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(level=_scalar_or(1, 2, 3, 10 ** 6).filter(_quick_or_refused(3, 10 ** 4)),
+       resolution=_scalar_or(8, 24, 64, 10 ** 5).filter(_quick_or_refused(64, 10 ** 4)),
+       box_radius=_scalar_or(0.5, 2.0, 6.0, 1e5).filter(_quick_or_refused(6.0, 1e4)),
+       trials=_scalar_or(1, 2, 3).filter(_quick_or_refused(5, math.inf)))
+def test_wgz_scalars_keep_the_exit_contract(tmp_path, capsys, level, resolution,
+                                            box_radius, trials):
+    """Any JSON scalar for the wgz roundtrip fields exits 0-3: exit 0/1 with
+    strict JSON on stdout, exit 2/3 with one stderr line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "A", "rank": 1, "level": level,
+                               "resolution": resolution, "box_radius": box_radius,
+                               "trials": trials}))
+    code, out, err = run_err(capsys, "wgz", "roundtrip", "--config", str(cfg))
     assert code in (0, 1, 2, 3)
     if code in (0, 1):
         json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))

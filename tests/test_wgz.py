@@ -1,14 +1,15 @@
 """Lattice transform: multiplier, round trips, unitarity, operator intertwining."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cstorus.errors import DomainError, SchemaError
+from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
-from cstorus.wgz import (GridSpec, SectionSamples, _forward_values,
+from cstorus.wgz import (WGZ_ARRAY_CEILING, GridSpec, SectionSamples, _forward_values,
                          _gamma_grid_coords, alias_margin,
                          apply_finite_fourier, family_from_callable,
                          gaussian_family, grid_spec_from_box, inner_family,
@@ -87,7 +88,9 @@ def inverse_oracle(s, chunk=2048):
     return fam / math.sqrt(quotient.order)
 
 
-ORACLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0)]   # A2: N=27, M=4
+# A2: N=27, M=4; B2 k=2: |Z| = 16, N=12, M=1; G2: N=21, M=3
+ORACLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0), ("B", 2, 2, 4, 1.0),
+                ("G", 2, 1, 4, 1.5)]
 
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", ORACLE_GRIDS)
@@ -124,6 +127,24 @@ def test_inverse_matches_dense_oracle(fam, rank, k, res, radius):
     s = SectionSamples(spec, q, rng.standard_normal(shape)
                        + 1j * rng.standard_normal(shape))
     assert relmax(wgz_inverse(s).values, inverse_oracle(s)) <= 1e-12
+
+
+def test_one_fft_per_transform(monkeypatch):
+    """Every finite index rides on one fold and one FFT, and the half-angle
+    phase table is built once per grid."""
+    rs, spec, q = make("B", 2, 2, 4, 1.0)
+    assert q.order == 16
+    calls = []
+    for name in ("fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    s = wgz_forward(random_gaussian_poly_family(spec, q, np.random.default_rng(4)))
+    assert calls == ["fftn"]
+    table = spec._cache["half_angle"]
+    wgz_inverse(s)
+    assert calls == ["fftn", "ifftn"]
+    assert spec._cache["half_angle"] is table
 
 
 @pytest.mark.parametrize("fam,rank,k,res,radius,stride",
@@ -290,6 +311,48 @@ def test_roundtrip_report_keys():
     assert rep["parseval_relative_error"] < 1e-10
     assert rep["quasi_periodicity_residual"] < 1e-9
     assert rep["trials"] == 3
+
+
+def test_roundtrip_report_matches_all_families_at_once():
+    """The streamed report equals the one computed from every family and
+    section held at once, drawn in the same order."""
+    rs = build_root_system(LieType("A", 1))
+    rep = roundtrip_report(rs, 2, 32, 5.0, trials=4, seed=3)
+    rs, spec, q = make("A", 1, 2, 32, 5.0)
+    rng = np.random.default_rng(3)
+    fams = [gaussian_family(spec, q)]
+    fams += [random_gaussian_poly_family(spec, q, rng) for _ in range(3)]
+    secs = [wgz_forward(f) for f in fams]
+    assert rep["roundtrip_residual"] == max(
+        float(np.abs(wgz_inverse(s).values - f.values).max()) / float(np.abs(f.values).max())
+        for f, s in zip(fams, secs))
+    assert rep["parseval_relative_error"] == max(
+        abs(inner_section(sf, sg) - inner_family(f, g)) / abs(inner_family(f, g))
+        for f, sf, g, sg in zip(fams, secs, fams[1:], secs[1:]))
+    assert rep["quasi_periodicity_residual"] == quasi_periodicity_residual(fams[0], secs[0])
+
+
+def test_roundtrip_report_memory_flat_in_trials():
+    """Only the first and the previous family are kept, so peak memory does
+    not grow with the number of trials."""
+    rs = build_root_system(LieType("A", 2))
+    peaks = []
+    for trials in (3, 12):
+        tracemalloc.start()
+        roundtrip_report(rs, 1, 6, 1.0, trials=trials)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_grid_over_ceiling_refused_before_allocation():
+    rs = build_root_system(LieType("A", 3))
+    tracemalloc.start()
+    with pytest.raises(ResourceLimitError, match=f"ceiling {WGZ_ARRAY_CEILING}"):
+        roundtrip_report(rs, 1, 16, 6.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_roundtrip_report_boundary_decay_covers_every_family():
