@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional
@@ -61,10 +62,12 @@ def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
     """Start from a config file if given; explicit flags supersede it."""
     base = {}
     if getattr(args, "config", None):
+        # ValueError covers malformed JSON and an integer literal past
+        # Python's int-from-string digit limit
         try:
             with open(args.config) as fh:
                 base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise SchemaError(f"cannot read config file {args.config}: {e}")
         if not isinstance(base, dict):
             raise SchemaError("config file must contain a JSON object")
@@ -261,7 +264,11 @@ def _cmd_compare_compact(cfg: RunConfig) -> int:
     return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it: a
+    parser holds no state between parse_args calls, and building one costs
+    far more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="cstorus",
         description="Exact and numerical genus-one quantum representation toolkit")
@@ -340,8 +347,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     key = (args.command_group, args.command)
     try:
         cfg = _merge_config(args, command=" ".join(key))

@@ -10,11 +10,10 @@ identity row and carry exact rational T phases.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -69,28 +68,42 @@ def _integrable_shifted_weights(rs: RootSystem, k: int) -> List[Vec]:
     return out
 
 
-def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
-    """Kac-Peterson character sum for simply laced types of rank <= 3:
-    S_{mu nu} proportional to sum_w det(w) e^{-2 pi i <w mu, nu>_1/(k+h)},
-    normalized to unitarity with a positive identity row; T is assembled
-    from the exact conformal weights."""
+def _check_bridge_domain(rs: RootSystem, k: int) -> None:
+    """The compact oracles exist for simply laced types of rank <= 3 at
+    positive level."""
     if not is_simply_laced(rs):
         raise DomainError(f"{rs.lie_type} is not simply laced; no compact bridge is asserted")
     if rs.rank > 3:
         raise DomainError(f"rank {rs.rank} exceeds the supported ceiling 3")
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
+
+
+def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
+    """Kac-Peterson character sum for simply laced types of rank <= 3:
+    S_{mu nu} proportional to sum_w det(w) e^{-2 pi i <w mu, nu>_1/(k+h)},
+    normalized to unitarity with a positive identity row; T is assembled
+    from the exact conformal weights.
+
+    The labels are integer numerators over their common denominator den, so
+    each pairing <w mu, nu>_1 is an integer numerator over den^2; it is
+    reduced mod den^2 (k+h) before the phase is evaluated, one Weyl element
+    at a time (peak memory dim^2, not |W| dim^2)."""
+    _check_bridge_domain(rs, k)
     h = rs.dual_coxeter
     kk = k + h
     labels = _integrable_shifted_weights(rs, k)
-    wg = rs.weyl_group()
-    dim = len(labels)
-    raw = np.zeros((dim, dim), dtype=complex)
-    for i, mu in enumerate(labels):
-        images = [(w.determinant, w.apply(mu)) for w in wg.elements]
-        for j, nu in enumerate(labels):
-            raw[i, j] = sum(det * unit_phase(-rs.pairing1(wmu, nu) / kk)
-                            for det, wmu in images)
+    den = math.lcm(*(x.denominator for mu in labels for x in mu))
+    nums = np.array([[int(x * den) for x in mu] for mu in labels], dtype=np.int64)
+    wg = rs.weyl_group().elements
+    wmats = np.array([w.matrix for w in wg], dtype=np.int64)
+    # (w mu_a)^T G nu_b = mu_a^T (w^T G nu_b): the right factor of every w at once
+    right = np.einsum("wji,jk,bk->wib", wmats, np.array(rs.gram1, dtype=np.int64), nums)
+    modulus = den * den * kk
+    roots = np.exp(2j * math.pi * np.arange(modulus) / modulus)
+    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    for w, r in zip(wg, right):
+        raw += w.determinant * roots[-(nums @ r) % modulus]
     # normalize: raw is a positive multiple of a unitary matrix times a phase
     scale = math.sqrt(abs((raw @ raw.conj().T)[0, 0]))
     phase = raw[0, 0] / abs(raw[0, 0])
@@ -119,12 +132,13 @@ def compare_shifted(rs: RootSystem, k: int,
     """Compare the anti-invariant sector matrices at level k + h against the
     compact oracle at level k, after sorting both label sets by pairing with
     rho; S may differ by one global 4th root of unity, T must match exactly."""
-    if not is_simply_laced(rs):
-        raise DomainError(f"{rs.lie_type} is not simply laced; no compact bridge is asserted")
+    _check_bridge_domain(rs, k)
     h = rs.dual_coxeter
+    # the sector first: it refuses a dimension over SECTOR_DIM_CEILING before
+    # the oracle allocates its dim x dim matrices
+    sect = rep_matrices(rs, k + h, sector=1, convention=convention)
     oracle = su2_modular_data(k) if (rs.lie_type.family == "A" and rs.rank == 1) \
         else kac_peterson_sum(rs, k)
-    sect = rep_matrices(rs, k + h, sector=1, convention=convention)
     if sect.dim != oracle.dim:
         raise DomainError(
             f"dimension mismatch: sector 1 at level {k + h} has dim {sect.dim}, "

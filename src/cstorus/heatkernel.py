@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -76,6 +77,8 @@ def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
     |s| <= 1e4 k, past ~1e5 k the check may raise InconsistencyError."""
     if not isinstance(k, int) or k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k!r}")
+    if k > sys.float_info.max:
+        raise SchemaError(f"level k exceeds the float range {sys.float_info.max:.6g}")
     s = float(s)
     if branch not in ("principal", "flipped"):
         raise SchemaError(f"branch must be 'principal' or 'flipped', got {branch!r}")
@@ -312,6 +315,22 @@ def hermite_function_table(lmax: int, y: np.ndarray, sigma: complex) -> np.ndarr
     return out
 
 
+def _check_quadratic(y: np.ndarray, *coeffs: complex) -> None:
+    """Refuse (DomainError) a grid too wide for the kernel factors exp(c t),
+    c in coeffs.  Every c is imaginary up to rounding (|q| = 1), so its real
+    part is a rounding residue; where Re(c) r^2 reaches 1 at the grid edge
+    (r the largest |y|) the factor is no longer a phase, and the kernel's
+    products overflow soon after.  A chirp or cross phase forms |t| up to
+    (2r)^2, so |c| (2r)^2 must stay finite too.  Python floats overflow to
+    inf without a warning, so the check itself is silent."""
+    r = float(max(abs(y[0]), abs(y[-1])))
+    r2 = r * r
+    for c in coeffs:
+        if not (math.isfinite(4 * abs(c) * r2) and abs(c.real) * r2 <= 1):
+            raise DomainError(f"grid radius {r:g} is too wide: exp(c y^2) is not a "
+                              f"phase for c = {complex(c):.6g}")
+
+
 def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
     """The map x -> d_out_i sum_j exp(i beta y_i y_j) d_in_j x_j for x of shape
     (N,) or (N, L) on the uniform grid y, without an N x N array.  With
@@ -319,6 +338,7 @@ def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
         y_i y_j = y_c^2 + y_c h (m_i + m_j) + h^2 (m_i^2 + m_j^2 - (i - j)^2) / 2,
     so the sum is a convolution with the chirp exp(-i beta h^2 d^2 / 2), done
     by one zero-padded FFT (Bluestein 1970)."""
+    _check_quadratic(y, 1j * beta)
     n = len(y)
     yc, h = 0.5 * (y[0] + y[-1]), (y[-1] - y[0]) / (n - 1)
     m = np.arange(n) - 0.5 * (n - 1)
@@ -347,7 +367,9 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
     On |q| = 1 c is imaginary; each diagonal is one exp of its summed
-    exponent, which stays bounded where its two factors over- and underflow."""
+    exponent, which stays bounded where its two factors over- and underflow;
+    that exponent is imaginary up to rounding, and a grid on which its
+    rounding residue matters is refused (_check_quadratic)."""
     sign = 1 if inverse else -1
     q = cmath.exp(2 * sign * params.k * params.r)
     if (1 - q * q).real <= 0:
@@ -359,6 +381,7 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
                                  f"coefficient {c}")
     d = -a * q * q / (1 - q * q)
     root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
+    _check_quadratic(y, d - 1j * math.pi / sigma, d + 1j * math.pi / sigma.conjugate())
     y2 = y * y
     return _bilinear_phase(c.imag, y,
                            d_out=root * np.exp((d - 1j * math.pi / sigma) * y2),
@@ -431,6 +454,7 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     else:
         pref, beta, chirp = omega * cmath.exp(-1j * math.pi / 4), -2 * math.pi, 1j * math.pi
     bb = p.b - p.b.conjugate()
+    _check_quadratic(y, math.pi * bb + chirp, -math.pi * bb + chirp)
     d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
     d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
     det = -1 if spec.sector == 1 else 1     # det(w) of w = -1, in sector 1 only
@@ -457,6 +481,7 @@ def _rho(generator: str, y: np.ndarray, w: np.ndarray):
     j_const, omega = _rank_one_phases()
     if generator == "S":
         return _bilinear_phase(2 * math.pi, y, d_out=j_const, d_in=w)
+    _check_quadratic(y, -1j * math.pi)
     phase = omega * np.exp(-1j * math.pi * y ** 2)
     return lambda x: phase[:, None] * x
 
@@ -476,8 +501,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     themselves and so expose the truncation error directly (these decrease
     as L grows).  Also reports the Laplacian intertwining residual.
 
-    Needs 0 < box_radius with pi r^2 / |sigma| finite and 1 <= L < grid_points;
-    grid_points above
+    Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
+    accepts (_check_quadratic) and 1 <= L < grid_points; grid_points above
     GRID_POINTS_CEILING raises ResourceLimitError before any kernel is built.
     """
     params = solve_params(k, s, branch=branch)
@@ -495,10 +520,15 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     _check_grid_size(grid_points)
     y = uniform_grid(box_radius, grid_points)
     w = trapezoid_weights(y)
-    b0 = hermite_function_table(L - 1, y, sigma).T
-    p0 = _projector(b0, w)
+    # every kernel before any basis table, so that a grid too wide for one
+    # of them is refused before the grid x L work
     heat_m = _mehler(params, y, w, sigma)
     heat_p = _mehler(params, y, w, sigma, inverse=True)
+    sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
+    flow2 = {gen: _mehler(params, y, w, sig2[gen], inverse=True) for gen in sig2}
+    rho = {gen: _rho(gen, y, w) for gen in sig2}
+    b0 = hermite_function_table(L - 1, y, sigma).T
+    p0 = _projector(b0, w)
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
     eigen = np.array([2 * k * (l + 0.5) for l in range(L)])[:, None]
 
@@ -514,17 +544,15 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     invariance = {}
     lap0_b0 = b0 @ (eigen * (p0 @ b0))
     for gen in ("S", "T"):
-        sig2 = mobius_sigma(gen, sigma)
-        b2 = hermite_function_table(L - 1, y, sig2).T
+        b2 = hermite_function_table(L - 1, y, sig2[gen]).T
         p2 = _projector(b2, w)
-        rho = _rho(gen, y, w)
-        rho_b0 = rho(b0)
-        eta[gen] = lambda x, rho=rho: heat_m(rho(heat_p(x)))
+        rho_b0 = rho[gen](b0)
+        eta[gen] = lambda x, r=rho[gen]: heat_m(r(heat_p(x)))
         eta_b0[gen] = eta[gen](b0)
-        flow2 = _mehler(params, y, w, sig2, inverse=True)(rho_b0)
-        conj_resid[gen] = float(np.max(np.abs(p0 @ (eta_b0[gen] - heat_m(flow2)))))
+        conj_resid[gen] = float(np.max(np.abs(
+            p0 @ (eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
         invariance[gen] = float(np.max(np.abs(
-            p0 @ (rho(lap0_b0) - b2 @ (eigen * (p2 @ rho_b0))))))
+            p0 @ (rho[gen](lap0_b0) - b2 @ (eigen * (p2 @ rho_b0))))))
 
     # faithful composition on the grid, projected to the observed block
     s2_b0 = eta["S"](eta_b0["S"])

@@ -49,7 +49,7 @@ class LieType:
 
     def __post_init__(self):
         fam, n = self.family, self.rank
-        if fam not in VALID_FAMILIES:
+        if len(fam) != 1 or fam not in VALID_FAMILIES:    # "" and "AB" are substrings
             raise SchemaError(f"unknown family {fam!r}; expected one of {VALID_FAMILIES}")
         if n < 1:
             raise SchemaError(f"rank must be positive, got {n}")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cstorus.cli import main
+from cstorus.cli import build_parser, main
+from cstorus.finrep import SECTOR_DIM_CEILING
 from cstorus.heatkernel import GRID_POINTS_CEILING
 from cstorus.roots import RANK_CEILING
 from cstorus.wgz import WGZ_ARRAY_CEILING
@@ -255,6 +259,17 @@ def _scalar_or(*valid):
     return st.booleans().flatmap(lambda ok: st.sampled_from(valid) if ok else JSON_SCALARS)
 
 
+def _exit_contract(code, out, err):
+    """Exit 0-3: exit 0/1 with strict JSON on stdout and nothing on stderr,
+    exit 2/3 with one stderr line and nothing on stdout."""
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+        assert err == ""
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(level=_scalar_or(1, 2, 3, 4), rank=_scalar_or(6, 7, 8), sector=_scalar_or(0, 1))
@@ -266,13 +281,7 @@ def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, se
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "E", "rank": rank, "level": level,
                                "sector": sector}))
-    code, out, err = run_err(capsys, "rep", "verify", "--config", str(cfg))
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
-        assert err == ""
-    else:
-        assert out == "" and len(err.strip().splitlines()) == 1
+    _exit_contract(*run_err(capsys, "rep", "verify", "--config", str(cfg)))
 
 
 @pytest.mark.parametrize("command,rank,expected", [
@@ -300,7 +309,8 @@ def test_kernel_verify_degenerate_grid_exits_schema(capsys, extra):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("extra", [("--sigma", "100i"), ("--box-radius", "100")])
+@pytest.mark.parametrize("extra", [("--sigma", "100i"), ("--box-radius", "100"),
+                                   ("--box-radius", "100", "--L", "1", "--grid-points", "9")])
 def test_kernel_verify_wide_gaussian_stays_finite(capsys, extra):
     """Each Mehler diagonal is one exp of its summed exponent, so a wide
     ground state or box neither overflows nor turns into NaN."""
@@ -352,13 +362,7 @@ def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": 2, "L": L, "grid_points": grid_points,
                                "box_radius": box_radius, "s": s, "sigma": sigma}))
-    code, out, err = run_err(capsys, "kernel", "verify", "--config", str(cfg))
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
-        assert err == ""
-    else:
-        assert out == "" and len(err.strip().splitlines()) == 1
+    _exit_contract(*run_err(capsys, "kernel", "verify", "--config", str(cfg)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,10 +442,148 @@ def test_wgz_scalars_keep_the_exit_contract(tmp_path, capsys, level, resolution,
     cfg.write_text(json.dumps({"family": "A", "rank": 1, "level": level,
                                "resolution": resolution, "box_radius": box_radius,
                                "trials": trials}))
+    _exit_contract(*run_err(capsys, "wgz", "roundtrip", "--config", str(cfg)))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# a --level call before a call that omits it, so state left in the shared
+# parser would show as a missing exit 2
+PARSER_SEQUENCE = [
+    ("lattice", "enumerate", "--type", "A", "--rank", "2", "--level", "2"),
+    ("rep", "build", "--type", "B", "--rank", "2", "--level", "2", "--sector", "1"),
+    ("compare", "compact", "--type", "A", "--rank", "2", "--k", "2"),
+    ("kernel", "verify", "--k", "2", "--s", "1.0", "--L", "4", "--grid-points", "101"),
+    ("roots", "info", "--type", "G", "--rank", "2"),
+    ("lattice", "enumerate", "--type", "A", "--rank", "1"),
+    ("rep", "verify", "--type", "A", "--rank", "2", "--level", "2", "--sector", "0",
+     "--convention", "theorem"),
+    ("rep", "verify", "--type", "A", "--rank", "2", "--level", "2", "--sector", "0"),
+]
+
+
+def _solo(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cstorus.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parser: each call of a sequence in one process gives
+    the exit code, stdout and stderr of the same command run alone in a
+    fresh process, and the parser is built once."""
+    for argv in PARSER_SEQUENCE:
+        code, out, err = run_err(capsys, *argv)
+        solo = _solo(argv)
+        assert (code, out, err) == (solo.returncode, solo.stdout, solo.stderr), argv
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])
+def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
+    """The sector's dimension at level k + h is checked before the oracle
+    allocates anything of that size."""
+    start = time.monotonic()
+    code, out, err = run_err(capsys, "compare", "compact", "--type", "A",
+                             "--rank", str(rank), "--k", str(k))
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"dimension {dim} exceeds the ceiling {SECTOR_DIM_CEILING}" in err
+
+
+def test_config_integer_past_the_digit_limit_exits_schema(tmp_path, capsys):
+    """json.load refuses an integer literal of more than 4300 digits with a
+    ValueError: a bad config file (exit 2, one line), as the same literal
+    passed as --level already is."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"family": "A", "rank": 1, "level": 1' + "0" * 4400 + "}")
     code, out, err = run_err(capsys, "wgz", "roundtrip", "--config", str(cfg))
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
-        assert err == ""
-    else:
-        assert out == "" and len(err.strip().splitlines()) == 1
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "config" in err
+
+
+def test_kernel_level_beyond_float_range_exits_schema(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "1" + "0" * 400,
+                                 "--s", "1.0", "--L", "4", "--grid-points", "101")
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("radius", ["1e10", "1e8", "1e150"])
+def test_kernel_verify_wide_grid_at_l1_exits_schema(capsys, radius):
+    """With L = 1 the Gram check cannot catch a wide grid; the Mehler
+    diagonals, imaginary up to rounding, refuse it before any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "1", "--grid-points", "9", "--box-radius", radius)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "too wide" in err
+
+
+@pytest.mark.parametrize("command", ["heat", "eta"])
+def test_kernel_apply_wide_input_grid_exits_schema(tmp_path, capsys, command):
+    """A sample grid too wide for the kernel's exponents is refused without
+    a warning."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": list(np.linspace(0.0, 1e160, 9)),
+                               "values": [[1.0, 0.0]] * 9}))
+    extra = ("--sector", "0", "--generator", "S") if command == "eta" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", command, "--k", "2", "--s", "0.0",
+                                 "--input", str(src), *extra)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "too wide" in err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=_scalar_or("A", "B", "D", "G"),
+       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, RANK_CEILING + 1)),
+       level=_scalar_or(1, 2, 3, 10 ** 6).filter(_quick_or_refused(3, 10 ** 6)))
+def test_lattice_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, level):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "rank": rank, "level": level}))
+    _exit_contract(*run_err(capsys, "lattice", "enumerate", "--config", str(cfg)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=_scalar_or("A", "D", "B"),
+       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, RANK_CEILING + 1)),
+       level=_scalar_or(1, 2, 3, 10 ** 4).filter(_quick_or_refused(3, 10 ** 4)),
+       convention=_scalar_or("lemma", "theorem"))
+def test_compare_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, level,
+                                                convention):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "rank": rank, "level": level,
+                               "convention": convention}))
+    _exit_contract(*run_err(capsys, "compare", "compact", "--config", str(cfg)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["heat", "eta"]),
+       level=_scalar_or(1, 2, 5, 10 ** 20), s=_scalar_or(0.0, 1.0, -2.5),
+       branch=_scalar_or("principal", "flipped"), sector=_scalar_or(0, 1),
+       generator=_scalar_or("S", "T"),
+       radius=st.sampled_from([1.0, 8.0, 1e4, 1e10, 1e150]))
+def test_kernel_apply_scalars_keep_the_exit_contract(tmp_path, capsys, command, level, s,
+                                                     branch, sector, generator, radius):
+    """kernel heat/eta under any JSON scalar for their fields, on a 41-point
+    grid of any width, keep the exit contract without a warning."""
+    src = tmp_path / "in.json"
+    y = np.linspace(0.0 if command == "eta" else -radius, radius, 41)
+    src.write_text(json.dumps({"y": list(y), "values": [[1.0, 0.5]] * len(y)}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": level, "s": s, "branch": branch, "sector": sector,
+                               "generator": generator, "input": str(src)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _exit_contract(*run_err(capsys, "kernel", command, "--config", str(cfg)))

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cstorus.compactcheck import (CompactModularData, compare_shifted,
-                                  is_simply_laced, kac_peterson_sum,
-                                  su2_modular_data)
+from cstorus.compactcheck import (CompactModularData, _integrable_shifted_weights,
+                                  compare_shifted, is_simply_laced,
+                                  kac_peterson_sum, su2_modular_data)
 from cstorus.errors import DomainError, SchemaError
-from cstorus.finrep import Convention
+from cstorus.finrep import Convention, unit_phase
 from cstorus.roots import LieType, build_root_system
 
 
@@ -75,6 +75,32 @@ def test_kac_peterson_a2_properties(k):
     assert modular_relations_residual(d) < 1e-12
     assert np.abs(d.s - d.s.T).max() < 1e-12
     assert (d.s[0].real > 0).all() and np.abs(d.s[0].imag).max() < 1e-12
+
+
+def fraction_kac_peterson_s(rs, k):
+    """Oracle: the Kac-Peterson S sum with one exact Fraction pairing per
+    (w, mu, nu), normalized like kac_peterson_sum."""
+    kk = k + rs.dual_coxeter
+    labels = _integrable_shifted_weights(rs, k)
+    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, mu in enumerate(labels):
+        images = [(w.determinant, w.apply(mu)) for w in rs.weyl_group().elements]
+        for j, nu in enumerate(labels):
+            raw[i, j] = sum(det * unit_phase(-rs.pairing1(wmu, nu) / kk)
+                            for det, wmu in images)
+    scale = math.sqrt(abs((raw @ raw.conj().T)[0, 0]))
+    return tuple(labels), raw / (scale * raw[0, 0] / abs(raw[0, 0]))
+
+
+@pytest.mark.parametrize("family,rank,k", [("A", 1, k) for k in range(1, 7)]
+                         + [("A", 2, k) for k in (1, 2, 3)]
+                         + [(f, 3, k) for f in "AD" for k in (1, 2)])
+def test_kac_peterson_integer_sum_matches_fraction_oracle(family, rank, k):
+    rs = build_root_system(LieType(family, rank))
+    labels, s = fraction_kac_peterson_s(rs, k)
+    d = kac_peterson_sum(rs, k)
+    assert d.labels == labels
+    assert np.abs(d.s - s).max() < 1e-12
 
 
 def test_kac_peterson_guards():

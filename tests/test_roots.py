@@ -76,6 +76,12 @@ def test_invalid_types_rejected():
         LieType("G", 3)
 
 
+@pytest.mark.parametrize("fam", ["", "AB", "BC"])
+def test_family_must_be_one_letter(fam):
+    with pytest.raises(SchemaError):
+        LieType(fam, 2)
+
+
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
 def test_group_closure_and_determinants(fam, rank):
     rs = build_root_system(LieType(fam, rank))
