@@ -266,6 +266,11 @@ class GridSamples1D:
 # about a dozen alive at once) and FFT buffers of under 4N x L complex numbers
 GRID_POINTS_CEILING = 4096
 
+# grid_points * L above this raises ResourceLimitError in verify_conjugation,
+# whose peak memory is ~20 complex N x L blocks: measured 138 MB at N = 1601,
+# L = 200 and 195 MB at this ceiling (N = 4096, L = 128), 244 MB at N*L = 640400
+GRID_BASIS_CEILING = 2 ** 19
+
 
 def _check_grid_size(points: int) -> None:
     if points > GRID_POINTS_CEILING:
@@ -503,7 +508,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
 
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
     accepts (_check_quadratic) and 1 <= L < grid_points; grid_points above
-    GRID_POINTS_CEILING raises ResourceLimitError before any kernel is built.
+    GRID_POINTS_CEILING or grid_points * L above GRID_BASIS_CEILING raises
+    ResourceLimitError before any kernel or basis block is built.
     """
     params = solve_params(k, s, branch=branch)
     sigma = params.sigma if sigma is None else complex(sigma)
@@ -518,6 +524,10 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         raise SchemaError(f"box_radius {box_radius} is too large: pi r^2 / |sigma| "
                           "overflows")
     _check_grid_size(grid_points)
+    if grid_points * L > GRID_BASIS_CEILING:
+        raise ResourceLimitError(
+            f"grid of {grid_points} points times L = {L} exceeds the ceiling "
+            f"{GRID_BASIS_CEILING} on grid_points * L")
     y = uniform_grid(box_radius, grid_points)
     w = trapezoid_weights(y)
     # every kernel before any basis table, so that a grid too wide for one

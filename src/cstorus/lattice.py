@@ -1,118 +1,122 @@
-"""Coroot lattice, its k-scaled dual, the finite quotient group, alcove
-point enumeration and affine-Weyl folding.
+"""The finite quotient group Z = (kG)^{-1} Z^n / Z^n of the k-scaled dual
+of the coroot lattice, alcove point enumeration and the Weyl orbits on Z.
 
-Conventions: all vectors are coroot-basis coordinates (exact rationals).
-The coroot lattice is Z^n in these coordinates; canonical coset
-representatives of the quotient live in the half-open cube [0,1)^n.
+Conventions: vectors are coroot-basis coordinates, and the coroot lattice is
+Z^n in these coordinates.  A point gamma of the k-scaled dual lattice is held
+as the int vector x = D gamma of numerators over the exponent D of Z; its
+canonical coset representative is x mod D, in the half-open cube [0,1)^n.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import exact
 from .errors import DomainError, ResourceLimitError, SchemaError
-from .roots import (RootSystem, WeylElement, reflection_matrix,
-                    simple_reflection_matrix, weyl_order)
+from .roots import RootSystem, simple_reflection_matrix, weyl_order
 
 Vec = Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class Lattice:
-    basis: Tuple[Tuple[Fraction, ...], ...]  # columns are basis vectors
-
-    def basis_vector(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.basis)
-
-
-def scaled_dual_lattice(rs: RootSystem, k: int) -> Lattice:
-    """Lattice of vectors pairing integrally with the coroot lattice under
-    the k-scaled inner product; basis = (k*gram1)^{-1}."""
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
-    n = rs.rank
-    kg = exact.mat([[k * rs.gram1[i][j] for j in range(n)] for i in range(n)])
-    basis = exact.inverse(kg)
-    # Z^n (the coroot lattice) must be a sublattice: columns of kg are the
-    # coroot basis vectors in dual-basis coordinates and are integral.
-    assert all(e.denominator == 1 for row in kg for e in row)
-    return Lattice(basis=basis)
-
-
-def in_scaled_dual(rs: RootSystem, k: int, v) -> bool:
-    return exact.is_integral(exact.mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
-
-
-@dataclass(frozen=True)
-class QuotientGroup:
-    rs: RootSystem
-    k: int
-    reps: Tuple[Vec, ...]                 # canonical reps, coords in [0,1)
-    snf_invariants: Tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.reps)
-
-    def index_of(self, v) -> int:
-        return self._index()[exact.frac_part(tuple(Fraction(x) for x in v))]
-
-    def _index(self) -> Dict[Vec, int]:
-        if not hasattr(self, "_idx"):
-            object.__setattr__(self, "_idx", {r: i for i, r in enumerate(self.reps)})
-        return self._idx
-
-    def add(self, a, b) -> Vec:
-        return exact.frac_part(exact.vec_add(a, b))
-
-    def neg(self, a) -> Vec:
-        return exact.frac_part(tuple(-Fraction(x) for x in a))
-
 
 # |Z_k| above this raises ResourceLimitError: the quotient and its Weyl
 # orbits are held in memory point by point
 Z_ORDER_CEILING = 100_000
 
 
-def _quotient_shape(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING):
-    """k*gram1, |Z_k| = det(k*gram1) and the Smith form of k*gram1: its
-    divisors d_i and the unimodular u with u (k*gram1) v = diag(d_i)."""
+@dataclass(frozen=True)
+class _QuotientShape:
+    """Z in integers, from the Smith form u (kG) v = diag(d_1, ..., d_n).
+
+    Then (kG)^{-1} = v diag(1/d) u, so the exponent of Z is D = d_n and
+    D (kG)^{-1} = v diag(D/d) u is integral.  A point x (numerators over D)
+    has the dual coordinates c = kG x / D, and its class in Z is read in the
+    Smith basis as u c mod (d_1, ..., d_n), flattened row-major to a dense
+    index in [0, |Z|).
+    """
+    kg: np.ndarray          # (n, n) k * gram1
+    denom: int              # D
+    kinv: np.ndarray        # (n, n) D (kG)^{-1}
+    divisors: np.ndarray    # (n,) d_i, each dividing the next
+    u: np.ndarray           # (n, n) Smith row transform, row i reduced mod d_i
+    v: np.ndarray           # (n, n) Smith column transform
+
+    @property
+    def order(self) -> int:
+        return int(np.prod(self.divisors))
+
+    def index(self, x: np.ndarray) -> np.ndarray:
+        """Dense index of the points with numerators x, shape (..., n)."""
+        y = (x @ self.kg // self.denom) @ self.u.T % self.divisors
+        return np.ravel_multi_index(tuple(np.moveaxis(y, -1, 0)), self.divisors)
+
+    def elements(self) -> np.ndarray:
+        """Numerators mod D of every point of Z, in dense-index order: Smith
+        coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)."""
+        y = np.indices(self.divisors).reshape(len(self.divisors), -1).T
+        return (y * (self.denom // self.divisors)) @ self.v.T % self.denom
+
+
+def _quotient_shape(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> _QuotientShape:
+    """The integer description of Z for (rs, k); |Z_k| = det(k*gram1) above
+    max_order raises ResourceLimitError before the Smith form is built."""
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
-    n = rs.rank
-    kg = [[k * rs.gram1[i][j] for j in range(n)] for i in range(n)]
-    order = exact.det(exact.mat(kg))
-    assert order.denominator == 1
-    order = int(order)
+    kg = [[k * e for e in row] for row in rs.gram1]
+    order = int(exact.det(exact.mat(kg)))
     if order > max_order:
         raise ResourceLimitError(
             f"|Z_k| = {order} exceeds the ceiling {max_order} for {rs.lie_type}, k={k}")
     # In dual-lattice coordinates the coroot lattice is spanned by the
     # columns of k*gram1; Smith form gives the cyclic decomposition.
-    d, u, _ = exact.smith_normal_form(kg)
-    divisors = tuple(int(d[i][i]) for i in range(n))
-    assert all(x > 0 for x in divisors)
-    return kg, order, divisors, u
+    d, u, v = (np.array(m, dtype=np.int64) for m in exact.smith_normal_form(kg))
+    divisors = np.diag(d).copy()
+    denom = int(divisors[-1])
+    assert divisors.min() > 0 and int(np.prod(divisors)) == order
+    kinv = v @ ((denom // divisors)[:, None] * u)
+    kg = np.array(kg, dtype=np.int64)
+    assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()
+    return _QuotientShape(kg=kg, denom=denom, kinv=kinv, divisors=divisors,
+                          u=u % divisors[:, None], v=v)
+
+
+@dataclass(frozen=True, eq=False)
+class QuotientGroup:
+    """Z as the numerators over `denom` of its canonical representatives in
+    [0,1)^n, in lexicographic order."""
+    rs: RootSystem
+    k: int
+    denom: int
+    numerators: np.ndarray          # (|Z|, n) int64 in [0, denom)
+    snf_invariants: Tuple[int, ...]
+    _shape: _QuotientShape
+    _position: np.ndarray           # (|Z|,) row of `numerators` per dense index
+
+    @property
+    def order(self) -> int:
+        return len(self.numerators)
+
+    def index_of(self, x) -> np.ndarray:
+        """Rows of `numerators` of the points with numerators x, shape
+        (..., n), any coset representative; DomainError off the dual lattice."""
+        x = np.asarray(x, dtype=np.int64)
+        if (x @ self._shape.kg % self.denom).any():
+            raise DomainError("numerators are not a point of the k-scaled dual lattice")
+        return self._position[self._shape.index(x)]
 
 
 def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> QuotientGroup:
     """The finite abelian group (k-scaled dual lattice) / (coroot lattice)."""
-    _, order, divisors, u = _quotient_shape(rs, k, max_order)
-    u_inv = exact.inverse(exact.mat(u))
-    assert all(e.denominator == 1 for row in u_inv for e in row)
-    gens = exact.mat_mul(scaled_dual_lattice(rs, k).basis, u_inv)
-    reps = sorted(exact.frac_part(exact.mat_vec(gens, y))
-                  for y in itertools.product(*[range(di) for di in divisors]))
-    assert len(set(reps)) == order == len(reps)
-    invariants = tuple(x for x in divisors if x > 1)
-    return QuotientGroup(rs=rs, k=k, reps=tuple(reps), snf_invariants=invariants)
+    shape = _quotient_shape(rs, k, max_order)
+    elements = shape.elements()
+    rows = np.lexsort(elements.T[::-1])
+    position = np.empty_like(rows)
+    position[rows] = np.arange(len(rows))
+    return QuotientGroup(rs=rs, k=k, denom=shape.denom, numerators=elements[rows],
+                         snf_invariants=tuple(int(x) for x in shape.divisors if x > 1),
+                         _shape=shape, _position=position)
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,9 @@ class AlcoveSet:
 
 def _comarks(rs: RootSystem) -> Tuple[int, ...]:
     """Coroot-basis coordinates of the highest root (integers)."""
-    c = rs.highest_root
-    assert exact.is_integral(c)
-    return tuple(int(x) for x in c)
+    c = tuple(int(x) for x in rs.highest_root)
+    assert c == tuple(rs.highest_root)
+    return c
 
 
 def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
@@ -177,32 +181,19 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     n_i >= 0 and sum_i a_i n_i <= k with a_i the highest-root coordinates.
     Memory is O(|Z| n); |Z| above Z_ORDER_CEILING raises ResourceLimitError.
     """
-    kg, order, divisors, u = _quotient_shape(rs, k)
-    kinv = scaled_dual_lattice(rs, k).basis
-    n = rs.rank
-    d = math.lcm(*(e.denominator for row in kinv for e in row))
-
+    shape = _quotient_shape(rs, k)
+    n, d = rs.rank, shape.denom
     pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
     interior = (pairings >= 1).all(axis=1) & (pairings @ _comarks(rs) <= k - 1)
-    numerators = pairings @ np.array([[int(e * d) for e in row] for row in kinv]).T
-
-    # dense index of a point of Z: its dual coordinates c = kG x / D, read in
-    # the Smith basis u c mod (d_1, ..., d_n) and flattened
-    divisors = np.array(divisors, dtype=np.int64)
-    u_red = np.array(u, dtype=np.int64) % divisors[:, None]
-    strides = np.cumprod(np.concatenate(([1], divisors[:0:-1])))[::-1]
-    kg_t = np.array([[int(e) for e in row] for row in kg], dtype=np.int64).T
-
-    def index(x):
-        return ((x @ kg_t // d) @ u_red.T % divisors) @ strides
+    numerators = pairings @ shape.kinv.T
 
     dim = len(pairings)
-    elements = np.zeros((order, n), dtype=np.int64)
-    orbit = np.full(order, -1)
-    sign = np.zeros(order, dtype=np.int64)
+    elements = shape.elements()
+    orbit = np.full(shape.order, -1)
+    sign = np.zeros(shape.order, dtype=np.int64)
     odd = np.zeros(dim, dtype=bool)
-    front = index(numerators % d)
-    elements[front], orbit[front], sign[front] = numerators % d, np.arange(dim), 1
+    front = shape.index(numerators)
+    orbit[front], sign[front] = np.arange(dim), 1
     # breadth-first over the Schreier graph of the simple reflections: every
     # edge is checked once, and one whose signs disagree closes an odd cycle
     gens = [np.array(simple_reflection_matrix(rs, i)) for i in range(n)]
@@ -210,11 +201,9 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
         known = orbit >= 0
         x0, o0, s0 = elements[front], orbit[front], sign[front]
         for g in gens:
-            x = x0 @ g.T % d
-            idx = index(x)
+            idx = shape.index(x0 @ g.T)
             fresh = orbit[idx] < 0
-            elements[idx[fresh]], orbit[idx[fresh]] = x[fresh], o0[fresh]
-            sign[idx[fresh]] = -s0[fresh]
+            orbit[idx[fresh]], sign[idx[fresh]] = o0[fresh], -s0[fresh]
             odd[o0[sign[idx] != -s0]] = True
         front = np.flatnonzero((orbit >= 0) & ~known)
     assert (orbit >= 0).all(), "alcove orbits do not cover the quotient"
@@ -235,41 +224,6 @@ def alcove_points(rs: RootSystem, k: int) -> AlcoveSet:
                      stabilizer_sizes=orbits.stabilizer_sizes)
 
 
-def fold_to_alcove(rs: RootSystem, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
-    """Fold a dual-lattice vector into the closed alcove.
-
-    Returns (rep, w, sign, boundary) with rep = w(gamma) + lattice vector,
-    rep in the closed alcove, sign = det(w).
-    """
-    if not in_scaled_dual(rs, k, gamma):
-        raise DomainError(f"{gamma} is not in the k-scaled dual lattice (k={k})")
-    n = rs.rank
-    # the highest root is long, so its coroot has the same coordinates; the
-    # affine wall <x, theta>_1 = 1 reflects x to s_theta x + theta
-    theta = tuple(int(x) for x in rs.highest_root)
-    walls = [(simple_reflection_matrix(rs, i), (0,) * n) for i in range(n)]
-    affine = (reflection_matrix(rs, theta, theta), theta)
-
-    v = tuple(Fraction(x) for x in gamma)
-    wmat = exact.identity(n)
-    sign = 1
-    for _ in range(100_000):
-        pair_simple = [k * sum(rs.gram1[i][j] * v[j] for j in range(n)) for i in range(n)]
-        assert all(p.denominator == 1 for p in pair_simple)
-        ni = [int(p) for p in pair_simple]
-        height = sum(ai * x for ai, x in zip(theta, ni))
-        neg = next((i for i in range(n) if ni[i] < 0), None)
-        if neg is None and height <= k:
-            boundary = not (all(x >= 1 for x in ni) and height <= k - 1)
-            wint = tuple(tuple(int(e) for e in row) for row in wmat)
-            return v, WeylElement(wint, sign), sign, boundary
-        r, shift = walls[neg] if neg is not None else affine
-        v = exact.vec_add(exact.mat_vec(r, v), shift)
-        wmat = exact.mat_mul(r, wmat)
-        sign = -sign
-    raise AssertionError("alcove folding did not terminate")
-
-
 def enumerate_report(rs: RootSystem, k: int) -> dict:
     """JSON-ready report for the `lattice enumerate` CLI command."""
     q = quotient_group(rs, k)
@@ -278,12 +232,15 @@ def enumerate_report(rs: RootSystem, k: int) -> dict:
     def coords(v):
         return [str(x) for x in v]
 
+    def fractions(x):
+        return [str(Fraction(int(e), q.denom)) for e in x]
+
     return {
         "type": str(rs.lie_type),
         "level": k,
         "order": q.order,
         "invariant_factors": list(q.snf_invariants),
-        "reps": [coords(r) for r in q.reps],
+        "reps": [fractions(x) for x in q.numerators],
         "alcove": {
             "open": [coords(p) for p in alc.open_points],
             "closed": [coords(p) for p in alc.closed_points],

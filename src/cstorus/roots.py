@@ -281,17 +281,6 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> Tuple[Tuple[int, ...], .
     )
 
 
-def reflection_matrix(rs: RootSystem, root, coroot) -> Tuple[Tuple[int, ...], ...]:
-    """Reflection in an arbitrary root: v -> v - <root, v>_1 h_root."""
-    n = rs.rank
-    gt = exact.mat_vec(exact.mat(rs.gram1), tuple(Fraction(x) for x in root))
-    m = [[int(r == c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        for c in range(n):
-            m[r][c] -= int(coroot[r] * gt[c])
-    return tuple(tuple(row) for row in m)
-
-
 def generate_weyl_group(rs: RootSystem, max_elements: int = 100_000) -> WeylGroup:
     n = rs.rank
     gens = [WeylElement(simple_reflection_matrix(rs, i), -1) for i in range(n)]

@@ -27,13 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, SchemaError
-from .lattice import QuotientGroup, quotient_group, scaled_dual_lattice
+from .lattice import QuotientGroup, _quotient_shape, quotient_group
 from .roots import RootSystem
 
 
@@ -45,16 +44,12 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     arrays of shape (..., n) that broadcast against each other; the result
     then has their broadcast shape without the last axis.
     """
-    l1 = tuple(Fraction(x) for x in lam1)
-    l2 = tuple(Fraction(x) for x in lam2)
-    if any(x.denominator != 1 for x in l1 + l2):
+    l1f, l2f = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
+    if not (np.all(l1f % 1 == 0) and np.all(l2f % 1 == 0)):
         raise DomainError("multiplier lattice vectors must be integral coroot vectors")
-    parity = k * rs.pairing1(l1, l2)
-    assert parity.denominator == 1
-    sign = -1.0 if int(parity) % 2 else 1.0
-    gm = np.array(rs.gram1, dtype=float) * k
-    l1f = np.asarray([float(x) for x in l1])
-    l2f = np.asarray([float(x) for x in l2])
+    gram = np.array(rs.gram1, dtype=np.int64)
+    sign = -1.0 if k * int(l1f.astype(np.int64) @ gram @ l2f.astype(np.int64)) % 2 else 1.0
+    gm = gram * float(k)
     # gm is symmetric, so <lam1, theta2>_k = theta2 . (gm lam1)
     expo = (np.asarray(theta1, dtype=float) @ (gm @ l2f)
             - np.asarray(theta2, dtype=float) @ (gm @ l1f))
@@ -78,15 +73,17 @@ class GridSpec:
     def __post_init__(self):
         if self.divisions < 2 or self.half_width < 1:
             raise SchemaError("grid needs divisions >= 2 and half_width >= 1")
-        dual = scaled_dual_lattice(self.rs, self.k)
-        denoms = {e.denominator for row in dual.basis for e in row}
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // math.gcd(lcm, d)
-        if self.divisions % lcm:
+        d = self.quotient_shape().denom
+        if self.divisions % d:
             raise SchemaError(
-                f"divisions {self.divisions} must be a multiple of {lcm} so that "
+                f"divisions {self.divisions} must be a multiple of {d} so that "
                 "dual-lattice shifts are grid-aligned")
+
+    def quotient_shape(self):
+        """The integer description of Z (lattice._quotient_shape), cached."""
+        if "z" not in self._cache:
+            self._cache["z"] = _quotient_shape(self.rs, self.k)
+        return self._cache["z"]
 
     @property
     def n(self) -> int:
@@ -136,13 +133,10 @@ class GridSpec:
         if "shifts" in self._cache:
             return self._cache["shifts"]
         n, nn, mn = self.n, self.divisions, self.half_width * self.divisions
-        dual = scaled_dual_lattice(self.rs, self.k)
-        basis = np.array([[float(e) for e in row] for row in dual.basis])
-        kg = self.pairing_matrix()
-        bound = int(np.ceil(np.abs(kg).sum(axis=1).max() * self.half_width)) + 1
-        lam = _mesh([np.arange(-bound, bound + 1)] * n) @ basis.T * nn
-        lam_n = np.rint(lam).astype(int)
-        assert np.allclose(lam, lam_n), "dual vector not grid-aligned"
+        z = self.quotient_shape()
+        bound = int(np.abs(z.kg).sum(axis=1).max()) * self.half_width + 1
+        # lam N = (N / D) D (kG)^{-1} x, integral since D divides N
+        lam_n = _mesh([np.arange(-bound, bound + 1)] * n) @ z.kinv.T * (nn // z.denom)
         shifts = lam_n[np.all((lam_n >= -mn) & (lam_n + nn - 1 <= mn), axis=1)]
         order = np.lexsort(tuple(shifts.T[::-1]) + (np.abs(shifts).max(axis=1),))
         self._cache["shifts"] = shifts[order]
@@ -162,11 +156,11 @@ def _ravel(coords: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
 WGZ_ARRAY_CEILING = 2 ** 21
 
 
-def _check_array_size(rs: RootSystem, k: int, divisions: int, half_width: int) -> None:
+def _check_array_size(rs: RootSystem, k: int, order: int, divisions: int,
+                      half_width: int) -> None:
     """Refuse a grid whose largest complex array, the N^(2n) section samples
     or the |Z| B^n family values, exceeds WGZ_ARRAY_CEILING entries."""
     n = rs.rank
-    order = k ** n * round(float(np.linalg.det(np.array(rs.gram1, dtype=float))))
     entries = max(divisions ** (2 * n),
                   order * (2 * half_width * divisions + 1) ** n)
     if entries > WGZ_ARRAY_CEILING:
@@ -181,16 +175,12 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
     A grid over WGZ_ARRAY_CEILING raises ResourceLimitError before any array
     is allocated."""
-    dual = scaled_dual_lattice(rs, k)
-    lcm = 1
-    for row in dual.basis:
-        for e in row:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    divisions = max(resolution, lcm)
-    divisions += (-divisions) % lcm
+    z = _quotient_shape(rs, k)
+    divisions = max(resolution, z.denom)
+    divisions += (-divisions) % z.denom
     # the smallest box first: refuses a level or resolution over the ceiling
     # before k is taken to floating point
-    _check_array_size(rs, k, divisions, 1)
+    _check_array_size(rs, k, z.order, divisions, 1)
     kg = np.array(rs.gram1, dtype=float) * k
     c = np.linalg.cholesky(kg)
     # coroot coords of an orthonormal-frame point y: c = C^{-T} y
@@ -200,10 +190,10 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
     half_width = int(np.ceil(min(reach, WGZ_ARRAY_CEILING)))
     while True:
         spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
-        _check_array_size(rs, k, divisions, half_width)
+        _check_array_size(rs, k, z.order, divisions, half_width)
         if alias_margin(spec) > 0:
             return spec
-        divisions += lcm
+        divisions += z.denom
 
 
 @dataclass
@@ -286,12 +276,7 @@ class SectionSamples:
 
 def _gamma_grid_coords(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
     """Integer grid coordinates (units 1/N) of the canonical quotient reps."""
-    out = []
-    for rep in quotient.reps:
-        coords = [Fraction(x) * spec.divisions for x in rep]
-        assert all(c.denominator == 1 for c in coords)
-        out.append([int(c) for c in coords])
-    return np.asarray(out, dtype=int)
+    return quotient.numerators * (spec.divisions // quotient.denom)
 
 
 def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
@@ -325,7 +310,7 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
                               "enlarge half_width or pass skip_outside")
         shifts = shifts[inside]
     grid = (nn,) * n
-    x = np.rint(shifts @ kg / nn).astype(int)       # (S, n), x = kG lambda
+    x = shifts @ spec.quotient_shape().kg // nn     # (S, n), x = kG lambda
     idx = spec.box_flat_index(t1[:, None, :] + shifts[None, :, :])   # (C, S)
     mod = np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)            # (|Z|, S)
     shifted = np.zeros(idx.shape, dtype=complex)
@@ -395,16 +380,14 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     n, nn = spec.n, spec.divisions
     grid = (nn,) * n
     box = spec.box_coords()
-    kg = spec.pairing_matrix()
+    kg = spec.quotient_shape().kg
     gam = _gamma_grid_coords(spec, quotient)
     # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
     #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
     #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i (y + kG nu).q / N},
     # with y = kG ghat integral: one inverse DFT over q serves every ghat,
     # read off at (y + kG nu) mod N.  This is the adjoint of the forward.
-    y = gam @ kg / nn
-    y_int = np.rint(y).astype(int)
-    assert np.allclose(y, y_int), "kG ghat not integral"
+    y = gam @ kg // nn
     st = s.values * _half_angle_phase(spec).conj()
     coef = np.fft.ifftn(st.reshape((-1,) + grid), axes=range(1, n + 1))
     coef = coef.reshape(len(st), -1)
@@ -412,7 +395,7 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     for ghat in range(quotient.order):
         p = (box - gam[ghat]) % nn
         nu = (box - gam[ghat] - p) // nn
-        freq = (np.rint(nu @ kg).astype(int) + y_int[ghat]) % nn
+        freq = (nu @ kg + y[ghat]) % nn
         cols[ghat] = coef[_ravel(p, grid), _ravel(freq, grid)]
     return apply_finite_fourier(GridFunctionFamily(spec, quotient, cols))
 
@@ -505,7 +488,7 @@ def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:
     box = spec.box_coords()
     wmat = np.asarray(w.matrix, dtype=int)
     idx = spec.box_flat_index(box @ wmat.T)
-    perm = [quotient.index_of(w.apply(rep)) for rep in quotient.reps]
+    perm = quotient.index_of(quotient.numerators @ wmat.T % quotient.denom)
     return GridFunctionFamily(spec, quotient, f.values[perm][:, idx])
 
 

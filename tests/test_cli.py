@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cstorus.cli import build_parser, main
 from cstorus.finrep import SECTOR_DIM_CEILING
-from cstorus.heatkernel import GRID_POINTS_CEILING
+from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING
 from cstorus.roots import RANK_CEILING
 from cstorus.wgz import WGZ_ARRAY_CEILING
 
@@ -341,6 +341,20 @@ def test_kernel_grid_over_ceiling_exits_resource(tmp_path, capsys, command):
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and f"ceiling {GRID_POINTS_CEILING}" in err
+
+
+@pytest.mark.parametrize("grid_points,L", [(1601, 1600), (4096, 129)])
+def test_kernel_verify_basis_over_ceiling_exits_resource(capsys, grid_points, L):
+    """grid_points * L over its ceiling is refused before any kernel or N x L
+    block is built."""
+    assert grid_points * L > GRID_BASIS_CEILING
+    start = time.monotonic()
+    code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                             "--L", str(L), "--grid-points", str(grid_points))
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"ceiling {GRID_BASIS_CEILING}" in err
 
 
 def _not_a_large_grid(n):

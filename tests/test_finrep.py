@@ -16,6 +16,7 @@ from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
                             unit_phase, verify_sl2z)
 from cstorus.lattice import AlcoveSet, QuotientGroup, alcove_points, quotient_group
 from cstorus.roots import LieType, RootSystem, build_root_system
+from test_lattice import fraction_quotient
 
 
 # -- brute-force oracles: Weyl-group sums and full quotient-space operators --
@@ -23,7 +24,7 @@ from cstorus.roots import LieType, RootSystem, build_root_system
 @dataclass
 class FiniteVector:
     quotient: QuotientGroup
-    coefficients: np.ndarray   # complex, indexed like quotient.reps
+    coefficients: np.ndarray   # complex, indexed like the fraction_quotient reps
     label: Tuple[Fraction, ...]
 
 
@@ -38,12 +39,13 @@ def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
     """
     rs = quotient.rs
     wg = rs.weyl_group()
+    oracle = fraction_quotient(rs, quotient.k)
     points = alcove.closed_points if sector == 0 else alcove.open_points
     out: List[FiniteVector] = []
     for gamma in points:
         coeff = [0] * quotient.order
         for w in wg.elements:
-            idx = quotient.index_of(w.apply(gamma))
+            idx = oracle.index_of(w.apply(gamma))
             coeff[idx] += w.determinant if sector == 1 else 1
         arr = np.asarray(coeff, dtype=complex)
         norm = np.linalg.norm(arr)
@@ -56,16 +58,18 @@ def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
 def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
     """Unitary discrete Fourier matrix with kernel exp(2 pi i <a,b>_k)."""
     m = quotient.order
+    reps = fraction_quotient(quotient.rs, quotient.k).reps
     out = np.empty((m, m), dtype=complex)
-    for i, a in enumerate(quotient.reps):
-        for j, b in enumerate(quotient.reps):
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
             out[i, j] = unit_phase(quotient.k * quotient.rs.pairing1(a, b))
     return out / math.sqrt(m)
 
 
 def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
     """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
-    diag = [unit_phase(quotient.k * quotient.rs.pairing1(a, a) / 2) for a in quotient.reps]
+    diag = [unit_phase(quotient.k * quotient.rs.pairing1(a, a) / 2)
+            for a in fraction_quotient(quotient.rs, quotient.k).reps]
     return np.diag(diag)
 
 
@@ -212,6 +216,7 @@ def test_symmetrized_bases_orthonormal_and_invariant():
     q = quotient_group(rs, k)
     alc = alcove_points(rs, k)
     wg = rs.weyl_group()
+    oracle = fraction_quotient(rs, k)
     for sector in (0, 1):
         basis = symmetrized_basis(q, alc, sector)
         if not basis:
@@ -221,7 +226,7 @@ def test_symmetrized_bases_orthonormal_and_invariant():
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
         # vectors transform with the right character under each reflection
         for w in wg.elements:
-            perm = [q.index_of(w.apply(rep)) for rep in q.reps]
+            perm = [oracle.index_of(w.apply(rep)) for rep in oracle.reps]
             for v in basis:
                 moved = np.zeros_like(v.coefficients)
                 moved[perm] = v.coefficients

@@ -1,15 +1,122 @@
 """Quotient groups, alcove enumeration and affine folding."""
 
+import ast
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
+from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 from cstorus import exact
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
-from cstorus.lattice import (alcove_points, enumerate_report, fold_to_alcove,
-                             in_scaled_dual, quotient_group, scaled_dual_lattice,
-                             weyl_orbits)
-from cstorus.roots import LieType, build_root_system
+from cstorus.lattice import alcove_points, enumerate_report, quotient_group, weyl_orbits
+from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
+from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
+
+Vec = Tuple[Fraction, ...]
+
+
+# -- exact oracles: the Fraction constructions the integer quotient replaced --
+
+@dataclass(frozen=True)
+class Lattice:
+    basis: Tuple[Tuple[Fraction, ...], ...]  # columns are basis vectors
+
+    def basis_vector(self, j: int) -> Vec:
+        return tuple(row[j] for row in self.basis)
+
+
+def scaled_dual_lattice(rs, k: int) -> Lattice:
+    """Lattice of vectors pairing integrally with the coroot lattice under
+    the k-scaled inner product; basis = (k*gram1)^{-1}."""
+    return Lattice(basis=exact.inverse(exact.mat([[k * e for e in row] for row in rs.gram1])))
+
+
+def in_scaled_dual(rs, k: int, v) -> bool:
+    return exact.is_integral(exact.mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
+
+
+@dataclass(frozen=True)
+class FractionQuotient:
+    """Z as sorted exact representatives in [0,1)^n with a dict index."""
+    reps: Tuple[Vec, ...]
+    _index: Dict[Vec, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._index.update({r: i for i, r in enumerate(self.reps)})
+
+    @property
+    def order(self) -> int:
+        return len(self.reps)
+
+    def index_of(self, v) -> int:
+        return self._index[exact.frac_part(tuple(Fraction(x) for x in v))]
+
+    def add(self, a, b) -> Vec:
+        return exact.frac_part(exact.vec_add(a, b))
+
+    def neg(self, a) -> Vec:
+        return exact.frac_part(tuple(-Fraction(x) for x in a))
+
+
+def fraction_quotient(rs, k: int) -> FractionQuotient:
+    """One exact rep per Smith coordinate y: (kG)^{-1} u^{-1} y mod Z^n."""
+    n = rs.rank
+    d, u, _ = exact.smith_normal_form([[k * e for e in row] for row in rs.gram1])
+    u_inv = exact.inverse(exact.mat(u))
+    assert all(e.denominator == 1 for row in u_inv for e in row)
+    gens = exact.mat_mul(scaled_dual_lattice(rs, k).basis, u_inv)
+    reps = sorted(exact.frac_part(exact.mat_vec(gens, y))
+                  for y in itertools.product(*[range(d[i][i]) for i in range(n)]))
+    assert len(set(reps)) == len(reps)
+    return FractionQuotient(reps=tuple(reps))
+
+
+def _reflection_matrix(rs, root):
+    """Reflection in a long root (its own coroot): v -> v - <root, v>_1 root."""
+    n = rs.rank
+    gt = exact.mat_vec(exact.mat(rs.gram1), root)
+    return tuple(tuple(int(r == c) - int(root[r] * gt[c]) for c in range(n))
+                 for r in range(n))
+
+
+def fold_to_alcove(rs, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
+    """Fold a dual-lattice vector into the closed alcove.
+
+    Returns (rep, w, sign, boundary) with rep = w(gamma) + lattice vector,
+    rep in the closed alcove, sign = det(w).
+    """
+    if not in_scaled_dual(rs, k, gamma):
+        raise DomainError(f"{gamma} is not in the k-scaled dual lattice (k={k})")
+    n = rs.rank
+    # the highest root is long, so its coroot has the same coordinates; the
+    # affine wall <x, theta>_1 = 1 reflects x to s_theta x + theta
+    theta = tuple(int(x) for x in rs.highest_root)
+    walls = [(simple_reflection_matrix(rs, i), (0,) * n) for i in range(n)]
+    affine = (_reflection_matrix(rs, theta), theta)
+
+    v = tuple(Fraction(x) for x in gamma)
+    wmat = exact.identity(n)
+    sign = 1
+    for _ in range(100_000):
+        pair_simple = [k * sum(rs.gram1[i][j] * v[j] for j in range(n)) for i in range(n)]
+        assert all(p.denominator == 1 for p in pair_simple)
+        ni = [int(p) for p in pair_simple]
+        height = sum(ai * x for ai, x in zip(theta, ni))
+        neg = next((i for i in range(n) if ni[i] < 0), None)
+        if neg is None and height <= k:
+            boundary = not (all(x >= 1 for x in ni) and height <= k - 1)
+            wint = tuple(tuple(int(e) for e in row) for row in wmat)
+            return v, WeylElement(wint, sign), sign, boundary
+        r, shift = walls[neg] if neg is not None else affine
+        v = exact.vec_add(exact.mat_vec(r, v), shift)
+        wmat = exact.mat_mul(r, wmat)
+        sign = -sign
+    raise AssertionError("alcove folding did not terminate")
+
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 
@@ -42,7 +149,7 @@ def test_rank_one_alcove_counts(k):
 @pytest.mark.parametrize("fam,rank", TYPES)
 def test_reps_are_canonical_and_closed(fam, rank):
     rs = build_root_system(LieType(fam, rank))
-    q = quotient_group(rs, 3)
+    q = fraction_quotient(rs, 3)
     for r in q.reps:
         assert all(0 <= x < 1 for x in r)
         assert in_scaled_dual(rs, 3, r)
@@ -138,3 +245,61 @@ def test_invalid_level_rejected():
         quotient_group(rs, 0)
     with pytest.raises(SchemaError):
         alcove_points(rs, -1)
+
+
+ORACLE_SWEEP = ([(f, r, k) for f, r in TYPES for k in range(1, 6)]
+                + [(f, 3, k) for f in "ABC" for k in (1, 2, 3)]
+                + [("D", 4, 6), ("F", 4, 3), ("E", 6, 2)])
+
+
+@pytest.mark.parametrize("fam,rank,k", ORACLE_SWEEP)
+def test_integer_quotient_matches_fraction_oracle(fam, rank, k):
+    """The numerators over D are the sorted exact reps, element for element,
+    and index_of reads each back at its own row."""
+    rs = build_root_system(LieType(fam, rank))
+    q = quotient_group(rs, k)
+    oracle = fraction_quotient(rs, k)
+    assert [tuple(Fraction(int(x), q.denom) for x in row)
+            for row in q.numerators] == list(oracle.reps)
+    assert (q.index_of(q.numerators) == np.arange(q.order)).all()
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])
+def test_weyl_action_permutes_like_the_fraction_route(monkeypatch, fam, rank, k):
+    """weyl_action moves finite index g to the row of w(gamma_g) mod the coroot
+    lattice, for every w of the Weyl group."""
+    # the coroot-coordinate box is not W-invariant in rank 2, so the box
+    # points stay put: only the finite index is under test
+    monkeypatch.setattr(GridSpec, "box_flat_index", lambda self, c: np.arange(len(c)))
+    rs = build_root_system(LieType(fam, rank))
+    q = quotient_group(rs, k)
+    oracle = fraction_quotient(rs, k)
+    spec = GridSpec(rs=rs, k=k, divisions=q.denom, half_width=1)
+    # row g is the constant g, so the image reads off the permutation
+    f = GridFunctionFamily(spec, q, np.repeat(np.arange(q.order, dtype=complex)[:, None],
+                                              spec.box_points_per_axis ** rank, axis=1))
+    for w in rs.weyl_group().elements:
+        perm = [oracle.index_of(w.apply(rep)) for rep in oracle.reps]
+        assert (weyl_action(f, w).values[:, 0].real == perm).all()
+
+
+def test_index_of_rejects_points_outside_dual():
+    q = quotient_group(build_root_system(LieType("A", 2)), 1)
+    with pytest.raises(DomainError):
+        q.index_of([1, 0])
+
+
+@pytest.mark.parametrize("module", ["wgz", "heatkernel", "cli"])
+def test_numeric_modules_import_no_exact_arithmetic(module):
+    """The transform, kernel and CLI layers read Z as int arrays: neither
+    `fractions` nor `cstorus.exact` is imported there."""
+    path = Path(__file__).resolve().parents[1] / "src" / "cstorus" / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("cstorus." if node.level else "") + (node.module or "")
+            imported.add(base.rstrip("."))
+            imported.update(f"{base.rstrip('.')}.{a.name}" for a in node.names)
+    assert not imported & {"fractions", "cstorus.exact"}, sorted(imported)

@@ -1,6 +1,7 @@
 """Lattice transform: multiplier, round trips, unitarity, operator intertwining."""
 
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -173,6 +174,18 @@ def test_multiplier_trivial_and_parity():
     t = np.array([0.25])
     expected = np.exp(-1j * math.pi * (1 * 2 * 0.25))
     assert abs(multiplier_eval(rs, 1, 0 * one, one, t, z) - expected) < 1e-14
+
+
+def test_multiplier_odd_parity_and_non_integral_vectors():
+    """<e1, e2>_k = -k on A2 sets the sign at theta = 0; a lattice vector off
+    the coroot lattice is a DomainError."""
+    rs = build_root_system(LieType("A", 2))
+    e1, e2, z = np.array([1, 0]), np.array([0, 1]), np.zeros(2)
+    assert multiplier_eval(rs, 1, e1, e2, z, z) == -1
+    assert multiplier_eval(rs, 2, e1, e2, z, z) == 1
+    for bad in ([Fraction(1, 2), 0], [0.5, 0], [math.nan, 0]):
+        with pytest.raises(DomainError):
+            multiplier_eval(rs, 1, bad, e2, z, z)
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 1, 1), ("A", 2, 2), ("B", 2, 1)])
