@@ -342,7 +342,9 @@ def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
     y_i = y_c + h m_i and centred indices m,
         y_i y_j = y_c^2 + y_c h (m_i + m_j) + h^2 (m_i^2 + m_j^2 - (i - j)^2) / 2,
     so the sum is a convolution with the chirp exp(-i beta h^2 d^2 / 2), done
-    by one zero-padded FFT (Bluestein 1970)."""
+    by one zero-padded FFT (Bluestein 1970).  The map's `gain`,
+    max|d_out| sum|d_in|, bounds how much one application can grow the sup
+    norm of its input, since every kernel entry has modulus one."""
     _check_quadratic(y, 1j * beta)
     n = len(y)
     yc, h = 0.5 * (y[0] + y[-1]), (y[-1] - y[0]) / (n - 1)
@@ -361,6 +363,9 @@ def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
         u = np.fft.fft(pre * (x if x.ndim == 2 else x[:, None]), size, axis=0)
         out = post * np.fft.ifft(chirp * u, axis=0)[:n]
         return out if x.ndim == 2 else out[:, 0]
+    # Python floats: a product past the float range is inf, without a warning
+    apply.gain = (float(np.abs(d_out).max())
+                  * float(np.abs(np.broadcast_to(d_in, y.shape)).sum()))
     return apply
 
 
@@ -482,13 +487,39 @@ def _projector(b: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _rho(generator: str, y: np.ndarray, w: np.ndarray):
     """Grid realization of the continuous generator factors
     rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
-    as a map on N x L blocks."""
+    as a map on N x L blocks, with the `gain` of _bilinear_phase."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
         return _bilinear_phase(2 * math.pi, y, d_out=j_const, d_in=w)
     _check_quadratic(y, -1j * math.pi)
     phase = omega * np.exp(-1j * math.pi * y ** 2)
-    return lambda x: phase[:, None] * x
+
+    def apply(x):
+        return phase[:, None] * x
+    apply.gain = 1.0        # a pointwise phase
+    return apply
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_chain_growth(y: np.ndarray, heat_m, heat_p, flow2, rho) -> None:
+    """Refuse (DomainError) a grid on which a chain of quadratures that
+    verify_conjugation applies could leave the float range.  A chain grows
+    a block's sup norm by at most the product of its operators' gains; the
+    chains are S^4 and (S T)^3 of eta = heat_m rho heat_p, and
+    heat_m flow2 rho per generator.  On an under-resolved grid each gain
+    is of the order of the radius, so at a huge radius these products
+    overflow although every single kernel is a phase."""
+    def log_gain(*ops):     # an underflowed gain counts as the least float
+        return sum(math.log(max(op.gain, sys.float_info.min)) for op in ops)
+    eta = {gen: log_gain(heat_m, rho[gen], heat_p) for gen in rho}
+    chains = [4 * eta["S"], 3 * (eta["S"] + eta["T"])]
+    chains += [log_gain(heat_m, flow2[gen], rho[gen]) for gen in rho]
+    if max(chains) >= _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"grid of {len(y)} points is too coarse for radius {y[-1]:g}: chained "
+            f"quadratures may grow by e^{max(chains):.4g}, past the float range")
 
 
 def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
@@ -537,6 +568,7 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
     flow2 = {gen: _mehler(params, y, w, sig2[gen], inverse=True) for gen in sig2}
     rho = {gen: _rho(gen, y, w) for gen in sig2}
+    _check_chain_growth(y, heat_m, heat_p, flow2, rho)
     b0 = hermite_function_table(L - 1, y, sigma).T
     p0 = _projector(b0, w)
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block

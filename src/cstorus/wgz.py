@@ -13,13 +13,22 @@ is a discrete Zak (polyphase) transform: one fold of the shifted samples onto
 residues mod N followed by one n-dimensional fftn.  The finite index gamma
 enters only as a frequency shift, so it is applied as a modulation before the
 fold, and every gamma shares that one fftn.  The inverse is its adjoint: one
-ifftn, read off once per gamma-hat at a shifted frequency and scattered back
-to the box.  The half-angle phase e^{-pi i <p, q>_k} over cell pairs is built
-once per GridSpec.  Besides the sampled family, memory is O(C * S + C * N^n)
-for C = N^n cells and S lattice shifts; no (cells x box points) matrix is
-formed.  A grid whose section samples (N^(2n)) or family values (|Z| B^n)
-exceed WGZ_ARRAY_CEILING complex entries is refused before any array is
-allocated.
+ifftn, read off once per gamma-hat at a shifted frequency.
+
+Everything that depends on the grid alone is planned once and cached on the
+GridSpec: the half-angle phase e^{-pi i <p, q>_k} over cell pairs (C x C for
+C = N^n cells); per theta1 offset, the (C, S) box gather index of the S
+lattice shifts kept, sorted by residue mod N so that the fold is one
+reduceat, and their gamma modulation; the (|Z|, B^n) flat read-off index of
+the inverse, built after its alias check; and the gather index and phase of
+each section operator.  A forward call then gathers and modulates a C x S
+block, folds it into its C x C result and runs fftn and the phases in place
+there; an inverse call fills one C x C buffer with the samples times the
+conjugate half-angle phase, runs ifftn in place and gathers the family from
+it.  So each call allocates one C x C array besides O(C S) and the |Z| B^n
+family, and no (cells x box points) matrix is formed.  A grid whose section
+samples (N^(2n)) or family values (|Z| B^n) exceed WGZ_ARRAY_CEILING complex
+entries is refused before any array is allocated.
 """
 
 from __future__ import annotations
@@ -50,10 +59,11 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     gram = np.array(rs.gram1, dtype=np.int64)
     sign = -1.0 if k * int(l1f.astype(np.int64) @ gram @ l2f.astype(np.int64)) % 2 else 1.0
     gm = gram * float(k)
-    # gm is symmetric, so <lam1, theta2>_k = theta2 . (gm lam1)
-    expo = (np.asarray(theta1, dtype=float) @ (gm @ l2f)
-            - np.asarray(theta2, dtype=float) @ (gm @ l1f))
-    return sign * np.exp(-1j * math.pi * expo)
+    # gm is symmetric, so <lam1, theta2>_k = theta2 . (gm lam1); the phase is
+    # one exp over theta1 times one exp over theta2, multiplied on broadcast
+    e1 = np.exp(-1j * math.pi * (np.asarray(theta1, dtype=float) @ (gm @ l2f)))
+    e2 = np.exp(1j * math.pi * (np.asarray(theta2, dtype=float) @ (gm @ l1f)))
+    return sign * e1 * e2
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,14 @@ class GridSpec:
             axes = [np.arange(self.divisions)] * self.n
             self._cache["cell"] = _mesh(axes)
         return self._cache["cell"]
+
+    def shell_index(self) -> np.ndarray:
+        """Flat box indices of the outermost grid shell, cached."""
+        if "shell" not in self._cache:
+            mn = self.half_width * self.divisions
+            self._cache["shell"] = np.flatnonzero(
+                np.abs(self.box_coords()).max(axis=1) == mn)
+        return self._cache["shell"]
 
     def box_flat_index(self, coords: np.ndarray) -> np.ndarray:
         """Flat box index of integer coordinates; raises if out of the box."""
@@ -204,6 +222,7 @@ class GridFunctionFamily:
     values: np.ndarray   # complex, shape (|Z|, B^n)
 
     def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
         expected = (self.quotient.order, self.spec.box_points_per_axis ** self.spec.n)
         if self.values.shape != expected:
             raise SchemaError(
@@ -211,10 +230,7 @@ class GridFunctionFamily:
 
     def boundary_decay(self) -> float:
         """Sup of |f| on the outermost grid shell (Schwartz-truncation sanity)."""
-        coords = self.spec.box_coords()
-        mn = self.spec.half_width * self.spec.divisions
-        shell = np.abs(coords).max(axis=1) == mn
-        return float(np.abs(self.values[:, shell]).max()) if shell.any() else 0.0
+        return float(np.abs(self.values[:, self.spec.shell_index()]).max())
 
 
 def family_from_callable(spec: GridSpec, quotient: QuotientGroup,
@@ -279,6 +295,46 @@ def _gamma_grid_coords(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
     return quotient.numerators * (spec.divisions // quotient.denom)
 
 
+@dataclass(frozen=True)
+class _ForwardPlan:
+    """Index tables of the forward transform at one theta1 offset."""
+    complete: bool          # no lattice shift was dropped
+    gather: np.ndarray      # (C, S) flat box index of theta1 + lambda
+    modulation: np.ndarray  # (|Z|, S) e^{-2 pi i x.gamma / N} / sqrt|Z|
+    residues: np.ndarray    # (U,) distinct flat residues x mod N, increasing
+    starts: np.ndarray      # (U,) first shift of each residue
+
+
+def _forward_plan(spec: GridSpec, quotient: QuotientGroup,
+                  off1: np.ndarray) -> _ForwardPlan:
+    """The forward plan at theta1 = cell + N off1, built once per (grid,
+    off1).  A shift is kept when its whole translate lies inside the box;
+    the kept shifts are sorted by residue x = kG lambda mod N (stably, so
+    each residue's terms are summed in max-norm order), and the fold is one
+    reduceat over the runs, also where residues collide."""
+    key = ("forward", tuple(int(v) for v in off1))
+    if key not in spec._cache:
+        nn, mn = spec.divisions, spec.half_width * spec.divisions
+        t1 = spec.cell_coords() + off1 * nn
+        shifts = spec.lattice_shifts()                  # (S, n), lambda*N
+        inside = np.all((shifts + t1.min(axis=0) >= -mn)
+                        & (shifts + t1.max(axis=0) <= mn), axis=1)
+        shifts = shifts[inside]
+        x = shifts @ spec.quotient_shape().kg // nn     # (S, n), x = kG lambda
+        residue = _ravel(x % nn, (nn,) * spec.n)
+        order = np.argsort(residue, kind="stable")
+        shifts, x, residue = shifts[order], x[order], residue[order]
+        starts = np.flatnonzero(np.diff(residue, prepend=-1))
+        gam = _gamma_grid_coords(spec, quotient)        # (|Z|, n) in units 1/N
+        spec._cache[key] = _ForwardPlan(
+            complete=bool(inside.all()),
+            gather=spec.box_flat_index(t1[:, None, :] + shifts[None, :, :]),
+            modulation=(np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)
+                        / math.sqrt(quotient.order)),
+            residues=residue[starts], starts=starts)
+    return spec._cache[key]
+
+
 def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
                     skip_outside: bool = False) -> np.ndarray:
     """The transform series evaluated at (theta1 + off1, theta2 + off2) for
@@ -296,37 +352,32 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
     """
     spec, quotient = f.spec, f.quotient
     n, nn = spec.n, spec.divisions
-    mn = spec.half_width * nn
+    plan = _forward_plan(spec, quotient, off1)
+    if not (plan.complete or skip_outside):
+        raise DomainError("lattice shift leaves the sampling box; "
+                          "enlarge half_width or pass skip_outside")
     cell = spec.cell_coords()                       # (C, n) in units 1/N
     kg = spec.pairing_matrix()
-    gam = _gamma_grid_coords(spec, quotient)        # (|Z|, n) in units 1/N
-    t1 = cell + off1 * nn
-    shifts = spec.lattice_shifts()                  # (S, n), lambda*N
-    inside = np.all((shifts + t1.min(axis=0) >= -mn)
-                    & (shifts + t1.max(axis=0) <= mn), axis=1)
-    if not inside.all():
-        if not skip_outside:
-            raise DomainError("lattice shift leaves the sampling box; "
-                              "enlarge half_width or pass skip_outside")
-        shifts = shifts[inside]
-    grid = (nn,) * n
-    x = shifts @ spec.quotient_shape().kg // nn     # (S, n), x = kG lambda
-    idx = spec.box_flat_index(t1[:, None, :] + shifts[None, :, :])   # (C, S)
-    mod = np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)            # (|Z|, S)
-    shifted = np.zeros(idx.shape, dtype=complex)
-    for g in range(quotient.order):     # one gather at a time: O(C S) memory
-        shifted += f.values[g, idx] * mod[g]
-    folded = np.zeros((len(cell), nn ** n), dtype=complex)
-    # residues collide when the grid aliases (alias_margin <= 0)
-    np.add.at(folded, (slice(None), _ravel(x % nn, grid)), shifted)
-    out = np.fft.fftn(folded.reshape((-1,) + grid), axes=range(1, n + 1))
-    # e^{-pi i <t1, t2>_k} at t = cell + N off: the cell table times two
-    # diagonal modulations and a constant
-    row = np.exp(-1j * math.pi * (cell @ kg @ off2) / nn)
-    col = (np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
-           / math.sqrt(quotient.order))
-    return (out.reshape(len(cell), -1) * _half_angle_phase(spec)
-            * row[:, None] * col[None, :])
+    shifted = f.values[0].take(plan.gather)
+    shifted *= plan.modulation[0]
+    part = np.empty_like(shifted)
+    for g in range(1, quotient.order):  # one gather at a time: O(C S) memory
+        np.take(f.values[g], plan.gather, out=part)
+        part *= plan.modulation[g]
+        shifted += part
+    # e^{-pi i <t1, t2>_k} at t = cell + N off: the cell table times a row
+    # and a column modulation and a constant; the row one commutes with the
+    # fold and the DFT over columns, so it goes on the C x S block
+    if off2.any():
+        shifted *= np.exp(-1j * math.pi * (cell @ kg @ off2) / nn)[:, None]
+    out = np.zeros((len(cell),) * 2, dtype=complex)
+    out[:, plan.residues] = np.add.reduceat(shifted, plan.starts, axis=1)
+    grid = out.reshape((-1,) + (nn,) * n)
+    np.fft.fftn(grid, axes=range(1, n + 1), out=grid)
+    out *= _half_angle_phase(spec)
+    if off1.any():
+        out *= np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
+    return out
 
 
 def _half_angle_phase(spec: GridSpec) -> np.ndarray:
@@ -366,38 +417,46 @@ def alias_margin(spec: GridSpec) -> int:
     return best - 2 * spec.half_width * nn
 
 
+def _inverse_plan(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
+    """Flat index (|Z|, B^n) into the C x C inverse DFT of the read-off of
+    every box point m = p + ghat + N nu: row p, frequency (y + kG nu) mod N
+    with y = kG ghat.  Built once per grid, after the alias check, which
+    raises DomainError on a grid too coarse for alias-free inversion."""
+    if "inverse" not in spec._cache:
+        margin = alias_margin(spec)
+        if margin <= 0:
+            raise DomainError(
+                "grid too coarse for alias-free inversion; increase divisions "
+                f"(alias margin {margin} grid units)")
+        nn, grid = spec.divisions, (spec.divisions,) * spec.n
+        kg = spec.quotient_shape().kg
+        gam = _gamma_grid_coords(spec, quotient)
+        m = spec.box_coords()[None, :, :] - gam[:, None, :]     # (|Z|, B^n, n)
+        p = m % nn
+        freq = ((m - p) // nn @ kg + (gam @ kg // nn)[:, None, :]) % nn
+        spec._cache["inverse"] = _ravel(p, grid) * nn ** spec.n + _ravel(freq, grid)
+    return spec._cache["inverse"]
+
+
 def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     """Invert section samples back to a function family on the box grid.
 
     Requires an alias-free grid (alias_margin(spec) > 0); otherwise the
     periodic quadrature folds distant box points onto each other.
     """
-    if alias_margin(s.spec) <= 0:
-        raise DomainError(
-            "grid too coarse for alias-free inversion; increase divisions "
-            f"(alias margin {alias_margin(s.spec)} grid units)")
     spec, quotient = s.spec, s.quotient
     n, nn = spec.n, spec.divisions
-    grid = (nn,) * n
-    box = spec.box_coords()
-    kg = spec.quotient_shape().kg
-    gam = _gamma_grid_coords(spec, quotient)
+    readoff = _inverse_plan(spec, quotient)
     # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
     #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
     #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i (y + kG nu).q / N},
     # with y = kG ghat integral: one inverse DFT over q serves every ghat,
     # read off at (y + kG nu) mod N.  This is the adjoint of the forward.
-    y = gam @ kg // nn
-    st = s.values * _half_angle_phase(spec).conj()
-    coef = np.fft.ifftn(st.reshape((-1,) + grid), axes=range(1, n + 1))
-    coef = coef.reshape(len(st), -1)
-    cols = np.empty((quotient.order, len(box)), dtype=complex)
-    for ghat in range(quotient.order):
-        p = (box - gam[ghat]) % nn
-        nu = (box - gam[ghat] - p) // nn
-        freq = (nu @ kg + y[ghat]) % nn
-        cols[ghat] = coef[_ravel(p, grid), _ravel(freq, grid)]
-    return apply_finite_fourier(GridFunctionFamily(spec, quotient, cols))
+    coef = np.conjugate(_half_angle_phase(spec))
+    coef *= s.values
+    grid = coef.reshape((-1,) + (nn,) * n)
+    np.fft.ifftn(grid, axes=range(1, n + 1), out=grid)
+    return apply_finite_fourier(GridFunctionFamily(spec, quotient, coef.take(readoff)))
 
 
 def inner_family(f: GridFunctionFamily, g: GridFunctionFamily) -> complex:
@@ -430,7 +489,9 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
         lhs = _forward_values(f, np.asarray(mu1), np.asarray(mu2),
                               skip_outside=True)
         mult = multiplier_eval(rs, k, mu1, mu2, cell[:, None], cell[None, :])
-        worst = max(worst, float(np.abs(lhs - mult * s.values).max()))
+        mult *= s.values
+        lhs -= mult
+        worst = max(worst, float(np.abs(lhs).max()))
     return worst
 
 
@@ -492,37 +553,44 @@ def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:
     return GridFunctionFamily(spec, quotient, f.values[perm][:, idx])
 
 
+def _section_plan(spec: GridSpec, name: str):
+    """Flat gather index into the C x C samples and phase of section_S or
+    section_T, cached per grid.  Both read psi(a, b) with a a cell and b a
+    grid point; b = c + N mu with c its cell, and quasi-periodicity gives
+    psi(a, b) = e^{-pi i <a, mu>_k} psi(a, c)."""
+    key = "section_" + name
+    if key not in spec._cache:
+        nn, cell = spec.divisions, spec.cell_coords()
+        rows = np.arange(len(cell))
+        if name == "S":     # psi(theta2, -theta1)
+            a = np.broadcast_to(rows[None, :], (len(cell),) * 2)
+            b = np.broadcast_to(-cell[:, None, :], a.shape + (spec.n,))
+        else:               # psi(theta1, theta1 + theta2)
+            a = np.broadcast_to(rows[:, None], (len(cell),) * 2)
+            b = cell[:, None, :] + cell[None, :, :]
+        c = b % nn
+        mu = (b - c) // nn
+        gather = a * len(cell) + _ravel(c, (nn,) * spec.n)
+        expo = np.einsum("pqi,ij,pqj->pq", cell[a], spec.pairing_matrix(), mu)
+        spec._cache[key] = gather, np.exp(-1j * math.pi * expo / nn)
+    return spec._cache[key]
+
+
+def _apply_section(s: SectionSamples, name: str) -> SectionSamples:
+    gather, phase = _section_plan(s.spec, name)
+    out = s.values.take(gather)
+    out *= phase
+    return SectionSamples(s.spec, s.quotient, out, s.truncation_error)
+
+
 def section_S(s: SectionSamples) -> SectionSamples:
     """S-tilde: psi(theta1, theta2) -> psi(theta2, -theta1), folded to F_Lambda."""
-    spec = s.spec
-    nn = spec.divisions
-    cell = spec.cell_coords()
-    kg = spec.pairing_matrix()
-    out = np.empty_like(s.values)
-    for p, t1 in enumerate(cell):
-        folded = (-t1) % nn
-        mu = (-t1 - folded) // nn
-        phases = np.exp(-1j * math.pi * (cell @ kg @ mu) / nn)
-        out[p, :] = phases * s.values[:, _ravel(folded, (nn,) * spec.n)]
-    return SectionSamples(spec, s.quotient, out, s.truncation_error)
+    return _apply_section(s, "S")
 
 
 def section_T(s: SectionSamples) -> SectionSamples:
     """T-tilde: psi(theta1, theta2) -> psi(theta1, theta1 + theta2), folded."""
-    spec = s.spec
-    nn = spec.divisions
-    cell = spec.cell_coords()
-    kg = spec.pairing_matrix()
-    out = np.empty_like(s.values)
-    for q, t2 in enumerate(cell):
-        tot = cell + t2
-        folded = tot % nn
-        mu = (tot - folded) // nn
-        q_idx = _ravel(folded, (nn,) * spec.n)
-        phases = np.exp(-1j * math.pi
-                        * np.einsum("pi,ij,pj->p", cell, kg, mu) / nn)
-        out[:, q] = phases * s.values[np.arange(len(cell)), q_idx]
-    return SectionSamples(spec, s.quotient, out, s.truncation_error)
+    return _apply_section(s, "T")
 
 
 def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,

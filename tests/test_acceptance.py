@@ -63,7 +63,8 @@ def test_rank_one_alcove_counts():
 
 def test_transform_roundtrip_and_parseval():
     """Forward/inverse round trip and Parseval at production resolution,
-    at least 20 random inputs per level, under 60 seconds."""
+    at least 20 random inputs per level, under 5 seconds (about 30 times the
+    0.13-0.17 s it takes on a 2-vCPU VM)."""
     start = time.monotonic()
     rs = build_root_system(LieType("A", 1))
     for k in (1, 2):
@@ -71,7 +72,7 @@ def test_transform_roundtrip_and_parseval():
         assert rep["trials"] >= 20
         assert rep["roundtrip_residual"] < 1e-6
         assert rep["parseval_relative_error"] < 1e-6
-    assert time.monotonic() - start < 60.0
+    assert time.monotonic() - start < 5.0
 
 
 @pytest.mark.parametrize("n", [1, 2])

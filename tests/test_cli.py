@@ -372,11 +372,34 @@ def _not_a_large_grid(n):
 def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
                                                box_radius, s, sigma):
     """Any JSON scalar for the kernel verify fields exits 0-3: exit 0/1 with
-    strict JSON on stdout, exit 2/3 with one stderr line."""
+    strict JSON on stdout, exit 2/3 with one stderr line, and no warning."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": 2, "L": L, "grid_points": grid_points,
                                "box_radius": box_radius, "s": s, "sigma": sigma}))
-    _exit_contract(*run_err(capsys, "kernel", "verify", "--config", str(cfg)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _exit_contract(*run_err(capsys, "kernel", "verify", "--config", str(cfg)))
+
+
+def test_kernel_verify_chained_quadratures_past_float_range_exit_schema(capsys):
+    """With a generic sigma every kernel exponent is imaginary, so no single
+    kernel refuses a huge radius; the growth bound of the deepest chain of
+    quadratures does, before any basis block and without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "1", "--grid-points", "9", "--sigma", "0.3+1.1i",
+                                 "--box-radius", "1e100")
+        assert code == 2
+        assert out == "" and len(err.strip().splitlines()) == 1 and "float range" in err
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "1", "--grid-points", "9", "--sigma", "0.3+1.1i",
+                                 "--box-radius", "100")
+    # radius 100 is not refused: a finite artifact (9 points miss the
+    # tolerance there, exit 1, as before the bound)
+    assert code in (0, 1) and err == ""
+    doc = json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+    assert math.isfinite(doc["conjugation"]["max_relation_residual"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,6 +89,24 @@ def inverse_oracle(s, chunk=2048):
     return fam / math.sqrt(quotient.order)
 
 
+def section_oracle(s, name):
+    """S-tilde or T-tilde one cell at a time: fold the argument that leaves
+    F_Lambda and apply the multiplier of the folding translation."""
+    spec = s.spec
+    nn = spec.divisions
+    cell = spec.cell_coords()
+    kg = spec.pairing_matrix()
+    out = np.empty_like(s.values)
+    for p, t1 in enumerate(cell):
+        for q, t2 in enumerate(cell):
+            a, b, row = (t2, -t1, q) if name == "S" else (t1, t1 + t2, p)
+            folded = b % nn
+            mu = (b - folded) // nn
+            col = int(np.ravel_multi_index(tuple(folded), (nn,) * spec.n))
+            out[p, q] = np.exp(-1j * math.pi * (a @ kg @ mu) / nn) * s.values[row, col]
+    return out
+
+
 # A2: N=27, M=4; B2 k=2: |Z| = 16, N=12, M=1; G2: N=21, M=3
 ORACLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0), ("B", 2, 2, 4, 1.0),
                 ("G", 2, 1, 4, 1.5)]
@@ -146,6 +164,80 @@ def test_one_fft_per_transform(monkeypatch):
     wgz_inverse(s)
     assert calls == ["fftn", "ifftn"]
     assert spec._cache["half_angle"] is table
+
+
+PLAN_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0)]
+
+
+def _transform_all(f):
+    s = wgz_forward(f)
+    return (s, wgz_inverse(s), quasi_periodicity_residual(f, s),
+            section_S(s), section_T(s))
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
+def test_transforms_leave_inputs_and_cache_unchanged(fam, rank, k, res, radius):
+    """The in-place FFTs and phase multiplies write only into buffers the
+    call allocated: inputs and the half-angle table are byte-equal after."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(10))
+    f_bytes = f.values.tobytes()
+    s = wgz_forward(f)
+    s_bytes = s.values.tobytes()
+    table = spec._cache["half_angle"].tobytes()
+    wgz_inverse(s)
+    quasi_periodicity_residual(f, s)
+    section_S(s)
+    section_T(s)
+    wgz_forward(f)
+    assert f.values.tobytes() == f_bytes
+    assert s.values.tobytes() == s_bytes
+    assert spec._cache["half_angle"].tobytes() == table
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
+def test_repeated_calls_are_bit_identical(fam, rank, k, res, radius):
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(11))
+    first, second = _transform_all(f), _transform_all(f)
+    assert first[2] == second[2]
+    for a, b in zip(first[:2] + first[3:], second[:2] + second[3:]):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
+def test_plans_built_once_per_grid_and_offset(fam, rank, k, res, radius):
+    """One forward plan per theta1 offset (the quasi-periodicity
+    translations included), one inverse plan and one per section operator,
+    each reused as the same object by later calls."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = gaussian_family(spec, q)
+    _transform_all(f)
+    plans = dict(spec._cache)
+    eye = np.eye(rank, dtype=int)
+    offsets = {tuple(row) for row in eye} | {(0,) * rank}
+    assert {key[1] for key in plans if key[0] == "forward"} == offsets
+    for key in ("inverse", "section_S", "section_T", "half_angle"):
+        assert key in plans
+    _transform_all(random_gaussian_poly_family(spec, q, np.random.default_rng(12)))
+    assert spec._cache.keys() == plans.keys()
+    for key, obj in plans.items():
+        assert spec._cache[key] is obj, key
+
+
+@pytest.mark.parametrize("fam,rank,k,divisions", [("A", 1, 2, 16), ("A", 2, 1, 9),
+                                                   ("B", 2, 1, 6)])
+def test_section_operators_match_cell_by_cell_oracle(fam, rank, k, divisions):
+    rs = build_root_system(LieType(fam, rank))
+    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=1)
+    q = quotient_group(rs, k)
+    rng = np.random.default_rng(13)
+    shape = (spec.divisions ** rank,) * 2
+    s = SectionSamples(spec, q, rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    # scalar and vectorised exp differ in the last bits only
+    assert np.abs(section_S(s).values - section_oracle(s, "S")).max() <= 1e-13
+    assert np.abs(section_T(s).values - section_oracle(s, "T")).max() <= 1e-13
 
 
 @pytest.mark.parametrize("fam,rank,k,res,radius,stride",
