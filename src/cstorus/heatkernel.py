@@ -7,11 +7,12 @@ identity in a truncated basis.
 The eigenbasis is evaluated by one normalized recurrence,
 hermite_function_table.  On the flow's parameters |q| = 1, so every grid
 kernel here (the Mehler kernel, rho(S) and both eta kernels) has the form
-diag * exp(i beta y yt) * diag on a uniform grid.  Such a kernel is applied
-by one zero-padded FFT convolution with a chirp (Bluestein's chirp-z
-identity) in O(N log N) per column and is never formed as an N x N array;
-verify_conjugation applies each operator factor to the block of L basis
-columns.
+diag * exp(i beta y yt) * diag on a uniform grid.  _bilinear_phase applies
+diag * exp(i y.A y') * diag over the last n axes of an array by one
+zero-padded FFT convolution with a chirp (Bluestein's chirp-z identity),
+never forming the kernel: n = 1 here, n = rank in wgz.prequantum_S.
+verify_conjugation applies each operator factor to the L x N block of basis
+functions, one per row, so every FFT runs along the contiguous last axis.
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -262,13 +263,14 @@ class GridSamples1D:
 
 
 # a grid of more points than this raises ResourceLimitError.  No N x N kernel
-# is formed: the cost is the N x L blocks of verify_conjugation (L < N,
-# about a dozen alive at once) and FFT buffers of under 4N x L complex numbers
+# is formed: the cost is the L x N blocks of verify_conjugation (L < N,
+# about a dozen alive at once) and FFT buffers of under 2.5N x L complex numbers
 GRID_POINTS_CEILING = 4096
 
 # grid_points * L above this raises ResourceLimitError in verify_conjugation,
-# whose peak memory is ~20 complex N x L blocks: measured 138 MB at N = 1601,
-# L = 200 and 195 MB at this ceiling (N = 4096, L = 128), 244 MB at N*L = 640400
+# whose peak memory is ~15 complex L x N blocks: measured peak RSS 111 MB at
+# N = 1601, L = 200 and 171 MB at this ceiling (N = 4096, L = 128), 189 MB
+# at N = 1601, L = 400 (2-vCPU VM, numpy 2.4)
 GRID_BASIS_CEILING = 2 ** 19
 
 
@@ -328,7 +330,7 @@ def _check_quadratic(y: np.ndarray, *coeffs: complex) -> None:
     products overflow soon after.  A chirp or cross phase forms |t| up to
     (2r)^2, so |c| (2r)^2 must stay finite too.  Python floats overflow to
     inf without a warning, so the check itself is silent."""
-    r = float(max(abs(y[0]), abs(y[-1])))
+    r = float(np.abs(y).max())
     r2 = r * r
     for c in coeffs:
         if not (math.isfinite(4 * abs(c) * r2) and abs(c.real) * r2 <= 1):
@@ -336,43 +338,60 @@ def _check_quadratic(y: np.ndarray, *coeffs: complex) -> None:
                               f"phase for c = {complex(c):.6g}")
 
 
-def _bilinear_phase(beta: float, y: np.ndarray, d_out=1.0, d_in=1.0):
-    """The map x -> d_out_i sum_j exp(i beta y_i y_j) d_in_j x_j for x of shape
-    (N,) or (N, L) on the uniform grid y, without an N x N array.  With
-    y_i = y_c + h m_i and centred indices m,
-        y_i y_j = y_c^2 + y_c h (m_i + m_j) + h^2 (m_i^2 + m_j^2 - (i - j)^2) / 2,
-    so the sum is a convolution with the chirp exp(-i beta h^2 d^2 / 2), done
-    by one zero-padded FFT (Bluestein 1970).  The map's `gain`,
-    max|d_out| sum|d_in|, bounds how much one application can grow the sup
-    norm of its input, since every kernel entry has modulus one."""
-    _check_quadratic(y, 1j * beta)
-    n = len(y)
-    yc, h = 0.5 * (y[0] + y[-1]), (y[-1] - y[0]) / (n - 1)
-    m = np.arange(n) - 0.5 * (n - 1)
-    half = beta * (yc * h * m + 0.5 * (h * m) ** 2)
-    pre = (np.exp(1j * half) * d_in)[:, None]
-    post = (np.exp(1j * (half + beta * yc * yc)) * d_out)[:, None]
-    size = 1 << (2 * n - 2).bit_length()    # >= 2n - 1: no wrap-around
-    lag = np.arange(1 - n, n)
+def _smooth_length(m: int) -> int:
+    """The least 5-smooth 2^a 3^b 5^c >= m: the least power-of-two multiple
+    of each 3^b 5^c < 2m reaching m, a fast FFT length (Frigo & Johnson 2005)."""
+    odd = (3 ** b * 5 ** c for b in range(m.bit_length() + 1) for c in range(m.bit_length()))
+    return min(p << max(-(-m // p) - 1, 0).bit_length() for p in odd if p < 2 * m)
+
+
+def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0):
+    """The map x -> d_out(y) sum_y' exp(i y.A y') d_in(y') x(y') over the last
+    n axes of x, for A = form symmetric n x n (or a number) and y on the
+    product of n uniform grids.  As y.A y' = (y.A y + y'.A y' - d.A d) / 2
+    with d = y - y' on the lattice of steps, the sum is one fftn convolution
+    with the chirp exp(-i d.A d / 2), each axis zero-padded to the least
+    5-smooth length >= 2B - 1 (Bluestein 1970).  The input is only read.  The
+    map's `gain`, max|d_out| sum|d_in|, bounds how much one application can
+    grow the sup norm of its input, since every kernel entry has modulus one."""
+    form = np.atleast_2d(np.asarray(form, dtype=float))
+    shape = tuple(len(g) for g in grids)
+    _check_quadratic(np.array([g[i] for g in grids for i in (0, -1)]),
+                     1j * float(np.abs(form).sum()))
+
+    def half_form(ranges):  # x.A x / 2 on the mesh of one range per axis
+        x = np.meshgrid(*ranges, indexing="ij", sparse=True)
+        return 0.5 * sum(form[a, b] * x[a] * x[b] for a in range(len(x)) for b in range(len(x)))
+    half = np.exp(1j * half_form(grids))
+    pre, post = half * d_in, half * d_out
+    size = tuple(_smooth_length(2 * b - 1) for b in shape)
+    lag = [np.arange(1 - b, b) for b in shape]
+    steps = [(g[-1] - g[0]) / (len(g) - 1) for g in grids]
     chirp = np.zeros(size, dtype=complex)
-    chirp[lag % size] = np.exp(-0.5j * beta * (h * lag) ** 2)
-    chirp = np.fft.fft(chirp)[:, None]
+    chirp[np.ix_(*[d % p for d, p in zip(lag, size)])] = np.exp(
+        -1j * half_form([h * d for h, d in zip(steps, lag)]))
+    axes, crop = tuple(range(-len(form), 0)), (Ellipsis,) + tuple(slice(0, b) for b in shape)
+    np.fft.fftn(chirp, axes=axes, out=chirp)
 
     def apply(x):
         x = np.asarray(x)
-        u = np.fft.fft(pre * (x if x.ndim == 2 else x[:, None]), size, axis=0)
-        out = post * np.fft.ifft(chirp * u, axis=0)[:n]
-        return out if x.ndim == 2 else out[:, 0]
+        # out of place into a fresh C-ordered buffer: x of any layout is kept
+        buf = np.zeros(x.shape[:x.ndim - len(shape)] + size, dtype=complex)
+        np.multiply(pre, x, out=buf[crop])
+        np.fft.fftn(buf, axes=axes, out=buf)
+        buf *= chirp
+        np.fft.ifftn(buf, axes=axes, out=buf)
+        return post * buf[crop]
     # Python floats: a product past the float range is inf, without a warning
     apply.gain = (float(np.abs(d_out).max())
-                  * float(np.abs(np.broadcast_to(d_in, y.shape)).sum()))
+                  * float(np.abs(np.broadcast_to(d_in, shape)).sum()))
     return apply
 
 
 def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
             inverse: bool = False):
     """exp(-+ r Laplacian_sigma) by quadrature with weights w on the uniform
-    grid y, as a map on (N,) or (N, L) arrays.  The Mehler closed form with
+    grid y, as a map on (N,) or (L, N) arrays.  The Mehler closed form with
     ratio q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2):
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
@@ -393,7 +412,7 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
     root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
     _check_quadratic(y, d - 1j * math.pi / sigma, d + 1j * math.pi / sigma.conjugate())
     y2 = y * y
-    return _bilinear_phase(c.imag, y,
+    return _bilinear_phase(c.imag, [y],
                            d_out=root * np.exp((d - 1j * math.pi / sigma) * y2),
                            d_in=w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2))
 
@@ -468,34 +487,34 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
     d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
     det = -1 if spec.sector == 1 else 1     # det(w) of w = -1, in sector 1 only
-    vals = (_bilinear_phase(beta, y, d_out, d_in)(f.values)
-            + det * _bilinear_phase(-beta, y, d_out, d_in)(f.values))
+    vals = (_bilinear_phase(beta, [y], d_out, d_in)(f.values)
+            + det * _bilinear_phase(-beta, [y], d_out, d_in)(f.values))
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
 
 
 def _projector(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    bw = b.conj().T * w[None, :]
+    bw = b.conj() * w
     try:
-        return np.linalg.solve(bw @ b, bw)
+        return np.linalg.solve(bw @ b.T, bw)
     except np.linalg.LinAlgError:
-        raise DomainError(f"Gram matrix of the L={b.shape[1]} Hermite basis is "
+        raise DomainError(f"Gram matrix of the L={len(b)} Hermite basis is "
                           f"singular on the {len(w)}-point grid")
 
 
 def _rho(generator: str, y: np.ndarray, w: np.ndarray):
     """Grid realization of the continuous generator factors
     rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
-    as a map on N x L blocks, with the `gain` of _bilinear_phase."""
+    as a map on L x N blocks, with the `gain` of _bilinear_phase."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
-        return _bilinear_phase(2 * math.pi, y, d_out=j_const, d_in=w)
+        return _bilinear_phase(2 * math.pi, [y], d_out=j_const, d_in=w)
     _check_quadratic(y, -1j * math.pi)
     phase = omega * np.exp(-1j * math.pi * y ** 2)
 
     def apply(x):
-        return phase[:, None] * x
+        return phase * x
     apply.gain = 1.0        # a pointwise phase
     return apply
 
@@ -569,10 +588,12 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     flow2 = {gen: _mehler(params, y, w, sig2[gen], inverse=True) for gen in sig2}
     rho = {gen: _rho(gen, y, w) for gen in sig2}
     _check_chain_growth(y, heat_m, heat_p, flow2, rho)
-    b0 = hermite_function_table(L - 1, y, sigma).T
+    # a block holds one function per row; x @ p.T is the transposed L x L
+    # coefficient matrix, read only through max|.| until es and et
+    b0 = hermite_function_table(L - 1, y, sigma)
     p0 = _projector(b0, w)
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
-    eigen = np.array([2 * k * (l + 0.5) for l in range(L)])[:, None]
+    eigen = 2 * k * (np.arange(L) + 0.5)
 
     report = {
         "k": k, "s": s, "branch": branch,
@@ -584,36 +605,36 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     eta_b0 = {}
     conj_resid = {}
     invariance = {}
-    lap0_b0 = b0 @ (eigen * (p0 @ b0))
+    lap0_b0 = (b0 @ p0.T * eigen) @ b0
     for gen in ("S", "T"):
-        b2 = hermite_function_table(L - 1, y, sig2[gen]).T
+        b2 = hermite_function_table(L - 1, y, sig2[gen])
         p2 = _projector(b2, w)
         rho_b0 = rho[gen](b0)
         eta[gen] = lambda x, r=rho[gen]: heat_m(r(heat_p(x)))
         eta_b0[gen] = eta[gen](b0)
         conj_resid[gen] = float(np.max(np.abs(
-            p0 @ (eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
+            (eta_b0[gen] - heat_m(flow2[gen](rho_b0))) @ p0.T)))
         invariance[gen] = float(np.max(np.abs(
-            p0 @ (rho[gen](lap0_b0) - b2 @ (eigen * (p2 @ rho_b0))))))
+            (rho[gen](lap0_b0) - (rho_b0 @ p2.T * eigen) @ b2) @ p0.T)))
 
     # faithful composition on the grid, projected to the observed block
     s2_b0 = eta["S"](eta_b0["S"])
     braid_b0 = b0
     for _ in range(3):
         braid_b0 = eta["S"](eta["T"](braid_b0))
-    gram0 = b0.conj().T @ (w[:, None] * b0)
+    gram0 = b0.conj() @ (w * b0).T
     relations = {
-        "residual_S4": float(np.max(np.abs(p0 @ eta["S"](eta["S"](s2_b0)) - np.eye(L)))),
-        "residual_braid": float(np.max(np.abs(p0 @ (braid_b0 - s2_b0)))),
+        "residual_S4": float(np.max(np.abs(eta["S"](eta["S"](s2_b0)) @ p0.T - np.eye(L)))),
+        "residual_braid": float(np.max(np.abs((braid_b0 - s2_b0) @ p0.T))),
         "residual_S_unitary": float(np.max(np.abs(
-            eta_b0["S"].conj().T @ (w[:, None] * eta_b0["S"]) - gram0))),
+            eta_b0["S"].conj() @ (w * eta_b0["S"]).T - gram0))),
         "residual_T_unitary": float(np.max(np.abs(
-            eta_b0["T"].conj().T @ (w[:, None] * eta_b0["T"]) - gram0))),
+            eta_b0["T"].conj() @ (w * eta_b0["T"]).T - gram0))),
     }
     # truncation-sensitivity curve: multiply the compressed L x L matrices
     # and track the ground-state column, whose error is set by the basis
     # tail the compression discards (decreases as L grows)
-    es, et = p0 @ eta_b0["S"], p0 @ eta_b0["T"]
+    es, et = (eta_b0["S"] @ p0.T).T, (eta_b0["T"] @ p0.T).T
     e0 = np.zeros(L)
     e0[0] = 1.0
     s2 = es @ es

@@ -41,6 +41,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, SchemaError
+from .heatkernel import _bilinear_phase
 from .lattice import QuotientGroup, _quotient_shape, quotient_group
 from .roots import RootSystem
 
@@ -259,20 +260,24 @@ def gaussian_family(spec: GridSpec, quotient: QuotientGroup,
 def random_gaussian_poly_family(spec: GridSpec, quotient: QuotientGroup,
                                 rng: np.random.Generator,
                                 max_degree: int = 3) -> GridFunctionFamily:
-    """Random polynomial-times-Gaussian family, one random profile per index."""
-    kg = spec.pairing_matrix()
+    """Random polynomial-times-Gaussian family, one random profile per index,
+    from one draw; summed a degree at a time, so two family arrays at most."""
+    n, kg = spec.n, spec.pairing_matrix()
     coords = spec.box_coords() / spec.divisions
-    q = np.einsum("pi,ij,pj->p", coords, kg, coords)
-    env = np.exp(-math.pi * q)
-    vals = []
-    for _ in range(quotient.order):
-        poly = np.zeros(len(coords), dtype=complex)
-        for d in range(max_degree + 1):
-            c = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
-            poly += (coords @ c) ** d * (rng.standard_normal()
-                                         + 1j * rng.standard_normal())
-        vals.append(poly * env)
-    return GridFunctionFamily(spec, quotient, np.stack(vals))
+    env = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, kg, coords))
+    # per index and degree: re c, im c, re a, im a of the term (theta.c)^d a
+    z = rng.standard_normal((quotient.order, max_degree + 1, 2 * n + 2))
+    c = z[..., :n] + 1j * z[..., n:2 * n]
+    a = z[..., 2 * n] + 1j * z[..., 2 * n + 1]
+    vals = np.zeros((quotient.order, len(coords)), dtype=complex)
+    term = np.empty_like(vals)
+    for d in range(max_degree + 1):
+        np.einsum("zi,pi->zp", c[:, d], coords, out=term)
+        term **= d
+        term *= a[:, d, None]
+        vals += term
+    vals *= env
+    return GridFunctionFamily(spec, quotient, vals)
 
 
 @dataclass
@@ -525,22 +530,18 @@ def prequantum_T(f: GridFunctionFamily) -> GridFunctionFamily:
 def prequantum_S(f: GridFunctionFamily) -> GridFunctionFamily:
     """S-hat = F_Z^{-1} composed with the continuous Fourier transform F_E.
 
-    F_E is evaluated by box quadrature with the dvol_k weight; accuracy is
+    F_E, the kernel e^{2 pi i <theta, theta'>_k} dvol_k summed over the box,
+    is one n-d chirp convolution per f_gamma (_bilinear_phase); accuracy is
     limited by the sampling resolution and the decay of f at the boundary.
     """
     spec, quotient = f.spec, f.quotient
-    nn = spec.divisions
-    kg = spec.pairing_matrix()
-    box = spec.box_coords()
-    vals = np.empty_like(f.values)
-    chunk = max(1, 10_000_000 // max(len(box), 1))
-    for lo in range(0, len(box), chunk):
-        kernel = np.exp(2j * math.pi
-                        * (box[lo:lo + chunk] @ kg @ box.T) / nn ** 2)
-        vals[:, lo:lo + chunk] = f.values @ kernel.T
-    vals *= spec.cell_volume()
+    box = (spec.box_points_per_axis,) * spec.n
+    axis = np.linspace(-spec.half_width, spec.half_width, box[0])
+    op = _bilinear_phase(2 * math.pi * spec.pairing_matrix(), [axis] * spec.n,
+                         d_in=spec.cell_volume())
+    vals = op(f.values.reshape((quotient.order,) + box))
     return apply_finite_fourier(
-        GridFunctionFamily(spec, quotient, vals), inverse=True)
+        GridFunctionFamily(spec, quotient, vals.reshape(quotient.order, -1)), inverse=True)
 
 
 def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:

@@ -114,8 +114,11 @@ def test_mehler_flow_eigenvalues(s):
 def test_conjugated_generators_and_truncation_curve():
     """Two constructions of the conjugated generators agree below 1e-5 at
     L = 12; the faithfully composed relations hold below 1e-4; and the
-    truncated-algebra residuals decrease monotonically as L grows."""
+    truncated-algebra residuals decrease monotonically as L grows, all four
+    truncations in under 2 seconds."""
+    start = time.monotonic()
     reports = {L: verify_conjugation(2, 1.0, L=L) for L in (6, 8, 10, 12)}
+    elapsed = time.monotonic() - start
     final = reports[12]
     assert final["max_conjugation_residual"] < 1e-5
     assert final["max_relation_residual"] < 1e-4
@@ -124,6 +127,7 @@ def test_conjugated_generators_and_truncation_curve():
         curve = [reports[L]["truncated_relation_residuals"][key]
                  for L in (6, 8, 10, 12)]
         assert all(a > b for a, b in zip(curve, curve[1:])), (key, curve)
+    assert elapsed < 2.0
 
 
 def test_compact_bridge():

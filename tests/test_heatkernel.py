@@ -15,7 +15,8 @@ from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
                                 laplacian_explicit, mobius_sigma, norm_sq,
                                 solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
-from cstorus.heatkernel import _bilinear_phase, _mehler, _rank_one_phases
+from cstorus.heatkernel import (_bilinear_phase, _mehler, _rank_one_phases, _rho,
+                                _smooth_length)
 
 
 def mehler_closed_kernel(q, sigma, y_out, y_in, root_q=None):
@@ -407,15 +408,88 @@ def _mehler_beta(sigma=0.3 + 1.1j):
 @pytest.mark.parametrize("lo, hi, n", GRIDS)
 def test_bilinear_phase_matches_dense(lo, hi, n, beta):
     """The chirp convolution equals the dense exp(i beta y yt) product on
-    symmetric and offset grids, odd and even N, for 1-d and N x L inputs."""
+    symmetric and offset grids, odd and even N, for 1-d and L x N inputs."""
     y = np.linspace(lo, hi, n)
     rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     dense = np.exp(1j * beta * np.outer(y, y))
-    op = _bilinear_phase(beta, y)
-    assert op(x).shape == (n, 3)
-    assert _relmax(op(x), dense @ x) <= 1e-12
-    assert _relmax(op(x[:, 0]), dense @ x[:, 0]) <= 1e-12
+    op = _bilinear_phase(beta, [y])
+    assert op(x).shape == (3, n)
+    assert _relmax(op(x), x @ dense.T) <= 1e-12
+    assert _relmax(op(x[0]), dense @ x[0]) <= 1e-12
+
+
+# odd, even and offset boxes, with forms of both signatures
+BOXES = [((-3.0, 3.0, 31), (-3.0, 3.0, 31)),
+         ((-2.0, 2.0, 30), (-2.5, 2.5, 26)),
+         ((0.5, 3.5, 31), (-1.0, 2.0, 30))]
+FORMS = [2 * math.pi * np.array([[2.0, -1.0], [-1.0, 2.0]]),
+         np.array([[0.7, 1.9], [1.9, -2.3]])]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=["A2", "indefinite"])
+@pytest.mark.parametrize("box", BOXES, ids=["odd", "even", "offset"])
+def test_bilinear_phase_matches_dense_2d(box, form):
+    """The n = 2 operator, with diagonals, equals the dense
+    d_out exp(i y.A y') d_in product over the box, on a batch of inputs."""
+    grids = [np.linspace(*axis) for axis in box]
+    shape = tuple(len(g) for g in grids)
+    pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(shape)
+    d_out = np.exp(1j * rng.normal(size=shape))
+    d_in = rng.uniform(0.5, 1.5, size=shape)
+    x = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+    dense = (d_out.reshape(-1, 1) * np.exp(1j * pts @ form @ pts.T)
+             * d_in.reshape(1, -1))
+    got = _bilinear_phase(form, grids, d_out, d_in)(x)
+    assert got.shape == x.shape
+    assert _relmax(got.reshape(2, -1), x.reshape(2, -1) @ dense.T) <= 1e-12
+
+
+def test_smooth_length_is_least_5_smooth():
+    """The FFT length is the least 2^a 3^b 5^c >= m, by brute force."""
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(14) for b in range(9) for c in range(6))
+    for m in range(1, 5001):
+        assert _smooth_length(m) == next(v for v in smooth if v >= m)
+    assert _smooth_length(3201) == 3240
+
+
+def _assert_layout_free(op, shape):
+    """op leaves the same block in C and in Fortran order unchanged and
+    gives one result for both."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    outs = []
+    for x in (x, np.asfortranarray(x)):
+        before = x.copy()
+        outs.append(op(x))
+        assert np.array_equal(x, before)
+    assert _relmax(outs[1], outs[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+def test_operators_leave_inputs_unchanged(generator):
+    """Every grid operator reads its input only: the helper (n = 1, 2), the
+    Mehler flow, rho and the eta and heat kernels, on L x N blocks (or the
+    strided rows of one) in C and Fortran order; the transpose of a
+    C-ordered table is a Fortran-ordered block."""
+    y = uniform_grid(6.0, 401)
+    w = trapezoid_weights(y)
+    p = solve_params(2, 1.0)
+    _assert_layout_free(_bilinear_phase(2 * math.pi, [y], d_in=w), (5, 401))
+    grids = [np.linspace(-2.0, 2.0, 21), np.linspace(0.0, 3.0, 24)]
+    _assert_layout_free(_bilinear_phase(FORMS[1], grids, d_in=0.5), (3, 21, 24))
+    _assert_layout_free(_mehler(p, y, w, p.sigma), (5, 401))
+    _assert_layout_free(_mehler(p, y, w, mobius_sigma(generator, p.sigma), True), (5, 401))
+    _assert_layout_free(_rho(generator, y, w), (5, 401))
+    # a row of an F-ordered block is a strided 1-d view
+    _assert_layout_free(
+        lambda x: heat_apply(GridSamples1D(y=y, values=x[1]), p).values, (5, 401))
+    half = np.linspace(0.0, 6.0, 301)
+    spec = EtaKernelSpec(1, generator, solve_params(2, 0.0))
+    _assert_layout_free(
+        lambda x: eta_apply(GridSamples1D(y=half, values=x[1]), spec).values, (5, 301))
 
 
 @pytest.mark.parametrize("inverse", [False, True])

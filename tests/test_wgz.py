@@ -10,7 +10,8 @@ import pytest
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
-from cstorus.wgz import (WGZ_ARRAY_CEILING, GridSpec, SectionSamples, _forward_values,
+from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
+                         SectionSamples, _forward_values,
                          _gamma_grid_coords, alias_margin,
                          apply_finite_fourier, family_from_callable,
                          gaussian_family, grid_spec_from_box, inner_family,
@@ -354,18 +355,91 @@ def test_grid_spec_from_box_bumps_past_alias_limit():
 
 def test_operator_intertwining():
     """S-tilde and T-tilde on sections match the prequantum operators
-    transported through the transform composed with the finite Fourier map."""
-    rs, spec, q = make("A", 1, 2, 48, 6.0)
-    rng = np.random.default_rng(1)
-    f = random_gaussian_poly_family(spec, q, rng)
-    zf = wgz_forward(apply_finite_fourier(f))
-    scale = np.abs(zf.values).max()
-    lhs_s = section_S(zf).values
-    rhs_s = wgz_forward(apply_finite_fourier(prequantum_S(f))).values
-    assert np.abs(lhs_s - rhs_s).max() / scale < 1e-8
-    lhs_t = section_T(zf).values
-    rhs_t = wgz_forward(apply_finite_fourier(prequantum_T(f))).values
-    assert np.abs(lhs_t - rhs_t).max() / scale < 1e-10
+    transported through the transform composed with the finite Fourier map,
+    in rank one and two."""
+    for case in [("A", 1, 2, 48, 6.0), ("A", 2, 1, 3, 3.0), ("B", 2, 1, 3, 3.0)]:
+        rs, spec, q = make(*case)
+        rng = np.random.default_rng(1)
+        f = random_gaussian_poly_family(spec, q, rng)
+        zf = wgz_forward(apply_finite_fourier(f))
+        scale = np.abs(zf.values).max()
+        lhs_s = section_S(zf).values
+        rhs_s = wgz_forward(apply_finite_fourier(prequantum_S(f))).values
+        assert np.abs(lhs_s - rhs_s).max() / scale < 1e-8, case
+        lhs_t = section_T(zf).values
+        rhs_t = wgz_forward(apply_finite_fourier(prequantum_T(f))).values
+        assert np.abs(lhs_t - rhs_t).max() / scale < 1e-10, case
+
+
+def prequantum_S_dense(f):
+    """S-hat with the continuous Fourier factor as the dense B^n x B^n box
+    kernel e^{2 pi i <theta, theta'>_k} times the cell volume, built in row
+    chunks.  Oracle for the chirp-convolution prequantum_S."""
+    spec, quotient = f.spec, f.quotient
+    nn = spec.divisions
+    kg = spec.pairing_matrix()
+    box = spec.box_coords()
+    vals = np.empty_like(f.values)
+    chunk = max(1, 10_000_000 // max(len(box), 1))
+    for lo in range(0, len(box), chunk):
+        kernel = np.exp(2j * math.pi
+                        * (box[lo:lo + chunk] @ kg @ box.T) / nn ** 2)
+        vals[:, lo:lo + chunk] = f.values @ kernel.T
+    vals *= spec.cell_volume()
+    return apply_finite_fourier(
+        GridFunctionFamily(spec, quotient, vals), inverse=True)
+
+
+@pytest.mark.parametrize("fam, rank, k, divisions, half_width",
+                         [("A", 1, 2, 48, 3), ("A", 2, 1, 30, 1), ("G", 2, 1, 24, 1)])
+def test_prequantum_S_matches_dense_kernel(fam, rank, k, divisions, half_width):
+    rs = build_root_system(LieType(fam, rank))
+    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
+    f = random_gaussian_poly_family(spec, quotient_group(rs, k), np.random.default_rng(5))
+    assert relmax(prequantum_S(f).values, prequantum_S_dense(f).values) <= 1e-12
+
+
+def random_family_sequential(spec, quotient, rng, max_degree=3):
+    """The random family drawn index by index and degree by degree: oracle
+    for the stream order of the one-draw random_gaussian_poly_family."""
+    kg = spec.pairing_matrix()
+    coords = spec.box_coords() / spec.divisions
+    env = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, kg, coords))
+    vals = []
+    for _ in range(quotient.order):
+        poly = np.zeros(len(coords), dtype=complex)
+        for d in range(max_degree + 1):
+            c = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
+            poly += (coords @ c) ** d * (rng.standard_normal()
+                                         + 1j * rng.standard_normal())
+        vals.append(poly * env)
+    return np.stack(vals)
+
+
+@pytest.mark.parametrize("fam, rank, k, res, radius",
+                         [("A", 1, 2, 32, 5.0), ("A", 2, 1, 3, 2.0), ("G", 2, 1, 3, 2.0)])
+def test_random_family_matches_sequential_draws(fam, rank, k, res, radius):
+    """One draw gives the family of one draw per index and degree: bit for
+    bit in rank one (one product per point), to rounding in rank two."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    got = random_gaussian_poly_family(spec, q, np.random.default_rng(4)).values
+    want = random_family_sequential(spec, q, np.random.default_rng(4))
+    if rank == 1:
+        assert np.array_equal(got, want)
+    assert relmax(got, want) <= 1e-15
+
+
+def test_random_family_holds_two_family_arrays():
+    """The degree-at-a-time sum keeps two |Z| x B^n arrays besides the
+    per-point coordinates and envelope (half a family each in A1)."""
+    rs = build_root_system(LieType("A", 1))
+    spec = GridSpec(rs=rs, k=1, divisions=256, half_width=64)
+    spec.box_coords()
+    tracemalloc.start()
+    f = random_gaussian_poly_family(spec, quotient_group(rs, 1), np.random.default_rng(0))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2.75 * f.values.nbytes
 
 
 def test_prequantum_T_on_single_index_gaussian():
