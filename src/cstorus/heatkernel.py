@@ -10,9 +10,10 @@ kernel here (the Mehler kernel, rho(S) and both eta kernels) has the form
 diag * exp(i beta y yt) * diag on a uniform grid.  _bilinear_phase applies
 diag * exp(i y.A y') * diag over the last n axes of an array by one
 zero-padded FFT convolution with a chirp (Bluestein's chirp-z identity),
-never forming the kernel: n = 1 here, n = rank in wgz.prequantum_S.
-verify_conjugation applies each operator factor to the L x N block of basis
-functions, one per row, so every FFT runs along the contiguous last axis.
+never forming the kernel: n = 1 in heat_apply, n = rank in wgz.prequantum_S.
+_folded_phase applies the rank-one W-sum of such kernels on y >= 0 with one
+FFT pair of half the length: in eta_apply, and in verify_conjugation, whose
+basis row v_l has parity (-1)^l, on L x N/2 blocks (one function per row).
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -263,14 +264,14 @@ class GridSamples1D:
 
 
 # a grid of more points than this raises ResourceLimitError.  No N x N kernel
-# is formed: the cost is the L x N blocks of verify_conjugation (L < N,
-# about a dozen alive at once) and FFT buffers of under 2.5N x L complex numbers
+# is formed: the cost is the folded L x B blocks of verify_conjugation
+# (B = ceil(N/2), L < N, about a dozen alive at once) and two FFT buffers of
+# L x P complex numbers, P the least 5-smooth length >= 2B - 1 (P < 1.16N)
 GRID_POINTS_CEILING = 4096
 
-# grid_points * L above this raises ResourceLimitError in verify_conjugation,
-# whose peak memory is ~15 complex L x N blocks: measured peak RSS 111 MB at
-# N = 1601, L = 200 and 171 MB at this ceiling (N = 4096, L = 128), 189 MB
-# at N = 1601, L = 400 (2-vCPU VM, numpy 2.4)
+# grid_points * L above this raises ResourceLimitError in verify_conjugation:
+# measured peak RSS 77 MB at N = 1601, L = 200 and 110 MB at this ceiling
+# (N = 4096, L = 128), 123 MB at N = 1601, L = 400 (2-vCPU VM, numpy 2.4)
 GRID_BASIS_CEILING = 2 ** 19
 
 
@@ -388,10 +389,51 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0):
     return apply
 
 
+def _folded_phase(beta, u, d_out=1.0, d_in=1.0, signs=1.0):
+    """x -> d_out(u) sum_u' [exp(i beta u u') + s exp(-i beta u u')] d_in(u')
+    x(u') over the last axis of x on a uniform grid u = u0 + j h, s = signs (a
+    number or one per row): on u >= 0 the kernel exp(i beta y y') summed over
+    W = {+-1} with det(w)^sigma = s, for W-invariant (s = 1) or anti-invariant
+    (s = -1) functions (symmetric convolution, Martucci 1994).  Both terms
+    share the diagonal chirp exp(i beta u^2/2); the first is a convolution in
+    i - j with exp(-i beta (h d)^2/2), the second a correlation in i + j with
+    exp(-i beta (2 u0 + h m)^2/2), m < 2B - 1, met by the input spectrum at -k.
+    So one FFT pair of the least 5-smooth length >= 2B - 1 applies both.  The
+    input is only read; `gain` is that of _bilinear_phase, doubled."""
+    b, size = len(u), _smooth_length(2 * len(u) - 1)
+    h = (u[-1] - u[0]) / (b - 1)
+    _check_quadratic(u[[0, -1]], 1j * abs(beta))
+    half = np.exp(0.5j * beta * u * u)
+    pre, post = half * d_in, half * d_out
+    lag = np.arange(1 - b, b)
+    chirps = np.zeros((2, size), dtype=complex)
+    chirps[0, lag % size] = np.exp(-0.5j * beta * (h * lag) ** 2)
+    chirps[1, :2 * b - 1] = np.exp(-0.5j * beta * (2 * u[0] + h * np.arange(2 * b - 1)) ** 2)
+    np.fft.fft(chirps, out=chirps)
+    conv, corr = chirps
+
+    def apply(x):
+        x = np.asarray(x)
+        # out of place into a fresh C-ordered buffer: x of any layout is kept
+        buf = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+        np.multiply(pre, x, out=buf[..., :b])
+        np.fft.fft(buf, out=buf)
+        mirror = buf[..., -np.arange(size)]     # G[-k] of the input spectrum G
+        mirror *= corr * signs
+        buf *= conv
+        buf += mirror
+        np.fft.ifft(buf, out=buf)
+        return post * buf[..., :b]
+    apply.gain = (2.0 * float(np.abs(d_out).max())
+                  * float(np.abs(np.broadcast_to(d_in, (b,))).sum()))
+    return apply
+
+
 def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
-            inverse: bool = False):
+            inverse: bool = False, signs=None):
     """exp(-+ r Laplacian_sigma) by quadrature with weights w on the uniform
-    grid y, as a map on (N,) or (L, N) arrays.  The Mehler closed form with
+    grid y, as a map on (N,) or (L, N) arrays; given signs, folded on y >= 0
+    for rows of those parities (_folded_phase).  The Mehler closed form with
     ratio q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2):
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
@@ -412,9 +454,11 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
     root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
     _check_quadratic(y, d - 1j * math.pi / sigma, d + 1j * math.pi / sigma.conjugate())
     y2 = y * y
-    return _bilinear_phase(c.imag, [y],
-                           d_out=root * np.exp((d - 1j * math.pi / sigma) * y2),
-                           d_in=w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2))
+    d_out = root * np.exp((d - 1j * math.pi / sigma) * y2)
+    d_in = w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2)
+    if signs is None:
+        return _bilinear_phase(c.imag, [y], d_out, d_in)
+    return _folded_phase(c.imag, y, d_out, d_in, signs)
 
 
 def heat_apply(psi, params: HWParams, inverse: bool = False):
@@ -486,32 +530,22 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     _check_quadratic(y, math.pi * bb + chirp, -math.pi * bb + chirp)
     d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
     d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
-    det = -1 if spec.sector == 1 else 1     # det(w) of w = -1, in sector 1 only
-    vals = (_bilinear_phase(beta, [y], d_out, d_in)(f.values)
-            + det * _bilinear_phase(-beta, [y], d_out, d_in)(f.values))
+    # the sign det(w) of w = -1, in sector 1 only
+    vals = _folded_phase(beta, y, d_out, d_in, -1 if spec.sector == 1 else 1)(f.values)
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
 
 
-def _projector(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    bw = b.conj() * w
-    try:
-        return np.linalg.solve(bw @ b.T, bw)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"Gram matrix of the L={len(b)} Hermite basis is "
-                          f"singular on the {len(w)}-point grid")
-
-
-def _rho(generator: str, y: np.ndarray, w: np.ndarray):
+def _rho(generator: str, u: np.ndarray, w: np.ndarray, signs):
     """Grid realization of the continuous generator factors
     rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
-    as a map on L x N blocks, with the `gain` of _bilinear_phase."""
+    as a map on folded L x B blocks of row parities signs, with its `gain`."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
-        return _bilinear_phase(2 * math.pi, [y], d_out=j_const, d_in=w)
-    _check_quadratic(y, -1j * math.pi)
-    phase = omega * np.exp(-1j * math.pi * y ** 2)
+        return _folded_phase(2 * math.pi, u, d_out=j_const, d_in=w, signs=signs)
+    _check_quadratic(u, -1j * math.pi)
+    phase = omega * np.exp(-1j * math.pi * u ** 2)
 
     def apply(x):
         return phase * x
@@ -579,19 +613,36 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
             f"grid of {grid_points} points times L = {L} exceeds the ceiling "
             f"{GRID_BASIS_CEILING} on grid_points * L")
     y = uniform_grid(box_radius, grid_points)
-    w = trapezoid_weights(y)
+    # row l of every block has parity (-1)^l, kept by every operator, so all
+    # runs on the folded half u >= 0, u = 0 (odd N) at half weight; a line
+    # integral is 2 sum_u over rows of equal parity, the others are 0
+    u, wf = y[grid_points // 2:], trapezoid_weights(y)[grid_points // 2:]
+    wf[0] /= 1 + grid_points % 2
+    signs = 1.0 - 2.0 * (np.arange(L) % 2)[:, None]
+    same = signs == signs.T
     # every kernel before any basis table, so that a grid too wide for one
     # of them is refused before the grid x L work
-    heat_m = _mehler(params, y, w, sigma)
-    heat_p = _mehler(params, y, w, sigma, inverse=True)
+    heat_m = _mehler(params, u, wf, sigma, signs=signs)
+    heat_p = _mehler(params, u, wf, sigma, inverse=True, signs=signs)
     sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
-    flow2 = {gen: _mehler(params, y, w, sig2[gen], inverse=True) for gen in sig2}
-    rho = {gen: _rho(gen, y, w) for gen in sig2}
+    flow2 = {gen: _mehler(params, u, wf, sig2[gen], True, signs) for gen in sig2}
+    rho = {gen: _rho(gen, u, wf, signs) for gen in sig2}
     _check_chain_growth(y, heat_m, heat_p, flow2, rho)
-    # a block holds one function per row; x @ p.T is the transposed L x L
-    # coefficient matrix, read only through max|.| until es and et
-    b0 = hermite_function_table(L - 1, y, sigma)
-    p0 = _projector(b0, w)
+
+    def gram(a, b):     # the L x L line integrals conj(a_l) b_m
+        return same * (a.conj() @ (2 * wf * b).T)
+
+    def projector(b):   # x -> x @ p.T, the transposed coefficients in the rows of b
+        try:
+            p = np.linalg.solve(gram(b, b), b.conj() * (2 * wf))
+        except np.linalg.LinAlgError:
+            raise DomainError(f"Gram matrix of the L={L} Hermite basis is "
+                              f"singular on the {grid_points}-point grid")
+        return lambda x: same * (x @ p.T)
+
+    # one function per row of a block; coefficients are read via max|.| until es, et
+    b0 = hermite_function_table(L - 1, u, sigma)
+    proj0 = projector(b0)
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
     eigen = 2 * k * (np.arange(L) + 0.5)
 
@@ -605,36 +656,34 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     eta_b0 = {}
     conj_resid = {}
     invariance = {}
-    lap0_b0 = (b0 @ p0.T * eigen) @ b0
+    lap0_b0 = (proj0(b0) * eigen) @ b0
+    heat_p_b0 = heat_p(b0)
     for gen in ("S", "T"):
-        b2 = hermite_function_table(L - 1, y, sig2[gen])
-        p2 = _projector(b2, w)
+        b2 = hermite_function_table(L - 1, u, sig2[gen])
         rho_b0 = rho[gen](b0)
         eta[gen] = lambda x, r=rho[gen]: heat_m(r(heat_p(x)))
-        eta_b0[gen] = eta[gen](b0)
+        eta_b0[gen] = heat_m(rho[gen](heat_p_b0))
         conj_resid[gen] = float(np.max(np.abs(
-            (eta_b0[gen] - heat_m(flow2[gen](rho_b0))) @ p0.T)))
+            proj0(eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
         invariance[gen] = float(np.max(np.abs(
-            (rho[gen](lap0_b0) - (rho_b0 @ p2.T * eigen) @ b2) @ p0.T)))
+            proj0(rho[gen](lap0_b0) - (projector(b2)(rho_b0) * eigen) @ b2))))
 
     # faithful composition on the grid, projected to the observed block
     s2_b0 = eta["S"](eta_b0["S"])
-    braid_b0 = b0
-    for _ in range(3):
+    braid_b0 = eta["S"](eta_b0["T"])
+    for _ in range(2):
         braid_b0 = eta["S"](eta["T"](braid_b0))
-    gram0 = b0.conj() @ (w * b0).T
+    gram0 = gram(b0, b0)
     relations = {
-        "residual_S4": float(np.max(np.abs(eta["S"](eta["S"](s2_b0)) @ p0.T - np.eye(L)))),
-        "residual_braid": float(np.max(np.abs((braid_b0 - s2_b0) @ p0.T))),
-        "residual_S_unitary": float(np.max(np.abs(
-            eta_b0["S"].conj() @ (w * eta_b0["S"]).T - gram0))),
-        "residual_T_unitary": float(np.max(np.abs(
-            eta_b0["T"].conj() @ (w * eta_b0["T"]).T - gram0))),
+        "residual_S4": float(np.max(np.abs(proj0(eta["S"](eta["S"](s2_b0))) - np.eye(L)))),
+        "residual_braid": float(np.max(np.abs(proj0(braid_b0 - s2_b0)))),
+        "residual_S_unitary": float(np.max(np.abs(gram(eta_b0["S"], eta_b0["S"]) - gram0))),
+        "residual_T_unitary": float(np.max(np.abs(gram(eta_b0["T"], eta_b0["T"]) - gram0))),
     }
     # truncation-sensitivity curve: multiply the compressed L x L matrices
     # and track the ground-state column, whose error is set by the basis
     # tail the compression discards (decreases as L grows)
-    es, et = (eta_b0["S"] @ p0.T).T, (eta_b0["T"] @ p0.T).T
+    es, et = proj0(eta_b0["S"]).T, proj0(eta_b0["T"]).T
     e0 = np.zeros(L)
     e0[0] = 1.0
     s2 = es @ es

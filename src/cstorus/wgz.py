@@ -531,17 +531,18 @@ def prequantum_S(f: GridFunctionFamily) -> GridFunctionFamily:
     """S-hat = F_Z^{-1} composed with the continuous Fourier transform F_E.
 
     F_E, the kernel e^{2 pi i <theta, theta'>_k} dvol_k summed over the box,
-    is one n-d chirp convolution per f_gamma (_bilinear_phase); accuracy is
-    limited by the sampling resolution and the decay of f at the boundary.
+    is one n-d chirp convolution per f_gamma in turn (_bilinear_phase); accuracy
+    is limited by the sampling resolution and the decay of f at the boundary.
     """
     spec, quotient = f.spec, f.quotient
     box = (spec.box_points_per_axis,) * spec.n
     axis = np.linspace(-spec.half_width, spec.half_width, box[0])
     op = _bilinear_phase(2 * math.pi * spec.pairing_matrix(), [axis] * spec.n,
                          d_in=spec.cell_volume())
-    vals = op(f.values.reshape((quotient.order,) + box))
-    return apply_finite_fourier(
-        GridFunctionFamily(spec, quotient, vals.reshape(quotient.order, -1)), inverse=True)
+    vals = np.empty_like(f.values)
+    for out, row in zip(vals, f.values):
+        out[:] = op(row.reshape(box)).reshape(-1)
+    return apply_finite_fourier(GridFunctionFamily(spec, quotient, vals), inverse=True)
 
 
 def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:

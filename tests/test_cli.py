@@ -366,7 +366,7 @@ def _not_a_large_grid(n):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(L=_scalar_or(1, 6, 12), grid_points=_scalar_or(8, 101, 201).filter(_not_a_large_grid),
+@given(L=_scalar_or(1, 6, 12), grid_points=_scalar_or(8, 100, 101, 201).filter(_not_a_large_grid),
        box_radius=_scalar_or(4.0, 10.0), s=_scalar_or(0.0, 1.0, -2.5),
        sigma=_scalar_or(None, "1i", "0.3+1.1i"))
 def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,

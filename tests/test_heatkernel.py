@@ -15,8 +15,8 @@ from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
                                 laplacian_explicit, mobius_sigma, norm_sq,
                                 solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
-from cstorus.heatkernel import (_bilinear_phase, _mehler, _rank_one_phases, _rho,
-                                _smooth_length)
+from cstorus.heatkernel import (_bilinear_phase, _folded_phase, _mehler,
+                                _rank_one_phases, _rho, _smooth_length)
 
 
 def mehler_closed_kernel(q, sigma, y_out, y_in, root_q=None):
@@ -419,6 +419,35 @@ def test_bilinear_phase_matches_dense(lo, hi, n, beta):
     assert _relmax(op(x[0]), dense @ x[0]) <= 1e-12
 
 
+# folded grids u0 + j h: odd N folded at u0 = 0, even N at u0 = h/2, and
+# one starting past the fold
+FOLDS = [np.linspace(-6.0, 6.0, 301)[150:], np.linspace(-6.0, 6.0, 400)[200:],
+         np.linspace(0.5, 7.0, 301)]
+
+
+@pytest.mark.parametrize("beta", [2 * math.pi, -2 * math.pi, _mehler_beta()])
+@pytest.mark.parametrize("u", FOLDS, ids=["odd", "even", "offset"])
+def test_folded_phase_matches_dense(u, beta):
+    """The one-FFT-pair folded operator, with diagonals, equals the dense
+    W-sum d_out sum_w det(w)^sigma exp(i beta (w u) u') d_in for signs
+    +1, -1 and one sign per row, on blocks and on one row."""
+    n = len(u)
+    rng = np.random.default_rng(n)
+    d_out = np.exp(1j * rng.normal(size=n))
+    d_in = rng.uniform(0.5, 1.5, size=n)
+    x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    cross = np.exp(1j * beta * np.outer(u, u))
+    dense = {s: d_out[:, None] * (cross + s / cross) * d_in[None, :] for s in (1, -1)}
+    for signs in (1, -1, np.array([[1.0], [-1.0], [-1.0]])):
+        op = _folded_phase(beta, u, d_out, d_in, signs)
+        want = np.stack([dense[int(s)] @ row
+                         for s, row in zip(np.broadcast_to(signs, (3, 1))[:, 0], x)])
+        assert op(x).shape == (3, n)
+        assert _relmax(op(x), want) <= 1e-12
+    for s in (1, -1):
+        assert _relmax(_folded_phase(beta, u, d_out, d_in, s)(x[0]), dense[s] @ x[0]) <= 1e-12
+
+
 # odd, even and offset boxes, with forms of both signatures
 BOXES = [((-3.0, 3.0, 31), (-3.0, 3.0, 31)),
          ((-2.0, 2.0, 30), (-2.5, 2.5, 26)),
@@ -470,8 +499,9 @@ def _assert_layout_free(op, shape):
 
 @pytest.mark.parametrize("generator", ["S", "T"])
 def test_operators_leave_inputs_unchanged(generator):
-    """Every grid operator reads its input only: the helper (n = 1, 2), the
-    Mehler flow, rho and the eta and heat kernels, on L x N blocks (or the
+    """Every grid operator reads its input only: the helpers (bilinear
+    n = 1, 2, and folded), the Mehler flow on the line and folded, the
+    folded rho and the eta and heat kernels, on L x N blocks (or the
     strided rows of one) in C and Fortran order; the transpose of a
     C-ordered table is a Fortran-ordered block."""
     y = uniform_grid(6.0, 401)
@@ -481,8 +511,11 @@ def test_operators_leave_inputs_unchanged(generator):
     grids = [np.linspace(-2.0, 2.0, 21), np.linspace(0.0, 3.0, 24)]
     _assert_layout_free(_bilinear_phase(FORMS[1], grids, d_in=0.5), (3, 21, 24))
     _assert_layout_free(_mehler(p, y, w, p.sigma), (5, 401))
-    _assert_layout_free(_mehler(p, y, w, mobius_sigma(generator, p.sigma), True), (5, 401))
-    _assert_layout_free(_rho(generator, y, w), (5, 401))
+    u, wf, signs = y[200:], w[200:], 1.0 - 2.0 * (np.arange(5) % 2)[:, None]
+    _assert_layout_free(_folded_phase(2 * math.pi, u, d_in=wf, signs=signs), (5, 201))
+    _assert_layout_free(_mehler(p, u, wf, mobius_sigma(generator, p.sigma), True, signs),
+                        (5, 201))
+    _assert_layout_free(_rho(generator, u, wf, signs), (5, 201))
     # a row of an F-ordered block is a strided 1-d view
     _assert_layout_free(
         lambda x: heat_apply(GridSamples1D(y=y, values=x[1]), p).values, (5, 401))
@@ -574,10 +607,12 @@ SMALL = dict(L=6, grid_points=201, box_radius=6.0)
     pytest.param(None, SMALL, id="None"),
     pytest.param(0.3 + 1.1j, SMALL, id="(0.3+1.1j)"),
     pytest.param(None, dict(L=8, grid_points=601, box_radius=8.0), id="L8-601"),
+    pytest.param(None, dict(L=6, grid_points=200, box_radius=6.0), id="even-200"),
 ])
 def test_verify_conjugation_matches_dense_composition(sigma, size):
-    """Operators applied to the N x L block one factor at a time give every
-    report field of the dense N x N composition. Box radius 6 keeps the
+    """Operators applied to the folded L x B block one factor at a time give
+    every report field of the dense N x N composition on the line, for odd N
+    (folded at u = 0) and even N (at u = h/2). Box radius 6 keeps the
     201-point grid resolving e^{2 pi i y yt}; at radius 10 it aliases and the
     faithful braid residual is ~1.6e4."""
     got = dict(_flat(verify_conjugation(2, 1.0, sigma=sigma, **size)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
+from cstorus.heatkernel import _smooth_length
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
@@ -440,6 +441,22 @@ def test_random_family_holds_two_family_arrays():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2.75 * f.values.nbytes
+
+
+def test_prequantum_S_holds_one_padded_buffer():
+    """The chirp convolution runs one gamma at a time: besides its output
+    family and the finite Fourier result, prequantum_S holds a few padded
+    B'^n buffers (the chirp and one input), not one per gamma (A2 k=2,
+    |Z| = 12)."""
+    rs = build_root_system(LieType("A", 2))
+    spec = GridSpec(rs=rs, k=2, divisions=12, half_width=3)
+    f = random_gaussian_poly_family(spec, quotient_group(rs, 2), np.random.default_rng(0))
+    padded = 16 * _smooth_length(2 * spec.box_points_per_axis - 1) ** spec.n
+    tracemalloc.start()
+    prequantum_S(f)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * f.values.nbytes + 3 * padded
 
 
 def test_prequantum_T_on_single_index_gaussian():
