@@ -17,10 +17,6 @@ def mat(rows) -> Mat:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
@@ -30,14 +26,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def bilinear(g: Mat, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -82,15 +70,6 @@ def inverse(a: Mat) -> Mat:
                 f = m[r][col]
                 m[r] = [e - f * p for e, p in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def is_integral(v: Sequence[Fraction]) -> bool:
-    return all(Fraction(e).denominator == 1 for e in v)
-
-
-def frac_part(v: Sequence[Fraction]) -> Vec:
-    """Componentwise reduction to [0, 1)."""
-    return tuple(Fraction(e) - (Fraction(e).numerator // Fraction(e).denominator) for e in v)
 
 
 def smith_normal_form(m):

@@ -3,7 +3,9 @@ the sector S and T matrices, assembled from Weyl orbits on the quotient
 group, and SL(2,Z) relation checks.
 
 Phase bookkeeping is exact: every phase exponent is an integer numerator
-over a fixed denominator, reduced as an integer and evaluated once.
+over a fixed denominator, reduced as an integer and evaluated once: the
+`pair` and `norm` of Z (lattice), so S and T are the Weil representation of
+Z that wgz applies, restricted to the W-invariants or W-anti-invariants.
 """
 
 from __future__ import annotations
@@ -118,23 +120,24 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     sum over the orbit O_a, with det(w) signs where the convention asks for
     them; a sign-carrying orbit whose stabilizer holds an odd element sums
     to zero. T is diagonal with entries omega^{-1} exp(pi i <a,a>_k) under
-    the default convention. Every phase is an integer numerator over D or
-    2D (D the exponent of Z), evaluated once. A sector of dimension above
-    SECTOR_DIM_CEILING raises ResourceLimitError before S is allocated.
+    the default convention. Every phase is an integer numerator over D or 2D
+    (D the exponent of Z) from `pair` or `norm`, evaluated once. A sector of
+    dimension above SECTOR_DIM_CEILING raises ResourceLimitError before S is
+    allocated.
     """
     if sector not in (0, 1):
         raise SchemaError(f"sector must be 0 or 1, got {sector}")
     if phases is None:
         phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
-    d = orbits.denom
+    z, d = orbits.shape, orbits.shape.denom
     idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(orbits.pairings))
     if len(idx) > SECTOR_DIM_CEILING:
         raise ResourceLimitError(
             f"sector {sector} dimension {len(idx)} exceeds the ceiling "
             f"{SECTOR_DIM_CEILING} for {rs.lie_type}, k={k}")
     use_det = convention.det_in_invariant == (sector == 0)
-    cols = orbits.pairings[idx]
+    points = orbits.numerators[idx]
     roots = np.exp(-2j * math.pi * np.arange(d) / d)
     members = orbits.members()
     s = np.zeros((len(idx), len(idx)), dtype=complex)
@@ -142,7 +145,7 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
         if use_det and orbits.odd_stabilizer[a]:
             continue
         m = members[a]
-        phase = roots[orbits.elements[m] @ cols.T % d]
+        phase = roots[z.pair(orbits.elements[m], points)]
         s[r] = (orbits.sign[m] @ phase) if use_det else phase.sum(axis=0)
     # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
     # interior points have trivial stabilizers
@@ -150,11 +153,10 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent)
                                                / math.sqrt(len(orbits.elements)))
 
-    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = x.n / (2D), over lcm(2D, den(omega))
+    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = norm / (2D), over lcm(2D, den(omega))
     om = phases.omega_exponent
     den = math.lcm(2 * d, om.denominator)
-    norms = np.einsum("ij,ij->i", orbits.numerators[idx], cols) % (2 * d)
-    num = (convention.t_sign * norms * (den // (2 * d))
+    num = (convention.t_sign * z.norm(points) * (den // (2 * d))
            - om.numerator * (den // om.denominator)) % den
     t = np.diag(np.exp(2j * math.pi * num / den))
 

@@ -26,6 +26,7 @@ functions, with alpha = 2 pi Im(sigma)/|sigma|^2 > 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -274,6 +275,12 @@ GRID_POINTS_CEILING = 4096
 # (N = 4096, L = 128), 123 MB at N = 1601, L = 400 (2-vCPU VM, numpy 2.4)
 GRID_BASIS_CEILING = 2 ** 19
 
+# verify_conjugation refuses a Hermite basis whose Gram matrix has a larger
+# condition number, by which rounding can grow in the projections.  Measured
+# 1.0-1.14 on resolving grids (L <= 200, 101-4096 points), 1e4-1e21 on 8 or 9
+# points; at 3e16 (L = 7 on 8) residuals moved 10x under rounding changes
+GRAM_CONDITION_CEILING = 1e8
+
 
 def _check_grid_size(points: int) -> None:
     if points > GRID_POINTS_CEILING:
@@ -494,6 +501,7 @@ class EtaKernelSpec:
             raise SchemaError(f"generator must be 'S' or 'T', got {self.generator!r}")
 
 
+@functools.cache
 def _rank_one_phases() -> Tuple[complex, complex]:
     """(j, omega) for the rank-one root system: j = i^{-1}, omega = e^{i pi/4}."""
     from .finrep import phase_constants
@@ -593,7 +601,9 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
     accepts (_check_quadratic) and 1 <= L < grid_points; grid_points above
     GRID_POINTS_CEILING or grid_points * L above GRID_BASIS_CEILING raises
-    ResourceLimitError before any kernel or basis block is built.
+    ResourceLimitError before any kernel or basis block is built.  A Hermite
+    basis at sigma or a Moebius image whose Gram condition number exceeds
+    GRAM_CONDITION_CEILING raises DomainError before any residual.
     """
     params = solve_params(k, s, branch=branch)
     sigma = params.sigma if sigma is None else complex(sigma)
@@ -633,16 +643,19 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         return same * (a.conj() @ (2 * wf * b).T)
 
     def projector(b):   # x -> x @ p.T, the transposed coefficients in the rows of b
-        try:
-            p = np.linalg.solve(gram(b, b), b.conj() * (2 * wf))
-        except np.linalg.LinAlgError:
-            raise DomainError(f"Gram matrix of the L={L} Hermite basis is "
-                              f"singular on the {grid_points}-point grid")
+        g = gram(b, b)
+        if not (cond := np.linalg.cond(g)) <= GRAM_CONDITION_CEILING:
+            raise DomainError(f"Gram matrix of the L={L} Hermite basis has condition number "
+                              f"{cond:.3g} on the {grid_points}-point grid, over "
+                              f"{GRAM_CONDITION_CEILING:g}: the grid does not resolve it")
+        p = np.linalg.solve(g, b.conj() * (2 * wf))
         return lambda x: same * (x @ p.T)
 
-    # one function per row of a block; coefficients are read via max|.| until es, et
+    # one function per row of a block; coefficients are read via max|.| until es, et;
+    # every projector before any residual, so an unresolved basis is refused first
     b0 = hermite_function_table(L - 1, u, sigma)
-    proj0 = projector(b0)
+    b2 = {gen: hermite_function_table(L - 1, u, sig2[gen]) for gen in sig2}
+    proj0, proj2 = projector(b0), {gen: projector(b2[gen]) for gen in sig2}
     # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
     eigen = 2 * k * (np.arange(L) + 0.5)
 
@@ -659,14 +672,13 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     lap0_b0 = (proj0(b0) * eigen) @ b0
     heat_p_b0 = heat_p(b0)
     for gen in ("S", "T"):
-        b2 = hermite_function_table(L - 1, u, sig2[gen])
         rho_b0 = rho[gen](b0)
         eta[gen] = lambda x, r=rho[gen]: heat_m(r(heat_p(x)))
         eta_b0[gen] = heat_m(rho[gen](heat_p_b0))
         conj_resid[gen] = float(np.max(np.abs(
             proj0(eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
         invariance[gen] = float(np.max(np.abs(
-            proj0(rho[gen](lap0_b0) - (projector(b2)(rho_b0) * eigen) @ b2))))
+            proj0(rho[gen](lap0_b0) - (proj2[gen](rho_b0) * eigen) @ b2[gen]))))
 
     # faithful composition on the grid, projected to the observed block
     s2_b0 = eta["S"](eta_b0["S"])

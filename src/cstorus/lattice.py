@@ -5,6 +5,9 @@ Conventions: vectors are coroot-basis coordinates, and the coroot lattice is
 Z^n in these coordinates.  A point gamma of the k-scaled dual lattice is held
 as the int vector x = D gamma of numerators over the exponent D of Z; its
 canonical coset representative is x mod D, in the half-open cube [0,1)^n.
+With q(gamma) = <gamma, gamma>_k / 2 mod 1, Z is a discriminant form; its
+integer `pair` and `norm` (_QuotientShape) give every phase on Z in finrep
+and wgz, whose finite operators are its Weil representation.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ class _QuotientShape:
         coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)."""
         y = np.indices(self.divisors).reshape(len(self.divisors), -1).T
         return (y * (self.denom // self.divisors)) @ self.v.T % self.denom
+
+    def pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """D <a, b>_k mod D for numerators x (A, n), y (B, n), shape (A, B)."""
+        return x @ (y @ self.kg // self.denom).T % self.denom
+
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        """D <a, a>_k mod 2D = 2D q(a) for numerators x (..., n); the coroot
+        lattice is even, so this is a function on Z."""
+        return np.einsum("...i,...i->...", x, x @ self.kg // self.denom) % (2 * self.denom)
 
 
 def _quotient_shape(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> _QuotientShape:
@@ -148,10 +160,10 @@ def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
 class WeylOrbits:
     """The W-orbits on Z = (kG)^{-1} Z^n / Z^n, one per closed-alcove point.
 
-    Points are int arrays of numerators over the exponent `denom` of Z, so
-    a point x pairs with the alcove point of pairings n as <x, n>_k = x.n / D.
+    Points are int arrays of numerators over the exponent D of Z (`shape`),
+    so a point x pairs with the alcove point of pairings n as <x, n>_k = x.n / D.
     """
-    denom: int
+    shape: _QuotientShape
     pairings: np.ndarray        # (dim, n) n_i = <gamma, b_i>_k of each alcove point
     numerators: np.ndarray      # (dim, n) D * gamma, not reduced mod D
     interior: np.ndarray        # (dim,) in the open alcove
@@ -162,7 +174,7 @@ class WeylOrbits:
     stabilizer_sizes: Tuple[int, ...]
 
     def labels(self, idx) -> Tuple[Vec, ...]:
-        return tuple(tuple(Fraction(int(x), self.denom) for x in self.numerators[i])
+        return tuple(tuple(Fraction(int(x), self.shape.denom) for x in self.numerators[i])
                      for i in idx)
 
     def members(self) -> List[np.ndarray]:
@@ -182,7 +194,7 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     Memory is O(|Z| n); |Z| above Z_ORDER_CEILING raises ResourceLimitError.
     """
     shape = _quotient_shape(rs, k)
-    n, d = rs.rank, shape.denom
+    n = rs.rank
     pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
     interior = (pairings >= 1).all(axis=1) & (pairings @ _comarks(rs) <= k - 1)
     numerators = pairings @ shape.kinv.T
@@ -208,7 +220,7 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
         front = np.flatnonzero((orbit >= 0) & ~known)
     assert (orbit >= 0).all(), "alcove orbits do not cover the quotient"
     w_order = weyl_order(rs.lie_type)
-    return WeylOrbits(denom=d, pairings=pairings, numerators=numerators, interior=interior,
+    return WeylOrbits(shape=shape, pairings=pairings, numerators=numerators, interior=interior,
                       elements=elements, orbit=orbit, sign=sign, odd_stabilizer=odd,
                       stabilizer_sizes=tuple(w_order // int(m) for m in
                                              np.bincount(orbit, minlength=dim)))

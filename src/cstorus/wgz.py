@@ -28,7 +28,8 @@ conjugate half-angle phase, runs ifftn in place and gathers the family from
 it.  So each call allocates one C x C array besides O(C S) and the |Z| B^n
 family, and no (cells x box points) matrix is formed.  A grid whose section
 samples (N^(2n)) or family values (|Z| B^n) exceed WGZ_ARRAY_CEILING complex
-entries is refused before any array is allocated.
+entries is refused before any array is allocated.  F_Z and the Gauss factor
+G_Z read their phases from the integer pair and norm of Z (lattice), as finrep.
 """
 
 from __future__ import annotations
@@ -502,28 +503,24 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
 
 def apply_finite_fourier(f: GridFunctionFamily, inverse: bool = False
                          ) -> GridFunctionFamily:
-    """F_Z (or its inverse) acting on the finite index of a family."""
-    spec, quotient = f.spec, f.quotient
-    nn = spec.divisions
-    kg = spec.pairing_matrix()
-    gam = _gamma_grid_coords(spec, quotient)
-    expo = (gam @ kg @ gam.T) / nn ** 2
-    sign = -1.0 if inverse else 1.0
-    mat = np.exp(sign * 2j * math.pi * expo) / math.sqrt(quotient.order)
-    return GridFunctionFamily(spec, quotient, mat @ f.values)
+    """F_Z (or its inverse) acting on the finite index of a family: the
+    kernel e^{+-2 pi i <a, b>_k} / sqrt|Z|, a D-th root of unity per entry
+    from the integer pairing on Z."""
+    quotient, z = f.quotient, f.spec.quotient_shape()
+    sign = -2j if inverse else 2j
+    roots = np.exp(sign * math.pi * np.arange(z.denom) / z.denom) / math.sqrt(quotient.order)
+    mat = roots[z.pair(quotient.numerators, quotient.numerators)]
+    return GridFunctionFamily(f.spec, quotient, mat @ f.values)
 
 
 def prequantum_T(f: GridFunctionFamily) -> GridFunctionFamily:
-    """T-hat = G_Z (finite Gauss phase) composed with G_E^{-1} (pointwise)."""
-    spec, quotient = f.spec, f.quotient
-    nn = spec.divisions
-    kg = spec.pairing_matrix()
+    """T-hat = G_Z (finite Gauss phase e^{2 pi i q(gamma)}, from the integer
+    norm on Z) composed with G_E^{-1} (pointwise e^{-pi i <theta, theta>_k})."""
+    spec, quotient, z = f.spec, f.quotient, f.spec.quotient_shape()
     box = spec.box_coords()
-    gam = _gamma_grid_coords(spec, quotient)
-    qbox = np.einsum("pi,ij,pj->p", box, kg, box) / nn ** 2
+    qbox = np.einsum("pi,ij,pj->p", box, z.kg, box) / spec.divisions ** 2
     out = f.values * np.exp(-1j * math.pi * qbox)[None, :]
-    qg = np.einsum("pi,ij,pj->p", gam, kg, gam) / nn ** 2
-    out = out * np.exp(1j * math.pi * qg)[:, None]
+    out *= np.exp(1j * math.pi * z.norm(quotient.numerators) / z.denom)[:, None]
     return GridFunctionFamily(spec, quotient, out)
 
 

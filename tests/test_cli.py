@@ -309,11 +309,14 @@ def test_kernel_verify_degenerate_grid_exits_schema(capsys, extra):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("extra", [("--sigma", "100i"), ("--box-radius", "100"),
+@pytest.mark.parametrize("extra", [("--sigma", "100i"),
+                                   ("--box-radius", "100", "--grid-points", "2001"),
                                    ("--box-radius", "100", "--L", "1", "--grid-points", "9")])
 def test_kernel_verify_wide_gaussian_stays_finite(capsys, extra):
     """Each Mehler diagonal is one exp of its summed exponent, so a wide
-    ground state or box neither overflows nor turns into NaN."""
+    ground state or box neither overflows nor turns into NaN.  The box of
+    radius 100 has 2001 points to resolve the Hermite basis; on 201 points
+    it is refused (test_kernel_verify_unresolved_basis_exits_schema)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
@@ -321,6 +324,20 @@ def test_kernel_verify_wide_gaussian_stays_finite(capsys, extra):
     assert code in (0, 1) and err == ""
     doc = json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
     assert math.isfinite(doc["conjugation"]["max_relation_residual"])
+
+
+@pytest.mark.parametrize("extra", [
+    ("--L", "7", "--grid-points", "8", "--box-radius", "4", "--sigma", "0.3+1.1i"),
+    ("--L", "6", "--grid-points", "201", "--box-radius", "10", "--sigma", "100i"),
+    ("--L", "6", "--grid-points", "201", "--box-radius", "100")])
+def test_kernel_verify_unresolved_basis_exits_schema(capsys, extra):
+    """A Gram matrix over GRAM_CONDITION_CEILING is refused with one line
+    naming its condition number, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0", *extra)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "condition number" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "heat", "eta"])

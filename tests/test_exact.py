@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cstorus import exact
+from test_lattice import frac_part, identity, is_integral, vec_sub
 
 
 def rand_int_matrix(rng, n, lo=-6, hi=6):
@@ -25,7 +26,7 @@ def test_det_and_inverse_roundtrip():
             continue
         inv = exact.inverse(m)
         prod = exact.mat_mul(m, inv)
-        assert prod == exact.identity(n)
+        assert prod == identity(n)
 
 
 def test_det_multiplicative():
@@ -63,9 +64,9 @@ def test_smith_normal_form_randomized():
 
 def test_frac_part_and_integrality():
     v = (Fraction(7, 3), Fraction(-1, 4), Fraction(2))
-    fp = exact.frac_part(v)
+    fp = frac_part(v)
     assert fp == (Fraction(1, 3), Fraction(3, 4), Fraction(0))
-    assert exact.is_integral(exact.vec_sub(v, fp))
+    assert is_integral(vec_sub(v, fp))
 
 
 def test_bilinear_symmetric_gram():

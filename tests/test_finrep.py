@@ -14,9 +14,11 @@ from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
                             SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
-from cstorus.lattice import AlcoveSet, QuotientGroup, alcove_points, quotient_group
+from cstorus.lattice import (AlcoveSet, QuotientGroup, alcove_points, quotient_group,
+                             weyl_orbits)
 from cstorus.roots import LieType, RootSystem, build_root_system
-from test_lattice import fraction_quotient
+from cstorus.wgz import GridFunctionFamily, GridSpec, apply_finite_fourier, prequantum_T
+from test_lattice import fraction_quotient, is_integral, vec_sub
 
 
 # -- brute-force oracles: Weyl-group sums and full quotient-space operators --
@@ -78,7 +80,7 @@ def stabilizer_scan(rs: RootSystem, points) -> Tuple[int, ...]:
     scan over the whole Weyl group."""
     wg = rs.weyl_group()
     return tuple(sum(1 for w in wg.elements
-                     if exact.is_integral(exact.vec_sub(w.apply(g), g)))
+                     if is_integral(vec_sub(w.apply(g), g)))
                  for g in points)
 
 
@@ -261,6 +263,61 @@ def test_operator_route_oracle():
             m = rep_matrices(rs, k, sector)
             assert np.abs(b.conj().T @ s_full @ b - m.s).max() < 1e-12
             assert np.abs(b.conj().T @ t_full @ b - m.t).max() < 1e-12
+
+
+WEIL_CASES = ([("A", 1, k) for k in range(1, 7)] + [("A", 2, k) for k in range(1, 5)]
+              + [(f, 2, k) for f in "BG" for k in range(1, 4)]
+              + [(f, r, k) for f, r in [("A", 3), ("C", 3), ("D", 4), ("F", 4)]
+                 for k in (1, 2)])
+
+
+@pytest.mark.parametrize("convention", ["lemma", "theorem"])
+@pytest.mark.parametrize("fam,rank,k", WEIL_CASES)
+def test_sector_matrices_are_the_restricted_weil_representation(fam, rank, k, convention):
+    """The WGZ layer's finite operators, F_Z from apply_finite_fourier and
+    G_Z from prequantum_T at the box origin (where its pointwise factor is
+    1), are the Weil representation of Z: j^{-1} F_Z^{-1} and omega^{-1} G_Z
+    satisfy S^4 = Id and (S T)^3 = S^2 on all of Z.  Restricted to the
+    W-(anti)symmetrized orbit basis B they are the sector matrices:
+    S = j^{-1} B^T F_Z^{-1} B, and T = omega^{-1} B^T G_Z^{t_sign} B on the
+    columns that do not vanish."""
+    rs = build_root_system(LieType(fam, rank))
+    conv = Convention.from_name(convention)
+    pp = phase_constants(rs)
+    q = quotient_group(rs, k)
+    orbits = weyl_orbits(rs, k)
+    spec = GridSpec(rs=rs, k=k, divisions=q.denom, half_width=1)
+    points = spec.box_points_per_axis ** rank
+    unit = np.zeros((q.order, points), dtype=complex)
+    unit[:, :q.order] = np.eye(q.order)
+    # Z in the lexicographic order of the WGZ side, read in orbits.elements order
+    perm = q.index_of(orbits.elements)
+    f_inv = apply_finite_fourier(GridFunctionFamily(spec, q, unit), inverse=True).values
+    f_inv = f_inv[:, :q.order][np.ix_(perm, perm)]
+    origin = spec.box_flat_index(np.zeros(rank, dtype=np.int64))
+    gauss = prequantum_T(GridFunctionFamily(spec, q, np.ones((q.order, points))))
+    gauss = gauss.values[perm, origin]
+    s_full, t_full = f_inv / pp.j, np.diag(gauss) / pp.omega
+    s2 = s_full @ s_full
+    assert np.abs(s2 @ s2 - np.eye(q.order)).max() <= 1e-13
+    assert np.abs(np.linalg.matrix_power(s_full @ t_full, 3) - s2).max() <= 1e-13
+    if conv.t_sign < 0:
+        gauss = gauss.conj()
+    members = orbits.members()
+    for sector in (0, 1):
+        m = rep_matrices(rs, k, sector, convention=conv)
+        use_det = conv.det_in_invariant == (sector == 0)
+        idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(members))
+        basis = np.zeros((q.order, len(idx)))
+        for c, a in enumerate(idx):
+            if not (use_det and orbits.odd_stabilizer[a]):
+                o = members[a]
+                basis[o, c] = (orbits.sign[o] if use_det else 1) / math.sqrt(len(o))
+        s = basis.T @ f_inv @ basis / pp.j
+        assert np.abs(s - m.s).max(initial=0.0) <= 1e-13
+        live = np.flatnonzero(basis.any(axis=0))
+        t = (basis.T * gauss) @ basis / pp.omega
+        assert np.abs((t - m.t)[np.ix_(live, live)]).max(initial=0.0) <= 1e-13
 
 
 def test_rank_one_worked_example():

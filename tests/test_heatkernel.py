@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cstorus.errors import DomainError, InconsistencyError, SchemaError
-from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
-                                alpha_constant, eta_apply, ground_state,
+from cstorus.finrep import phase_constants
+from cstorus.heatkernel import (GRAM_CONDITION_CEILING, EtaKernelSpec, GridSamples1D,
+                                HermiteExpansion, alpha_constant, eta_apply, ground_state,
                                 heat_apply, hermite_function_table,
                                 ladder_basis_element, laplacian_apply,
                                 laplacian_explicit, mobius_sigma, norm_sq,
@@ -17,6 +18,7 @@ from cstorus.heatkernel import (EtaKernelSpec, GridSamples1D, HermiteExpansion,
                                 verify_conjugation)
 from cstorus.heatkernel import (_bilinear_phase, _folded_phase, _mehler,
                                 _rank_one_phases, _rho, _smooth_length)
+from cstorus.roots import LieType, build_root_system
 
 
 def mehler_closed_kernel(q, sigma, y_out, y_in, root_q=None):
@@ -591,6 +593,26 @@ def test_verify_conjugation_generic_sigma():
     rep = verify_conjugation(2, 1.0, sigma=0.3 + 1.1j, L=8,
                              grid_points=1201, box_radius=9.0)
     assert rep["max_conjugation_residual"] < 1e-5
+
+
+@pytest.mark.parametrize("L,grid_points,box_radius,sigma", [
+    (7, 8, 4.0, 0.3 + 1.1j), (5, 8, 4.0, None), (7, 9, 4.0, None),
+    (6, 201, 100.0, None), (6, 201, 10.0, 100j)])
+def test_verify_conjugation_refuses_an_unresolved_basis(L, grid_points, box_radius, sigma):
+    """A grid that does not resolve the Hermite basis at sigma or at a
+    Moebius image is refused with its Gram condition number, before any
+    residual; on these grids the residuals were not reproducible."""
+    with pytest.raises(DomainError, match="condition number") as err:
+        verify_conjugation(2, 1.0, sigma=sigma, L=L, grid_points=grid_points,
+                           box_radius=box_radius)
+    assert len(str(err.value).splitlines()) == 1
+    assert float(str(err.value).split("condition number ")[1].split()[0]) > GRAM_CONDITION_CEILING
+
+
+def test_rank_one_phases_are_the_a1_constants_once():
+    pp = phase_constants(build_root_system(LieType("A", 1)))
+    assert _rank_one_phases() == (pp.j, pp.omega)
+    assert _rank_one_phases() is _rank_one_phases()
 
 
 def test_verify_conjugation_validation():

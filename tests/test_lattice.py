@@ -19,6 +19,29 @@ from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
 Vec = Tuple[Fraction, ...]
 
 
+# -- exact vector helpers of the oracles --
+
+def identity(n: int) -> Tuple[Vec, ...]:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def vec_add(u, v) -> Vec:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def is_integral(v) -> bool:
+    return all(Fraction(e).denominator == 1 for e in v)
+
+
+def frac_part(v) -> Vec:
+    """Componentwise reduction to [0, 1)."""
+    return tuple(Fraction(e) - (Fraction(e).numerator // Fraction(e).denominator) for e in v)
+
+
 # -- exact oracles: the Fraction constructions the integer quotient replaced --
 
 @dataclass(frozen=True)
@@ -36,7 +59,7 @@ def scaled_dual_lattice(rs, k: int) -> Lattice:
 
 
 def in_scaled_dual(rs, k: int, v) -> bool:
-    return exact.is_integral(exact.mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
+    return is_integral(exact.mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
 
 
 @dataclass(frozen=True)
@@ -53,13 +76,13 @@ class FractionQuotient:
         return len(self.reps)
 
     def index_of(self, v) -> int:
-        return self._index[exact.frac_part(tuple(Fraction(x) for x in v))]
+        return self._index[frac_part(tuple(Fraction(x) for x in v))]
 
     def add(self, a, b) -> Vec:
-        return exact.frac_part(exact.vec_add(a, b))
+        return frac_part(vec_add(a, b))
 
     def neg(self, a) -> Vec:
-        return exact.frac_part(tuple(-Fraction(x) for x in a))
+        return frac_part(tuple(-Fraction(x) for x in a))
 
 
 def fraction_quotient(rs, k: int) -> FractionQuotient:
@@ -69,7 +92,7 @@ def fraction_quotient(rs, k: int) -> FractionQuotient:
     u_inv = exact.inverse(exact.mat(u))
     assert all(e.denominator == 1 for row in u_inv for e in row)
     gens = exact.mat_mul(scaled_dual_lattice(rs, k).basis, u_inv)
-    reps = sorted(exact.frac_part(exact.mat_vec(gens, y))
+    reps = sorted(frac_part(exact.mat_vec(gens, y))
                   for y in itertools.product(*[range(d[i][i]) for i in range(n)]))
     assert len(set(reps)) == len(reps)
     return FractionQuotient(reps=tuple(reps))
@@ -99,7 +122,7 @@ def fold_to_alcove(rs, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
     affine = (_reflection_matrix(rs, theta), theta)
 
     v = tuple(Fraction(x) for x in gamma)
-    wmat = exact.identity(n)
+    wmat = identity(n)
     sign = 1
     for _ in range(100_000):
         pair_simple = [k * sum(rs.gram1[i][j] * v[j] for j in range(n)) for i in range(n)]
@@ -112,7 +135,7 @@ def fold_to_alcove(rs, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
             wint = tuple(tuple(int(e) for e in row) for row in wmat)
             return v, WeylElement(wint, sign), sign, boundary
         r, shift = walls[neg] if neg is not None else affine
-        v = exact.vec_add(exact.mat_vec(r, v), shift)
+        v = vec_add(exact.mat_vec(r, v), shift)
         wmat = exact.mat_mul(r, wmat)
         sign = -sign
     raise AssertionError("alcove folding did not terminate")
@@ -170,12 +193,12 @@ def test_fold_to_alcove(fam, rank, k):
     for j in range(n):
         base = dual.basis_vector(j)
         for sh in shifts:
-            gamma = exact.vec_add(base, sh)
+            gamma = vec_add(base, sh)
             rep, w, sign, boundary = fold_to_alcove(rs, k, gamma)
             assert rep in closed
             assert sign == w.determinant
             # rep = w(gamma) modulo the coroot lattice
-            assert exact.is_integral(exact.vec_sub(rep, w.apply(gamma)))
+            assert is_integral(vec_sub(rep, w.apply(gamma)))
             # folding a folded point is the identity
             rep2, w2, _, _ = fold_to_alcove(rs, k, rep)
             assert rep2 == rep
@@ -206,13 +229,13 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
     orbits = weyl_orbits(rs, k)
     q = quotient_group(rs, k)
     assert len(orbits.elements) == q.order
-    d = orbits.denom
+    d = orbits.shape.denom
     alc = alcove_points(rs, k)
     members = orbits.members()
     for i, gamma in enumerate(alc.closed_points):
         signs = {}
         for w in rs.weyl_group().elements:
-            image = exact.frac_part(w.apply(gamma))
+            image = frac_part(w.apply(gamma))
             signs.setdefault(image, set()).add(w.determinant)
         got = {tuple(Fraction(int(x), d) for x in orbits.elements[j]): int(orbits.sign[j])
                for j in members[i]}
@@ -262,6 +285,26 @@ def test_integer_quotient_matches_fraction_oracle(fam, rank, k):
     assert [tuple(Fraction(int(x), q.denom) for x in row)
             for row in q.numerators] == list(oracle.reps)
     assert (q.index_of(q.numerators) == np.arange(q.order)).all()
+
+
+@pytest.mark.parametrize("fam,rank,k", ORACLE_SWEEP)
+def test_discriminant_form_matches_fraction_oracle(fam, rank, k):
+    """pair and norm are D <a, b>_k mod D and D <a, a>_k mod 2D of the exact
+    reps, pair is symmetric and norm = pair(a, a) mod D; pair is checked on
+    a seeded sample of at most 40 x 40 points, norm on all of Z."""
+    rs = build_root_system(LieType(fam, rank))
+    q = quotient_group(rs, k)
+    z, d = q._shape, q.denom
+    reps = fraction_quotient(rs, k).reps
+    gram = exact.mat(rs.gram1)
+    rows, cols = (np.sort(np.random.default_rng(seed).permutation(q.order)[:40])
+                  for seed in (k, k + 1))
+    want = [[d * k * exact.bilinear(gram, reps[a], reps[b]) % d for b in cols] for a in rows]
+    x = q.numerators
+    assert z.pair(x[rows], x[cols]).tolist() == want
+    assert (z.pair(x[rows], x[cols]) == z.pair(x[cols], x[rows]).T).all()
+    assert z.norm(x).tolist() == [d * k * exact.bilinear(gram, a, a) % (2 * d) for a in reps]
+    assert (z.norm(x[rows]) % d == np.diag(z.pair(x[rows], x[rows]))).all()
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])

@@ -1,7 +1,9 @@
 """Lattice transform: multiplier, round trips, unitarity, operator intertwining."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -563,3 +565,17 @@ def test_roundtrip_report_boundary_decay_covers_every_family():
     fams += [random_gaussian_poly_family(spec, q, rng) for _ in range(4)]
     decays = [f.boundary_decay() for f in fams]
     assert rep["boundary_decay"] == max(decays) > decays[0]
+
+
+@pytest.mark.parametrize("name", ["apply_finite_fourier", "prequantum_T"])
+def test_finite_operators_read_the_integer_discriminant_form(name):
+    """F_Z and the Gauss factor of T-hat take their phases from the integer
+    pairing and norm on Z: neither forms a float <gamma, gamma'>_k from the
+    float Gram matrix or the grid coordinates of the reps."""
+    path = Path(__file__).resolve().parents[1] / "src" / "cstorus" / "wgz.py"
+    fn = next(node for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert not called & {"pairing_matrix", "_gamma_grid_coords"}, sorted(called)
+    assert {"quotient_shape", "pair" if name == "apply_finite_fourier" else "norm"} <= called
