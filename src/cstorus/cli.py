@@ -152,8 +152,6 @@ def _load_samples(path: str):
         vals = np.asarray([complex(re, im) for re, im in doc["values"]])
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot read grid samples from {path}: {e}")
-    if len(y) != len(vals):
-        raise SchemaError(f"{path}: y and values have different lengths")
     return GridSamples1D(y=check_uniform_grid(y), values=vals)
 
 

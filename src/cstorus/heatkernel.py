@@ -7,13 +7,13 @@ identity in a truncated basis.
 The eigenbasis is evaluated by one normalized recurrence,
 hermite_function_table.  On the flow's parameters |q| = 1, so every grid
 kernel here (the Mehler kernel, rho(S) and both eta kernels) has the form
-diag * exp(i beta y yt) * diag on a uniform grid.  _bilinear_phase applies
-diag * exp(i y.A y') * diag over the last n axes of an array by one
-zero-padded FFT convolution with a chirp (Bluestein's chirp-z identity),
-never forming the kernel: n = 1 in heat_apply, n = rank in wgz.prequantum_S.
-_folded_phase applies the rank-one W-sum of such kernels on y >= 0 with one
-FFT pair of half the length: in eta_apply, and in verify_conjugation, whose
-basis row v_l has parity (-1)^l, on L x N/2 blocks (one function per row).
+diag * exp(i beta y yt) * diag on a uniform grid.  One operator,
+_bilinear_phase, applies diag * exp(i y.A y') * diag over the last n axes of
+an array by one zero-padded FFT convolution with a chirp (Bluestein's chirp-z
+identity), never forming the kernel: n = 1 in heat_apply, n = rank in
+wgz.prequantum_S.  Given signs it applies, in the same FFT pair, the W-sum of
+such kernels on y >= 0: in eta_apply, and in verify_conjugation, whose basis
+row v_l has parity (-1)^l, on L x N/2 blocks (one function per row).
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -263,6 +263,11 @@ class GridSamples1D:
     values: np.ndarray
     truncation_error: float = 0.0
 
+    def __post_init__(self):    # read only: the values keep their layout
+        if np.ndim(self.values) != 1 or np.shape(self.values) != np.shape(self.y)[:1]:
+            raise SchemaError(f"need one value per grid point, got values of shape "
+                              f"{np.shape(self.values)} on a grid of shape {np.shape(self.y)}")
+
 
 # a grid of more points than this raises ResourceLimitError.  No N x N kernel
 # is formed: the cost is the folded L x B blocks of verify_conjugation
@@ -346,22 +351,30 @@ def _check_quadratic(y: np.ndarray, *coeffs: complex) -> None:
                               f"phase for c = {complex(c):.6g}")
 
 
+@functools.cache
 def _smooth_length(m: int) -> int:
     """The least 5-smooth 2^a 3^b 5^c >= m: the least power-of-two multiple
-    of each 3^b 5^c < 2m reaching m, a fast FFT length (Frigo & Johnson 2005)."""
+    of each 3^b 5^c < 2m reaching m, a fast FFT length (Frigo & Johnson 2005),
+    cached, since each operator build asks for it and one search costs ~0.1 ms."""
     odd = (3 ** b * 5 ** c for b in range(m.bit_length() + 1) for c in range(m.bit_length()))
     return min(p << max(-(-m // p) - 1, 0).bit_length() for p in odd if p < 2 * m)
 
 
-def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0):
-    """The map x -> d_out(y) sum_y' exp(i y.A y') d_in(y') x(y') over the last
-    n axes of x, for A = form symmetric n x n (or a number) and y on the
-    product of n uniform grids.  As y.A y' = (y.A y + y'.A y' - d.A d) / 2
-    with d = y - y' on the lattice of steps, the sum is one fftn convolution
-    with the chirp exp(-i d.A d / 2), each axis zero-padded to the least
-    5-smooth length >= 2B - 1 (Bluestein 1970).  The input is only read.  The
-    map's `gain`, max|d_out| sum|d_in|, bounds how much one application can
-    grow the sup norm of its input, since every kernel entry has modulus one."""
+def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
+    """The map x -> d_out(y) sum_y' [exp(i y.A y') + s exp(-i y.A y')]
+    d_in(y') x(y') over the last n axes of x, for A = form symmetric n x n (or
+    a number) and y on the product of n uniform grids y0 + h j; the s term only
+    given signs (a number, or one per row, broadcasting against x).  On y >= 0
+    in rank one that is the sum over W = {+-1} with det(w)^sigma = s (symmetric
+    convolution, Martucci 1994).  As y.A y' = (y.A y + y'.A y' - d.A d) / 2 with
+    d = y - y' = h (i - j), the first term is a convolution with the chirp
+    exp(-i d.A d / 2); as -y.A y' = (y.A y + y'.A y' - e.A e) / 2 with e = y + y'
+    = 2 y0 + h (i + j), the second is a correlation with exp(-i e.A e / 2), met
+    by the input spectrum at -k.  So one FFT pair applies both, each axis
+    zero-padded to the least 5-smooth length >= 2B - 1 (Bluestein 1970).  The
+    input is only read.  The map's `gain`, max|d_out| sum|d_in| (doubled given
+    signs), bounds how much one application can grow the sup norm of its
+    input, since every kernel entry has modulus one."""
     form = np.atleast_2d(np.asarray(form, dtype=float))
     shape = tuple(len(g) for g in grids)
     _check_quadratic(np.array([g[i] for g in grids for i in (0, -1)]),
@@ -370,69 +383,43 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0):
     def half_form(ranges):  # x.A x / 2 on the mesh of one range per axis
         x = np.meshgrid(*ranges, indexing="ij", sparse=True)
         return 0.5 * sum(form[a, b] * x[a] * x[b] for a in range(len(x)) for b in range(len(x)))
+
+    def transform(fft, a):  # over the last n axes, the last first as in fftn
+        for axis in range(-1, -len(shape) - 1, -1):
+            fft(a, axis=axis, out=a)
     half = np.exp(1j * half_form(grids))
     pre, post = half * d_in, half * d_out
     size = tuple(_smooth_length(2 * b - 1) for b in shape)
     lag = [np.arange(1 - b, b) for b in shape]
     steps = [(g[-1] - g[0]) / (len(g) - 1) for g in grids]
-    chirp = np.zeros(size, dtype=complex)
-    chirp[np.ix_(*[d % p for d, p in zip(lag, size)])] = np.exp(
-        -1j * half_form([h * d for h, d in zip(steps, lag)]))
-    axes, crop = tuple(range(-len(form), 0)), (Ellipsis,) + tuple(slice(0, b) for b in shape)
-    np.fft.fftn(chirp, axes=axes, out=chirp)
+    # (index, points) of the chirp at d, stored mod size, and given signs at e
+    rows = [([d % p for d, p in zip(lag, size)], [h * d for h, d in zip(steps, lag)])]
+    if signs is not None:
+        m = [d + b - 1 for d, b in zip(lag, shape)]
+        rows.append((m, [2 * g[0] + h * i for g, h, i in zip(grids, steps, m)]))
+    chirps = np.zeros((len(rows),) + size, dtype=complex)
+    for chirp, (index, points) in zip(chirps, rows):
+        chirp[np.ix_(*index)] = np.exp(-1j * half_form(points))
+    transform(np.fft.fft, chirps)
+    conv, corr = chirps[0], chirps[-1]
+    crop = (Ellipsis,) + tuple(slice(0, b) for b in shape)
+    mirror = (Ellipsis,) + np.ix_(*[-np.arange(p) for p in size])
 
     def apply(x):
         x = np.asarray(x)
         # out of place into a fresh C-ordered buffer: x of any layout is kept
         buf = np.zeros(x.shape[:x.ndim - len(shape)] + size, dtype=complex)
         np.multiply(pre, x, out=buf[crop])
-        np.fft.fftn(buf, axes=axes, out=buf)
-        buf *= chirp
-        np.fft.ifftn(buf, axes=axes, out=buf)
+        transform(np.fft.fft, buf)
+        folded = None if signs is None else buf[mirror]     # G[-k] of the spectrum G
+        buf *= conv
+        if folded is not None:
+            buf += np.multiply(folded, corr * signs, out=folded)
+        transform(np.fft.ifft, buf)
         return post * buf[crop]
     # Python floats: a product past the float range is inf, without a warning
-    apply.gain = (float(np.abs(d_out).max())
+    apply.gain = ((1.0 if signs is None else 2.0) * float(np.abs(d_out).max())
                   * float(np.abs(np.broadcast_to(d_in, shape)).sum()))
-    return apply
-
-
-def _folded_phase(beta, u, d_out=1.0, d_in=1.0, signs=1.0):
-    """x -> d_out(u) sum_u' [exp(i beta u u') + s exp(-i beta u u')] d_in(u')
-    x(u') over the last axis of x on a uniform grid u = u0 + j h, s = signs (a
-    number or one per row): on u >= 0 the kernel exp(i beta y y') summed over
-    W = {+-1} with det(w)^sigma = s, for W-invariant (s = 1) or anti-invariant
-    (s = -1) functions (symmetric convolution, Martucci 1994).  Both terms
-    share the diagonal chirp exp(i beta u^2/2); the first is a convolution in
-    i - j with exp(-i beta (h d)^2/2), the second a correlation in i + j with
-    exp(-i beta (2 u0 + h m)^2/2), m < 2B - 1, met by the input spectrum at -k.
-    So one FFT pair of the least 5-smooth length >= 2B - 1 applies both.  The
-    input is only read; `gain` is that of _bilinear_phase, doubled."""
-    b, size = len(u), _smooth_length(2 * len(u) - 1)
-    h = (u[-1] - u[0]) / (b - 1)
-    _check_quadratic(u[[0, -1]], 1j * abs(beta))
-    half = np.exp(0.5j * beta * u * u)
-    pre, post = half * d_in, half * d_out
-    lag = np.arange(1 - b, b)
-    chirps = np.zeros((2, size), dtype=complex)
-    chirps[0, lag % size] = np.exp(-0.5j * beta * (h * lag) ** 2)
-    chirps[1, :2 * b - 1] = np.exp(-0.5j * beta * (2 * u[0] + h * np.arange(2 * b - 1)) ** 2)
-    np.fft.fft(chirps, out=chirps)
-    conv, corr = chirps
-
-    def apply(x):
-        x = np.asarray(x)
-        # out of place into a fresh C-ordered buffer: x of any layout is kept
-        buf = np.zeros(x.shape[:-1] + (size,), dtype=complex)
-        np.multiply(pre, x, out=buf[..., :b])
-        np.fft.fft(buf, out=buf)
-        mirror = buf[..., -np.arange(size)]     # G[-k] of the input spectrum G
-        mirror *= corr * signs
-        buf *= conv
-        buf += mirror
-        np.fft.ifft(buf, out=buf)
-        return post * buf[..., :b]
-    apply.gain = (2.0 * float(np.abs(d_out).max())
-                  * float(np.abs(np.broadcast_to(d_in, (b,))).sum()))
     return apply
 
 
@@ -440,7 +427,7 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
             inverse: bool = False, signs=None):
     """exp(-+ r Laplacian_sigma) by quadrature with weights w on the uniform
     grid y, as a map on (N,) or (L, N) arrays; given signs, folded on y >= 0
-    for rows of those parities (_folded_phase).  The Mehler closed form with
+    for rows of those parities (_bilinear_phase).  The Mehler closed form with
     ratio q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2):
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
@@ -463,9 +450,7 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
     y2 = y * y
     d_out = root * np.exp((d - 1j * math.pi / sigma) * y2)
     d_in = w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2)
-    if signs is None:
-        return _bilinear_phase(c.imag, [y], d_out, d_in)
-    return _folded_phase(c.imag, y, d_out, d_in, signs)
+    return _bilinear_phase(c.imag, [y], d_out, d_in, signs)
 
 
 def heat_apply(psi, params: HWParams, inverse: bool = False):
@@ -539,7 +524,7 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
     d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
     # the sign det(w) of w = -1, in sector 1 only
-    vals = _folded_phase(beta, y, d_out, d_in, -1 if spec.sector == 1 else 1)(f.values)
+    vals = _bilinear_phase(beta, [y], d_out, d_in, -1 if spec.sector == 1 else 1)(f.values)
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
@@ -551,7 +536,7 @@ def _rho(generator: str, u: np.ndarray, w: np.ndarray, signs):
     as a map on folded L x B blocks of row parities signs, with its `gain`."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
-        return _folded_phase(2 * math.pi, u, d_out=j_const, d_in=w, signs=signs)
+        return _bilinear_phase(2 * math.pi, [u], d_out=j_const, d_in=w, signs=signs)
     _check_quadratic(u, -1j * math.pi)
     phase = omega * np.exp(-1j * math.pi * u ** 2)
 

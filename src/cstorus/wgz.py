@@ -595,6 +595,8 @@ def section_T(s: SectionSamples) -> SectionSamples:
 def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
                      trials: int = 20, seed: int = 0) -> dict:
     """Round-trip, Parseval and worst-family boundary decay on random inputs, JSON-ready."""
+    if seed < 0:
+        raise SchemaError(f"seed must be a non-negative integer, got {seed}")
     spec = grid_spec_from_box(rs, k, resolution, box_radius)
     quotient = quotient_group(rs, k)
     rng = np.random.default_rng(seed)

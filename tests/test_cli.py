@@ -229,6 +229,17 @@ def test_kernel_heat_rejects_bad_grid(tmp_path, capsys, y):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
+def test_kernel_heat_rejects_values_off_the_grid(tmp_path, capsys):
+    """One value per grid point: a longer values list exits 2 with one line."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": list(np.linspace(-1.0, 1.0, 8)),
+                               "values": [[1.0, 0.0]] * 9}))
+    code, out, err = run_err(capsys, "kernel", "heat", "--k", "2", "--s", "0.0",
+                             "--input", str(src))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("level", ["abc", 2.7, True, [2]])
 def test_config_field_of_wrong_type_exits_schema(tmp_path, capsys, level):
     cfg = tmp_path / "cfg.json"
@@ -487,16 +498,27 @@ def _quick_or_refused(quick, refused):
 @given(level=_scalar_or(1, 2, 3, 10 ** 6).filter(_quick_or_refused(3, 10 ** 4)),
        resolution=_scalar_or(8, 24, 64, 10 ** 5).filter(_quick_or_refused(64, 10 ** 4)),
        box_radius=_scalar_or(0.5, 2.0, 6.0, 1e5).filter(_quick_or_refused(6.0, 1e4)),
-       trials=_scalar_or(1, 2, 3).filter(_quick_or_refused(5, math.inf)))
+       trials=_scalar_or(1, 2, 3).filter(_quick_or_refused(5, math.inf)),
+       seed=_scalar_or(-1, 0, 2 ** 64, 1.5))
 def test_wgz_scalars_keep_the_exit_contract(tmp_path, capsys, level, resolution,
-                                            box_radius, trials):
+                                            box_radius, trials, seed):
     """Any JSON scalar for the wgz roundtrip fields exits 0-3: exit 0/1 with
     strict JSON on stdout, exit 2/3 with one stderr line."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "A", "rank": 1, "level": level,
                                "resolution": resolution, "box_radius": box_radius,
-                               "trials": trials}))
+                               "trials": trials, "seed": seed}))
     _exit_contract(*run_err(capsys, "wgz", "roundtrip", "--config", str(cfg)))
+
+
+def test_wgz_negative_seed_exits_schema(capsys):
+    """A negative seed is an invalid configuration (exit 2, one line), not
+    a traceback from the random generator."""
+    code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--rank", "1",
+                             "--level", "1", "--resolution", "24", "--trials", "2",
+                             "--seed", "-1")
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "seed" in err
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

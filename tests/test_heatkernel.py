@@ -1,8 +1,10 @@
 """Flow parameters, Hermite eigenbasis, Mehler kernel, conjugated generators."""
 
+import ast
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from cstorus.heatkernel import (GRAM_CONDITION_CEILING, EtaKernelSpec, GridSampl
                                 laplacian_explicit, mobius_sigma, norm_sq,
                                 solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
-from cstorus.heatkernel import (_bilinear_phase, _folded_phase, _mehler,
-                                _rank_one_phases, _rho, _smooth_length)
+from cstorus.heatkernel import (_bilinear_phase, _mehler, _rank_one_phases, _rho,
+                                _smooth_length)
 from cstorus.roots import LieType, build_root_system
 
 
@@ -430,9 +432,9 @@ FOLDS = [np.linspace(-6.0, 6.0, 301)[150:], np.linspace(-6.0, 6.0, 400)[200:],
 @pytest.mark.parametrize("beta", [2 * math.pi, -2 * math.pi, _mehler_beta()])
 @pytest.mark.parametrize("u", FOLDS, ids=["odd", "even", "offset"])
 def test_folded_phase_matches_dense(u, beta):
-    """The one-FFT-pair folded operator, with diagonals, equals the dense
-    W-sum d_out sum_w det(w)^sigma exp(i beta (w u) u') d_in for signs
-    +1, -1 and one sign per row, on blocks and on one row."""
+    """The operator with signs, with diagonals, equals the dense W-sum
+    d_out sum_w det(w)^sigma exp(i beta (w u) u') d_in on a half grid for
+    signs +1, -1 and one sign per row, on blocks and on one row."""
     n = len(u)
     rng = np.random.default_rng(n)
     d_out = np.exp(1j * rng.normal(size=n))
@@ -441,13 +443,14 @@ def test_folded_phase_matches_dense(u, beta):
     cross = np.exp(1j * beta * np.outer(u, u))
     dense = {s: d_out[:, None] * (cross + s / cross) * d_in[None, :] for s in (1, -1)}
     for signs in (1, -1, np.array([[1.0], [-1.0], [-1.0]])):
-        op = _folded_phase(beta, u, d_out, d_in, signs)
+        op = _bilinear_phase(beta, [u], d_out, d_in, signs)
         want = np.stack([dense[int(s)] @ row
                          for s, row in zip(np.broadcast_to(signs, (3, 1))[:, 0], x)])
         assert op(x).shape == (3, n)
         assert _relmax(op(x), want) <= 1e-12
     for s in (1, -1):
-        assert _relmax(_folded_phase(beta, u, d_out, d_in, s)(x[0]), dense[s] @ x[0]) <= 1e-12
+        assert _relmax(_bilinear_phase(beta, [u], d_out, d_in, s)(x[0]),
+                       dense[s] @ x[0]) <= 1e-12
 
 
 # odd, even and offset boxes, with forms of both signatures
@@ -462,7 +465,9 @@ FORMS = [2 * math.pi * np.array([[2.0, -1.0], [-1.0, 2.0]]),
 @pytest.mark.parametrize("box", BOXES, ids=["odd", "even", "offset"])
 def test_bilinear_phase_matches_dense_2d(box, form):
     """The n = 2 operator, with diagonals, equals the dense
-    d_out exp(i y.A y') d_in product over the box, on a batch of inputs."""
+    d_out [exp(i y.A y') + s exp(-i y.A y')] d_in product over the box, on a
+    batch of inputs: without the second term, and for s = +1, -1 and one
+    sign per batch row."""
     grids = [np.linspace(*axis) for axis in box]
     shape = tuple(len(g) for g in grids)
     pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -470,11 +475,18 @@ def test_bilinear_phase_matches_dense_2d(box, form):
     d_out = np.exp(1j * rng.normal(size=shape))
     d_in = rng.uniform(0.5, 1.5, size=shape)
     x = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
-    dense = (d_out.reshape(-1, 1) * np.exp(1j * pts @ form @ pts.T)
-             * d_in.reshape(1, -1))
+    cross = np.exp(1j * pts @ form @ pts.T)
+    dense = {s: d_out.reshape(-1, 1) * (cross + s / cross) * d_in.reshape(1, -1)
+             for s in (0, 1, -1)}
     got = _bilinear_phase(form, grids, d_out, d_in)(x)
     assert got.shape == x.shape
-    assert _relmax(got.reshape(2, -1), x.reshape(2, -1) @ dense.T) <= 1e-12
+    assert _relmax(got.reshape(2, -1), x.reshape(2, -1) @ dense[0].T) <= 1e-12
+    for signs in (1, -1, np.array([1.0, -1.0])[:, None, None]):
+        got = _bilinear_phase(form, grids, d_out, d_in, signs)(x)
+        want = np.stack([dense[int(s)] @ row for s, row
+                         in zip(np.broadcast_to(signs, (2, 1, 1)).ravel(), x.reshape(2, -1))])
+        assert got.shape == x.shape
+        assert _relmax(got.reshape(2, -1), want) <= 1e-12
 
 
 def test_smooth_length_is_least_5_smooth():
@@ -501,8 +513,8 @@ def _assert_layout_free(op, shape):
 
 @pytest.mark.parametrize("generator", ["S", "T"])
 def test_operators_leave_inputs_unchanged(generator):
-    """Every grid operator reads its input only: the helpers (bilinear
-    n = 1, 2, and folded), the Mehler flow on the line and folded, the
+    """Every grid operator reads its input only: the bilinear-phase operator
+    (n = 1, 2, and with signs), the Mehler flow on the line and folded, the
     folded rho and the eta and heat kernels, on L x N blocks (or the
     strided rows of one) in C and Fortran order; the transpose of a
     C-ordered table is a Fortran-ordered block."""
@@ -514,7 +526,7 @@ def test_operators_leave_inputs_unchanged(generator):
     _assert_layout_free(_bilinear_phase(FORMS[1], grids, d_in=0.5), (3, 21, 24))
     _assert_layout_free(_mehler(p, y, w, p.sigma), (5, 401))
     u, wf, signs = y[200:], w[200:], 1.0 - 2.0 * (np.arange(5) % 2)[:, None]
-    _assert_layout_free(_folded_phase(2 * math.pi, u, d_in=wf, signs=signs), (5, 201))
+    _assert_layout_free(_bilinear_phase(2 * math.pi, [u], d_in=wf, signs=signs), (5, 201))
     _assert_layout_free(_mehler(p, u, wf, mobius_sigma(generator, p.sigma), True, signs),
                         (5, 201))
     _assert_layout_free(_rho(generator, u, wf, signs), (5, 201))
@@ -568,6 +580,22 @@ def test_grid_must_be_uniform_to_rounding():
             heat_apply(f, p)
         with pytest.raises(SchemaError):
             eta_apply(f, EtaKernelSpec(0, "S", p))
+
+
+@pytest.mark.parametrize("values", [np.ones(9), np.ones((2, 8)), np.ones(())],
+                         ids=["long", "2d", "scalar"])
+def test_grid_samples_hold_one_value_per_point(values):
+    """GridSamples1D refuses values that are not 1-d with one entry per grid
+    point (SchemaError), before either kernel reads them; valid values are
+    kept as given, neither copied nor converted."""
+    p = solve_params(2, 0.0)
+    spec = EtaKernelSpec(0, "S", p)
+    for y, apply in [(np.linspace(-1.0, 1.0, 8), lambda f: heat_apply(f, p)),
+                     (np.linspace(0.0, 1.0, 8), lambda f: eta_apply(f, spec))]:
+        with pytest.raises(SchemaError):
+            apply(GridSamples1D(y=y, values=values))
+        strided = np.asfortranarray(np.ones((3, 8), dtype=np.float32))[1]
+        assert GridSamples1D(y=y, values=strided).values is strided
 
 
 def test_mehler_refuses_a_ratio_off_the_unit_circle():
@@ -667,3 +695,26 @@ def test_truncation_error_reads_every_truncated_end():
     assert heat_apply(line, p).truncation_error == 0.5
     half = GridSamples1D(y=np.linspace(0.0, 6.0, 41), values=vals)
     assert eta_apply(half, EtaKernelSpec(0, "S", p)).truncation_error == 0.25
+
+
+def test_one_bluestein_operator():
+    """Every Gaussian-phase kernel goes through the one chirp-z operator:
+    in heatkernel only _bilinear_phase touches np.fft, there is no second
+    (folded) implementation, and the eta, rho and Mehler kernels and
+    wgz.prequantum_S all call _bilinear_phase."""
+    src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
+    trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("heatkernel", "wgz")}
+    functions = {name: {node.name: node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}
+                 for name, tree in trees.items()}
+    assert "_folded_phase" not in functions["heatkernel"]
+    fft_users = {getattr(node, "name", "module level") for node in trees["heatkernel"].body
+                 if any(isinstance(sub, ast.Attribute) and sub.attr == "fft"
+                        or isinstance(sub, ast.alias) and "fft" in sub.name
+                        for sub in ast.walk(node))}
+    assert fft_users == {"_bilinear_phase"}
+    for module, name in [("heatkernel", "eta_apply"), ("heatkernel", "_rho"),
+                         ("heatkernel", "_mehler"), ("wgz", "prequantum_S")]:
+        called = {getattr(node.func, "id", None)
+                  for node in ast.walk(functions[module][name]) if isinstance(node, ast.Call)}
+        assert "_bilinear_phase" in called, name
