@@ -4,8 +4,9 @@ group, and SL(2,Z) relation checks.
 
 Phase bookkeeping is exact: every phase exponent is an integer numerator
 over a fixed denominator, reduced as an integer and evaluated once: the
-`pair` and `norm` of Z (lattice), so S and T are the Weil representation of
-Z that wgz applies, restricted to the W-invariants or W-anti-invariants.
+`pair` and `norm` of the QuotientGroup that the Weyl orbits carry (lattice),
+so S and T are the Weil representation of Z that wgz applies, restricted to
+the W-invariants or W-anti-invariants.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     if phases is None:
         phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
-    z, d = orbits.shape, orbits.shape.denom
+    z = orbits.quotient
+    d = z.denom
     idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(orbits.pairings))
     if len(idx) > SECTOR_DIM_CEILING:
         raise ResourceLimitError(
@@ -145,13 +147,13 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
         if use_det and orbits.odd_stabilizer[a]:
             continue
         m = members[a]
-        phase = roots[z.pair(orbits.elements[m], points)]
+        phase = roots[z.pair(z.numerators[m], points)]
         s[r] = (orbits.sign[m] @ phase) if use_det else phase.sum(axis=0)
     # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
     # interior points have trivial stabilizers
     root_stab = np.sqrt(np.array(orbits.stabilizer_sizes, dtype=float)[idx])
     s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent)
-                                               / math.sqrt(len(orbits.elements)))
+                                               / math.sqrt(z.order))
 
     # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = norm / (2D), over lcm(2D, den(omega))
     om = phases.omega_exponent

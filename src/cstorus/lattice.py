@@ -6,8 +6,10 @@ Z^n in these coordinates.  A point gamma of the k-scaled dual lattice is held
 as the int vector x = D gamma of numerators over the exponent D of Z; its
 canonical coset representative is x mod D, in the half-open cube [0,1)^n.
 With q(gamma) = <gamma, gamma>_k / 2 mod 1, Z is a discriminant form; its
-integer `pair` and `norm` (_QuotientShape) give every phase on Z in finrep
-and wgz, whose finite operators are its Weil representation.
+integer `pair` and `norm` give every phase on Z in finrep and wgz, whose
+finite operators are its Weil representation.  `quotient_group` is the one
+object that describes Z, in the dense (Smith) order; only the `reps` that
+`enumerate_report` prints are sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -29,37 +31,41 @@ Vec = Tuple[Fraction, ...]
 Z_ORDER_CEILING = 100_000
 
 
-@dataclass(frozen=True)
-class _QuotientShape:
+@dataclass(frozen=True, eq=False)
+class QuotientGroup:
     """Z in integers, from the Smith form u (kG) v = diag(d_1, ..., d_n).
 
     Then (kG)^{-1} = v diag(1/d) u, so the exponent of Z is D = d_n and
     D (kG)^{-1} = v diag(D/d) u is integral.  A point x (numerators over D)
     has the dual coordinates c = kG x / D, and its class in Z is read in the
     Smith basis as u c mod (d_1, ..., d_n), flattened row-major to a dense
-    index in [0, |Z|).
+    index in [0, |Z|); row i of `numerators` is the point of dense index i.
     """
+    rs: RootSystem
+    k: int
     kg: np.ndarray          # (n, n) k * gram1
     denom: int              # D
     kinv: np.ndarray        # (n, n) D (kG)^{-1}
     divisors: np.ndarray    # (n,) d_i, each dividing the next
     u: np.ndarray           # (n, n) Smith row transform, row i reduced mod d_i
-    v: np.ndarray           # (n, n) Smith column transform
+    numerators: np.ndarray  # (|Z|, n) canonical numerators in [0, D), dense order
 
     @property
     def order(self) -> int:
-        return int(np.prod(self.divisors))
+        return len(self.numerators)
 
-    def index(self, x: np.ndarray) -> np.ndarray:
-        """Dense index of the points with numerators x, shape (..., n)."""
-        y = (x @ self.kg // self.denom) @ self.u.T % self.divisors
+    @property
+    def snf_invariants(self) -> Tuple[int, ...]:
+        return tuple(int(d) for d in self.divisors if d > 1)
+
+    def index_of(self, x) -> np.ndarray:
+        """Dense index of the points with numerators x, shape (..., n), any
+        coset representative; DomainError off the dual lattice."""
+        c = np.asarray(x, dtype=np.int64) @ self.kg
+        if (c % self.denom).any():
+            raise DomainError("numerators are not a point of the k-scaled dual lattice")
+        y = (c // self.denom) @ self.u.T % self.divisors
         return np.ravel_multi_index(tuple(np.moveaxis(y, -1, 0)), self.divisors)
-
-    def elements(self) -> np.ndarray:
-        """Numerators mod D of every point of Z, in dense-index order: Smith
-        coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)."""
-        y = np.indices(self.divisors).reshape(len(self.divisors), -1).T
-        return (y * (self.denom // self.divisors)) @ self.v.T % self.denom
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """D <a, b>_k mod D for numerators x (A, n), y (B, n), shape (A, B)."""
@@ -71,9 +77,10 @@ class _QuotientShape:
         return np.einsum("...i,...i->...", x, x @ self.kg // self.denom) % (2 * self.denom)
 
 
-def _quotient_shape(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> _QuotientShape:
-    """The integer description of Z for (rs, k); |Z_k| = det(k*gram1) above
-    max_order raises ResourceLimitError before the Smith form is built."""
+def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> QuotientGroup:
+    """The finite abelian group (k-scaled dual lattice) / (coroot lattice);
+    |Z_k| = det(k*gram1) above max_order raises ResourceLimitError before
+    the Smith form is built."""
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
     kg = [[k * e for e in row] for row in rs.gram1]
@@ -90,45 +97,11 @@ def _quotient_shape(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) ->
     kinv = v @ ((denom // divisors)[:, None] * u)
     kg = np.array(kg, dtype=np.int64)
     assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()
-    return _QuotientShape(kg=kg, denom=denom, kinv=kinv, divisors=divisors,
-                          u=u % divisors[:, None], v=v)
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientGroup:
-    """Z as the numerators over `denom` of its canonical representatives in
-    [0,1)^n, in lexicographic order."""
-    rs: RootSystem
-    k: int
-    denom: int
-    numerators: np.ndarray          # (|Z|, n) int64 in [0, denom)
-    snf_invariants: Tuple[int, ...]
-    _shape: _QuotientShape
-    _position: np.ndarray           # (|Z|,) row of `numerators` per dense index
-
-    @property
-    def order(self) -> int:
-        return len(self.numerators)
-
-    def index_of(self, x) -> np.ndarray:
-        """Rows of `numerators` of the points with numerators x, shape
-        (..., n), any coset representative; DomainError off the dual lattice."""
-        x = np.asarray(x, dtype=np.int64)
-        if (x @ self._shape.kg % self.denom).any():
-            raise DomainError("numerators are not a point of the k-scaled dual lattice")
-        return self._position[self._shape.index(x)]
-
-
-def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> QuotientGroup:
-    """The finite abelian group (k-scaled dual lattice) / (coroot lattice)."""
-    shape = _quotient_shape(rs, k, max_order)
-    elements = shape.elements()
-    rows = np.lexsort(elements.T[::-1])
-    position = np.empty_like(rows)
-    position[rows] = np.arange(len(rows))
-    return QuotientGroup(rs=rs, k=k, denom=shape.denom, numerators=elements[rows],
-                         snf_invariants=tuple(int(x) for x in shape.divisors if x > 1),
-                         _shape=shape, _position=position)
+    # Smith coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)
+    y = np.indices(divisors).reshape(len(divisors), -1).T
+    return QuotientGroup(rs=rs, k=k, kg=kg, denom=denom, kinv=kinv, divisors=divisors,
+                         u=u % divisors[:, None],
+                         numerators=(y * (denom // divisors)) @ v.T % denom)
 
 
 @dataclass(frozen=True)
@@ -160,25 +133,25 @@ def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
 class WeylOrbits:
     """The W-orbits on Z = (kG)^{-1} Z^n / Z^n, one per closed-alcove point.
 
-    Points are int arrays of numerators over the exponent D of Z (`shape`),
-    so a point x pairs with the alcove point of pairings n as <x, n>_k = x.n / D.
+    Points are int arrays of numerators over the exponent D of Z
+    (`quotient`), so a point x pairs with the alcove point of pairings n as
+    <x, n>_k = x.n / D.
     """
-    shape: _QuotientShape
+    quotient: QuotientGroup
     pairings: np.ndarray        # (dim, n) n_i = <gamma, b_i>_k of each alcove point
     numerators: np.ndarray      # (dim, n) D * gamma, not reduced mod D
     interior: np.ndarray        # (dim,) in the open alcove
-    elements: np.ndarray        # (|Z|, n) every point of Z, numerators mod D
-    orbit: np.ndarray           # (|Z|,) index of the alcove point of its orbit
+    orbit: np.ndarray           # (|Z|,) per dense index, the alcove point of its orbit
     sign: np.ndarray            # (|Z|,) det(w) of a w carrying that point there
     odd_stabilizer: np.ndarray  # (dim,) stabilizer holds a w with det(w) = -1
     stabilizer_sizes: Tuple[int, ...]
 
     def labels(self, idx) -> Tuple[Vec, ...]:
-        return tuple(tuple(Fraction(int(x), self.shape.denom) for x in self.numerators[i])
+        return tuple(tuple(Fraction(int(x), self.quotient.denom) for x in self.numerators[i])
                      for i in idx)
 
     def members(self) -> List[np.ndarray]:
-        """Indices into `elements` of each orbit, in alcove-point order."""
+        """Dense indices of each orbit, in alcove-point order."""
         sizes = np.bincount(self.orbit, minlength=len(self.pairings))
         return np.split(np.argsort(self.orbit, kind="stable"), np.cumsum(sizes)[:-1])
 
@@ -193,35 +166,34 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     n_i >= 0 and sum_i a_i n_i <= k with a_i the highest-root coordinates.
     Memory is O(|Z| n); |Z| above Z_ORDER_CEILING raises ResourceLimitError.
     """
-    shape = _quotient_shape(rs, k)
+    z = quotient_group(rs, k)
     n = rs.rank
     pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
     interior = (pairings >= 1).all(axis=1) & (pairings @ _comarks(rs) <= k - 1)
-    numerators = pairings @ shape.kinv.T
+    numerators = pairings @ z.kinv.T
 
     dim = len(pairings)
-    elements = shape.elements()
-    orbit = np.full(shape.order, -1)
-    sign = np.zeros(shape.order, dtype=np.int64)
+    orbit = np.full(z.order, -1)
+    sign = np.zeros(z.order, dtype=np.int64)
     odd = np.zeros(dim, dtype=bool)
-    front = shape.index(numerators)
+    front = z.index_of(numerators)
     orbit[front], sign[front] = np.arange(dim), 1
     # breadth-first over the Schreier graph of the simple reflections: every
     # edge is checked once, and one whose signs disagree closes an odd cycle
     gens = [np.array(simple_reflection_matrix(rs, i)) for i in range(n)]
     while len(front):
         known = orbit >= 0
-        x0, o0, s0 = elements[front], orbit[front], sign[front]
+        x0, o0, s0 = z.numerators[front], orbit[front], sign[front]
         for g in gens:
-            idx = shape.index(x0 @ g.T)
+            idx = z.index_of(x0 @ g.T)
             fresh = orbit[idx] < 0
             orbit[idx[fresh]], sign[idx[fresh]] = o0[fresh], -s0[fresh]
             odd[o0[sign[idx] != -s0]] = True
         front = np.flatnonzero((orbit >= 0) & ~known)
     assert (orbit >= 0).all(), "alcove orbits do not cover the quotient"
     w_order = weyl_order(rs.lie_type)
-    return WeylOrbits(shape=shape, pairings=pairings, numerators=numerators, interior=interior,
-                      elements=elements, orbit=orbit, sign=sign, odd_stabilizer=odd,
+    return WeylOrbits(quotient=z, pairings=pairings, numerators=numerators, interior=interior,
+                      orbit=orbit, sign=sign, odd_stabilizer=odd,
                       stabilizer_sizes=tuple(w_order // int(m) for m in
                                              np.bincount(orbit, minlength=dim)))
 
@@ -252,7 +224,7 @@ def enumerate_report(rs: RootSystem, k: int) -> dict:
         "level": k,
         "order": q.order,
         "invariant_factors": list(q.snf_invariants),
-        "reps": [fractions(x) for x in q.numerators],
+        "reps": [fractions(x) for x in q.numerators[np.lexsort(q.numerators.T[::-1])]],
         "alcove": {
             "open": [coords(p) for p in alc.open_points],
             "closed": [coords(p) for p in alc.closed_points],

@@ -28,8 +28,14 @@ conjugate half-angle phase, runs ifftn in place and gathers the family from
 it.  So each call allocates one C x C array besides O(C S) and the |Z| B^n
 family, and no (cells x box points) matrix is formed.  A grid whose section
 samples (N^(2n)) or family values (|Z| B^n) exceed WGZ_ARRAY_CEILING complex
-entries is refused before any array is allocated.  F_Z and the Gauss factor
-G_Z read their phases from the integer pair and norm of Z (lattice), as finrep.
+entries is refused before any array is allocated.
+
+Z, its numerators and the integer kG all come from one QuotientGroup
+(lattice.quotient_group): on a grid it is spec.quotient(), built once and
+cached, and a family or section carries it as `quotient`, which must be Z
+of the grid's (type, k).  Row g of a family is the point of dense index g.
+F_Z and the Gauss factor G_Z read their phases from the integer pair and
+norm of Z, as finrep.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .heatkernel import _bilinear_phase
-from .lattice import QuotientGroup, _quotient_shape, quotient_group
+from .lattice import QuotientGroup, quotient_group
 from .roots import RootSystem
 
 
@@ -58,13 +64,12 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     l1f, l2f = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
     if not (np.all(l1f % 1 == 0) and np.all(l2f % 1 == 0)):
         raise DomainError("multiplier lattice vectors must be integral coroot vectors")
-    gram = np.array(rs.gram1, dtype=np.int64)
-    sign = -1.0 if k * int(l1f.astype(np.int64) @ gram @ l2f.astype(np.int64)) % 2 else 1.0
-    gm = gram * float(k)
-    # gm is symmetric, so <lam1, theta2>_k = theta2 . (gm lam1); the phase is
+    kg = quotient_group(rs, k).kg
+    sign = -1.0 if int(l1f.astype(np.int64) @ kg @ l2f.astype(np.int64)) % 2 else 1.0
+    # kg is symmetric, so <lam1, theta2>_k = theta2 . (kg lam1); the phase is
     # one exp over theta1 times one exp over theta2, multiplied on broadcast
-    e1 = np.exp(-1j * math.pi * (np.asarray(theta1, dtype=float) @ (gm @ l2f)))
-    e2 = np.exp(1j * math.pi * (np.asarray(theta2, dtype=float) @ (gm @ l1f)))
+    e1 = np.exp(-1j * math.pi * (np.asarray(theta1, dtype=float) @ (kg @ l2f)))
+    e2 = np.exp(1j * math.pi * (np.asarray(theta2, dtype=float) @ (kg @ l1f)))
     return sign * e1 * e2
 
 
@@ -85,17 +90,17 @@ class GridSpec:
     def __post_init__(self):
         if self.divisions < 2 or self.half_width < 1:
             raise SchemaError("grid needs divisions >= 2 and half_width >= 1")
-        d = self.quotient_shape().denom
+        d = self.quotient().denom
         if self.divisions % d:
             raise SchemaError(
                 f"divisions {self.divisions} must be a multiple of {d} so that "
                 "dual-lattice shifts are grid-aligned")
 
-    def quotient_shape(self):
-        """The integer description of Z (lattice._quotient_shape), cached."""
-        if "z" not in self._cache:
-            self._cache["z"] = _quotient_shape(self.rs, self.k)
-        return self._cache["z"]
+    def quotient(self) -> QuotientGroup:
+        """Z of (rs, k) (lattice.quotient_group), cached."""
+        if "quotient" not in self._cache:
+            self._cache["quotient"] = quotient_group(self.rs, self.k)
+        return self._cache["quotient"]
 
     @property
     def n(self) -> int:
@@ -104,10 +109,6 @@ class GridSpec:
     @property
     def box_points_per_axis(self) -> int:
         return 2 * self.half_width * self.divisions + 1
-
-    def pairing_matrix(self) -> np.ndarray:
-        """k * gram1 as floats."""
-        return np.array(self.rs.gram1, dtype=float) * self.k
 
     def box_coords(self) -> np.ndarray:
         """Integer grid coordinates (units of 1/N) of the box, shape (B^n, n)."""
@@ -143,7 +144,7 @@ class GridSpec:
 
     def cell_volume(self) -> float:
         """dvol_k of one grid cell."""
-        det = float(np.linalg.det(self.pairing_matrix()))
+        det = float(np.linalg.det(self.quotient().kg))
         return math.sqrt(det) / self.divisions ** self.n
 
     def lattice_shifts(self) -> np.ndarray:
@@ -153,7 +154,7 @@ class GridSpec:
         if "shifts" in self._cache:
             return self._cache["shifts"]
         n, nn, mn = self.n, self.divisions, self.half_width * self.divisions
-        z = self.quotient_shape()
+        z = self.quotient()
         bound = int(np.abs(z.kg).sum(axis=1).max()) * self.half_width + 1
         # lam N = (N / D) D (kG)^{-1} x, integral since D divides N
         lam_n = _mesh([np.arange(-bound, bound + 1)] * n) @ z.kinv.T * (nn // z.denom)
@@ -195,21 +196,21 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
     A grid over WGZ_ARRAY_CEILING raises ResourceLimitError before any array
     is allocated."""
-    z = _quotient_shape(rs, k)
+    z = quotient_group(rs, k)
     divisions = max(resolution, z.denom)
     divisions += (-divisions) % z.denom
     # the smallest box first: refuses a level or resolution over the ceiling
     # before k is taken to floating point
     _check_array_size(rs, k, z.order, divisions, 1)
-    kg = np.array(rs.gram1, dtype=float) * k
-    c = np.linalg.cholesky(kg)
+    c = np.linalg.cholesky(z.kg)
     # coroot coords of an orthonormal-frame point y: c = C^{-T} y
     cinv_t = np.linalg.inv(c.T)
     reach = np.abs(cinv_t).sum(axis=1).max() * box_radius
     # capped: a wider box is over the ceiling whatever N is
     half_width = int(np.ceil(min(reach, WGZ_ARRAY_CEILING)))
     while True:
-        spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
+        spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width,
+                        _cache={"quotient": z})
         _check_array_size(rs, k, z.order, divisions, half_width)
         if alias_margin(spec) > 0:
             return spec
@@ -224,6 +225,7 @@ class GridFunctionFamily:
     values: np.ndarray   # complex, shape (|Z|, B^n)
 
     def __post_init__(self):
+        _check_quotient(self.spec, self.quotient)
         self.values = np.asarray(self.values, dtype=complex)
         expected = (self.quotient.order, self.spec.box_points_per_axis ** self.spec.n)
         if self.values.shape != expected:
@@ -247,7 +249,7 @@ def family_from_callable(spec: GridSpec, quotient: QuotientGroup,
 def gaussian_family(spec: GridSpec, quotient: QuotientGroup,
                     gamma_index: int = 0) -> GridFunctionFamily:
     """Standard Gaussian e^{-pi <theta,theta>_k} supported on one finite index."""
-    kg = spec.pairing_matrix()
+    kg = quotient.kg
 
     def fn(g, coords):
         if g != gamma_index:
@@ -263,7 +265,7 @@ def random_gaussian_poly_family(spec: GridSpec, quotient: QuotientGroup,
                                 max_degree: int = 3) -> GridFunctionFamily:
     """Random polynomial-times-Gaussian family, one random profile per index,
     from one draw; summed a degree at a time, so two family arrays at most."""
-    n, kg = spec.n, spec.pairing_matrix()
+    n, kg = spec.n, quotient.kg
     coords = spec.box_coords() / spec.divisions
     env = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, kg, coords))
     # per index and degree: re c, im c, re a, im a of the term (theta.c)^d a
@@ -290,29 +292,36 @@ class SectionSamples:
     truncation_error: float = 0.0
 
     def __post_init__(self):
+        _check_quotient(self.spec, self.quotient)
         m = self.spec.divisions ** self.spec.n
         if self.values.shape != (m, m):
             raise SchemaError(
                 f"section shape {self.values.shape} does not match ({m}, {m})")
 
 
-def _gamma_grid_coords(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
+def _check_quotient(spec: GridSpec, quotient: QuotientGroup) -> None:
+    if (quotient.rs.lie_type, quotient.k) != (spec.rs.lie_type, spec.k):
+        raise SchemaError(
+            f"quotient of {quotient.rs.lie_type} k={quotient.k} does not match "
+            f"the grid's {spec.rs.lie_type} k={spec.k}")
+
+
+def _gamma_grid_coords(spec: GridSpec) -> np.ndarray:
     """Integer grid coordinates (units 1/N) of the canonical quotient reps."""
-    return quotient.numerators * (spec.divisions // quotient.denom)
+    z = spec.quotient()
+    return z.numerators * (spec.divisions // z.denom)
 
 
 @dataclass(frozen=True)
 class _ForwardPlan:
     """Index tables of the forward transform at one theta1 offset."""
-    complete: bool          # no lattice shift was dropped
     gather: np.ndarray      # (C, S) flat box index of theta1 + lambda
     modulation: np.ndarray  # (|Z|, S) e^{-2 pi i x.gamma / N} / sqrt|Z|
     residues: np.ndarray    # (U,) distinct flat residues x mod N, increasing
     starts: np.ndarray      # (U,) first shift of each residue
 
 
-def _forward_plan(spec: GridSpec, quotient: QuotientGroup,
-                  off1: np.ndarray) -> _ForwardPlan:
+def _forward_plan(spec: GridSpec, off1: np.ndarray) -> _ForwardPlan:
     """The forward plan at theta1 = cell + N off1, built once per (grid,
     off1).  A shift is kept when its whole translate lies inside the box;
     the kept shifts are sorted by residue x = kG lambda mod N (stably, so
@@ -326,23 +335,22 @@ def _forward_plan(spec: GridSpec, quotient: QuotientGroup,
         inside = np.all((shifts + t1.min(axis=0) >= -mn)
                         & (shifts + t1.max(axis=0) <= mn), axis=1)
         shifts = shifts[inside]
-        x = shifts @ spec.quotient_shape().kg // nn     # (S, n), x = kG lambda
+        z = spec.quotient()
+        x = shifts @ z.kg // nn                         # (S, n), x = kG lambda
         residue = _ravel(x % nn, (nn,) * spec.n)
         order = np.argsort(residue, kind="stable")
         shifts, x, residue = shifts[order], x[order], residue[order]
         starts = np.flatnonzero(np.diff(residue, prepend=-1))
-        gam = _gamma_grid_coords(spec, quotient)        # (|Z|, n) in units 1/N
+        gam = _gamma_grid_coords(spec)                  # (|Z|, n) in units 1/N
         spec._cache[key] = _ForwardPlan(
-            complete=bool(inside.all()),
             gather=spec.box_flat_index(t1[:, None, :] + shifts[None, :, :]),
             modulation=(np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)
-                        / math.sqrt(quotient.order)),
+                        / math.sqrt(z.order)),
             residues=residue[starts], starts=starts)
     return spec._cache[key]
 
 
-def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
-                    skip_outside: bool = False) -> np.ndarray:
+def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """The transform series evaluated at (theta1 + off1, theta2 + off2) for
     theta1, theta2 on the F_Lambda grid; offsets are integer coroot vectors.
 
@@ -351,19 +359,16 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray,
     x mod N only.  The gamma part is a modulation of the shifted samples, so
     the lambda- and gamma-sums are one fold of the modulated f(theta1 + lambda)
     onto the residues x mod N, then one n-dimensional DFT whose frequency
-    theta2 mod N is the cell index itself.
-
-    skip_outside drops lattice shifts whose translate leaves the box (their
-    contribution is bounded by the boundary decay of f).
+    theta2 mod N is the cell index itself.  At a nonzero offset, shifts
+    whose translate leaves the box are dropped (their contribution is bounded
+    by the boundary decay of f); at offset 0 every shift of lattice_shifts
+    is kept.
     """
     spec, quotient = f.spec, f.quotient
     n, nn = spec.n, spec.divisions
-    plan = _forward_plan(spec, quotient, off1)
-    if not (plan.complete or skip_outside):
-        raise DomainError("lattice shift leaves the sampling box; "
-                          "enlarge half_width or pass skip_outside")
+    plan = _forward_plan(spec, off1)
     cell = spec.cell_coords()                       # (C, n) in units 1/N
-    kg = spec.pairing_matrix()
+    kg = quotient.kg
     shifted = f.values[0].take(plan.gather)
     shifted *= plan.modulation[0]
     part = np.empty_like(shifted)
@@ -390,7 +395,7 @@ def _half_angle_phase(spec: GridSpec) -> np.ndarray:
     """e^{-pi i <p, q>_k} over cell pairs (p, q), shape (C, C), cached."""
     if "half_angle" not in spec._cache:
         cell = spec.cell_coords()
-        expo = (cell @ spec.pairing_matrix() @ cell.T) / spec.divisions ** 2
+        expo = (cell @ spec.quotient().kg @ cell.T) / spec.divisions ** 2
         spec._cache["half_angle"] = np.exp(-1j * math.pi * expo)
     return spec._cache["half_angle"]
 
@@ -412,7 +417,7 @@ def alias_margin(spec: GridSpec) -> int:
     box diameter 2*M*N.  Returns shortest - diameter (positive = safe).
     """
     n, nn = spec.n, spec.divisions
-    dual = np.linalg.inv(spec.pairing_matrix()) * nn ** 2
+    dual = np.linalg.inv(spec.quotient().kg) * nn ** 2
     best = None
     for x in itertools.product(range(-2, 3), repeat=n):
         if all(v == 0 for v in x):
@@ -423,7 +428,7 @@ def alias_margin(spec: GridSpec) -> int:
     return best - 2 * spec.half_width * nn
 
 
-def _inverse_plan(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
+def _inverse_plan(spec: GridSpec) -> np.ndarray:
     """Flat index (|Z|, B^n) into the C x C inverse DFT of the read-off of
     every box point m = p + ghat + N nu: row p, frequency (y + kG nu) mod N
     with y = kG ghat.  Built once per grid, after the alias check, which
@@ -435,8 +440,8 @@ def _inverse_plan(spec: GridSpec, quotient: QuotientGroup) -> np.ndarray:
                 "grid too coarse for alias-free inversion; increase divisions "
                 f"(alias margin {margin} grid units)")
         nn, grid = spec.divisions, (spec.divisions,) * spec.n
-        kg = spec.quotient_shape().kg
-        gam = _gamma_grid_coords(spec, quotient)
+        kg = spec.quotient().kg
+        gam = _gamma_grid_coords(spec)
         m = spec.box_coords()[None, :, :] - gam[:, None, :]     # (|Z|, B^n, n)
         p = m % nn
         freq = ((m - p) // nn @ kg + (gam @ kg // nn)[:, None, :]) % nn
@@ -452,7 +457,7 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     """
     spec, quotient = s.spec, s.quotient
     n, nn = spec.n, spec.divisions
-    readoff = _inverse_plan(spec, quotient)
+    readoff = _inverse_plan(spec)
     # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
     #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
     #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i (y + kG nu).q / N},
@@ -473,14 +478,14 @@ def inner_family(f: GridFunctionFamily, g: GridFunctionFamily) -> complex:
 def inner_section(s1: SectionSamples, s2: SectionSamples) -> complex:
     """(1/Vol Lambda) double integral over F_Lambda^2 with dvol_k."""
     spec = s1.spec
-    vol = math.sqrt(float(np.linalg.det(spec.pairing_matrix())))
+    vol = math.sqrt(float(np.linalg.det(s1.quotient.kg)))
     return complex(np.vdot(s2.values, s1.values)) * vol / spec.divisions ** (2 * spec.n)
 
 
 def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
                                translations: Optional[List] = None) -> float:
     """Sup residual of s(A + lambda) = e_lambda(A) s(A) over coroot translations."""
-    spec, quotient = f.spec, f.quotient
+    spec = f.spec
     rs, k, nn = spec.rs, spec.k, spec.divisions
     if translations is None:
         eye = np.eye(spec.n, dtype=int)
@@ -492,8 +497,7 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
     for mu1, mu2 in translations:
         if np.abs(mu1).max() >= spec.half_width:
             continue
-        lhs = _forward_values(f, np.asarray(mu1), np.asarray(mu2),
-                              skip_outside=True)
+        lhs = _forward_values(f, np.asarray(mu1), np.asarray(mu2))
         mult = multiplier_eval(rs, k, mu1, mu2, cell[:, None], cell[None, :])
         mult *= s.values
         lhs -= mult
@@ -506,22 +510,22 @@ def apply_finite_fourier(f: GridFunctionFamily, inverse: bool = False
     """F_Z (or its inverse) acting on the finite index of a family: the
     kernel e^{+-2 pi i <a, b>_k} / sqrt|Z|, a D-th root of unity per entry
     from the integer pairing on Z."""
-    quotient, z = f.quotient, f.spec.quotient_shape()
+    z = f.quotient
     sign = -2j if inverse else 2j
-    roots = np.exp(sign * math.pi * np.arange(z.denom) / z.denom) / math.sqrt(quotient.order)
-    mat = roots[z.pair(quotient.numerators, quotient.numerators)]
-    return GridFunctionFamily(f.spec, quotient, mat @ f.values)
+    roots = np.exp(sign * math.pi * np.arange(z.denom) / z.denom) / math.sqrt(z.order)
+    mat = roots[z.pair(z.numerators, z.numerators)]
+    return GridFunctionFamily(f.spec, z, mat @ f.values)
 
 
 def prequantum_T(f: GridFunctionFamily) -> GridFunctionFamily:
     """T-hat = G_Z (finite Gauss phase e^{2 pi i q(gamma)}, from the integer
     norm on Z) composed with G_E^{-1} (pointwise e^{-pi i <theta, theta>_k})."""
-    spec, quotient, z = f.spec, f.quotient, f.spec.quotient_shape()
+    spec, z = f.spec, f.quotient
     box = spec.box_coords()
     qbox = np.einsum("pi,ij,pj->p", box, z.kg, box) / spec.divisions ** 2
     out = f.values * np.exp(-1j * math.pi * qbox)[None, :]
-    out *= np.exp(1j * math.pi * z.norm(quotient.numerators) / z.denom)[:, None]
-    return GridFunctionFamily(spec, quotient, out)
+    out *= np.exp(1j * math.pi * z.norm(z.numerators) / z.denom)[:, None]
+    return GridFunctionFamily(spec, z, out)
 
 
 def prequantum_S(f: GridFunctionFamily) -> GridFunctionFamily:
@@ -534,7 +538,7 @@ def prequantum_S(f: GridFunctionFamily) -> GridFunctionFamily:
     spec, quotient = f.spec, f.quotient
     box = (spec.box_points_per_axis,) * spec.n
     axis = np.linspace(-spec.half_width, spec.half_width, box[0])
-    op = _bilinear_phase(2 * math.pi * spec.pairing_matrix(), [axis] * spec.n,
+    op = _bilinear_phase(2 * math.pi * quotient.kg, [axis] * spec.n,
                          d_in=spec.cell_volume())
     vals = np.empty_like(f.values)
     for out, row in zip(vals, f.values):
@@ -548,7 +552,7 @@ def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:
     box = spec.box_coords()
     wmat = np.asarray(w.matrix, dtype=int)
     idx = spec.box_flat_index(box @ wmat.T)
-    perm = quotient.index_of(quotient.numerators @ wmat.T % quotient.denom)
+    perm = quotient.index_of(quotient.numerators @ wmat.T)
     return GridFunctionFamily(spec, quotient, f.values[perm][:, idx])
 
 
@@ -570,7 +574,7 @@ def _section_plan(spec: GridSpec, name: str):
         c = b % nn
         mu = (b - c) // nn
         gather = a * len(cell) + _ravel(c, (nn,) * spec.n)
-        expo = np.einsum("pqi,ij,pqj->pq", cell[a], spec.pairing_matrix(), mu)
+        expo = np.einsum("pqi,pqi->pq", (cell @ spec.quotient().kg)[a], mu)
         spec._cache[key] = gather, np.exp(-1j * math.pi * expo / nn)
     return spec._cache[key]
 
@@ -594,17 +598,19 @@ def section_T(s: SectionSamples) -> SectionSamples:
 
 def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
                      trials: int = 20, seed: int = 0) -> dict:
-    """Round-trip, Parseval and worst-family boundary decay on random inputs, JSON-ready."""
+    """Round-trip, Parseval and worst-family boundary decay on random inputs,
+    JSON-ready; Parseval pairs consecutive families, so trials >= 2."""
+    if trials < 2:
+        raise SchemaError(f"trials must be an integer >= 2, got {trials}")
     if seed < 0:
         raise SchemaError(f"seed must be a non-negative integer, got {seed}")
     spec = grid_spec_from_box(rs, k, resolution, box_radius)
-    quotient = quotient_group(rs, k)
+    quotient = spec.quotient()
     rng = np.random.default_rng(seed)
     worst_rt = worst_parseval = decay = 0.0
-    count = max(trials, 2)
     # one family and section at a time: the first for quasi-periodicity,
     # the previous one for Parseval
-    for i in range(count):
+    for i in range(trials):
         f = (gaussian_family(spec, quotient) if i == 0
              else random_gaussian_poly_family(spec, quotient, rng))
         s = wgz_forward(f)
@@ -627,7 +633,7 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
         "divisions": spec.divisions,
         "half_width": spec.half_width,
         "box_radius": box_radius,
-        "trials": count,
+        "trials": trials,
         "roundtrip_residual": worst_rt,
         "parseval_relative_error": worst_parseval,
         "quasi_periodicity_residual": qp,

@@ -521,6 +521,16 @@ def test_wgz_negative_seed_exits_schema(capsys):
     assert out == "" and len(err.strip().splitlines()) == 1 and "seed" in err
 
 
+@pytest.mark.parametrize("trials", ["-3", "0", "1"])
+def test_wgz_fewer_than_two_trials_exits_schema(capsys, trials):
+    """Parseval pairs consecutive families, so fewer than two trials is an
+    invalid configuration (exit 2, one line), not a run of two."""
+    code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--rank", "1",
+                             "--level", "1", "--resolution", "24", "--trials", trials)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "trials" in err
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # a --level call before a call that omits it, so state left in the shared

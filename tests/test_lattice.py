@@ -228,8 +228,9 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
     rs = build_root_system(LieType(fam, rank))
     orbits = weyl_orbits(rs, k)
     q = quotient_group(rs, k)
-    assert len(orbits.elements) == q.order
-    d = orbits.shape.denom
+    z = orbits.quotient
+    assert z.order == q.order and (z.numerators == q.numerators).all()
+    d = z.denom
     alc = alcove_points(rs, k)
     members = orbits.members()
     for i, gamma in enumerate(alc.closed_points):
@@ -237,7 +238,7 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
         for w in rs.weyl_group().elements:
             image = frac_part(w.apply(gamma))
             signs.setdefault(image, set()).add(w.determinant)
-        got = {tuple(Fraction(int(x), d) for x in orbits.elements[j]): int(orbits.sign[j])
+        got = {tuple(Fraction(int(x), d) for x in z.numerators[j]): int(orbits.sign[j])
                for j in members[i]}
         assert set(got) == set(signs)
         odd = any(len(v) > 1 for v in signs.values())
@@ -277,13 +278,14 @@ ORACLE_SWEEP = ([(f, r, k) for f, r in TYPES for k in range(1, 6)]
 
 @pytest.mark.parametrize("fam,rank,k", ORACLE_SWEEP)
 def test_integer_quotient_matches_fraction_oracle(fam, rank, k):
-    """The numerators over D are the sorted exact reps, element for element,
-    and index_of reads each back at its own row."""
+    """The numerators over D, sorted, are the sorted exact reps, element for
+    element, and index_of reads each back at its own row."""
     rs = build_root_system(LieType(fam, rank))
     q = quotient_group(rs, k)
     oracle = fraction_quotient(rs, k)
+    rows = np.lexsort(q.numerators.T[::-1])
     assert [tuple(Fraction(int(x), q.denom) for x in row)
-            for row in q.numerators] == list(oracle.reps)
+            for row in q.numerators[rows]] == list(oracle.reps)
     assert (q.index_of(q.numerators) == np.arange(q.order)).all()
 
 
@@ -294,17 +296,20 @@ def test_discriminant_form_matches_fraction_oracle(fam, rank, k):
     a seeded sample of at most 40 x 40 points, norm on all of Z."""
     rs = build_root_system(LieType(fam, rank))
     q = quotient_group(rs, k)
-    z, d = q._shape, q.denom
-    reps = fraction_quotient(rs, k).reps
+    d = q.denom
+    oracle = fraction_quotient(rs, k)
+    # the exact rep of each row of q, matched through the oracle's own index
+    reps = [oracle.reps[oracle.index_of(tuple(Fraction(int(e), d) for e in x))]
+            for x in q.numerators]
     gram = exact.mat(rs.gram1)
     rows, cols = (np.sort(np.random.default_rng(seed).permutation(q.order)[:40])
                   for seed in (k, k + 1))
     want = [[d * k * exact.bilinear(gram, reps[a], reps[b]) % d for b in cols] for a in rows]
     x = q.numerators
-    assert z.pair(x[rows], x[cols]).tolist() == want
-    assert (z.pair(x[rows], x[cols]) == z.pair(x[cols], x[rows]).T).all()
-    assert z.norm(x).tolist() == [d * k * exact.bilinear(gram, a, a) % (2 * d) for a in reps]
-    assert (z.norm(x[rows]) % d == np.diag(z.pair(x[rows], x[rows]))).all()
+    assert q.pair(x[rows], x[cols]).tolist() == want
+    assert (q.pair(x[rows], x[cols]) == q.pair(x[cols], x[rows]).T).all()
+    assert q.norm(x).tolist() == [d * k * exact.bilinear(gram, a, a) % (2 * d) for a in reps]
+    assert (q.norm(x[rows]) % d == np.diag(q.pair(x[rows], x[rows]))).all()
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])
@@ -318,11 +323,13 @@ def test_weyl_action_permutes_like_the_fraction_route(monkeypatch, fam, rank, k)
     q = quotient_group(rs, k)
     oracle = fraction_quotient(rs, k)
     spec = GridSpec(rs=rs, k=k, divisions=q.denom, half_width=1)
-    # row g is the constant g, so the image reads off the permutation
-    f = GridFunctionFamily(spec, q, np.repeat(np.arange(q.order, dtype=complex)[:, None],
+    # row g is the constant pos[g], the oracle's index of gamma_g, so the
+    # image reads off the permutation in the oracle's indices
+    pos = [oracle.index_of(tuple(Fraction(int(e), q.denom) for e in x)) for x in q.numerators]
+    f = GridFunctionFamily(spec, q, np.repeat(np.array(pos, dtype=complex)[:, None],
                                               spec.box_points_per_axis ** rank, axis=1))
     for w in rs.weyl_group().elements:
-        perm = [oracle.index_of(w.apply(rep)) for rep in oracle.reps]
+        perm = [oracle.index_of(w.apply(oracle.reps[p])) for p in pos]
         assert (weyl_action(f, w).values[:, 0].real == perm).all()
 
 
@@ -346,3 +353,28 @@ def test_numeric_modules_import_no_exact_arithmetic(module):
             imported.add(base.rstrip("."))
             imported.update(f"{base.rstrip('.')}.{a.name}" for a in node.names)
     assert not imported & {"fractions", "cstorus.exact"}, sorted(imported)
+
+
+def test_one_description_of_z():
+    """Z has one class and one order under src/: lattice defines no second
+    description of it, enumerate_report is the only place that sorts it
+    lexicographically (for the reps it prints), and wgz builds no float kG of
+    its own.  The one other lexsort orders the dual-lattice shifts of a grid
+    by max-norm, not the points of Z."""
+    src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
+    lattice = ast.parse((src / "lattice.py").read_text())
+    defined = {node.name for node in ast.walk(lattice)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not defined & {"_QuotientShape", "_quotient_shape"}, sorted(defined)
+    lexsorts = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                lexsorts += [(path.stem, fn.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.Attribute) and node.attr == "lexsort"]
+    assert sorted(lexsorts) == [("lattice", "enumerate_report"), ("wgz", "lattice_shifts")]
+    wgz = ast.parse((src / "wgz.py").read_text())
+    named = {node.name for node in ast.walk(wgz) if isinstance(node, ast.FunctionDef)}
+    named |= {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(wgz) if isinstance(node, ast.Call)}
+    assert "pairing_matrix" not in named

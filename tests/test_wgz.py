@@ -14,8 +14,8 @@ from cstorus.heatkernel import _smooth_length
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
-                         SectionSamples, _forward_values,
-                         _gamma_grid_coords, alias_margin,
+                         SectionSamples, _forward_plan, _forward_values,
+                         alias_margin,
                          apply_finite_fourier, family_from_callable,
                          gaussian_family, grid_spec_from_box, inner_family,
                          inner_section, multiplier_eval, prequantum_S,
@@ -35,6 +35,16 @@ def relmax(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+def float_kg(spec):
+    """k * gram1 as floats, built by the oracles for themselves."""
+    return np.array(spec.rs.gram1, dtype=float) * spec.k
+
+
+def gamma_grid_coords(spec, quotient):
+    """Grid coordinates (units 1/N) of the numerators, row g for index g."""
+    return quotient.numerators * (spec.divisions // quotient.denom)
+
+
 # -- brute-force oracles of the production transform --------------------------
 
 def multiplier_oracle(rs, k, lam1, lam2, theta1, theta2):
@@ -51,8 +61,8 @@ def forward_oracle(f, off1, off2, skip_outside=False):
     spec, quotient = f.spec, f.quotient
     nn, mn = spec.divisions, spec.half_width * spec.divisions
     cell = spec.cell_coords()
-    kg = spec.pairing_matrix()
-    gam = _gamma_grid_coords(spec, quotient)
+    kg = float_kg(spec)
+    gam = gamma_grid_coords(spec, quotient)
     t1, t2 = cell + off1 * nn, cell + off2 * nn
     out = np.zeros((len(cell), len(cell)), dtype=complex)
     for g in range(quotient.order):
@@ -75,8 +85,8 @@ def inverse_oracle(s, chunk=2048):
     spec, quotient = s.spec, s.quotient
     nn = spec.divisions
     cell, box = spec.cell_coords(), spec.box_coords()
-    kg = spec.pairing_matrix()
-    gam = _gamma_grid_coords(spec, quotient)
+    kg = float_kg(spec)
+    gam = gamma_grid_coords(spec, quotient)
     st = s.values * np.exp(-1j * math.pi * (cell @ kg @ cell.T) / nn ** 2)
     fam = np.zeros((quotient.order, len(box)), dtype=complex)
     for lo in range(0, len(box), chunk):
@@ -99,7 +109,7 @@ def section_oracle(s, name):
     spec = s.spec
     nn = spec.divisions
     cell = spec.cell_coords()
-    kg = spec.pairing_matrix()
+    kg = float_kg(spec)
     out = np.empty_like(s.values)
     for p, t1 in enumerate(cell):
         for q, t2 in enumerate(cell):
@@ -122,11 +132,11 @@ def test_forward_matches_shift_by_shift_oracle(fam, rank, k, res, radius):
     f = random_gaussian_poly_family(spec, q, np.random.default_rng(7))
     zero = np.zeros(rank, dtype=int)
     assert relmax(wgz_forward(f).values, forward_oracle(f, zero, zero)) <= 1e-12
+    # at offset 0 the plan keeps every shift whose translate lies in the box
+    assert _forward_plan(spec, zero).gather.shape[1] == len(spec.lattice_shifts())
     # offset translate: some shifts leave the box and are dropped whole
     eye = np.eye(rank, dtype=int)
-    with pytest.raises(DomainError):
-        _forward_values(f, eye[0], eye[-1])
-    got = _forward_values(f, eye[0], eye[-1], skip_outside=True)
+    got = _forward_values(f, eye[0], eye[-1])
     assert relmax(got, forward_oracle(f, eye[0], eye[-1], skip_outside=True)) <= 1e-12
 
 
@@ -380,7 +390,7 @@ def prequantum_S_dense(f):
     chunks.  Oracle for the chirp-convolution prequantum_S."""
     spec, quotient = f.spec, f.quotient
     nn = spec.divisions
-    kg = spec.pairing_matrix()
+    kg = float_kg(spec)
     box = spec.box_coords()
     vals = np.empty_like(f.values)
     chunk = max(1, 10_000_000 // max(len(box), 1))
@@ -405,7 +415,7 @@ def test_prequantum_S_matches_dense_kernel(fam, rank, k, divisions, half_width):
 def random_family_sequential(spec, quotient, rng, max_degree=3):
     """The random family drawn index by index and degree by degree: oracle
     for the stream order of the one-draw random_gaussian_poly_family."""
-    kg = spec.pairing_matrix()
+    kg = float_kg(spec)
     coords = spec.box_coords() / spec.divisions
     env = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, kg, coords))
     vals = []
@@ -467,7 +477,7 @@ def test_prequantum_T_on_single_index_gaussian():
     out = prequantum_T(f)
     # gamma = 0 carries finite phase 1; pointwise factor is e^{-pi i <t,t>_k}
     coords = spec.box_coords() / spec.divisions
-    kg = spec.pairing_matrix()
+    kg = float_kg(spec)
     quad = np.einsum("pi,ij,pj->p", coords, kg, coords)
     expected = f.values[0] * np.exp(-1j * math.pi * quad)
     assert np.abs(out.values[0] - expected).max() < 1e-13
@@ -500,6 +510,23 @@ def test_spec_validation():
         GridSpec(rs=rs, k=2, divisions=3, half_width=4)   # not a multiple of 4
     with pytest.raises(SchemaError):
         GridSpec(rs=rs, k=2, divisions=0, half_width=4)
+
+
+@pytest.mark.parametrize("other,k", [(("G", 2), 1), (("A", 2), 2)])
+def test_family_and_section_refuse_a_quotient_of_another_grid(other, k):
+    """A family or section carries Z of its grid's (type, k): the G2 k=1
+    quotient has the order and rank of A2 k=1 but another pairing, so on
+    the A2 grid it would give a wrong round trip and F_Z."""
+    rs = build_root_system(LieType("A", 2))
+    spec = GridSpec(rs=rs, k=1, divisions=6, half_width=1)
+    q = quotient_group(build_root_system(LieType(*other)), k)
+    vals = np.zeros((q.order, spec.box_points_per_axis ** 2), dtype=complex)
+    with pytest.raises(SchemaError, match="does not match"):
+        GridFunctionFamily(spec, q, vals)
+    with pytest.raises(SchemaError, match="does not match"):
+        gaussian_family(spec, q)
+    with pytest.raises(SchemaError, match="does not match"):
+        SectionSamples(spec, q, np.zeros((36, 36), dtype=complex))
 
 
 def test_roundtrip_report_keys():
@@ -577,5 +604,7 @@ def test_finite_operators_read_the_integer_discriminant_form(name):
               if isinstance(node, ast.FunctionDef) and node.name == name)
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert not called & {"pairing_matrix", "_gamma_grid_coords"}, sorted(called)
-    assert {"quotient_shape", "pair" if name == "apply_finite_fourier" else "norm"} <= called
+    assert ("pair" if name == "apply_finite_fourier" else "norm") in called
+    assert {"quotient", "numerators", "denom"} <= read, sorted(read)
