@@ -137,8 +137,11 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
     except ValueError as e:
         raise SchemaError(f"artifact would contain a non-finite number: {e}")
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise SchemaError(f"cannot write the artifact to {cfg.out}: {e}")
     else:
         print(text)
 

@@ -18,9 +18,9 @@ row v_l has parity (-1)^l, on L x N/2 blocks (one function per row).
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
 and is the working coordinate everywhere below.  The ground state is
-v(y, sigma) = exp(-pi i |y|^2 / sigma) and the ladder operators are
-D_sigma = d/dy - 2 alpha y and D_sigmabar = d/dy on polynomial-times-v
-functions, with alpha = 2 pi Im(sigma)/|sigma|^2 > 0.
+v(y, sigma) = exp(-pi i y^2 / sigma), with alpha = 2 pi Im(sigma)/|sigma|^2 > 0
+the Gaussian width of |v|^2, and the flow acts on the eigenbasis through the
+spectrum laplacian_spectrum.
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import DomainError, InconsistencyError, ResourceLimitError, SchemaError
-
-MultiIndex = Tuple[int, ...]
 
 
 def alpha_constant(sigma: complex) -> float:
@@ -114,145 +111,16 @@ def mobius_sigma(generator: str, sigma: complex) -> complex:
 
 
 def ground_state(y: np.ndarray, sigma: complex) -> np.ndarray:
-    """v(y, sigma) = exp(-pi i |y|^2 / sigma) with y of shape (..., n) or (...,)."""
+    """v(y, sigma) = exp(-pi i y^2 / sigma) at the points y of a line."""
     y = np.asarray(y, dtype=float)
-    y2 = y ** 2 if y.ndim <= 1 else np.sum(y ** 2, axis=-1)
-    return np.exp(-1j * math.pi * y2 / complex(sigma))
+    return np.exp(-1j * math.pi * y ** 2 / complex(sigma))
 
 
-def norm_sq(l: MultiIndex, sigma: complex) -> float:
-    """Squared L^2 norm of v_l: prod_j (2 alpha)^{l_j} l_j! * (pi/alpha)^{n/2}."""
-    a = alpha_constant(sigma)
-    out = (math.pi / a) ** (len(l) / 2)
-    for lj in l:
-        out *= (2 * a) ** lj * math.factorial(lj)
-    return out
-
-
-@dataclass
-class PolyGaussian:
-    """A function p(y) * v(y, sigma) with p a polynomial, stored by its
-    coefficient array (one axis per coordinate, index = degree)."""
-    k: int
-    sigma: complex
-    coeffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.ndim
-
-    def _alpha(self) -> float:
-        return alpha_constant(self.sigma)
-
-    def d_sigma(self, axis: int) -> "PolyGaussian":
-        """Raising ladder operator: p -> dp/dy_axis - 2 alpha y_axis p."""
-        d = _poly_deriv(self.coeffs, axis)
-        m = _poly_mul_y(self.coeffs, axis)
-        shape = tuple(max(a_, b_) for a_, b_ in zip(d.shape, m.shape))
-        c = _pad_like(d, shape) - 2.0 * self._alpha() * _pad_like(m, shape)
-        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=c)
-
-    def d_sigma_bar(self, axis: int) -> "PolyGaussian":
-        """Lowering ladder operator: p -> dp/dy_axis."""
-        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=_poly_deriv(self.coeffs, axis))
-
-    def laplacian(self) -> "PolyGaussian":
-        """Explicit second-order operator n k - (k/alpha) sum_j D_sigma,j D_sigmabar,j."""
-        a = self._alpha()
-        acc = self.n * self.k * _pad_like(self.coeffs, self.coeffs.shape)
-        for axis in range(self.n):
-            term = self.d_sigma_bar(axis).d_sigma(axis).coeffs
-            shape = tuple(max(a_, b_) for a_, b_ in zip(acc.shape, term.shape))
-            acc = _pad_like(acc, shape) - (self.k / a) * _pad_like(term, shape)
-        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=acc)
-
-    def evaluate(self, y) -> np.ndarray:
-        """Values at points y of shape (m, n) in level-k orthonormal coordinates."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        out = np.empty(len(y), dtype=complex)
-        for i, p in enumerate(y):
-            c = self.coeffs.astype(complex)
-            for x in p:
-                c = npp.polyval(x, c)
-            out[i] = c
-        return out * ground_state(y, self.sigma)
-
-
-def _poly_deriv(c: np.ndarray, axis: int) -> np.ndarray:
-    c = np.moveaxis(np.asarray(c, dtype=complex), axis, 0)
-    if c.shape[0] == 1:
-        d = np.zeros_like(c)
-    else:
-        d = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
-    return np.moveaxis(d if d.shape[0] else np.zeros_like(c[:1]), 0, axis)
-
-
-def _poly_mul_y(c: np.ndarray, axis: int) -> np.ndarray:
-    c = np.moveaxis(np.asarray(c, dtype=complex), axis, 0)
-    out = np.concatenate([np.zeros_like(c[:1]), c], axis=0)
-    return np.moveaxis(out, 0, axis)
-
-
-def _pad_like(c: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    out = np.zeros(shape, dtype=complex)
-    out[tuple(slice(0, s) for s in c.shape)] = c
-    return out
-
-
-def ladder_basis_element(l: MultiIndex, sigma: complex, k: int) -> PolyGaussian:
-    """v_l built by repeated application of the raising ladder operators to
-    the ground state; an independent code path from the recurrence table."""
-    pg = PolyGaussian(k=k, sigma=complex(sigma), coeffs=np.ones((1,) * len(l), dtype=complex))
-    for axis, lj in enumerate(l):
-        for _ in range(int(lj)):
-            pg = pg.d_sigma(axis)
-    return pg
-
-
-@dataclass
-class HermiteExpansion:
-    """Truncated expansion f = sum_l coeffs[l] * v_l(., sigma)."""
-    n: int
-    k: int
-    sigma: complex
-    coeffs: Dict[MultiIndex, complex]
-
-    def evaluate(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.shape[1] != self.n:
-            raise SchemaError(f"points have dimension {y.shape[1]}, expected {self.n}")
-        lmax = max((max(l) for l in self.coeffs), default=0)
-        tables = [hermite_function_table(lmax, y[:, j], self.sigma) for j in range(self.n)]
-        acc = np.zeros(len(y), dtype=complex)
-        for l, c in sorted(self.coeffs.items()):
-            # unit-norm rows times ||v_l||: the coefficients refer to the raw v_l
-            term = np.full(len(y), complex(c) * math.sqrt(norm_sq(l, self.sigma)))
-            for j, lj in enumerate(l):
-                term = term * tables[j][lj]
-            acc += term
-        return acc
-
-
-def laplacian_apply(f: HermiteExpansion, params: Optional[HWParams] = None) -> HermiteExpansion:
-    """Diagonal action of the quantum Laplacian: v_l -> 2k(|l| + n/2) v_l."""
-    if params is not None and params.k != f.k:
-        raise SchemaError(f"params level {params.k} does not match expansion level {f.k}")
-    new = {l: c * 2 * f.k * (sum(l) + f.n / 2) for l, c in f.coeffs.items()}
-    return HermiteExpansion(n=f.n, k=f.k, sigma=f.sigma, coeffs=new)
-
-
-def laplacian_explicit(f: HermiteExpansion) -> PolyGaussian:
-    """The same Laplacian applied through the explicit second-order ladder
-    form on the polynomial-times-Gaussian representation (independent path)."""
-    shape = tuple(max(l[j] for l in f.coeffs) + 1 for j in range(f.n)) if f.coeffs else (1,) * f.n
-    acc = np.zeros(shape, dtype=complex)
-    for l, c in f.coeffs.items():
-        acc += c * _pad_like(ladder_basis_element(l, f.sigma, f.k).coeffs, shape)
-    return PolyGaussian(k=f.k, sigma=f.sigma, coeffs=acc).laplacian()
+def laplacian_spectrum(k: int, degree, n: int = 1):
+    """The eigenvalue 2k(degree + n/2) of the quantum Laplacian on the
+    Hermite eigenfunctions of total degree `degree` (a number or an array) in
+    n variables; exp(-r Laplacian) multiplies them by exp(-r times it)."""
+    return 2 * k * (degree + n / 2)
 
 
 @dataclass
@@ -453,23 +321,16 @@ def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
     return _bilinear_phase(c.imag, [y], d_out, d_in, signs)
 
 
-def heat_apply(psi, params: HWParams, inverse: bool = False):
-    """Apply exp(-r Laplacian_sigma) (or its inverse): diagonally on Hermite
-    expansions, by Mehler-kernel quadrature on 1-d grid samples."""
-    sign = 1 if inverse else -1
-    if isinstance(psi, HermiteExpansion):
-        if params.k != psi.k:
-            raise SchemaError(f"params level {params.k} does not match expansion level {psi.k}")
-        new = {l: c * cmath.exp(sign * params.r * 2 * psi.k * (sum(l) + psi.n / 2))
-               for l, c in psi.coeffs.items()}
-        return HermiteExpansion(n=psi.n, k=psi.k, sigma=psi.sigma, coeffs=new)
-    if isinstance(psi, GridSamples1D):
-        y = check_uniform_grid(psi.y)
-        vals = _mehler(params, y, trapezoid_weights(y), params.sigma, inverse)(psi.values)
-        # the line is truncated at both ends of the grid
-        edge = max(abs(psi.values[0]), abs(psi.values[-1]))
-        return GridSamples1D(y=psi.y.copy(), values=vals, truncation_error=float(edge))
-    raise SchemaError(f"unsupported input type {type(psi).__name__}")
+def heat_apply(psi: GridSamples1D, params: HWParams, inverse: bool = False) -> GridSamples1D:
+    """Apply exp(-r Laplacian_sigma) (or its inverse) to 1-d grid samples by
+    Mehler-kernel quadrature."""
+    if not isinstance(psi, GridSamples1D):
+        raise SchemaError(f"unsupported input type {type(psi).__name__}")
+    y = check_uniform_grid(psi.y)
+    vals = _mehler(params, y, trapezoid_weights(y), params.sigma, inverse)(psi.values)
+    # the line is truncated at both ends of the grid
+    edge = max(abs(psi.values[0]), abs(psi.values[-1]))
+    return GridSamples1D(y=psi.y.copy(), values=vals, truncation_error=float(edge))
 
 
 @dataclass(frozen=True)
@@ -641,8 +502,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     b0 = hermite_function_table(L - 1, u, sigma)
     b2 = {gen: hermite_function_table(L - 1, u, sig2[gen]) for gen in sig2}
     proj0, proj2 = projector(b0), {gen: projector(b2[gen]) for gen in sig2}
-    # rank-L Laplacian b diag(2k(l + 1/2)) p, applied to a block
-    eigen = 2 * k * (np.arange(L) + 0.5)
+    # rank-L Laplacian b diag(spectrum) p, applied to a block
+    eigen = laplacian_spectrum(k, np.arange(L))
 
     report = {
         "k": k, "s": s, "branch": branch,

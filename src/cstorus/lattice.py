@@ -106,8 +106,7 @@ def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> 
 
 @dataclass(frozen=True)
 class AlcoveSet:
-    rs: RootSystem
-    k: int
+    quotient: QuotientGroup               # Z, of the root system and level
     closed_points: Tuple[Vec, ...]
     open_points: Tuple[Vec, ...]
     stabilizer_sizes: Tuple[int, ...]     # per closed point, in W mod coroot lattice
@@ -202,7 +201,7 @@ def alcove_points(rs: RootSystem, k: int) -> AlcoveSet:
     """Dual-lattice points in the closed/open fundamental alcove, with the
     stabilizer size |W| / |orbit| of each closed point on Z."""
     orbits = weyl_orbits(rs, k)
-    return AlcoveSet(rs=rs, k=k,
+    return AlcoveSet(quotient=orbits.quotient,
                      closed_points=orbits.labels(range(len(orbits.pairings))),
                      open_points=orbits.labels(np.flatnonzero(orbits.interior)),
                      stabilizer_sizes=orbits.stabilizer_sizes)
@@ -210,8 +209,8 @@ def alcove_points(rs: RootSystem, k: int) -> AlcoveSet:
 
 def enumerate_report(rs: RootSystem, k: int) -> dict:
     """JSON-ready report for the `lattice enumerate` CLI command."""
-    q = quotient_group(rs, k)
     alc = alcove_points(rs, k)
+    q = alc.quotient
 
     def coords(v):
         return [str(x) for x in v]

@@ -10,13 +10,12 @@ import pytest
 from cstorus import exact
 from cstorus.compactcheck import compare_shifted, su2_modular_data
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
-from cstorus.heatkernel import (GridSamples1D, HermiteExpansion, heat_apply,
-                                hermite_function_table, laplacian_apply,
-                                laplacian_explicit, solve_params, uniform_grid,
-                                verify_conjugation)
+from cstorus.heatkernel import (GridSamples1D, heat_apply, hermite_function_table,
+                                solve_params, uniform_grid, verify_conjugation)
 from cstorus.lattice import alcove_points, quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
+from test_heatkernel import HermiteExpansion, laplacian_diagonal, laplacian_explicit
 
 SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3)]
 # rank >= 4 types, E7 and E8 included: orbit closure on Z, no Weyl enumeration
@@ -77,8 +76,9 @@ def test_transform_roundtrip_and_parseval():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_laplacian_dual_paths(n):
-    """Diagonal eigenvalue action vs the explicit differential operator on
-    random eigenfunction combinations, five random moduli."""
+    """Diagonal eigenvalue action through the production laplacian_spectrum
+    vs the explicit differential operator of the test oracle, on random
+    eigenfunction combinations, five random moduli."""
     rng = np.random.default_rng(7)
     k = 2
     for _ in range(5):
@@ -90,7 +90,7 @@ def test_laplacian_dual_paths(n):
                 coeffs[l] = complex(rng.normal(), rng.normal())
         f = HermiteExpansion(n=n, k=k, sigma=sigma, coeffs=coeffs)
         pts = rng.normal(size=(40, n))
-        diag = laplacian_apply(f).evaluate(pts)
+        diag = laplacian_diagonal(f).evaluate(pts)
         explicit = laplacian_explicit(f).evaluate(pts)
         scale = max(1.0, float(np.abs(diag).max()))
         assert np.abs(diag - explicit).max() / scale < 1e-6

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_kernel_eta_file_io(tmp_path, capsys):
     assert code == 0
     got = np.array([complex(re, im) for re, im in doc["samples"]["values"]])
     assert np.abs(got + 1j * vals).max() < 1e-5   # folded self-duality
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_exits_schema(tmp_path, capsys, target):
+    """--out in a directory that does not exist, or naming a directory, is
+    an invalid configuration (exit 2, one line), not a traceback."""
+    code, out, err = run_err(capsys, "roots", "info", "--type", "A", "--rank", "1",
+                             "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "cannot write" in err
 
 
 def test_kernel_heat_bad_input_file(tmp_path, capsys):
@@ -548,11 +559,16 @@ PARSER_SEQUENCE = [
 ]
 
 
-def _solo(argv):
+def _python(*args):
+    """Run python with args in a fresh process that imports cstorus from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cstorus.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _solo(argv):
+    return _python("-m", "cstorus.cli", *argv)
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -565,6 +581,18 @@ def test_one_parser_serves_every_call(capsys):
         assert (code, out, err) == (solo.returncode, solo.stdout, solo.stderr), argv
     assert build_parser() is build_parser()
     assert build_parser.cache_info().misses == 1
+
+
+SCRIPTS = sorted(Path(SRC).parent.joinpath("scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[path.name for path in SCRIPTS])
+def test_script_imports_and_shows_help(script):
+    """Each script under scripts/ imports what it uses from the package:
+    --help runs every top-level import and exits 0."""
+    done = _python(str(script), "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
 
 
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])

@@ -4,18 +4,19 @@ import ast
 import cmath
 import math
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, Tuple
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from cstorus.errors import DomainError, InconsistencyError, SchemaError
 from cstorus.finrep import phase_constants
 from cstorus.heatkernel import (GRAM_CONDITION_CEILING, EtaKernelSpec, GridSamples1D,
-                                HermiteExpansion, alpha_constant, eta_apply, ground_state,
-                                heat_apply, hermite_function_table,
-                                ladder_basis_element, laplacian_apply,
-                                laplacian_explicit, mobius_sigma, norm_sq,
+                                alpha_constant, eta_apply, ground_state, heat_apply,
+                                hermite_function_table, laplacian_spectrum, mobius_sigma,
                                 solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
 from cstorus.heatkernel import (_bilinear_phase, _mehler, _rank_one_phases, _rho,
@@ -59,6 +60,153 @@ def mehler_series_kernel(q, sigma, y_out, y_in, terms):
     for m in range(terms):
         out += q ** (m + 0.5) * np.outer(to[m], np.conj(ti[m]))
     return out
+
+
+# -- symbolic oracle: the eigenbasis and the Laplacian by ladder operators --
+#
+# A function p(y) v(y, sigma), p a polynomial in n level-k orthonormal
+# coordinates and v(y, sigma) = exp(-pi i |y|^2 / sigma) the ground state, is
+# held by the coefficients of p.  The ladder operators are
+# D_sigma = d/dy - 2 alpha y and D_sigmabar = d/dy on such functions, with
+# alpha = 2 pi Im(sigma)/|sigma|^2 > 0.  Raising the ground state builds v_l,
+# and n k - (k/alpha) sum_j D_sigma,j D_sigmabar,j is the Laplacian: a code
+# path independent of hermite_function_table and laplacian_spectrum.
+
+MultiIndex = Tuple[int, ...]
+
+
+def norm_sq(l: MultiIndex, sigma: complex) -> float:
+    """Squared L^2 norm of v_l: prod_j (2 alpha)^{l_j} l_j! * (pi/alpha)^{n/2}."""
+    a = alpha_constant(sigma)
+    out = (math.pi / a) ** (len(l) / 2)
+    for lj in l:
+        out *= (2 * a) ** lj * math.factorial(lj)
+    return out
+
+
+@dataclass
+class PolyGaussian:
+    """A function p(y) * v(y, sigma) with p a polynomial, stored by its
+    coefficient array (one axis per coordinate, index = degree)."""
+    k: int
+    sigma: complex
+    coeffs: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.ndim
+
+    def _alpha(self) -> float:
+        return alpha_constant(self.sigma)
+
+    def d_sigma(self, axis: int) -> "PolyGaussian":
+        """Raising ladder operator: p -> dp/dy_axis - 2 alpha y_axis p."""
+        d = _poly_deriv(self.coeffs, axis)
+        m = _poly_mul_y(self.coeffs, axis)
+        shape = tuple(max(a_, b_) for a_, b_ in zip(d.shape, m.shape))
+        c = _pad_like(d, shape) - 2.0 * self._alpha() * _pad_like(m, shape)
+        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=c)
+
+    def d_sigma_bar(self, axis: int) -> "PolyGaussian":
+        """Lowering ladder operator: p -> dp/dy_axis."""
+        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=_poly_deriv(self.coeffs, axis))
+
+    def laplacian(self) -> "PolyGaussian":
+        """Explicit second-order operator n k - (k/alpha) sum_j D_sigma,j D_sigmabar,j."""
+        a = self._alpha()
+        acc = self.n * self.k * _pad_like(self.coeffs, self.coeffs.shape)
+        for axis in range(self.n):
+            term = self.d_sigma_bar(axis).d_sigma(axis).coeffs
+            shape = tuple(max(a_, b_) for a_, b_ in zip(acc.shape, term.shape))
+            acc = _pad_like(acc, shape) - (self.k / a) * _pad_like(term, shape)
+        return PolyGaussian(k=self.k, sigma=self.sigma, coeffs=acc)
+
+    def evaluate(self, y) -> np.ndarray:
+        """Values at points y of shape (m, n) in level-k orthonormal coordinates."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            y = y[:, None]
+        out = np.empty(len(y), dtype=complex)
+        for i, p in enumerate(y):
+            c = self.coeffs.astype(complex)
+            for x in p:
+                c = npp.polyval(x, c)
+            out[i] = c
+        return out * np.exp(-1j * math.pi * np.sum(y ** 2, axis=1) / self.sigma)
+
+
+def _poly_deriv(c: np.ndarray, axis: int) -> np.ndarray:
+    c = np.moveaxis(np.asarray(c, dtype=complex), axis, 0)
+    if c.shape[0] == 1:
+        d = np.zeros_like(c)
+    else:
+        d = c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
+    return np.moveaxis(d if d.shape[0] else np.zeros_like(c[:1]), 0, axis)
+
+
+def _poly_mul_y(c: np.ndarray, axis: int) -> np.ndarray:
+    c = np.moveaxis(np.asarray(c, dtype=complex), axis, 0)
+    out = np.concatenate([np.zeros_like(c[:1]), c], axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
+def _pad_like(c: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(slice(0, s) for s in c.shape)] = c
+    return out
+
+
+def ladder_basis_element(l: MultiIndex, sigma: complex, k: int) -> PolyGaussian:
+    """v_l built by repeated application of the raising ladder operators to
+    the ground state; an independent code path from the recurrence table."""
+    pg = PolyGaussian(k=k, sigma=complex(sigma), coeffs=np.ones((1,) * len(l), dtype=complex))
+    for axis, lj in enumerate(l):
+        for _ in range(int(lj)):
+            pg = pg.d_sigma(axis)
+    return pg
+
+
+@dataclass
+class HermiteExpansion:
+    """Truncated expansion f = sum_l coeffs[l] * v_l(., sigma)."""
+    n: int
+    k: int
+    sigma: complex
+    coeffs: Dict[MultiIndex, complex]
+
+    def evaluate(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            y = y[:, None]
+        assert y.shape[1] == self.n, (y.shape, self.n)
+        lmax = max((max(l) for l in self.coeffs), default=0)
+        tables = [hermite_function_table(lmax, y[:, j], self.sigma) for j in range(self.n)]
+        acc = np.zeros(len(y), dtype=complex)
+        for l, c in sorted(self.coeffs.items()):
+            # unit-norm rows times ||v_l||: the coefficients refer to the raw v_l
+            term = np.full(len(y), complex(c) * math.sqrt(norm_sq(l, self.sigma)))
+            for j, lj in enumerate(l):
+                term = term * tables[j][lj]
+            acc += term
+        return acc
+
+
+def laplacian_diagonal(f: HermiteExpansion) -> HermiteExpansion:
+    """The quantum Laplacian on an expansion through the production
+    spectrum: v_l -> laplacian_spectrum(k, |l|, n) v_l."""
+    return HermiteExpansion(n=f.n, k=f.k, sigma=f.sigma,
+                            coeffs={l: c * laplacian_spectrum(f.k, sum(l), f.n)
+                                    for l, c in f.coeffs.items()})
+
+
+def laplacian_explicit(f: HermiteExpansion) -> PolyGaussian:
+    """The same Laplacian applied through the explicit second-order ladder
+    form on the polynomial-times-Gaussian representation (independent path)."""
+    shape = tuple(max(l[j] for l in f.coeffs) + 1 for j in range(f.n)) if f.coeffs else (1,) * f.n
+    acc = np.zeros(shape, dtype=complex)
+    for l, c in f.coeffs.items():
+        acc += c * _pad_like(ladder_basis_element(l, f.sigma, f.k).coeffs, shape)
+    return PolyGaussian(k=f.k, sigma=f.sigma, coeffs=acc).laplacian()
 
 
 def _relmax(got, want):
@@ -146,11 +294,8 @@ def test_hermite_orthogonality_by_quadrature():
 
 
 def test_laplacian_eigenvalues():
-    f = HermiteExpansion(n=1, k=2, sigma=1j, coeffs={(0,): 1.0})
-    out = laplacian_apply(f)
-    assert abs(out.coeffs[(0,)] - 2 * 2 * 0.5) < 1e-14
-    f3 = HermiteExpansion(n=1, k=2, sigma=1j, coeffs={(3,): 1.0})
-    assert abs(laplacian_apply(f3).coeffs[(3,)] - 2 * 2 * 3.5) < 1e-14
+    assert abs(laplacian_spectrum(2, 0) - 2 * 2 * 0.5) < 1e-14
+    assert abs(laplacian_spectrum(2, 3) - 2 * 2 * 3.5) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -165,21 +310,19 @@ def test_laplacian_dual_paths(n):
             coeffs[l] = complex(rng.normal(), rng.normal())
         f = HermiteExpansion(n=n, k=k, sigma=sigma, coeffs=coeffs)
         pts = rng.normal(size=(40, n))
-        diag = laplacian_apply(f).evaluate(pts)
+        diag = laplacian_diagonal(f).evaluate(pts)
         explicit = laplacian_explicit(f).evaluate(pts)
         scale = max(1.0, float(np.abs(diag).max()))
         assert np.abs(diag - explicit).max() / scale < 1e-6
 
 
-def test_heat_apply_on_expansion_unit_phases_at_s_zero():
+def test_heat_flow_spectrum_unit_phases_at_s_zero():
+    """At s = 0 the flow multiplies v_l by exp(-r spectrum) = i^{l+1/2}."""
     p = solve_params(3, 0.0)
-    f = HermiteExpansion(n=1, k=3, sigma=p.sigma,
-                         coeffs={(0,): 1.0, (2,): 0.5 - 0.25j})
-    out = heat_apply(f, p)
-    for l, c in f.coeffs.items():
-        factor = out.coeffs[l] / c
+    for l in (0, 2):
+        factor = cmath.exp(-p.r * laplacian_spectrum(p.k, l))
         assert abs(abs(factor) - 1) < 1e-12
-        assert abs(factor - (1j) ** (l[0] + 0.5)) < 1e-12
+        assert abs(factor - (1j) ** (l + 0.5)) < 1e-12
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
@@ -718,3 +861,30 @@ def test_one_bluestein_operator():
         called = {getattr(node.func, "id", None)
                   for node in ast.walk(functions[module][name]) if isinstance(node, ast.Call)}
         assert "_bilinear_phase" in called, name
+
+
+def test_symbolic_oracle_lives_in_tests():
+    """The ladder-operator oracle is a test oracle only: heatkernel defines
+    none of its names and imports no polynomial module, heat_apply takes
+    grid samples only, and verify_conjugation reads its eigenvalues from
+    laplacian_spectrum, the one place that writes the spectrum."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "cstorus"
+                      / "heatkernel.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    removed = {"PolyGaussian", "_poly_deriv", "_poly_mul_y", "_pad_like",
+               "ladder_basis_element", "laplacian_explicit", "HermiteExpansion",
+               "norm_sq", "laplacian_apply", "MultiIndex"}
+    assert not defined & removed
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "Dict" not in imported
+    assert not any("polynomial" in name for name in imported)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "laplacian_spectrum" in functions
+    assert "HermiteExpansion" not in ast.unparse(functions["heat_apply"])
+    called = {getattr(node.func, "id", None)
+              for node in ast.walk(functions["verify_conjugation"]) if isinstance(node, ast.Call)}
+    assert "laplacian_spectrum" in called

@@ -10,7 +10,7 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from cstorus import exact
+from cstorus import exact, lattice
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.lattice import alcove_points, enumerate_report, quotient_group, weyl_orbits
 from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
@@ -261,6 +261,23 @@ def test_enumerate_report_shape():
     assert len(rep["reps"]) == 12
     assert len(rep["alcove"]["closed"]) == 6
     assert rep["alcove"]["open"] == []
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("G", 2, 2)])
+def test_enumerate_report_builds_z_once(monkeypatch, fam, rank, k):
+    """enumerate_report reads Z from the orbits it builds: one Smith-form
+    build per report, and its reps are the lexsorted numerators of that Z."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(quotient_group(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(lattice, "quotient_group", counted)
+    rs = build_root_system(LieType(fam, rank))
+    rep = enumerate_report(rs, k)
+    assert len(built) == 1
+    assert alcove_points(rs, k).quotient.numerators.tolist() == built[0].numerators.tolist()
+    assert len(rep["reps"]) == rep["order"] == built[0].order
 
 
 def test_invalid_level_rejected():
