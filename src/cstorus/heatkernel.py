@@ -144,8 +144,9 @@ class GridSamples1D:
 GRID_POINTS_CEILING = 4096
 
 # grid_points * L above this raises ResourceLimitError in verify_conjugation:
-# measured peak RSS 77 MB at N = 1601, L = 200 and 110 MB at this ceiling
-# (N = 4096, L = 128), 123 MB at N = 1601, L = 400 (2-vCPU VM, numpy 2.4)
+# measured peak RSS 83 MB at N = 1601, L = 200, 113 MB at N = 1601, L = 320
+# and 118 MB at this ceiling (N = 4096, L = 128; 0.82 s) in a fresh process
+# (2-vCPU VM, numpy 2.4)
 GRID_BASIS_CEILING = 2 ** 19
 
 # verify_conjugation refuses a Hermite basis whose Gram matrix has a larger
@@ -271,7 +272,7 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
     transform(np.fft.fft, chirps)
     conv, corr = chirps[0], chirps[-1]
     crop = (Ellipsis,) + tuple(slice(0, b) for b in shape)
-    mirror = (Ellipsis,) + np.ix_(*[-np.arange(p) for p in size])
+    axes = tuple(range(-len(shape), 0))
 
     def apply(x):
         x = np.asarray(x)
@@ -279,10 +280,13 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
         buf = np.zeros(x.shape[:x.ndim - len(shape)] + size, dtype=complex)
         np.multiply(pre, x, out=buf[crop])
         transform(np.fft.fft, buf)
-        folded = None if signs is None else buf[mirror]     # G[-k] of the spectrum G
+        # G[-k] of the spectrum G, a copy weighted in place: no rows x P table is kept
+        folded = None if signs is None else np.roll(np.flip(buf, axes), 1, axes)
         buf *= conv
         if folded is not None:
-            buf += np.multiply(folded, corr * signs, out=folded)
+            folded *= corr
+            folded *= signs
+            buf += folded
         transform(np.fft.ifft, buf)
         return post * buf[crop]
     # Python floats: a product past the float range is inf, without a warning
@@ -502,8 +506,10 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     b0 = hermite_function_table(L - 1, u, sigma)
     b2 = {gen: hermite_function_table(L - 1, u, sig2[gen]) for gen in sig2}
     proj0, proj2 = projector(b0), {gen: projector(b2[gen]) for gen in sig2}
-    # rank-L Laplacian b diag(spectrum) p, applied to a block
+    # the rank-L Laplacian b diag(spectrum) p in coefficients: lap0 is the
+    # L x L matrix of Laplacian_sigma on the rows of b0
     eigen = laplacian_spectrum(k, np.arange(L))
+    lap0 = proj0(b0) * eigen
 
     report = {
         "k": k, "s": s, "branch": branch,
@@ -515,7 +521,6 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     eta_b0 = {}
     conj_resid = {}
     invariance = {}
-    lap0_b0 = (proj0(b0) * eigen) @ b0
     heat_p_b0 = heat_p(b0)
     for gen in ("S", "T"):
         rho_b0 = rho[gen](b0)
@@ -523,8 +528,11 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         eta_b0[gen] = heat_m(rho[gen](heat_p_b0))
         conj_resid[gen] = float(np.max(np.abs(
             proj0(eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
+        # proj0(rho(lap0 b0) - lap2 rho(b0)) on L x L coefficients: rho acts
+        # row by row with the row's parity sign and lap0, proj0 and proj2 keep
+        # parity, so rho(lap0 b0) = lap0 rho(b0); no L x N product is formed
         invariance[gen] = float(np.max(np.abs(
-            proj0(rho[gen](lap0_b0) - (proj2[gen](rho_b0) * eigen) @ b2[gen]))))
+            lap0 @ proj0(rho_b0) - (proj2[gen](rho_b0) * eigen) @ proj0(b2[gen]))))
 
     # faithful composition on the grid, projected to the observed block
     s2_b0 = eta["S"](eta_b0["S"])

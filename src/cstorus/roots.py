@@ -282,6 +282,11 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> Tuple[Tuple[int, ...], .
 
 
 def generate_weyl_group(rs: RootSystem, max_elements: int = 100_000) -> WeylGroup:
+    # the closed-form order refuses a group past the ceiling before enumerating it
+    if weyl_order(rs.lie_type) > max_elements:
+        raise ResourceLimitError(
+            f"Weyl group of {rs.lie_type} exceeds the element ceiling "
+            f"{max_elements}; raise max_elements to enumerate it")
     n = rs.rank
     gens = [WeylElement(simple_reflection_matrix(rs, i), -1) for i in range(n)]
     ident = WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
@@ -292,10 +297,6 @@ def generate_weyl_group(rs: RootSystem, max_elements: int = 100_000) -> WeylGrou
         for g in gens:
             nw = g.compose(w)
             if nw.matrix not in seen:
-                if len(seen) >= max_elements:
-                    raise ResourceLimitError(
-                        f"Weyl group of {rs.lie_type} exceeds the element ceiling "
-                        f"{max_elements}; raise max_elements to enumerate it")
                 seen[nw.matrix] = nw
                 frontier.append(nw)
     elements = tuple(sorted(seen.values(), key=lambda e: e.matrix))

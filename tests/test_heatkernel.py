@@ -3,6 +3,7 @@
 import ast
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -816,6 +817,81 @@ def test_verify_conjugation_matches_dense_composition(sigma, size):
             assert got[key] == val, key
         else:
             assert np.max(np.abs(np.subtract(got[key], val))) <= 1e-12, key
+
+
+def _folded_route(L, grid_points, box_radius, sigma, generator):
+    """verify_conjugation's folded blocks for one generator: the basis b0 at
+    sigma and b2 at its Moebius image, rho applied to folded blocks, the
+    parity-masked projectors and the spectrum."""
+    params = solve_params(2, 1.0)
+    sigma = params.sigma if sigma is None else complex(sigma)
+    y = uniform_grid(box_radius, grid_points)
+    u, wf = y[grid_points // 2:], trapezoid_weights(y)[grid_points // 2:]
+    wf[0] /= 1 + grid_points % 2
+    signs = 1.0 - 2.0 * (np.arange(L) % 2)[:, None]
+    same = signs == signs.T
+
+    def projector(b):
+        g = same * (b.conj() @ (2 * wf * b).T)
+        p = np.linalg.solve(g, b.conj() * (2 * wf))
+        return lambda x: same * (x @ p.T)
+    b0 = hermite_function_table(L - 1, u, sigma)
+    b2 = hermite_function_table(L - 1, u, mobius_sigma(generator, sigma))
+    rho = _rho(generator, u, wf, signs)
+    return b0, b2, rho, projector(b0), projector(b2), laplacian_spectrum(2, np.arange(L))
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("sigma", [None, 0.3 + 1.1j], ids=["default", "(0.3+1.1j)"])
+@pytest.mark.parametrize("L", [6, 12, 40])
+def test_invariance_on_coefficients_matches_the_grid_route(L, sigma, generator):
+    """The invariance residual on L x L coefficients equals the grid route
+    at the benchmark's sizes: rho applied to the (L, N) block lap0 b0 and
+    then projected is lap0 proj0(rho(b0)), and the projected image of the
+    (L, N) block lap2 rho(b0) is lap2 proj0(b2), since rho acts row by row
+    with the row's parity and lap0, proj0 and proj2 keep parity."""
+    b0, b2, rho, proj0, proj2, eigen = _folded_route(L, 1601, 10.0, sigma, generator)
+    lap0 = proj0(b0) * eigen
+    rho_b0 = rho(b0)
+    lap2_rho = proj2(rho_b0) * eigen
+    for grid, coeff in [(proj0(rho(lap0 @ b0)), lap0 @ proj0(rho_b0)),
+                        (proj0(lap2_rho @ b2), lap2_rho @ proj0(b2))]:
+        assert np.max(np.abs(grid - coeff)) <= 1e-12 * np.max(np.abs(grid))
+
+
+def test_verify_conjugation_forms_no_basis_product():
+    """No (L x L) @ (L x N) product in verify_conjugation: no matmul there
+    takes a basis block, b0 or b2[...], as its right operand, so the
+    residuals stay on L x L coefficients."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "cstorus"
+                      / "heatkernel.py").read_text())
+    verify = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "verify_conjugation")
+    right = [node.right for node in ast.walk(verify)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    assert right
+    for operand in right:
+        base = operand.value if isinstance(operand, ast.Subscript) else operand
+        assert not (isinstance(base, ast.Name) and base.id in ("b0", "b2")), \
+            ast.unparse(operand)
+
+
+def test_signed_operator_keeps_no_row_table():
+    """A signed _bilinear_phase keeps its two chirp spectra and diagonals,
+    not a (rows x P) product of the correlation chirp with the signs (8 MB
+    here); building one for 128 per-row signs on a 2048-point half grid
+    retains under 1 MB."""
+    u = np.linspace(0.0, 10.0, 2048)
+    signs = 1.0 - 2.0 * (np.arange(128) % 2)[:, None]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = _bilinear_phase(2 * math.pi, [u], d_in=trapezoid_weights(u), signs=signs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
+    assert op(np.ones((128, 2048))).shape == (128, 2048)
 
 
 def test_verify_conjugation_large_L_stays_finite():

@@ -1,13 +1,14 @@
 """Root systems, Weyl groups and the level-1 pairing."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstorus.errors import SchemaError
-from cstorus.roots import LieType, build_root_system, pairing, weyl_order
+from cstorus.errors import ResourceLimitError, SchemaError
+from cstorus.roots import LieType, build_root_system, generate_weyl_group, pairing, weyl_order
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
 
@@ -43,6 +44,26 @@ def test_weyl_order_table_exceptional_and_summary():
     rs = build_root_system(LieType("E", 8))
     assert rs.summary()["weyl_order"] == 696_729_600
     assert rs.summary()["positive_root_count"] == 120
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_weyl_group_past_the_ceiling_is_refused_before_enumeration(rank):
+    """E7 (2 903 040) and E8 exceed the default element ceiling 100 000:
+    the closed-form order refuses them at once, where enumerating up to the
+    ceiling first took 12-15 s; the message names the ceiling."""
+    rs = build_root_system(LieType("E", rank))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"Weyl group of E{rank} exceeds the "
+                       "element ceiling 100000; raise max_elements to enumerate it"):
+        rs.weyl_group()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_weyl_group_at_the_ceiling_is_enumerated():
+    rs = build_root_system(LieType("A", 3))
+    assert generate_weyl_group(rs, max_elements=24).order == 24
+    with pytest.raises(ResourceLimitError, match="ceiling 23;"):
+        generate_weyl_group(rs, max_elements=23)
 
 
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
