@@ -14,6 +14,7 @@ object that describes Z, in the dense (Smith) order; only the `reps` that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -79,21 +80,22 @@ class QuotientGroup:
 
 def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> QuotientGroup:
     """The finite abelian group (k-scaled dual lattice) / (coroot lattice);
-    |Z_k| = det(k*gram1) above max_order raises ResourceLimitError before
-    the Smith form is built."""
+    |Z_k| = det(k*gram1), the product of the Smith divisors in Python ints,
+    above max_order raises ResourceLimitError before any array is built."""
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
     kg = [[k * e for e in row] for row in rs.gram1]
-    order = int(exact.det(exact.mat(kg)))
+    # In dual-lattice coordinates the coroot lattice is spanned by the
+    # columns of k*gram1; Smith form gives the cyclic decomposition.
+    d, u, v = exact.smith_normal_form(kg)
+    order = math.prod(d[i][i] for i in range(len(d)))
     if order > max_order:
         raise ResourceLimitError(
             f"|Z_k| = {order} exceeds the ceiling {max_order} for {rs.lie_type}, k={k}")
-    # In dual-lattice coordinates the coroot lattice is spanned by the
-    # columns of k*gram1; Smith form gives the cyclic decomposition.
-    d, u, v = (np.array(m, dtype=np.int64) for m in exact.smith_normal_form(kg))
+    d, u, v = (np.array(m, dtype=np.int64) for m in (d, u, v))
     divisors = np.diag(d).copy()
     denom = int(divisors[-1])
-    assert divisors.min() > 0 and int(np.prod(divisors)) == order
+    assert divisors.min() > 0
     kinv = v @ ((denom // divisors)[:, None] * u)
     kg = np.array(kg, dtype=np.int64)
     assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()
@@ -177,14 +179,16 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     odd = np.zeros(dim, dtype=bool)
     front = z.index_of(numerators)
     orbit[front], sign[front] = np.arange(dim), 1
-    # breadth-first over the Schreier graph of the simple reflections: every
-    # edge is checked once, and one whose signs disagree closes an odd cycle
-    gens = [np.array(simple_reflection_matrix(rs, i)) for i in range(n)]
+    # breadth-first over the Schreier graph of the simple reflections, each
+    # a permutation of the dense indices of Z: every edge is checked once,
+    # and one whose signs disagree closes an odd cycle
+    perms = [z.index_of(z.numerators @ np.array(simple_reflection_matrix(rs, i)).T)
+             for i in range(n)]
     while len(front):
         known = orbit >= 0
-        x0, o0, s0 = z.numerators[front], orbit[front], sign[front]
-        for g in gens:
-            idx = z.index_of(x0 @ g.T)
+        o0, s0 = orbit[front], sign[front]
+        for perm in perms:
+            idx = perm[front]
             fresh = orbit[idx] < 0
             orbit[idx[fresh]], sign[idx[fresh]] = o0[fresh], -s0[fresh]
             odd[o0[sign[idx] != -s0]] = True

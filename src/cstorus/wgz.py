@@ -40,6 +40,7 @@ norm of Z, as finrep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -392,11 +393,21 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray) -
 
 
 def _half_angle_phase(spec: GridSpec) -> np.ndarray:
-    """e^{-pi i <p, q>_k} over cell pairs (p, q), shape (C, C), cached."""
+    """e^{-pi i <p, q>_k} over cell pairs (p, q), shape (C, C), cached: the
+    product over axis pairs (a, b) of the N x N tables
+    e^{-pi i kG_ab p_a q_b / N^2}, broadcast over the other axes."""
     if "half_angle" not in spec._cache:
-        cell = spec.cell_coords()
-        expo = (cell @ spec.quotient().kg @ cell.T) / spec.divisions ** 2
-        spec._cache["half_angle"] = np.exp(-1j * math.pi * expo)
+        n, nn = spec.n, spec.divisions
+        kg = spec.quotient().kg
+        pq = np.outer(np.arange(nn), np.arange(nn))
+
+        def table(a, b):
+            shape = [1] * (2 * n)
+            shape[a] = shape[n + b] = nn
+            return np.exp(-1j * math.pi * (pq * kg[a, b] / nn ** 2)).reshape(shape)
+
+        out = functools.reduce(np.multiply, (table(a, b) for a in range(n) for b in range(n)))
+        spec._cache["half_angle"] = out.reshape(nn ** n, nn ** n)
     return spec._cache["half_angle"]
 
 
@@ -439,13 +450,26 @@ def _inverse_plan(spec: GridSpec) -> np.ndarray:
             raise DomainError(
                 "grid too coarse for alias-free inversion; increase divisions "
                 f"(alias margin {margin} grid units)")
-        nn, grid = spec.divisions, (spec.divisions,) * spec.n
+        n, nn = spec.n, spec.divisions
         kg = spec.quotient().kg
         gam = _gamma_grid_coords(spec)
-        m = spec.box_coords()[None, :, :] - gam[:, None, :]     # (|Z|, B^n, n)
-        p = m % nn
-        freq = ((m - p) // nn @ kg + (gam @ kg // nn)[:, None, :]) % nn
-        spec._cache["inverse"] = _ravel(p, grid) * nn ** spec.n + _ravel(freq, grid)
+        mn = spec.half_width * nn
+        # per axis a, m_a = box_a - ghat_a = p_a + N nu_a, shape (|Z|, n, B);
+        # each digit of the index is a sum of per-axis parts broadcast over
+        # the box, so no (|Z|, B^n, n) array is formed
+        m = np.arange(-mn, mn + 1) - gam[:, :, None]
+        p, nu = m % nn, m // nn
+        y = gam @ kg // nn
+
+        def on_axis(part, a):
+            return part.reshape((len(gam),) + (1,) * a + (-1,) + (1,) * (n - 1 - a))
+
+        index = sum(on_axis(p[:, a], a) * nn ** (2 * n - 1 - a) for a in range(n))
+        for b in range(n):
+            freq = sum(on_axis(nu[:, a] * kg[a, b], a) for a in range(n))
+            freq += y[:, b].reshape((-1,) + (1,) * n)
+            index = index + freq % nn * nn ** (n - 1 - b)
+        spec._cache["inverse"] = index.reshape(len(gam), -1)
     return spec._cache["inverse"]
 
 

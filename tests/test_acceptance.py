@@ -35,6 +35,20 @@ def test_modular_relations_full_sweep_within_budget():
     assert time.monotonic() - start < 10.0
 
 
+def test_dense_sectors_verify_back_to_back_within_budget():
+    """Three back-to-back verify_sl2z calls at dims 41, 55 and 91 (A1 k=40
+    sector 0, A2 k=12 sectors 1 and 0) in under 0.1 s. Their products stay
+    on the calling thread; a call that wakes the BLAS thread pool once it has
+    gone idle stalls for ~0.1 s."""
+    mats = [rep_matrices(build_root_system(LieType(fam, rank)), k, sector)
+            for fam, rank, k, sector in [("A", 1, 40, 0), ("A", 2, 12, 1), ("A", 2, 12, 0)]]
+    assert [m.dim for m in mats] == [41, 55, 91]
+    start = time.monotonic()
+    for m in mats:
+        assert verify_sl2z(m).passed
+    assert time.monotonic() - start < 0.1
+
+
 def test_quotient_orders_exact():
     """|Z_k| = k^n det(gram1) over the family sweep, k <= 8, in under 2 seconds."""
     start = time.monotonic()

@@ -11,6 +11,7 @@ import pytest
 
 from cstorus import exact
 from cstorus.errors import ResourceLimitError, SchemaError
+from cstorus import finrep
 from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
                             SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
@@ -329,6 +330,56 @@ def test_rank_one_worked_example():
     m0 = rep_matrices(rs, 1, sector=0)
     assert m0.dim == 2
     assert np.abs(m0.s.conj().T @ m0.s - np.eye(2)).max() < 1e-14
+
+
+class MatmulRecorder(np.ndarray):
+    """An array that logs (rows, inner, cols) of every matmul it enters."""
+    log: List[Tuple[int, int, int]] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            a, b = inputs[:2]
+            self.log.append((a.shape[0], a.shape[1], b.shape[1]))
+        plain = [x.view(np.ndarray) if isinstance(x, MatmulRecorder) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 40, 41, 55, 91, 181, 182, 256, 257])
+def test_product_blocks_stay_on_the_calling_thread(dim):
+    """`_product` forms a @ b whole up to 40^3 multiply-adds and when one row
+    alone passes 2^16 (dim 257); in between, every zgemm it calls has fewer
+    than 2^16 multiply-adds and at least 2 rows and 2 columns (not zgemv).
+    The result equals a @ b, also for the conjugate-transpose operand."""
+    rng = np.random.default_rng(dim)
+    a, b = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(2))
+    for x, y in [(a, b), (a.conj().T, a), (a, np.diag(np.diag(b)))]:
+        MatmulRecorder.log = []
+        got = finrep._product(x.view(MatmulRecorder), y.view(MatmulRecorder))
+        want = x @ y
+        assert type(got) is np.ndarray
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if dim <= 40 or dim > 256:
+            assert MatmulRecorder.log == [(dim, dim, dim)]
+        else:
+            assert len(MatmulRecorder.log) > 1
+            for rows, inner, cols in MatmulRecorder.log:
+                assert rows * inner * cols < 2 ** 16 and rows >= 2 and cols >= 2
+
+
+def test_verify_sl2z_forms_every_product_through_the_helper(monkeypatch):
+    """S^2, S^4, ST, (ST)^2, (ST)^3, S^dagger S and T^dagger T: seven
+    products, all through `_product`, with T dense."""
+    shapes = []
+    product = finrep._product
+
+    def counted(a, b):
+        shapes.append((a.shape, b.shape))
+        return product(a, b)
+    monkeypatch.setattr(finrep, "_product", counted)
+    m = rep_matrices(build_root_system(LieType("A", 1)), 40, sector=0)
+    assert verify_sl2z(m).passed
+    assert shapes == [((41, 41), (41, 41))] * 7
 
 
 def test_s_symmetric():

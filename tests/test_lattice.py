@@ -248,6 +248,34 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
         assert alc.stabilizer_sizes[i] * len(signs) == rs.weyl_group().order
 
 
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("G", 2, 3), ("D", 4, 2)])
+def test_weyl_orbits_index_each_reflection_once(monkeypatch, fam, rank, k):
+    """The closure runs on each simple reflection's permutation of Z: one
+    index_of for the alcove points and one per reflection, however many
+    breadth-first rounds the orbits take."""
+    calls = []
+    index_of = lattice.QuotientGroup.index_of
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return index_of(self, x)
+    monkeypatch.setattr(lattice.QuotientGroup, "index_of", counted)
+    orbits = weyl_orbits(build_root_system(LieType(fam, rank)), k)
+    assert len(calls) == rank + 1
+    assert calls[1:] == [orbits.quotient.numerators.shape] * rank
+
+
+def test_quotient_order_is_the_product_of_smith_divisors(monkeypatch):
+    """|Z| comes from the Smith form, not from a determinant."""
+    rs = build_root_system(LieType("B", 3))
+    expected = 4 ** 3 * exact.det(exact.mat(rs.gram1))
+
+    def refuse(*args):
+        raise AssertionError("exact.det called")
+    monkeypatch.setattr(exact, "det", refuse)
+    assert quotient_group(rs, 4).order == expected
+
+
 def test_weyl_orbits_quotient_ceiling():
     rs = build_root_system(LieType("A", 2))
     with pytest.raises(ResourceLimitError, match="exceeds the ceiling"):
