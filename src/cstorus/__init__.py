@@ -7,11 +7,11 @@ __version__ = "0.1.0"
 
 from .errors import (CSTorusError, DomainError, InconsistencyError,
                      ResourceLimitError, SchemaError, ToleranceError)
-from .roots import LieType, RootSystem, build_root_system, generate_weyl_group, pairing
+from .roots import LieType, RootSystem, build_root_system, generate_weyl_group
 
 __all__ = [
     "__version__",
     "CSTorusError", "DomainError", "InconsistencyError",
     "ResourceLimitError", "SchemaError", "ToleranceError",
-    "LieType", "RootSystem", "build_root_system", "generate_weyl_group", "pairing",
+    "LieType", "RootSystem", "build_root_system", "generate_weyl_group",
 ]

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import exact
 from .errors import DomainError, SchemaError
 from .finrep import Convention, rep_matrices, unit_phase
-from .lattice import _alcove_pairings
+from .lattice import _alcove_pairings, rho_shifted
 from .roots import RootSystem
 
 Vec = Tuple[Fraction, ...]
@@ -58,14 +57,13 @@ def is_simply_laced(rs: RootSystem) -> bool:
                for i in range(rs.rank) for j in range(rs.rank))
 
 
-def _integrable_shifted_weights(rs: RootSystem, k: int) -> List[Vec]:
-    """rho-shifted dominant weights of level <= k, as coroot-basis vectors,
-    sorted by pairing with rho then lexicographically."""
-    ginv = exact.inverse(exact.mat(rs.gram1))
-    out = [exact.mat_vec(ginv, tuple(Fraction(x + 1) for x in nvec))
-           for nvec in _alcove_pairings(rs, k)]
-    out.sort(key=lambda v: (rs.pairing1(v, rs.weyl_vector), v))
-    return out
+def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int]:
+    """rho-shifted dominant weights of level <= k, as int numerators over D
+    (`rho_shifted`), sorted by pairing with rho (the coordinate sum) then
+    lexicographically."""
+    nums, d = rho_shifted(rs, _alcove_pairings(rs, k))
+    order = sorted(range(len(nums)), key=lambda i: (int(nums[i].sum()), nums[i].tolist()))
+    return nums[order], d
 
 
 def _check_bridge_domain(rs: RootSystem, k: int) -> None:
@@ -92,26 +90,30 @@ def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
     _check_bridge_domain(rs, k)
     h = rs.dual_coxeter
     kk = k + h
-    labels = _integrable_shifted_weights(rs, k)
-    den = math.lcm(*(x.denominator for mu in labels for x in mu))
-    nums = np.array([[int(x * den) for x in mu] for mu in labels], dtype=np.int64)
+    shifted, d = _integrable_shifted_weights(rs, k)
+    # over the least common denominator den of the labels
+    common = math.gcd(d, *shifted.ravel().tolist())
+    den, nums = d // common, shifted // common
+    gram = np.array(rs.gram1, dtype=np.int64)
     wg = rs.weyl_group().elements
     wmats = np.array([w.matrix for w in wg], dtype=np.int64)
     # (w mu_a)^T G nu_b = mu_a^T (w^T G nu_b): the right factor of every w at once
-    right = np.einsum("wji,jk,bk->wib", wmats, np.array(rs.gram1, dtype=np.int64), nums)
+    right = np.einsum("wji,jk,bk->wib", wmats, gram, nums)
     modulus = den * den * kk
     roots = np.exp(2j * math.pi * np.arange(modulus) / modulus)
-    raw = np.zeros((len(labels), len(labels)), dtype=complex)
+    raw = np.zeros((len(nums), len(nums)), dtype=complex)
     for w, r in zip(wg, right):
         raw += w.determinant * roots[-(nums @ r) % modulus]
     # normalize: raw is a positive multiple of a unitary matrix times a phase
     scale = math.sqrt(abs((raw @ raw.conj().T)[0, 0]))
     phase = raw[0, 0] / abs(raw[0, 0])
     s = raw / (scale * phase)
-    rho2 = rs.pairing1(rs.weyl_vector, rs.weyl_vector)
-    t = np.diag([unit_phase(rs.pairing1(mu, mu) / (2 * kk) - rho2 / (2 * h))
-                 for mu in labels])
-    return CompactModularData(k=k, labels=tuple(labels), s=s, t=t)
+    rho, _ = rho_shifted(rs, [0] * rs.rank)
+    rho2 = Fraction(int(rho.sum()), d)
+    t = np.diag([unit_phase(Fraction(int(mu @ gram @ mu), den * den) / (2 * kk)
+                            - rho2 / (2 * h)) for mu in nums])
+    labels = tuple(tuple(Fraction(int(x), den) for x in mu) for mu in nums)
+    return CompactModularData(k=k, labels=labels, s=s, t=t)
 
 
 def _fit_phase(a: np.ndarray, b: np.ndarray) -> complex:
@@ -144,8 +146,7 @@ def compare_shifted(rs: RootSystem, k: int,
             f"dimension mismatch: sector 1 at level {k + h} has dim {sect.dim}, "
             f"oracle has dim {oracle.dim}")
     order = sorted(range(sect.dim),
-                   key=lambda i: (rs.pairing1(sect.labels[i], rs.weyl_vector),
-                                  sect.labels[i]))
+                   key=lambda i: (sum(sect.labels[i]), sect.labels[i]))
     s_ours = sect.s[np.ix_(order, order)]
     t_ours = sect.t[np.ix_(order, order)]
     fitted_s = _fit_phase(s_ours, oracle.s)

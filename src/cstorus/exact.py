@@ -1,75 +1,6 @@
-"""Exact rational linear algebra on small dense matrices.
-
-Matrices are tuples of tuples (row-major) of Fractions or ints.  Everything
-here is desk-scale (n <= 8), so plain Gaussian elimination is fine.
-"""
+"""Smith normal form of a small integer matrix, in Python ints."""
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Sequence, Tuple
-
-Vec = Tuple[Fraction, ...]
-Mat = Tuple[Tuple[Fraction, ...], ...]
-
-
-def mat(rows) -> Mat:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
-
-
-def bilinear(g: Mat, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """u^T g v as an exact rational."""
-    n = len(u)
-    return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
-
-
-def det(a: Mat) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        d *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return d
-
-
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [e * inv for e in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def smith_normal_form(m):

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import InconsistencyError, ResourceLimitError, SchemaError
-from .lattice import weyl_orbits
+from .lattice import rho_shifted, weyl_orbits
 from .roots import RootSystem
 
 
@@ -43,7 +43,9 @@ def phase_constants(rs: RootSystem, tol: float = 1e-12) -> PhasePair:
     <rho, rho>_1 / (2 h) of a full turn; the cubic constraint relating them
     is re-checked, not assumed."""
     jq = Fraction(-rs.num_positive, 4)
-    oq = rs.pairing1(rs.weyl_vector, rs.weyl_vector) / (2 * rs.dual_coxeter)
+    # <rho, rho>_1 is the coordinate sum of rho
+    rho, d = rho_shifted(rs, [0] * rs.rank)
+    oq = Fraction(int(rho.sum()), d) / (2 * rs.dual_coxeter)
     pp = PhasePair(j=unit_phase(jq), omega=unit_phase(oq),
                    j_exponent=jq, omega_exponent=oq)
     # omega^3 = i^{n/2} j^{-1}, with the principal i^{n/2}

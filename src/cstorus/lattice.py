@@ -114,20 +114,26 @@ class AlcoveSet:
     stabilizer_sizes: Tuple[int, ...]     # per closed point, in W mod coroot lattice
 
 
-def _comarks(rs: RootSystem) -> Tuple[int, ...]:
-    """Coroot-basis coordinates of the highest root (integers)."""
-    c = tuple(int(x) for x in rs.highest_root)
-    assert c == tuple(rs.highest_root)
-    return c
-
-
 def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
     """All n >= 0 with sum_i a_i n_i <= k, a_i the comarks, lexicographic."""
     prefixes = [((), 0)]
-    for ai in _comarks(rs):
+    for ai in rs.comarks:
         prefixes = [(p + (x,), used + ai * x) for p, used in prefixes
                     for x in range((k - used) // ai + 1)]
     return [p for p, _ in prefixes]
+
+
+def rho_shifted(rs: RootSystem, pairings) -> Tuple[np.ndarray, int]:
+    """The weights gram1^{-1} (n + 1) for the rows n of `pairings` (integer
+    pairings with the simple coroots), as int numerators over the exponent D
+    of the level-1 quotient, where D gram1^{-1} is `kinv`.
+
+    These are the weights of pairings n shifted by the Weyl vector
+    rho = gram1^{-1} 1, the sum of the fundamental weights; n = 0 gives rho.
+    Since gram1 rho = 1, <v, rho>_1 is the coordinate sum of v.
+    """
+    z = quotient_group(rs, 1)
+    return (np.asarray(pairings, dtype=np.int64) + 1) @ z.kinv.T, z.denom
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     z = quotient_group(rs, k)
     n = rs.rank
     pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
-    interior = (pairings >= 1).all(axis=1) & (pairings @ _comarks(rs) <= k - 1)
+    interior = (pairings >= 1).all(axis=1) & (pairings @ rs.comarks <= k - 1)
     numerators = pairings @ z.kinv.T
 
     dim = len(pairings)

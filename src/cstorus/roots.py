@@ -2,19 +2,20 @@
 product normalized so long roots have squared length 2.
 
 All vectors live in coroot-basis coordinates: a vector v = sum_i c_i b_i,
-with b_i the simple coroots, is stored as the tuple (c_1, ..., c_n) of exact
-rationals.  The Gram matrix gram1[i][j] = <b_i, b_j>_1 is an integer matrix,
-so every pairing used in a phase exponent is an exact rational.
+with b_i the simple coroots, has the coordinates (c_1, ..., c_n).  The root
+data are integers: the Gram matrix gram1[i][j] = <b_i, b_j>_1, the Weyl
+matrices, and the comarks (the coordinates of the highest root).  Weights
+are rational; the Weyl vector rho = gram1^{-1} 1 pairs with every simple
+coroot to 1, so <v, rho>_1 is the coordinate sum of v (lattice.rho_shifted
+builds it from the level-1 quotient).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import exact
 from .errors import ResourceLimitError, SchemaError
 
 VALID_FAMILIES = "ABCDEFG"
@@ -119,22 +120,25 @@ def cartan_matrix(lt: LieType) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(a) -> Tuple[Fraction, ...]:
-    """d_i = <alpha_i, alpha_i>_1 / 2, normalized so long roots give 1."""
+def _symmetrizer(a) -> Tuple[int, ...]:
+    """e_i = 1 / d_i = 2 / <alpha_i, alpha_i>_1 in {1, 2, 3}, 1 on the long
+    roots, so that gram1[i][j] = e_i a_ij."""
     n = len(a)
-    d: List[Fraction] = [None] * n
-    d[0] = Fraction(1)
-    # propagate along the Dynkin graph: d_j / d_i = a_ji / a_ij
+    e: List[int] = [None] * n
+    e[0] = 6        # every ratio e_j / e_i is 1, 2, 3 or an inverse of them
+    # propagate along the Dynkin graph: e_j / e_i = a_ij / a_ji
     changed = True
     while changed:
         changed = False
         for i in range(n):
             for j in range(n):
-                if i != j and a[i][j] != 0 and d[i] is not None and d[j] is None:
-                    d[j] = d[i] * Fraction(a[j][i], a[i][j])
+                if i != j and a[i][j] != 0 and e[i] is not None and e[j] is None:
+                    e[j], rem = divmod(e[i] * a[i][j], a[j][i])
+                    if rem:
+                        raise AssertionError("gram1 is not integral; Cartan data inconsistent")
                     changed = True
-    top = max(d)
-    return tuple(x / top for x in d)
+    low = min(e)
+    return tuple(x // low for x in e)
 
 
 @dataclass(frozen=True)
@@ -144,13 +148,11 @@ class WeylElement:
     matrix: Tuple[Tuple[int, ...], ...]
     determinant: int
 
-    def apply(self, v) -> Tuple[Fraction, ...]:
-        return exact.mat_vec(self.matrix, tuple(Fraction(x) for x in v))
-
     def compose(self, other: "WeylElement") -> "WeylElement":
-        m = exact.mat_mul(self.matrix, other.matrix)
-        return WeylElement(tuple(tuple(int(e) for e in row) for row in m),
-                           self.determinant * other.determinant)
+        cols = tuple(zip(*other.matrix))
+        m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                  for row in self.matrix)
+        return WeylElement(m, self.determinant * other.determinant)
 
 
 @dataclass(frozen=True)
@@ -167,23 +169,14 @@ class RootSystem:
     lie_type: LieType
     cartan: Tuple[Tuple[int, ...], ...]
     gram1: Tuple[Tuple[int, ...], ...]          # <b_i, b_j>_1
-    positive_roots: Tuple[Tuple[Fraction, ...], ...]
-    weyl_vector: Tuple[Fraction, ...]
+    num_positive: int
+    comarks: Tuple[int, ...]                    # coroot coordinates of the highest root
     dual_coxeter: int
-    highest_root: Tuple[Fraction, ...]
     _weyl_cache: Dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    @property
-    def num_positive(self) -> int:
-        return len(self.positive_roots)
-
-    def pairing1(self, v, w) -> Fraction:
-        return exact.bilinear(self.gram1, tuple(Fraction(x) for x in v),
-                              tuple(Fraction(x) for x in w))
 
     def weyl_group(self, max_elements: int = 100_000) -> WeylGroup:
         key = "wg"
@@ -195,8 +188,7 @@ class RootSystem:
         return {
             "family": self.lie_type.family,
             "rank": self.rank,
-            "gram1": [[f"{e}/1" if isinstance(e, int) else str(Fraction(e))
-                       for e in row] for row in self.gram1],
+            "gram1": [[f"{e}/1" for e in row] for row in self.gram1],
             "positive_root_count": self.num_positive,
             "weyl_order": weyl_order(self.lie_type),
             "dual_coxeter": self.dual_coxeter,
@@ -227,7 +219,8 @@ def _positive_roots_in_simple_coords(a):
 
 
 # rank above this raises ResourceLimitError: root data are built in Python
-# and Fraction arithmetic at a cost of ~rank^4 (B40 ~1.2 s, A100 ~13 s)
+# at a cost of ~rank^4, nearly all of it in the positive-root closure (best
+# of 3 on a 2-vCPU VM: A40 0.27 s, B40/C40/D40 0.58-0.66 s)
 RANK_CEILING = 40
 
 
@@ -236,39 +229,30 @@ def build_root_system(lt: LieType) -> RootSystem:
         raise ResourceLimitError(f"rank {lt.rank} of {lt} exceeds the ceiling {RANK_CEILING}")
     a = cartan_matrix(lt)
     n = lt.rank
-    d = _symmetrizer(a)
-    gram1_frac = tuple(tuple(Fraction(a[i][j]) / d[i] for j in range(n)) for i in range(n))
-    if not all(e.denominator == 1 for row in gram1_frac for e in row):
-        raise AssertionError("gram1 is not integral; Cartan data inconsistent")
-    gram1 = tuple(tuple(int(e) for e in row) for row in gram1_frac)
+    e = _symmetrizer(a)
+    gram1 = tuple(tuple(e[i] * a[i][j] for j in range(n)) for i in range(n))
+    pos_roots = _positive_roots_in_simple_coords(a)
 
-    # coroot-basis coordinates of the positive roots
-    pos_roots = [tuple(Fraction(m[i]) * d[i] for i in range(n))
-                 for m in _positive_roots_in_simple_coords(a)]
-
-    rho = tuple(sum(r[i] for r in pos_roots) / 2 for i in range(n))
-
-    # highest root: the unique positive root of maximal height
-    highest = pos_roots[-1]
-    gm = exact.mat(gram1)
-    hsq = exact.bilinear(gm, highest, highest)
-    if hsq != 2:
+    # highest root: the unique positive root of maximal height; a root
+    # sum_i m_i alpha_i has coroot coordinates m_i / e_i, integral on a long root
+    theta = pos_roots[-1]
+    comarks = tuple(m // ei for m, ei in zip(theta, e))
+    theta_sq = sum(comarks[i] * gram1[i][j] * comarks[j] for i in range(n) for j in range(n))
+    if any(m % ei for m, ei in zip(theta, e)) or theta_sq != 2:
         raise AssertionError("highest root is not long after normalization")
-    h_dual = 1 + exact.bilinear(gm, rho, highest)
-    if h_dual.denominator != 1:
-        raise AssertionError("dual Coxeter number is not an integer")
+    # h = 1 + <rho, theta>_1, and <v, rho>_1 is the coordinate sum of v
+    h_dual = 1 + sum(comarks)
     expected = _lookup(_DUAL_COXETER, lt)
-    if int(h_dual) != expected:
+    if h_dual != expected:
         raise AssertionError(f"dual Coxeter mismatch for {lt}: {h_dual} != {expected}")
 
     return RootSystem(
         lie_type=lt,
         cartan=a,
         gram1=gram1,
-        positive_roots=tuple(pos_roots),
-        weyl_vector=rho,
-        dual_coxeter=int(h_dual),
-        highest_root=highest,
+        num_positive=len(pos_roots),
+        comarks=comarks,
+        dual_coxeter=h_dual,
     )
 
 
@@ -301,10 +285,3 @@ def generate_weyl_group(rs: RootSystem, max_elements: int = 100_000) -> WeylGrou
                 frontier.append(nw)
     elements = tuple(sorted(seen.values(), key=lambda e: e.matrix))
     return WeylGroup(elements)
-
-
-def pairing(rs: RootSystem, v, w, k: int) -> Fraction:
-    """k-scaled inner product <v, w>_k = k * v^T gram1 w, exact."""
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
-    return k * rs.pairing1(v, w)

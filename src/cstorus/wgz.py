@@ -195,8 +195,10 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
                        box_radius: float) -> GridSpec:
     """Pick (divisions, half_width) so the coroot box contains the centered
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
-    A grid over WGZ_ARRAY_CEILING raises ResourceLimitError before any array
-    is allocated."""
+    A resolution below 1 raises SchemaError; a grid over WGZ_ARRAY_CEILING
+    raises ResourceLimitError before any array is allocated."""
+    if resolution < 1:
+        raise SchemaError(f"resolution must be a positive integer, got {resolution}")
     z = quotient_group(rs, k)
     divisions = max(resolution, z.denom)
     divisions += (-divisions) % z.denom

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from cstorus import exact
 from cstorus.compactcheck import compare_shifted, su2_modular_data
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
 from cstorus.heatkernel import (GridSamples1D, heat_apply, hermite_function_table,
@@ -15,7 +14,7 @@ from cstorus.heatkernel import (GridSamples1D, heat_apply, hermite_function_tabl
 from cstorus.lattice import alcove_points, quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
-from test_heatkernel import HermiteExpansion, laplacian_diagonal, laplacian_explicit
+from fraction_oracle import det, mat
 
 SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3)]
 # rank >= 4 types, E7 and E8 included: orbit closure on Z, no Weyl enumeration
@@ -55,9 +54,9 @@ def test_quotient_orders_exact():
     types = [(f, r) for f, r, _ in SWEEP] + [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
     for fam, rank in types:
         rs = build_root_system(LieType(fam, rank))
-        det = exact.det(exact.mat(rs.gram1))
+        gram_det = det(mat(rs.gram1))
         for k in range(1, 9):
-            assert quotient_group(rs, k).order == k ** rs.rank * det
+            assert quotient_group(rs, k).order == k ** rs.rank * gram_det
     a1 = build_root_system(LieType("A", 1))
     a2 = build_root_system(LieType("A", 2))
     for k in range(1, 9):
@@ -86,28 +85,6 @@ def test_transform_roundtrip_and_parseval():
         assert rep["roundtrip_residual"] < 1e-6
         assert rep["parseval_relative_error"] < 1e-6
     assert time.monotonic() - start < 5.0
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_laplacian_dual_paths(n):
-    """Diagonal eigenvalue action through the production laplacian_spectrum
-    vs the explicit differential operator of the test oracle, on random
-    eigenfunction combinations, five random moduli."""
-    rng = np.random.default_rng(7)
-    k = 2
-    for _ in range(5):
-        sigma = complex(rng.normal(), abs(rng.normal()) + 0.3)
-        coeffs = {}
-        while len(coeffs) < 4:
-            l = tuple(int(x) for x in rng.integers(0, 11, n))
-            if sum(l) <= 10:
-                coeffs[l] = complex(rng.normal(), rng.normal())
-        f = HermiteExpansion(n=n, k=k, sigma=sigma, coeffs=coeffs)
-        pts = rng.normal(size=(40, n))
-        diag = laplacian_diagonal(f).evaluate(pts)
-        explicit = laplacian_explicit(f).evaluate(pts)
-        scale = max(1.0, float(np.abs(diag).max()))
-        assert np.abs(diag - explicit).max() / scale < 1e-6
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])

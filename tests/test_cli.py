@@ -542,6 +542,16 @@ def test_wgz_fewer_than_two_trials_exits_schema(capsys, trials):
     assert out == "" and len(err.strip().splitlines()) == 1 and "trials" in err
 
 
+@pytest.mark.parametrize("resolution", ["-5", "0"])
+def test_wgz_nonpositive_resolution_exits_schema(capsys, resolution):
+    """A resolution below 1 is an invalid configuration (exit 2, one line),
+    not an artifact that records it."""
+    code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--rank", "1",
+                             "--level", "1", "--resolution", resolution)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "resolution" in err
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # a --level call before a call that omits it, so state left in the shared

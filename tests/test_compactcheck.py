@@ -11,7 +11,10 @@ from cstorus.compactcheck import (CompactModularData, _integrable_shifted_weight
                                   kac_peterson_sum, su2_modular_data)
 from cstorus.errors import DomainError, SchemaError
 from cstorus.finrep import Convention, unit_phase
+from cstorus.lattice import _alcove_pairings
 from cstorus.roots import LieType, build_root_system
+from fraction_oracle import inverse, mat, mat_vec, pairing1, weyl_apply, weyl_vector
+from test_roots import IDENTITY_TYPES
 
 
 def modular_relations_residual(data: CompactModularData) -> float:
@@ -77,16 +80,38 @@ def test_kac_peterson_a2_properties(k):
     assert (d.s[0].real > 0).all() and np.abs(d.s[0].imag).max() < 1e-12
 
 
+def fraction_shifted_weights(rs, k):
+    """Oracle: gram1^{-1} (n + 1) over the alcove pairings n, in Fractions,
+    sorted by the pairing with rho = half the sum of the positive roots,
+    then lexicographically."""
+    ginv = inverse(mat(rs.gram1))
+    rho = weyl_vector(rs)
+    out = [mat_vec(ginv, tuple(Fraction(x + 1) for x in nvec)) for nvec in _alcove_pairings(rs, k)]
+    out.sort(key=lambda v: (pairing1(rs, v, rho), v))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("family,rank", IDENTITY_TYPES)
+def test_integer_shifted_weights_match_fraction_oracle(family, rank, k):
+    """The int numerators over D of the rho-shifted labels, in their sort
+    order, are the oracle's Fraction labels in its order."""
+    rs = build_root_system(LieType(family, rank))
+    nums, d = _integrable_shifted_weights(rs, k)
+    assert [tuple(Fraction(int(x), d) for x in mu) for mu in nums] == \
+        fraction_shifted_weights(rs, k)
+
+
 def fraction_kac_peterson_s(rs, k):
     """Oracle: the Kac-Peterson S sum with one exact Fraction pairing per
     (w, mu, nu), normalized like kac_peterson_sum."""
     kk = k + rs.dual_coxeter
-    labels = _integrable_shifted_weights(rs, k)
+    labels = fraction_shifted_weights(rs, k)
     raw = np.zeros((len(labels), len(labels)), dtype=complex)
     for i, mu in enumerate(labels):
-        images = [(w.determinant, w.apply(mu)) for w in rs.weyl_group().elements]
+        images = [(w.determinant, weyl_apply(w, mu)) for w in rs.weyl_group().elements]
         for j, nu in enumerate(labels):
-            raw[i, j] = sum(det * unit_phase(-rs.pairing1(wmu, nu) / kk)
+            raw[i, j] = sum(det * unit_phase(-pairing1(rs, wmu, nu) / kk)
                             for det, wmu in images)
     scale = math.sqrt(abs((raw @ raw.conj().T)[0, 0]))
     return tuple(labels), raw / (scale * raw[0, 0] / abs(raw[0, 0]))

@@ -9,7 +9,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from cstorus import exact
 from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus import finrep
 from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
@@ -19,6 +18,7 @@ from cstorus.lattice import (AlcoveSet, QuotientGroup, alcove_points, quotient_g
                              weyl_orbits)
 from cstorus.roots import LieType, RootSystem, build_root_system
 from cstorus.wgz import GridFunctionFamily, GridSpec, apply_finite_fourier, prequantum_T
+from fraction_oracle import highest_root, inverse, mat, mat_vec, pairing1, weyl_apply
 from test_lattice import fraction_quotient, is_integral, vec_sub
 
 
@@ -48,7 +48,7 @@ def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
     for gamma in points:
         coeff = [0] * quotient.order
         for w in wg.elements:
-            idx = oracle.index_of(w.apply(gamma))
+            idx = oracle.index_of(weyl_apply(w, gamma))
             coeff[idx] += w.determinant if sector == 1 else 1
         arr = np.asarray(coeff, dtype=complex)
         norm = np.linalg.norm(arr)
@@ -65,13 +65,13 @@ def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
     out = np.empty((m, m), dtype=complex)
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
-            out[i, j] = unit_phase(quotient.k * quotient.rs.pairing1(a, b))
+            out[i, j] = unit_phase(quotient.k * pairing1(quotient.rs, a, b))
     return out / math.sqrt(m)
 
 
 def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
     """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
-    diag = [unit_phase(quotient.k * quotient.rs.pairing1(a, a) / 2)
+    diag = [unit_phase(quotient.k * pairing1(quotient.rs, a, a) / 2)
             for a in fraction_quotient(quotient.rs, quotient.k).reps]
     return np.diag(diag)
 
@@ -81,23 +81,22 @@ def stabilizer_scan(rs: RootSystem, points) -> Tuple[int, ...]:
     scan over the whole Weyl group."""
     wg = rs.weyl_group()
     return tuple(sum(1 for w in wg.elements
-                     if is_integral(vec_sub(w.apply(g), g)))
+                     if is_integral(vec_sub(weyl_apply(w, g), g)))
                  for g in points)
 
 
 def alcove_points_bruteforce(rs: RootSystem, k: int):
     """Closed and open alcove points (kG)^{-1} n, exact, over the pairings
     n >= 0 with sum_i a_i n_i <= k taken from a sorted itertools.product."""
-    a = [int(x) for x in rs.highest_root]
+    a = [int(x) for x in highest_root(rs)]
     n = rs.rank
-    basis = exact.inverse(exact.mat([[k * rs.gram1[i][j] for j in range(n)]
-                                     for i in range(n)]))
+    basis = inverse(mat([[k * rs.gram1[i][j] for j in range(n)] for i in range(n)]))
     closed, opened = [], []
     for nvec in sorted(itertools.product(*[range(k // ai + 1) for ai in a])):
         height = sum(ai * ni for ai, ni in zip(a, nvec))
         if height > k:
             continue
-        gamma = exact.mat_vec(basis, tuple(Fraction(x) for x in nvec))
+        gamma = mat_vec(basis, tuple(Fraction(x) for x in nvec))
         closed.append(gamma)
         if all(ni >= 1 for ni in nvec) and height <= k - 1:
             opened.append(gamma)
@@ -127,17 +126,17 @@ def rep_matrices_bruteforce(rs: RootSystem, k: int, sector: int,
     s = np.zeros((dim, dim), dtype=complex)
     root_z = math.sqrt(quotient.order)
     for a, (ga, sta) in enumerate(zip(points, stabs)):
-        images = [(w.determinant if use_det else 1, w.apply(ga)) for w in wg.elements]
+        images = [(w.determinant if use_det else 1, weyl_apply(w, ga)) for w in wg.elements]
         for b, (gb, stb) in enumerate(zip(points, stabs)):
             acc = 0j
             for eps, wga in images:
-                acc += eps * unit_phase(-k * rs.pairing1(wga, gb))
+                acc += eps * unit_phase(-k * pairing1(rs, wga, gb))
             s[a, b] = acc / (root_z * math.sqrt(sta * stb))
     s *= unit_phase(-phases.j_exponent)
 
     t = np.zeros((dim, dim), dtype=complex)
     for a, ga in enumerate(points):
-        q = -phases.omega_exponent + convention.t_sign * k * rs.pairing1(ga, ga) / 2
+        q = -phases.omega_exponent + convention.t_sign * k * pairing1(rs, ga, ga) / 2
         t[a, a] = unit_phase(q)
 
     return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
@@ -229,7 +228,7 @@ def test_symmetrized_bases_orthonormal_and_invariant():
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-12
         # vectors transform with the right character under each reflection
         for w in wg.elements:
-            perm = [oracle.index_of(w.apply(rep)) for rep in oracle.reps]
+            perm = [oracle.index_of(weyl_apply(w, rep)) for rep in oracle.reps]
             for v in basis:
                 moved = np.zeros_like(v.coefficients)
                 moved[perm] = v.coefficients

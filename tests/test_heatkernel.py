@@ -299,16 +299,37 @@ def test_laplacian_eigenvalues():
     assert abs(laplacian_spectrum(2, 3) - 2 * 2 * 3.5) < 1e-14
 
 
+def _degree_capped_coeffs(rng, n):
+    """Four distinct indices of total degree <= 10, drawn until found."""
+    coeffs = {}
+    while len(coeffs) < 4:
+        l = tuple(int(x) for x in rng.integers(0, 11, n))
+        if sum(l) <= 10:
+            coeffs[l] = complex(rng.normal(), rng.normal())
+    return coeffs
+
+
+def _box_coeffs(rng, n):
+    """Four draws from a box of side 6 (n = 2) or 11 (n = 1), repeats merged."""
+    coeffs = {}
+    for _ in range(4):
+        l = tuple(int(x) for x in rng.integers(0, 6 if n == 2 else 11, n))
+        coeffs[l] = complex(rng.normal(), rng.normal())
+    return coeffs
+
+
+@pytest.mark.parametrize("seed,draw", [(7, _degree_capped_coeffs), (0, _box_coeffs)],
+                         ids=["seed7", "seed0"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_laplacian_dual_paths(n):
-    rng = np.random.default_rng(0)
+def test_laplacian_dual_paths(n, seed, draw):
+    """Diagonal eigenvalue action through the production laplacian_spectrum
+    vs the explicit differential operator of the test oracle, on random
+    eigenfunction combinations, five random moduli, for two draws."""
+    rng = np.random.default_rng(seed)
     k = 2
     for _ in range(5):
         sigma = complex(rng.normal(), abs(rng.normal()) + 0.3)
-        coeffs = {}
-        for _ in range(4):
-            l = tuple(int(x) for x in rng.integers(0, 6 if n == 2 else 11, n))
-            coeffs[l] = complex(rng.normal(), rng.normal())
+        coeffs = draw(rng, n)
         f = HermiteExpansion(n=n, k=k, sigma=sigma, coeffs=coeffs)
         pts = rng.normal(size=(40, n))
         diag = laplacian_diagonal(f).evaluate(pts)

@@ -10,11 +10,14 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from cstorus import exact, lattice
+from cstorus import lattice
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
+from cstorus.exact import smith_normal_form
 from cstorus.lattice import alcove_points, enumerate_report, quotient_group, weyl_orbits
 from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
 from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
+from fraction_oracle import (bilinear, det, highest_root, inverse, mat, mat_mul, mat_vec,
+                             weyl_apply)
 
 Vec = Tuple[Fraction, ...]
 
@@ -55,11 +58,11 @@ class Lattice:
 def scaled_dual_lattice(rs, k: int) -> Lattice:
     """Lattice of vectors pairing integrally with the coroot lattice under
     the k-scaled inner product; basis = (k*gram1)^{-1}."""
-    return Lattice(basis=exact.inverse(exact.mat([[k * e for e in row] for row in rs.gram1])))
+    return Lattice(basis=inverse(mat([[k * e for e in row] for row in rs.gram1])))
 
 
 def in_scaled_dual(rs, k: int, v) -> bool:
-    return is_integral(exact.mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
+    return is_integral(mat_vec(rs.gram1, tuple(k * Fraction(x) for x in v)))
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,11 @@ class FractionQuotient:
 def fraction_quotient(rs, k: int) -> FractionQuotient:
     """One exact rep per Smith coordinate y: (kG)^{-1} u^{-1} y mod Z^n."""
     n = rs.rank
-    d, u, _ = exact.smith_normal_form([[k * e for e in row] for row in rs.gram1])
-    u_inv = exact.inverse(exact.mat(u))
+    d, u, _ = smith_normal_form([[k * e for e in row] for row in rs.gram1])
+    u_inv = inverse(mat(u))
     assert all(e.denominator == 1 for row in u_inv for e in row)
-    gens = exact.mat_mul(scaled_dual_lattice(rs, k).basis, u_inv)
-    reps = sorted(frac_part(exact.mat_vec(gens, y))
+    gens = mat_mul(scaled_dual_lattice(rs, k).basis, u_inv)
+    reps = sorted(frac_part(mat_vec(gens, y))
                   for y in itertools.product(*[range(d[i][i]) for i in range(n)]))
     assert len(set(reps)) == len(reps)
     return FractionQuotient(reps=tuple(reps))
@@ -101,7 +104,7 @@ def fraction_quotient(rs, k: int) -> FractionQuotient:
 def _reflection_matrix(rs, root):
     """Reflection in a long root (its own coroot): v -> v - <root, v>_1 root."""
     n = rs.rank
-    gt = exact.mat_vec(exact.mat(rs.gram1), root)
+    gt = mat_vec(mat(rs.gram1), root)
     return tuple(tuple(int(r == c) - int(root[r] * gt[c]) for c in range(n))
                  for r in range(n))
 
@@ -117,7 +120,7 @@ def fold_to_alcove(rs, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
     n = rs.rank
     # the highest root is long, so its coroot has the same coordinates; the
     # affine wall <x, theta>_1 = 1 reflects x to s_theta x + theta
-    theta = tuple(int(x) for x in rs.highest_root)
+    theta = tuple(int(x) for x in highest_root(rs))
     walls = [(simple_reflection_matrix(rs, i), (0,) * n) for i in range(n)]
     affine = (_reflection_matrix(rs, theta), theta)
 
@@ -135,8 +138,8 @@ def fold_to_alcove(rs, k: int, gamma) -> Tuple[Vec, WeylElement, int, bool]:
             wint = tuple(tuple(int(e) for e in row) for row in wmat)
             return v, WeylElement(wint, sign), sign, boundary
         r, shift = walls[neg] if neg is not None else affine
-        v = vec_add(exact.mat_vec(r, v), shift)
-        wmat = exact.mat_mul(r, wmat)
+        v = vec_add(mat_vec(r, v), shift)
+        wmat = mat_mul(r, wmat)
         sign = -sign
     raise AssertionError("alcove folding did not terminate")
 
@@ -149,7 +152,7 @@ TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 def test_quotient_order_formula(fam, rank, k):
     rs = build_root_system(LieType(fam, rank))
     q = quotient_group(rs, k)
-    expected = k ** rs.rank * exact.det(exact.mat(rs.gram1))
+    expected = k ** rs.rank * det(mat(rs.gram1))
     assert q.order == expected
 
 
@@ -198,7 +201,7 @@ def test_fold_to_alcove(fam, rank, k):
             assert rep in closed
             assert sign == w.determinant
             # rep = w(gamma) modulo the coroot lattice
-            assert is_integral(vec_sub(rep, w.apply(gamma)))
+            assert is_integral(vec_sub(rep, weyl_apply(w, gamma)))
             # folding a folded point is the identity
             rep2, w2, _, _ = fold_to_alcove(rs, k, rep)
             assert rep2 == rep
@@ -236,7 +239,7 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
     for i, gamma in enumerate(alc.closed_points):
         signs = {}
         for w in rs.weyl_group().elements:
-            image = frac_part(w.apply(gamma))
+            image = frac_part(weyl_apply(w, gamma))
             signs.setdefault(image, set()).add(w.determinant)
         got = {tuple(Fraction(int(x), d) for x in z.numerators[j]): int(orbits.sign[j])
                for j in members[i]}
@@ -268,11 +271,11 @@ def test_weyl_orbits_index_each_reflection_once(monkeypatch, fam, rank, k):
 def test_quotient_order_is_the_product_of_smith_divisors(monkeypatch):
     """|Z| comes from the Smith form, not from a determinant."""
     rs = build_root_system(LieType("B", 3))
-    expected = 4 ** 3 * exact.det(exact.mat(rs.gram1))
+    expected = 4 ** 3 * det(mat(rs.gram1))
 
     def refuse(*args):
-        raise AssertionError("exact.det called")
-    monkeypatch.setattr(exact, "det", refuse)
+        raise AssertionError("np.linalg.det called")
+    monkeypatch.setattr(np.linalg, "det", refuse)
     assert quotient_group(rs, 4).order == expected
 
 
@@ -346,14 +349,14 @@ def test_discriminant_form_matches_fraction_oracle(fam, rank, k):
     # the exact rep of each row of q, matched through the oracle's own index
     reps = [oracle.reps[oracle.index_of(tuple(Fraction(int(e), d) for e in x))]
             for x in q.numerators]
-    gram = exact.mat(rs.gram1)
+    gram = mat(rs.gram1)
     rows, cols = (np.sort(np.random.default_rng(seed).permutation(q.order)[:40])
                   for seed in (k, k + 1))
-    want = [[d * k * exact.bilinear(gram, reps[a], reps[b]) % d for b in cols] for a in rows]
+    want = [[d * k * bilinear(gram, reps[a], reps[b]) % d for b in cols] for a in rows]
     x = q.numerators
     assert q.pair(x[rows], x[cols]).tolist() == want
     assert (q.pair(x[rows], x[cols]) == q.pair(x[cols], x[rows]).T).all()
-    assert q.norm(x).tolist() == [d * k * exact.bilinear(gram, a, a) % (2 * d) for a in reps]
+    assert q.norm(x).tolist() == [d * k * bilinear(gram, a, a) % (2 * d) for a in reps]
     assert (q.norm(x[rows]) % d == np.diag(q.pair(x[rows], x[rows]))).all()
 
 
@@ -374,7 +377,7 @@ def test_weyl_action_permutes_like_the_fraction_route(monkeypatch, fam, rank, k)
     f = GridFunctionFamily(spec, q, np.repeat(np.array(pos, dtype=complex)[:, None],
                                               spec.box_points_per_axis ** rank, axis=1))
     for w in rs.weyl_group().elements:
-        perm = [oracle.index_of(w.apply(oracle.reps[p])) for p in pos]
+        perm = [oracle.index_of(weyl_apply(w, oracle.reps[p])) for p in pos]
         assert (weyl_action(f, w).values[:, 0].real == perm).all()
 
 

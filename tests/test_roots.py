@@ -1,14 +1,21 @@
 """Root systems, Weyl groups and the level-1 pairing."""
 
+import ast
+import dataclasses
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstorus.errors import ResourceLimitError, SchemaError
-from cstorus.roots import LieType, build_root_system, generate_weyl_group, pairing, weyl_order
+from cstorus.finrep import phase_constants
+from cstorus.lattice import quotient_group, rho_shifted
+from cstorus.roots import LieType, build_root_system, generate_weyl_group, weyl_order
+from fraction_oracle import (bilinear, highest_root, pairing, pairing1, positive_roots,
+                             weyl_apply, weyl_vector)
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
 
@@ -81,11 +88,12 @@ def test_dual_coxeter_number(fam, rank):
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
 def test_highest_root_is_long_and_dominant(fam, rank):
     rs = build_root_system(LieType(fam, rank))
-    theta = rs.highest_root
-    assert rs.pairing1(theta, theta) == 2
+    theta = rs.comarks
+    assert theta == highest_root(rs)
+    assert pairing1(rs, theta, theta) == 2
     for i in range(rs.rank):
         e = tuple(Fraction(int(i == j)) for j in range(rs.rank))
-        assert rs.pairing1(theta, e) >= 0
+        assert pairing1(rs, theta, e) >= 0
 
 
 def test_invalid_types_rejected():
@@ -127,7 +135,7 @@ def test_pairing_weyl_invariant(ti, data):
     v = tuple(data.draw(frac) for _ in range(rank))
     u = tuple(data.draw(frac) for _ in range(rank))
     w = data.draw(st.sampled_from(rs.weyl_group().elements))
-    assert rs.pairing1(w.apply(v), w.apply(u)) == rs.pairing1(v, u)
+    assert pairing1(rs, weyl_apply(w, v), weyl_apply(w, u)) == pairing1(rs, v, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,7 +150,8 @@ def test_scaled_pairing_is_k_times_level_one(ti, k, data):
     frac = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     v = tuple(data.draw(frac) for _ in range(rank))
     u = tuple(data.draw(frac) for _ in range(rank))
-    assert pairing(rs, v, u, k) == k * rs.pairing1(v, u)
+    assert pairing(rs, v, u, k) == k * pairing1(rs, v, u) == \
+        bilinear(quotient_group(rs, k).kg.tolist(), v, u)
 
 
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
@@ -151,7 +160,85 @@ def test_simple_coroot_gram_matches_cartan_symmetrization(fam, rank):
     n = rs.rank
     for i in range(n):
         ei = tuple(Fraction(int(i == j)) for j in range(n))
-        assert rs.pairing1(ei, ei) > 0
+        assert pairing1(rs, ei, ei) > 0
         for j in range(n):
             ej = tuple(Fraction(int(j == m)) for m in range(n))
-            assert rs.pairing1(ei, ej) == rs.gram1[i][j]
+            assert pairing1(rs, ei, ej) == rs.gram1[i][j]
+
+
+# every type of the benchmark's Weyl order table, and E6-E8
+IDENTITY_TYPES = ([("A", n) for n in range(1, 5)] + [("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                                                     ("D", 4), ("F", 4), ("G", 2)]
+                  + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("fam,rank", IDENTITY_TYPES)
+def test_integer_root_data_match_the_fraction_oracle(fam, rank):
+    """rho = gram1^{-1} 1 from the level-1 quotient is half the sum of the
+    positive roots, so <rho, rho>_1 = 1^T kinv 1 / D; the comarks are the
+    highest root and h = 1 + their sum = 1 + <rho, theta>_1; and the phase
+    exponent of omega is <rho, rho>_1 / 2h. The oracle closes the roots
+    under the simple reflections in Fractions."""
+    rs = build_root_system(LieType(fam, rank))
+    rho = weyl_vector(rs)
+    rho2 = pairing1(rs, rho, rho)
+    z = quotient_group(rs, 1)
+    assert Fraction(int(z.kinv.sum()), z.denom) == rho2
+    nums, d = rho_shifted(rs, [0] * rank)
+    assert tuple(Fraction(int(x), d) for x in nums) == rho
+    theta = highest_root(rs)
+    assert rs.comarks == theta
+    assert rs.dual_coxeter == 1 + sum(rs.comarks) == 1 + pairing1(rs, rho, theta)
+    assert rs.num_positive == len(positive_roots(rs))
+    assert phase_constants(rs).omega_exponent == rho2 / (2 * rs.dual_coxeter)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cstorus"
+
+
+def _leaves(x):
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def test_root_data_are_integers():
+    """exact keeps only the integer Smith form; roots imports neither
+    fractions nor a rational helper; every RootSystem field (the Weyl group
+    cache included) holds ints and strings only; and no library module calls
+    the rational pairing1, which lives on as a test oracle."""
+    tree = ast.parse((SRC / "exact.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert defined == {"smith_normal_form"}
+
+    removed = {"mat", "mat_mul", "mat_vec", "bilinear", "det", "inverse"}
+    tree = ast.parse((SRC / "roots.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "fractions" not in modules
+    assert not (names | attributes) & removed
+
+    for fam, rank in IDENTITY_TYPES:
+        rs = build_root_system(LieType(fam, rank))
+        if fam != "E":      # E6 takes seconds to close
+            rs.weyl_group()
+        assert all(type(x) in (int, str) for x in _leaves(rs)), rs.lie_type
+
+    for path in sorted(SRC.glob("*.py")):
+        calls = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and "pairing1" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+        assert not calls, path.name

@@ -23,6 +23,7 @@ from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
                          random_gaussian_poly_family, roundtrip_report,
                          section_S, section_T, weyl_action, wgz_forward,
                          wgz_inverse)
+from fraction_oracle import pairing1
 
 
 def make(fam, rank, k, resolution, radius):
@@ -49,7 +50,7 @@ def gamma_grid_coords(spec, quotient):
 
 def multiplier_oracle(rs, k, lam1, lam2, theta1, theta2):
     """One multiplier value, parity in exact arithmetic, phase by cos/sin."""
-    parity = k * rs.pairing1(lam1, lam2)
+    parity = k * pairing1(rs, lam1, lam2)
     gm = np.array(rs.gram1, dtype=float) * k
     expo = float(theta1 @ gm @ lam2 - lam1 @ gm @ theta2)
     return (-1) ** int(parity) * complex(math.cos(math.pi * expo),
