@@ -15,12 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .errors import InconsistencyError, ResourceLimitError, SchemaError
-from .lattice import rho_shifted, weyl_orbits
+from .errors import ResourceLimitError, SchemaError
+from .lattice import weyl_orbits
 from .roots import RootSystem
 
 
@@ -38,25 +38,16 @@ class PhasePair:
     omega_exponent: Fraction
 
 
-def phase_constants(rs: RootSystem, tol: float = 1e-12) -> PhasePair:
-    """The specific constants j = i^{-|pos roots|}, omega with exponent
-    <rho, rho>_1 / (2 h) of a full turn; the cubic constraint relating them
-    is re-checked, not assumed."""
+def phase_constants(rs: RootSystem) -> PhasePair:
+    """The specific constants j = i^{-|pos roots|} and omega, whose exponent
+    <rho, rho>_1 / (2 h) of a full turn is dim g / 24 by the strange formula
+    of Freudenthal and de Vries, <rho, rho>_1 = h dim g / 12, with
+    dim g = n + 2 |pos roots|.  So the cubic constraint omega^3 = i^{n/2} j^{-1}
+    holds by construction: 3 dim g / 24 = n / 8 + |pos roots| / 4."""
     jq = Fraction(-rs.num_positive, 4)
-    # <rho, rho>_1 is the coordinate sum of rho
-    rho, d = rho_shifted(rs, [0] * rs.rank)
-    oq = Fraction(int(rho.sum()), d) / (2 * rs.dual_coxeter)
-    pp = PhasePair(j=unit_phase(jq), omega=unit_phase(oq),
-                   j_exponent=jq, omega_exponent=oq)
-    # omega^3 = i^{n/2} j^{-1}, with the principal i^{n/2}
-    lhs = 3 * oq
-    rhs = Fraction(rs.rank, 8) - jq
-    if (lhs - rhs) % 1 != 0:
-        resid = abs(pp.omega ** 3 - unit_phase(Fraction(rs.rank, 8)) / pp.j)
-        if resid > tol:
-            raise InconsistencyError(
-                f"phase constraint violated for {rs.lie_type}: |omega^3 - i^(n/2)/j| = {resid}")
-    return pp
+    oq = Fraction(rs.rank + 2 * rs.num_positive, 24)
+    return PhasePair(j=unit_phase(jq), omega=unit_phase(oq),
+                     j_exponent=jq, omega_exponent=oq)
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,6 @@ SECTOR_DIM_CEILING = 1024
 
 
 def rep_matrices(rs: RootSystem, k: int, sector: int,
-                 phases: Optional[PhasePair] = None,
                  convention: Convention = Convention()) -> SectorMatrices:
     """Sector S and T matrices from the Weyl orbits on the quotient Z.
 
@@ -130,8 +120,7 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     """
     if sector not in (0, 1):
         raise SchemaError(f"sector must be 0 or 1, got {sector}")
-    if phases is None:
-        phases = phase_constants(rs)
+    phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
     z = orbits.quotient
     d = z.denom

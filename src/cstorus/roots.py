@@ -4,10 +4,11 @@ product normalized so long roots have squared length 2.
 All vectors live in coroot-basis coordinates: a vector v = sum_i c_i b_i,
 with b_i the simple coroots, has the coordinates (c_1, ..., c_n).  The root
 data are integers: the Gram matrix gram1[i][j] = <b_i, b_j>_1, the Weyl
-matrices, and the comarks (the coordinates of the highest root).  Weights
-are rational; the Weyl vector rho = gram1^{-1} 1 pairs with every simple
-coroot to 1, so <v, rho>_1 is the coordinate sum of v (lattice.rho_shifted
-builds it from the level-1 quotient).
+matrices, and the comarks (the coordinates of the highest root, read from
+a per-family table).  The positive roots are never built: their count is
+n h / 2 with the Coxeter number h from the comarks.  Weights are rational;
+the Weyl vector rho = gram1^{-1} 1 pairs with every simple coroot to 1, so
+<v, rho>_1 is the coordinate sum of v (lattice.rho_shifted builds it).
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ _DUAL_COXETER = {
     "G": {2: 4},
 }
 
+# comarks: the coroot coordinates of the highest root theta, in the node
+# order of cartan_matrix (Kac, Infinite-dimensional Lie algebras, Table Aff 1;
+# Bourbaki, Lie groups ch. VI, Planches)
+_COMARKS = {
+    "A": lambda n: (1,) * n,
+    "B": lambda n: (1,) + (2,) * (n - 2) + (1,),
+    "C": lambda n: (1,) * n,
+    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
+    "E": {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1), 8: (2, 3, 4, 6, 5, 4, 3, 2)},
+    "F": {4: (2, 3, 2, 1)},
+    "G": {2: (1, 2)},
+}
+
 
 @dataclass(frozen=True)
 class LieType:
@@ -71,7 +85,7 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-def _lookup(table, lt: LieType) -> int:
+def _lookup(table, lt: LieType):
     entry = table[lt.family]
     return entry(lt.rank) if callable(entry) else entry[lt.rank]
 
@@ -195,32 +209,12 @@ class RootSystem:
         }
 
 
-def _positive_roots_in_simple_coords(a):
-    """Closure of the simple roots under simple reflections, kept positive.
-
-    Roots are expansion vectors m over the simple roots: s_i sends m to
-    m - (sum_j m_j a_ji) e_i.
-    """
-    n = len(a)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        m = frontier.pop()
-        for i in range(n):
-            c = sum(m[j] * a[j][i] for j in range(n))
-            new = list(m)
-            new[i] -= c
-            new = tuple(new)
-            if all(x >= 0 for x in new) and any(x > 0 for x in new) and new not in roots:
-                roots.add(new)
-                frontier.append(new)
-    return sorted(roots, key=lambda m: (sum(m), m))
-
-
-# rank above this raises ResourceLimitError: root data are built in Python
-# at a cost of ~rank^4, nearly all of it in the positive-root closure (best
-# of 3 on a 2-vCPU VM: A40 0.27 s, B40/C40/D40 0.58-0.66 s)
+# rank above this raises ResourceLimitError.  The root data are a table
+# lookup (under 1 ms at rank 40), so a rank-40 command costs about its
+# interpreter and numpy start-up (best of 3 on a 2-vCPU VM, A40/B40/C40/D40:
+# `roots info` 0.19-0.24 s, level-1 `rep verify` 0.20-0.27 s); what grows
+# with the rank is `weyl_orbits`' n simple reflections, built as n x n
+# Python tuples (~rank^3, 40 of the 46 ms of the A40 sector)
 RANK_CEILING = 40
 
 
@@ -231,26 +225,27 @@ def build_root_system(lt: LieType) -> RootSystem:
     n = lt.rank
     e = _symmetrizer(a)
     gram1 = tuple(tuple(e[i] * a[i][j] for j in range(n)) for i in range(n))
-    pos_roots = _positive_roots_in_simple_coords(a)
+    comarks = _lookup(_COMARKS, lt)
 
-    # highest root: the unique positive root of maximal height; a root
-    # sum_i m_i alpha_i has coroot coordinates m_i / e_i, integral on a long root
-    theta = pos_roots[-1]
-    comarks = tuple(m // ei for m, ei in zip(theta, e))
-    theta_sq = sum(comarks[i] * gram1[i][j] * comarks[j] for i in range(n) for j in range(n))
-    if any(m % ei for m, ei in zip(theta, e)) or theta_sq != 2:
-        raise AssertionError("highest root is not long after normalization")
+    # theta = sum_i comarks_i b_i is long, <theta, theta>_1 = 2, and dominant,
+    # <theta, b_j>_1 >= 0 for every simple coroot b_j
+    theta_b = [sum(c * row[j] for c, row in zip(comarks, gram1)) for j in range(n)]
+    if sum(c * x for c, x in zip(comarks, theta_b)) != 2 or min(theta_b) < 0:
+        raise AssertionError(f"highest root of {lt} is not long and dominant")
     # h = 1 + <rho, theta>_1, and <v, rho>_1 is the coordinate sum of v
     h_dual = 1 + sum(comarks)
     expected = _lookup(_DUAL_COXETER, lt)
     if h_dual != expected:
         raise AssertionError(f"dual Coxeter mismatch for {lt}: {h_dual} != {expected}")
+    # theta = sum_i comarks_i e_i alpha_i has height h - 1 (h the Coxeter
+    # number), and there are n h / 2 positive roots
+    coxeter = 1 + sum(c * ei for c, ei in zip(comarks, e))
 
     return RootSystem(
         lie_type=lt,
         cartan=a,
         gram1=gram1,
-        num_positive=len(pos_roots),
+        num_positive=n * coxeter // 2,
         comarks=comarks,
         dual_coxeter=h_dual,
     )

@@ -1,5 +1,6 @@
 """Finite sector matrices: phases, bases, operators, modular relations."""
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 
 from cstorus.errors import ResourceLimitError, SchemaError
-from cstorus import finrep
+from cstorus import finrep, lattice
 from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
                             SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
 from cstorus.lattice import (AlcoveSet, QuotientGroup, alcove_points, quotient_group,
-                             weyl_orbits)
+                             rho_shifted, weyl_orbits)
 from cstorus.roots import LieType, RootSystem, build_root_system
 from cstorus.wgz import GridFunctionFamily, GridSpec, apply_finite_fourier, prequantum_T
 from fraction_oracle import highest_root, inverse, mat, mat_vec, pairing1, weyl_apply
@@ -193,12 +194,43 @@ def test_phase_constants_rank_one():
     assert pp.omega_exponent == Fraction(1, 8)
 
 
-@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+PHASE_TYPES = ([("A", n) for n in range(1, 9)] + [(fam, n) for fam in "BC" for n in range(2, 8)]
+               + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+               + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", PHASE_TYPES)
 def test_phase_cubic_constraint(fam, rank):
+    """omega^3 = i^{n/2} j^{-1} exactly, and omega's exponent dim g / 24 (the
+    strange formula) is <rho, rho>_1 / 2h with rho read from the level-1
+    quotient."""
     rs = build_root_system(LieType(fam, rank))
     pp = phase_constants(rs)
+    assert (3 * pp.omega_exponent - Fraction(rs.rank, 8) + pp.j_exponent).denominator == 1
+    rho, d = rho_shifted(rs, [0] * rs.rank)
+    assert pp.omega_exponent == Fraction(int(rho.sum()), d) / (2 * rs.dual_coxeter)
     target = unit_phase(Fraction(rs.rank, 8)) / pp.j
     assert abs(pp.omega ** 3 - target) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [17, 40])
+def test_phase_constants_build_no_quotient(monkeypatch, rank):
+    """C17..C40 have a level-1 quotient of 2^n points, over the quotient
+    ceiling; phase_constants needs none of it, only dim g = n (2n + 1)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase_constants built a quotient")
+
+    monkeypatch.setattr(lattice, "quotient_group", refuse)
+    pp = phase_constants(build_root_system(LieType("C", rank)))
+    assert pp.omega_exponent == Fraction(rank * (2 * rank + 1), 24)
+    assert pp.j_exponent == Fraction(-rank * rank, 4)
+
+
+def test_phase_parameters_removed():
+    """omega^3 = i^{n/2} j^{-1} holds by construction, so phase_constants has
+    no tolerance to check it against, and rep_matrices takes no phases."""
+    assert list(inspect.signature(phase_constants).parameters) == ["rs"]
+    assert "phases" not in inspect.signature(rep_matrices).parameters
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 1, 4), ("A", 2, 2), ("B", 2, 3)])

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus.finrep import phase_constants
 from cstorus.lattice import quotient_group, rho_shifted
-from cstorus.roots import LieType, build_root_system, generate_weyl_group, weyl_order
+from cstorus.roots import (RANK_CEILING, LieType, build_root_system, generate_weyl_group,
+                           weyl_order)
 from fraction_oracle import (bilinear, highest_root, pairing, pairing1, positive_roots,
                              weyl_apply, weyl_vector)
 
@@ -191,6 +193,48 @@ def test_integer_root_data_match_the_fraction_oracle(fam, rank):
     assert rs.dual_coxeter == 1 + sum(rs.comarks) == 1 + pairing1(rs, rho, theta)
     assert rs.num_positive == len(positive_roots(rs))
     assert phase_constants(rs).omega_exponent == rho2 / (2 * rs.dual_coxeter)
+
+
+# every type of rank <= 8; not IDENTITY_TYPES, because
+# test_root_data_are_integers enumerates W on those, and W(B7) is over its ceiling
+ORACLE_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                + [("E", n) for n in (6, 7, 8)] + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_TYPES)
+def test_comark_table_matches_the_reflection_closure(fam, rank):
+    """The tabulated comarks are the highest root of the Fraction closure,
+    n h / 2 is its root count, and h = 1 + sum(comarks) is 1 + <rho, theta>_1
+    with rho half the sum of its positive roots."""
+    rs = build_root_system(LieType(fam, rank))
+    pos = positive_roots(rs)
+    rho = tuple(sum(r[i] for r in pos) / 2 for i in range(rank))
+    assert rs.comarks == pos[-1]
+    assert rs.num_positive == len(pos)
+    assert rs.dual_coxeter == 1 + pairing1(rs, rho, pos[-1])
+
+
+# every supported type: 161 up to RANK_CEILING = 40
+ALL_TYPES = ([("A", n) for n in range(1, RANK_CEILING + 1)]
+             + [(fam, n) for fam in "BC" for n in range(2, RANK_CEILING + 1)]
+             + [("D", n) for n in range(3, RANK_CEILING + 1)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+CLASSICAL_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+                         "C": lambda n: n * n, "D": lambda n: n * (n - 1)}
+
+
+def test_highest_root_is_long_and_dominant_up_to_the_rank_ceiling():
+    """For every supported type the tabulated theta is long and dominant
+    (gram1 theta >= 0), and n h / 2 is the classical families' root count."""
+    assert len(ALL_TYPES) == 161
+    for fam, rank in ALL_TYPES:
+        rs = build_root_system(LieType(fam, rank))
+        gram, theta = np.array(rs.gram1), np.array(rs.comarks)
+        assert len(theta) == rank and theta @ gram @ theta == 2, rs.lie_type
+        assert (gram @ theta >= 0).all(), rs.lie_type
+        if fam in CLASSICAL_ROOT_COUNTS:
+            assert rs.num_positive == CLASSICAL_ROOT_COUNTS[fam](rank), rs.lie_type
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstorus"
