@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
@@ -129,17 +130,113 @@ def _parse_complex(text: str) -> complex:
         raise SchemaError(f"cannot parse complex number {text!r}")
 
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _finite(texts: list) -> list:
+    """The float texts, or ValueError at the first non-finite one, as json raises it."""
+    if not _NON_FINITE.isdisjoint(texts):
+        bad = next(t for t in texts if t in _NON_FINITE)
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+    return texts
+
+
+def _write_items(items, write, out: list, nl: str) -> None:
+    """A non-empty list, each item appended by write(item, out, nl) one level deeper."""
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        write(item, out, inner)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_pairs(z: np.ndarray, out: list, nl: str) -> None:
+    """A C-contiguous complex array as nested lists of [re, im] pairs, one
+    join per row of its last axis."""
+    if len(z) == 0:
+        out.append("[]")
+    elif z.ndim > 1:
+        _write_items(z, _write_pairs, out, nl)
+    else:
+        # between two pairs the text is "],[" across newlines, inside a
+        # pair a comma and a newline
+        inner = nl + "  "
+        leaf = inner + "  "
+        texts = iter(_finite(list(map(float.__repr__, z.view(float).tolist()))))
+        pairs = map(("," + leaf).join, zip(texts, texts))
+        out.append("[" + inner + "[" + leaf + (inner + "]," + inner + "[" + leaf).join(pairs)
+                   + inner + "]" + nl + "]")
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append to out the text that json.dumps(o, indent=2, sort_keys=True,
+    allow_nan=False) gives o at the depth whose newline and indent is nl;
+    a complex ndarray is written as the nested [re, im] lists of its entries.
+    A non-finite float raises ValueError, as in json."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_finite([float.__repr__(o)])[0])
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(o[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        try:
+            texts = _finite(list(map(float.__repr__, o)))
+        except TypeError:       # not all floats
+            _write_items(o, _write, out, nl)
+            return
+        inner = nl + "  "
+        out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+    elif isinstance(o, np.ndarray) and o.dtype == complex and o.ndim:
+        _write_pairs(np.ascontiguousarray(o), out, nl)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def artifact_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte, for the JSON types and complex ndarrays. json's `indent` runs its
+    pure-Python encoder one value at a time; here a list of floats is one
+    join, and an array is written from its tolist() rows."""
+    out = []
+    _write(doc, out, "\n")
+    return "".join(out)
+
+
 def _emit(cfg: RunConfig, payload: dict) -> None:
     doc = {"config": cfg.to_json_dict(), "version": __version__}
     doc.update(payload)
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = artifact_text(doc)
     except ValueError as e:
         raise SchemaError(f"artifact would contain a non-finite number: {e}")
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
         except OSError as e:
             raise SchemaError(f"cannot write the artifact to {cfg.out}: {e}")
     else:
@@ -160,8 +257,8 @@ def _load_samples(path: str):
 
 def _samples_payload(g) -> dict:
     return {
-        "y": [float(x) for x in g.y],
-        "values": [[z.real, z.imag] for z in g.values],
+        "y": g.y.tolist(),
+        "values": g.values,
         "truncation_error": g.truncation_error,
     }
 

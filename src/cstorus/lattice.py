@@ -23,7 +23,7 @@ import numpy as np
 
 from . import exact
 from .errors import DomainError, ResourceLimitError, SchemaError
-from .roots import RootSystem, simple_reflection_matrix, weyl_order
+from .roots import RootSystem, weyl_order
 
 Vec = Tuple[Fraction, ...]
 
@@ -187,9 +187,14 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     orbit[front], sign[front] = np.arange(dim), 1
     # breadth-first over the Schreier graph of the simple reflections, each
     # a permutation of the dense indices of Z: every edge is checked once,
-    # and one whose signs disagree closes an odd cycle
-    perms = [z.index_of(z.numerators @ np.array(simple_reflection_matrix(rs, i)).T)
-             for i in range(n)]
+    # and one whose signs disagree closes an odd cycle. s_i moves coordinate
+    # i only: c -> c - (sum_j a_ij c_j) e_i
+    drop = z.numerators @ np.array(rs.cartan, dtype=np.int64).T
+    perms = []
+    for i in range(n):
+        image = z.numerators.copy()
+        image[:, i] -= drop[:, i]
+        perms.append(z.index_of(image))
     while len(front):
         known = orbit >= 0
         o0, s0 = orbit[front], sign[front]

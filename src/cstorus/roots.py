@@ -212,9 +212,9 @@ class RootSystem:
 # rank above this raises ResourceLimitError.  The root data are a table
 # lookup (under 1 ms at rank 40), so a rank-40 command costs about its
 # interpreter and numpy start-up (best of 3 on a 2-vCPU VM, A40/B40/C40/D40:
-# `roots info` 0.19-0.24 s, level-1 `rep verify` 0.20-0.27 s); what grows
-# with the rank is `weyl_orbits`' n simple reflections, built as n x n
-# Python tuples (~rank^3, 40 of the 46 ms of the A40 sector)
+# `roots info` 0.28-0.30 s, level-1 `rep verify` 0.30-0.32 s); the A40
+# level-1 sector itself takes 15 ms in-process (best of 30), 6 ms of it the
+# Smith form of its quotient
 RANK_CEILING = 40
 
 

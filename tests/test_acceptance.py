@@ -2,6 +2,9 @@
 and budgets the library commits to."""
 
 import cmath
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,6 +18,8 @@ from cstorus.lattice import alcove_points, quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
 from fraction_oracle import det, mat
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3)]
 # rank >= 4 types, E7 and E8 included: orbit closure on Z, no Weyl enumeration
@@ -151,3 +156,33 @@ def test_negative_controls_break_by_margin():
     a1 = build_root_system(LieType("A", 1))
     bridge = compare_shifted(a1, 3, convention=alt)
     assert max(bridge["residual_S"], bridge["residual_T"]) >= 1e-2
+
+
+# `rep build` at dim 512 peaked at 109-123 MB (2-vCPU VM, eight runs); the
+# nested-list artifact it replaced peaked at 291 MB
+REP_BUILD_512_PEAK_MB = 175
+
+
+def test_rep_build_dim_512_artifact_memory(tmp_path):
+    """`rep build` of a dim-512 sector (A1 k=511, sector 0) in a fresh
+    process peaks below REP_BUILD_512_PEAK_MB, measured by the process
+    itself, and writes an artifact that parses with dim 512."""
+    out = tmp_path / "rep.json"
+    child = ("import json, resource, sys\n"
+             "from cstorus.cli import main\n"
+             "code = main(['rep', 'build', '--type', 'A', '--rank', '1', '--level', '511',\n"
+             "             '--sector', '0', '--out', sys.argv[1]])\n"
+             "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+             "with open(sys.argv[1]) as fh:\n"
+             "    doc = json.load(fh)\n"
+             "print(code, peak_mb, doc['verification']['dim'], len(doc['matrices']['S']),\n"
+             "      len(doc['matrices']['S'][-1]), len(doc['matrices']['T']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child, str(out)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, peak_mb, *dims = done.stdout.split()
+    assert code == "0"
+    assert float(peak_mb) < REP_BUILD_512_PEAK_MB < 291
+    assert dims == ["512"] * 4

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cstorus.cli import build_parser, main
+from cstorus import cli
+from cstorus.cli import artifact_text, build_parser, main
 from cstorus.finrep import SECTOR_DIM_CEILING
 from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING
 from cstorus.roots import RANK_CEILING
@@ -711,3 +712,168 @@ def test_kernel_apply_scalars_keep_the_exit_contract(tmp_path, capsys, command, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _exit_contract(*run_err(capsys, "kernel", command, "--config", str(cfg)))
+
+
+# -- the artifact writer, byte for byte against json.dumps ---------------------
+
+def _json_reference(o):
+    """json.dumps(indent=2, sort_keys=True, allow_nan=False) of o, with each
+    complex array spelled out as the nested [re, im] lists the CLI once built."""
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return plain(x.tolist())
+        if isinstance(x, complex):
+            return [x.real, x.imag]
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x
+    return json.dumps(plain(o), indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.fixture
+def artifacts(monkeypatch):
+    """The texts the CLI writes, each checked against json.dumps of its document."""
+    texts = []
+
+    def checked(doc):
+        text = artifact_text(doc)
+        assert text == _json_reference(doc)
+        texts.append(text)
+        return text
+    monkeypatch.setattr(cli, "artifact_text", checked)
+    return texts
+
+
+def _sample_file(path, y):
+    path.write_text(json.dumps({"y": list(y),
+                                "values": [[math.exp(-math.pi * t * t), 0.25 * t] for t in y]}))
+    return str(path)
+
+
+def _benchmark_commands(tmp_path):
+    """The command list of the benchmark's CLI workload (cli_small)."""
+    heat = _sample_file(tmp_path / "heat.json", np.linspace(-6.0, 6.0, 201))
+    eta = _sample_file(tmp_path / "eta.json", np.linspace(0.0, 8.0, 201))
+    cmds = [["roots", "info", "--type", f, "--rank", str(n)]
+            for f, n in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("C", 2), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]]
+    cmds += [["lattice", "enumerate", "--type", f, "--rank", str(n), "--level", str(k)]
+             for f, n, k in [("A", 1, 3), ("A", 2, 2), ("B", 2, 2), ("G", 2, 2)]]
+    cmds += [["rep", c, "--type", f, "--rank", str(n), "--level", str(k), "--sector", str(s)]
+             for c, f, n, k, s in [("build", "A", 1, 2, 1), ("build", "A", 1, 3, 0),
+                                   ("build", "A", 2, 3, 0), ("build", "B", 2, 2, 1),
+                                   ("verify", "A", 1, 5, 0), ("verify", "A", 2, 4, 1),
+                                   ("verify", "G", 2, 2, 0)]]
+    cmds.append(["rep", "verify", "--type", "A", "--rank", "2", "--level", "2",
+                 "--sector", "0", "--convention", "theorem"])
+    cmds += [["compare", "compact", "--type", f, "--rank", str(n), "--k", str(k)]
+             for f, n, k in [("A", 1, 3), ("A", 1, 5), ("A", 2, 2)]]
+    cmds += [["kernel", "heat", "--k", "2", "--s", s, "--input", heat] for s in ("0.0", "1.0")]
+    cmds += [["kernel", "eta", "--k", "2", "--s", "0.0", "--sector", str(sector),
+              "--generator", g, "--input", eta] for sector in (0, 1) for g in ("S", "T")]
+    cmds.append(["kernel", "verify", "--k", "2", "--s", "1.0", "--L", "6",
+                 "--grid-points", "401"])
+    cmds.append(["wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "1",
+                 "--resolution", "24", "--box-radius", "5.0", "--trials", "3", "--seed", "7"])
+    return cmds
+
+
+def test_benchmark_commands_write_json_dumps_bytes(tmp_path, capsys, artifacts):
+    """Every artifact command of the benchmark workload prints exactly
+    json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) and a newline;
+    the two refused commands print nothing."""
+    cmds = _benchmark_commands(tmp_path)
+    for argv in cmds:
+        code, out, err = run_err(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        assert out == artifacts[-1] + "\n", argv
+    for argv in (["roots", "info", "--type", "E", "--rank", "2"],
+                 ["lattice", "enumerate", "--type", "A", "--rank", "1"]):
+        code, out, _ = run_err(capsys, *argv)
+        assert code == 2 and out == ""
+    assert len(artifacts) == len(cmds)
+
+
+def test_out_file_holds_the_printed_bytes(tmp_path, capsys, artifacts):
+    path = tmp_path / "rep.json"
+    assert main(["rep", "build", "--type", "A", "--rank", "2", "--level", "2",
+                 "--sector", "0", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == artifacts[-1] + "\n"
+
+
+def test_zero_dimensional_sector_writes_empty_matrices(capsys, artifacts):
+    code, out, _ = run_err(capsys, "rep", "build", "--type", "A", "--rank", "1",
+                           "--level", "1", "--sector", "1")
+    assert code == 0 and out == artifacts[-1] + "\n"
+    doc = json.loads(out)
+    assert doc["matrices"]["S"] == doc["matrices"]["T"] == []
+    assert '"S": [],' in out and '"T": [],' in out
+
+
+@pytest.mark.parametrize("z", [
+    np.array([[1 + 2j]]),
+    np.array([[0.5 - 0.0j, -0.0 + 1e16j], [5e-324 - 1j, 1 / 3 + 2 ** -1074 * 1j]]),
+    np.array([[0.5, 1j], [2, 3]], dtype=complex).T,       # not C-contiguous
+    np.array([1j, -2.5]),
+    np.zeros(0, dtype=complex),
+    np.zeros((0, 0), dtype=complex),
+    np.zeros((2, 0), dtype=complex),
+    np.arange(12).reshape(2, 3, 2) * (1 + 0.5j),
+], ids=["1x1", "2x2", "transposed", "vector", "empty", "0x0", "2x0", "2x3x2"])
+def test_complex_arrays_write_their_re_im_pairs(z):
+    for doc in (z, {"m": z, "n": [z, {"z": z}]}):
+        assert artifact_text(doc) == _json_reference(doc)
+
+
+_SCALARS = (st.none() | st.booleans()
+            | st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.5e300])
+            | st.text() | st.sampled_from(["é", "ключ", "\u2028", "\ud800", "\x00\x1f", '"\\/\n\t']))
+_KEYS = st.text() | st.sampled_from(["", "é", "\ud83d\ude00", "a\"b", "\n"])
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_artifact_text_is_json_dumps(tree):
+    assert artifact_text(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["top", "float list", "pair row", "dict value"])
+def test_non_finite_float_is_refused_in_every_position(bad, where):
+    doc = {"top": bad,
+           "float list": [1.0, 2.0, bad, math.nan],
+           "pair row": np.array([[1.0, complex(0.5, bad)], [math.nan, 0]]),
+           "dict value": {"a": [1, "b"], "c": {"d": bad}}}[where]
+    with pytest.raises(ValueError) as got:
+        artifact_text(doc)
+    with pytest.raises(ValueError) as want:
+        _json_reference(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("where", ["top", "float list", "pair row", "dict value"])
+def test_non_finite_artifact_value_exits_schema_and_writes_nothing(tmp_path, capsys,
+                                                                   monkeypatch, where):
+    payload = {"top": math.inf,
+               "float list": {"x": [0.5, -math.inf]},
+               "pair row": {"x": np.array([[1j, complex(math.nan, 0)]])},
+               "dict value": {"x": {"y": {"z": math.nan}}}}[where]
+    monkeypatch.setattr(cli, "enumerate_report", lambda rs, k: payload)
+    path = tmp_path / "out.json"
+    argv = ["lattice", "enumerate", "--type", "A", "--rank", "1", "--level", "2"]
+    for extra in ([], ["--out", str(path)]):
+        code, out, err = run_err(capsys, *argv, *extra)
+        assert code == 2 and out == "" and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+    assert not path.exists()
