@@ -215,32 +215,35 @@ def _write(o, out: list, nl: str) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def artifact_text(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte, for the JSON types and complex ndarrays. json's `indent` runs its
-    pure-Python encoder one value at a time; here a list of floats is one
-    join, and an array is written from its tolist() rows."""
+def artifact_pieces(doc) -> list:
+    """The pieces of json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False), byte for byte once joined, for the JSON types and
+    complex ndarrays. json's `indent` runs its pure-Python encoder one value
+    at a time; here a list of floats is one join, and an array is written
+    from its tolist() rows, one piece per row."""
     out = []
     _write(doc, out, "\n")
-    return "".join(out)
+    return out
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
+    """Build and check every piece, then write them and a newline to --out
+    or stdout unjoined, so the text is held once."""
     doc = {"config": cfg.to_json_dict(), "version": __version__}
     doc.update(payload)
     try:
-        text = artifact_text(doc)
+        pieces = artifact_pieces(doc)
     except ValueError as e:
         raise SchemaError(f"artifact would contain a non-finite number: {e}")
+    pieces.append("\n")
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                fh.write(text)
-                fh.write("\n")
+                fh.writelines(pieces)
         except OSError as e:
             raise SchemaError(f"cannot write the artifact to {cfg.out}: {e}")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_samples(path: str):

@@ -5,24 +5,21 @@ global phase per generator.
 
 Two independent oracles are provided: the SU(2) closed form and a direct
 Kac-Peterson character sum; both are normalized to unitarity with a positive
-identity row and carry exact rational T phases.
+identity row and carry exact T phases, int numerators over one denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
 from .finrep import Convention, rep_matrices, unit_phase
-from .lattice import _alcove_pairings, rho_shifted
+from .lattice import _alcove_pairings, fraction_strings, rho_shifted
 from .roots import RootSystem
-
-Vec = Tuple[Fraction, ...]
 
 
 @dataclass
@@ -30,7 +27,8 @@ class CompactModularData:
     """Modular S and T matrices of a compact theory at level k, with labels
     the rho-shifted dominant weights (coroot-basis coordinates)."""
     k: int
-    labels: Tuple[Vec, ...]
+    labels: np.ndarray      # (dim, n) int numerators over denom
+    denom: int
     s: np.ndarray
     t: np.ndarray
 
@@ -47,9 +45,9 @@ def su2_modular_data(k: int) -> CompactModularData:
     kk = k + 2
     a = np.arange(1, k + 2)
     s = np.sqrt(2.0 / kk) * np.sin(math.pi * np.outer(a, a) / kk)
-    t = np.diag([unit_phase(Fraction(int(x) ** 2, 4 * kk) - Fraction(1, 8)) for x in a])
-    labels = tuple((Fraction(int(x), 2),) for x in a)
-    return CompactModularData(k=k, labels=labels, s=s, t=t)
+    # a^2 / 4(k+2) - 1/8 = (2 a^2 - (k+2)) / 8(k+2)
+    t = np.diag([unit_phase(2 * x * x - kk, 8 * kk) for x in a.tolist()])
+    return CompactModularData(k=k, labels=a[:, None], denom=2, s=s, t=t)
 
 
 def is_simply_laced(rs: RootSystem) -> bool:
@@ -57,13 +55,17 @@ def is_simply_laced(rs: RootSystem) -> bool:
                for i in range(rs.rank) for j in range(rs.rank))
 
 
+def _rho_order(nums: np.ndarray) -> list:
+    """Row order of int numerators over one denominator D > 0 by pairing with
+    rho (the coordinate sum, so the numerator sum), then lexicographically."""
+    return sorted(range(len(nums)), key=lambda i: (int(nums[i].sum()), nums[i].tolist()))
+
+
 def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int]:
     """rho-shifted dominant weights of level <= k, as int numerators over D
-    (`rho_shifted`), sorted by pairing with rho (the coordinate sum) then
-    lexicographically."""
+    (`rho_shifted`), in `_rho_order`."""
     nums, d = rho_shifted(rs, _alcove_pairings(rs, k))
-    order = sorted(range(len(nums)), key=lambda i: (int(nums[i].sum()), nums[i].tolist()))
-    return nums[order], d
+    return nums[_rho_order(nums)], d
 
 
 def _check_bridge_domain(rs: RootSystem, k: int) -> None:
@@ -108,12 +110,13 @@ def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
     scale = math.sqrt(abs((raw @ raw.conj().T)[0, 0]))
     phase = raw[0, 0] / abs(raw[0, 0])
     s = raw / (scale * phase)
+    # <mu, mu>_1 / 2(k+h) - <rho, rho>_1 / 2h, with <mu, mu>_1 over den^2 and
+    # <rho, rho>_1 the coordinate sum of rho over d
     rho, _ = rho_shifted(rs, [0] * rs.rank)
-    rho2 = Fraction(int(rho.sum()), d)
-    t = np.diag([unit_phase(Fraction(int(mu @ gram @ mu), den * den) / (2 * kk)
-                            - rho2 / (2 * h)) for mu in nums])
-    labels = tuple(tuple(Fraction(int(x), den) for x in mu) for mu in nums)
-    return CompactModularData(k=k, labels=labels, s=s, t=t)
+    rho_num = int(rho.sum()) * kk * den * den
+    t_den = 2 * kk * h * d * den * den
+    t = np.diag([unit_phase(int(mu @ gram @ mu) * h * d - rho_num, t_den) for mu in nums])
+    return CompactModularData(k=k, labels=nums, denom=den, s=s, t=t)
 
 
 def _fit_phase(a: np.ndarray, b: np.ndarray) -> complex:
@@ -145,8 +148,7 @@ def compare_shifted(rs: RootSystem, k: int,
         raise DomainError(
             f"dimension mismatch: sector 1 at level {k + h} has dim {sect.dim}, "
             f"oracle has dim {oracle.dim}")
-    order = sorted(range(sect.dim),
-                   key=lambda i: (sum(sect.labels[i]), sect.labels[i]))
+    order = _rho_order(sect.labels)
     s_ours = sect.s[np.ix_(order, order)]
     t_ours = sect.t[np.ix_(order, order)]
     fitted_s = _fit_phase(s_ours, oracle.s)
@@ -161,8 +163,8 @@ def compare_shifted(rs: RootSystem, k: int,
         "dim": sect.dim,
         "convention": {"det_in_invariant": convention.det_in_invariant,
                        "t_sign": convention.t_sign},
-        "labels_sector": [[str(x) for x in sect.labels[i]] for i in order],
-        "labels_oracle": [[str(x) for x in lab] for lab in oracle.labels],
+        "labels_sector": fraction_strings(sect.labels[order], sect.denom),
+        "labels_oracle": fraction_strings(oracle.labels, oracle.denom),
         "fitted_S_phase": [fitted_s.real, fitted_s.imag],
         "snapped_S_phase": [snapped_s.real, snapped_s.imag],
         "fitted_T_phase": [fitted_t.real, fitted_t.imag],

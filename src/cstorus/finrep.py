@@ -14,28 +14,31 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ResourceLimitError, SchemaError
-from .lattice import weyl_orbits
+from .lattice import fraction_strings, weyl_orbits
 from .roots import RootSystem
 
 
-def unit_phase(q: Fraction) -> complex:
-    """exp(2*pi*i*q) for an exact rational q, reduced mod 1 first."""
-    q = q - (q.numerator // q.denominator)
-    return cmath.exp(2j * math.pi * float(q))
+def unit_phase(num: int, den: int) -> complex:
+    """exp(2 pi i num / den) for ints num, den > 0; int / int is correctly
+    rounded, so every spelling of one rational gives the same phase."""
+    return cmath.exp(2j * math.pi * (num % den / den))
+
+
+# the exponents of j and omega are int numerators over this denominator
+PHASE_DENOM = 24
 
 
 @dataclass(frozen=True)
 class PhasePair:
     j: complex
     omega: complex
-    j_exponent: Fraction      # j = exp(2 pi i j_exponent)
-    omega_exponent: Fraction
+    j_exponent: int           # j = exp(2 pi i j_exponent / PHASE_DENOM)
+    omega_exponent: int       # omega = exp(2 pi i omega_exponent / PHASE_DENOM)
 
 
 def phase_constants(rs: RootSystem) -> PhasePair:
@@ -44,9 +47,9 @@ def phase_constants(rs: RootSystem) -> PhasePair:
     of Freudenthal and de Vries, <rho, rho>_1 = h dim g / 12, with
     dim g = n + 2 |pos roots|.  So the cubic constraint omega^3 = i^{n/2} j^{-1}
     holds by construction: 3 dim g / 24 = n / 8 + |pos roots| / 4."""
-    jq = Fraction(-rs.num_positive, 4)
-    oq = Fraction(rs.rank + 2 * rs.num_positive, 24)
-    return PhasePair(j=unit_phase(jq), omega=unit_phase(oq),
+    jq = -6 * rs.num_positive
+    oq = rs.rank + 2 * rs.num_positive
+    return PhasePair(j=unit_phase(jq, PHASE_DENOM), omega=unit_phase(oq, PHASE_DENOM),
                      j_exponent=jq, omega_exponent=oq)
 
 
@@ -75,7 +78,8 @@ class SectorMatrices:
     k: int
     sector: int
     convention: Convention
-    labels: Tuple[Tuple[Fraction, ...], ...]
+    labels: np.ndarray      # (dim, n) int numerators over denom of the alcove points
+    denom: int              # the exponent D of Z
     s: np.ndarray
     t: np.ndarray
 
@@ -92,7 +96,7 @@ class SectorMatrices:
             "sector": self.sector,
             "convention": {"det_in_invariant": self.convention.det_in_invariant,
                            "t_sign": self.convention.t_sign},
-            "labels": [[str(x) for x in lab] for lab in self.labels],
+            "labels": fraction_strings(self.labels, self.denom),
             "S": self.s,
             "T": self.t,
         }
@@ -101,7 +105,7 @@ class SectorMatrices:
 # sector dimension above this raises ResourceLimitError: S and T are dense
 # dim x dim complex128 and the `rep build` JSON artifact writes every entry
 # as text, so time and peak memory grow as dim^2 (A1 `rep build --out` on a
-# 2-vCPU VM: 1.6-1.8 s and 109-123 MB at dim 512, 5.4-6.0 s and 338 MB at 1024)
+# 2-vCPU VM: 1.7-1.8 s and 74 MB at dim 512, 4.4-4.8 s and 201 MB at 1024)
 SECTOR_DIM_CEILING = 1024
 
 
@@ -144,18 +148,19 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
     # interior points have trivial stabilizers
     root_stab = np.sqrt(np.array(orbits.stabilizer_sizes, dtype=float)[idx])
-    s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent)
+    s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent, PHASE_DENOM)
                                                / math.sqrt(z.order))
 
-    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = norm / (2D), over lcm(2D, den(omega))
+    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = norm / (2D), over
+    # lcm(2D, den(omega)), den(omega) of omega's exponent in lowest terms
     om = phases.omega_exponent
-    den = math.lcm(2 * d, om.denominator)
+    den = math.lcm(2 * d, PHASE_DENOM // math.gcd(om, PHASE_DENOM))
     num = (convention.t_sign * z.norm(points) * (den // (2 * d))
-           - om.numerator * (den // om.denominator)) % den
+           - om * den // PHASE_DENOM) % den
     t = np.diag(np.exp(2j * math.pi * num / den))
 
     return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
-                          labels=orbits.labels(idx), s=s, t=t)
+                          labels=points, denom=d, s=s, t=t)
 
 
 @dataclass

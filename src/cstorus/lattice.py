@@ -1,5 +1,5 @@
 """The finite quotient group Z = (kG)^{-1} Z^n / Z^n of the k-scaled dual
-of the coroot lattice, alcove point enumeration and the Weyl orbits on Z.
+of the coroot lattice and the Weyl orbits on Z.
 
 Conventions: vectors are coroot-basis coordinates, and the coroot lattice is
 Z^n in these coordinates.  A point gamma of the k-scaled dual lattice is held
@@ -9,14 +9,14 @@ With q(gamma) = <gamma, gamma>_k / 2 mod 1, Z is a discriminant form; its
 integer `pair` and `norm` give every phase on Z in finrep and wgz, whose
 finite operators are its Weil representation.  `quotient_group` is the one
 object that describes Z, in the dense (Smith) order; only the `reps` that
-`enumerate_report` prints are sorted lexicographically.
+`enumerate_report` prints are sorted lexicographically.  Points stay int
+numerators up to the JSON artifacts, which spell them by `fraction_strings`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -24,8 +24,6 @@ import numpy as np
 from . import exact
 from .errors import DomainError, ResourceLimitError, SchemaError
 from .roots import RootSystem, weyl_order
-
-Vec = Tuple[Fraction, ...]
 
 # |Z_k| above this raises ResourceLimitError: the quotient and its Weyl
 # orbits are held in memory point by point
@@ -106,14 +104,6 @@ def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> 
                          numerators=(y * (denom // divisors)) @ v.T % denom)
 
 
-@dataclass(frozen=True)
-class AlcoveSet:
-    quotient: QuotientGroup               # Z, of the root system and level
-    closed_points: Tuple[Vec, ...]
-    open_points: Tuple[Vec, ...]
-    stabilizer_sizes: Tuple[int, ...]     # per closed point, in W mod coroot lattice
-
-
 def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
     """All n >= 0 with sum_i a_i n_i <= k, a_i the comarks, lexicographic."""
     prefixes = [((), 0)]
@@ -152,10 +142,6 @@ class WeylOrbits:
     sign: np.ndarray            # (|Z|,) det(w) of a w carrying that point there
     odd_stabilizer: np.ndarray  # (dim,) stabilizer holds a w with det(w) = -1
     stabilizer_sizes: Tuple[int, ...]
-
-    def labels(self, idx) -> Tuple[Vec, ...]:
-        return tuple(tuple(Fraction(int(x), self.quotient.denom) for x in self.numerators[i])
-                     for i in idx)
 
     def members(self) -> List[np.ndarray]:
         """Dense indices of each orbit, in alcove-point order."""
@@ -212,36 +198,29 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
                                              np.bincount(orbit, minlength=dim)))
 
 
-def alcove_points(rs: RootSystem, k: int) -> AlcoveSet:
-    """Dual-lattice points in the closed/open fundamental alcove, with the
-    stabilizer size |W| / |orbit| of each closed point on Z."""
-    orbits = weyl_orbits(rs, k)
-    return AlcoveSet(quotient=orbits.quotient,
-                     closed_points=orbits.labels(range(len(orbits.pairings))),
-                     open_points=orbits.labels(np.flatnonzero(orbits.interior)),
-                     stabilizer_sizes=orbits.stabilizer_sizes)
+def fraction_strings(nums, den: int) -> List[List[str]]:
+    """Rows of int numerators x over den > 0, each spelled as str(Fraction(x,
+    den)) spells it: "p/q" in lowest terms, or "p"."""
+    def text(x):
+        g = math.gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [[text(x) for x in row] for row in np.asarray(nums).tolist()]
 
 
 def enumerate_report(rs: RootSystem, k: int) -> dict:
-    """JSON-ready report for the `lattice enumerate` CLI command."""
-    alc = alcove_points(rs, k)
-    q = alc.quotient
-
-    def coords(v):
-        return [str(x) for x in v]
-
-    def fractions(x):
-        return [str(Fraction(int(e), q.denom)) for e in x]
-
+    """JSON-ready report for the `lattice enumerate` CLI command: Z and the
+    closed and open alcove points, read from `weyl_orbits`."""
+    orbits = weyl_orbits(rs, k)
+    q = orbits.quotient
     return {
         "type": str(rs.lie_type),
         "level": k,
         "order": q.order,
         "invariant_factors": list(q.snf_invariants),
-        "reps": [fractions(x) for x in q.numerators[np.lexsort(q.numerators.T[::-1])]],
+        "reps": fraction_strings(q.numerators[np.lexsort(q.numerators.T[::-1])], q.denom),
         "alcove": {
-            "open": [coords(p) for p in alc.open_points],
-            "closed": [coords(p) for p in alc.closed_points],
-            "stabilizer_sizes": list(alc.stabilizer_sizes),
+            "open": fraction_strings(orbits.numerators[orbits.interior], q.denom),
+            "closed": fraction_strings(orbits.numerators, q.denom),
+            "stabilizer_sizes": list(orbits.stabilizer_sizes),
         },
     }

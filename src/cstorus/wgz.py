@@ -65,7 +65,7 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     l1f, l2f = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
     if not (np.all(l1f % 1 == 0) and np.all(l2f % 1 == 0)):
         raise DomainError("multiplier lattice vectors must be integral coroot vectors")
-    kg = quotient_group(rs, k).kg
+    kg = k * np.array(rs.gram1, dtype=np.int64)
     sign = -1.0 if int(l1f.astype(np.int64) @ kg @ l2f.astype(np.int64)) % 2 else 1.0
     # kg is symmetric, so <lam1, theta2>_k = theta2 . (kg lam1); the phase is
     # one exp over theta1 times one exp over theta2, multiplied on broadcast
@@ -573,11 +573,16 @@ def prequantum_S(f: GridFunctionFamily) -> GridFunctionFamily:
 
 
 def weyl_action(f: GridFunctionFamily, w) -> GridFunctionFamily:
-    """The action f(theta, gamma) -> f(w theta, w gamma) on sampled data."""
+    """The action f(theta, gamma) -> f(w theta, w gamma) on sampled data;
+    DomainError unless w maps the cube box onto itself (a signed permutation)."""
     spec, quotient = f.spec, f.quotient
     box = spec.box_coords()
     wmat = np.asarray(w.matrix, dtype=int)
-    idx = spec.box_flat_index(box @ wmat.T)
+    try:
+        idx = spec.box_flat_index(box @ wmat.T)
+    except DomainError:
+        raise DomainError(f"this w of {spec.rs.lie_type} moves the cube sampling box; "
+                          "the box is W-invariant only in rank one") from None
     perm = quotient.index_of(quotient.numerators @ wmat.T)
     return GridFunctionFamily(spec, quotient, f.values[perm][:, idx])
 

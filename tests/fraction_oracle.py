@@ -2,16 +2,30 @@
 
 Fraction linear algebra on small dense matrices (tuples of tuples,
 row-major, of Fractions or ints; plain Gaussian elimination, n <= 8), the
-level-1 pairing, Weyl elements acting on vectors, and the positive roots,
-Weyl vector and highest root built from them by reflection closure. The
-library computes every one of these in integers; the tests compare.
+level-1 pairing, Weyl elements acting on vectors, the positive roots, Weyl
+vector and highest root built from them by reflection closure, and the phase
+of a rational exponent. The library computes every one of these in integers;
+the tests compare.
 """
 
+import cmath
+import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
 Mat = Tuple[Tuple[Fraction, ...], ...]
+
+
+def fraction_rows(nums, den: int) -> Tuple[Vec, ...]:
+    """Rows of int numerators over den, as tuples of Fractions."""
+    return tuple(tuple(Fraction(int(x), den) for x in row) for row in nums)
+
+
+def unit_phase(q: Fraction) -> complex:
+    """exp(2 pi i q) for an exact rational q, reduced mod 1 first."""
+    q = q - (q.numerator // q.denominator)
+    return cmath.exp(2j * math.pi * float(q))
 
 
 def mat(rows) -> Mat:

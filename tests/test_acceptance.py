@@ -14,7 +14,7 @@ from cstorus.compactcheck import compare_shifted, su2_modular_data
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
 from cstorus.heatkernel import (GridSamples1D, heat_apply, hermite_function_table,
                                 solve_params, uniform_grid, verify_conjugation)
-from cstorus.lattice import alcove_points, quotient_group
+from cstorus.lattice import quotient_group, weyl_orbits
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
 from fraction_oracle import det, mat
@@ -73,9 +73,9 @@ def test_quotient_orders_exact():
 def test_rank_one_alcove_counts():
     rs = build_root_system(LieType("A", 1))
     for k in range(1, 13):
-        alc = alcove_points(rs, k)
-        assert len(alc.closed_points) == k + 1
-        assert len(alc.open_points) == k - 1
+        orbits = weyl_orbits(rs, k)
+        assert len(orbits.numerators) == k + 1
+        assert orbits.interior.sum() == k - 1
 
 
 def test_transform_roundtrip_and_parseval():

@@ -15,11 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cstorus import cli
-from cstorus.cli import artifact_text, build_parser, main
+from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.finrep import SECTOR_DIM_CEILING
 from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING
-from cstorus.roots import RANK_CEILING
+from cstorus.roots import RANK_CEILING, LieType, build_root_system
 from cstorus.wgz import WGZ_ARRAY_CEILING
+from test_compactcheck import fraction_shifted_weights
+from test_finrep import alcove_points_bruteforce
+from test_lattice import fraction_quotient
+
+
+def artifact_text(doc) -> str:
+    return "".join(artifact_pieces(doc))
 
 
 def run(capsys, *argv):
@@ -73,6 +80,37 @@ def test_lattice_enumerate(capsys):
                     "--level", "3")
     assert code == 0
     assert doc["lattice"]["order"] == 6
+
+
+LABEL_CASES = [("A", 1, 4), ("A", 2, 3), ("A", 3, 2), ("B", 2, 3), ("B", 3, 2), ("C", 2, 3),
+               ("C", 3, 2), ("D", 4, 2), ("G", 2, 3), ("F", 4, 1), ("E", 6, 1)]
+
+
+def _texts(points):
+    """Exact points as the strings of their Fraction coordinates."""
+    return [[str(x) for x in p] for p in points]
+
+
+@pytest.mark.parametrize("fam,rank,k", LABEL_CASES)
+def test_label_strings_are_the_fraction_oracle(capsys, fam, rank, k):
+    """Every label string of `lattice enumerate`, of `rep build` in both
+    sectors and of `compare compact` is str(Fraction) of the exact oracle's
+    point: the alcove points, the reps of Z and the rho-shifted weights."""
+    rs = build_root_system(LieType(fam, rank))
+    level = ["--type", fam, "--rank", str(rank), "--level", str(k)]
+    closed, opened = alcove_points_bruteforce(rs, k)
+    _, doc = run(capsys, "lattice", "enumerate", *level)
+    alcove = doc["lattice"]["alcove"]
+    assert (alcove["closed"], alcove["open"]) == (_texts(closed), _texts(opened))
+    assert doc["lattice"]["reps"] == _texts(fraction_quotient(rs, k).reps)
+    for sector, points in ((0, closed), (1, opened)):
+        _, doc = run(capsys, "rep", "build", *level, "--sector", str(sector))
+        assert doc["matrices"]["labels"] == _texts(points)
+    if fam in "ADE" and rank <= 3:
+        _, doc = run(capsys, "compare", "compact", *level)
+        shifted = alcove_points_bruteforce(rs, k + rs.dual_coxeter)[1]
+        assert doc["compact"]["labels_sector"] == _texts(sorted(shifted, key=lambda p: (sum(p), p)))
+        assert doc["compact"]["labels_oracle"] == _texts(fraction_shifted_weights(rs, k))
 
 
 def test_rep_build_worked_example(capsys):
@@ -738,11 +776,12 @@ def artifacts(monkeypatch):
     texts = []
 
     def checked(doc):
-        text = artifact_text(doc)
+        pieces = artifact_pieces(doc)
+        text = "".join(pieces)
         assert text == _json_reference(doc)
         texts.append(text)
-        return text
-    monkeypatch.setattr(cli, "artifact_text", checked)
+        return pieces
+    monkeypatch.setattr(cli, "artifact_pieces", checked)
     return texts
 
 

@@ -10,10 +10,11 @@ from cstorus.compactcheck import (CompactModularData, _integrable_shifted_weight
                                   compare_shifted, is_simply_laced,
                                   kac_peterson_sum, su2_modular_data)
 from cstorus.errors import DomainError, SchemaError
-from cstorus.finrep import Convention, unit_phase
+from cstorus.finrep import Convention
 from cstorus.lattice import _alcove_pairings
 from cstorus.roots import LieType, build_root_system
-from fraction_oracle import inverse, mat, mat_vec, pairing1, weyl_apply, weyl_vector
+from fraction_oracle import (fraction_rows, inverse, mat, mat_vec, pairing1, unit_phase,
+                             weyl_apply, weyl_vector)
 from test_roots import IDENTITY_TYPES
 
 
@@ -37,7 +38,7 @@ def test_su2_closed_form_values():
     # T entries e^{-pi i/4} e^{pi i a^2/6} for a = 1, 2
     assert abs(d.t[0, 0] - np.exp(1j * math.pi * (1 / 6 - 1 / 4))) < 1e-14
     assert abs(d.t[1, 1] - np.exp(1j * math.pi * (4 / 6 - 1 / 4))) < 1e-14
-    assert d.labels == ((Fraction(1, 2),), (Fraction(1),))
+    assert d.labels.tolist() == [[1], [2]] and d.denom == 2
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -65,7 +66,7 @@ def test_kac_peterson_matches_su2(k):
     rs = build_root_system(LieType("A", 1))
     kp = kac_peterson_sum(rs, k)
     su2 = su2_modular_data(k)
-    assert kp.labels == su2.labels
+    assert fraction_rows(kp.labels, kp.denom) == fraction_rows(su2.labels, su2.denom)
     assert np.abs(kp.s - su2.s).max() < 1e-12
     assert np.abs(kp.t - su2.t).max() < 1e-14
 
@@ -124,8 +125,25 @@ def test_kac_peterson_integer_sum_matches_fraction_oracle(family, rank, k):
     rs = build_root_system(LieType(family, rank))
     labels, s = fraction_kac_peterson_s(rs, k)
     d = kac_peterson_sum(rs, k)
-    assert d.labels == labels
+    assert fraction_rows(d.labels, d.denom) == labels
     assert np.abs(d.s - s).max() < 1e-12
+
+
+@pytest.mark.parametrize("family,rank,k", [("A", 1, k) for k in range(1, 7)]
+                         + [("A", 2, k) for k in (1, 2, 3)]
+                         + [(f, 3, k) for f in "AD" for k in (1, 2)])
+def test_compact_t_phases_match_fraction_oracle(family, rank, k):
+    """The integer T exponents of both compact oracles give the phases of the
+    exact conformal weights <mu, mu>_1 / 2(k+h) - <rho, rho>_1 / 2h, to the
+    last bit."""
+    rs = build_root_system(LieType(family, rank))
+    h = rs.dual_coxeter
+    rho = weyl_vector(rs)
+    want = [unit_phase(pairing1(rs, mu, mu) / (2 * (k + h)) - pairing1(rs, rho, rho) / (2 * h))
+            for mu in fraction_shifted_weights(rs, k)]
+    assert np.diag(kac_peterson_sum(rs, k).t).tolist() == want
+    if (family, rank) == ("A", 1):
+        assert np.diag(su2_modular_data(k).t).tolist() == want
 
 
 def test_kac_peterson_guards():

@@ -12,14 +12,15 @@ import pytest
 
 from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus import finrep, lattice
-from cstorus.finrep import (SECTOR_DIM_CEILING, Convention, PhasePair,
+from cstorus.finrep import (PHASE_DENOM, SECTOR_DIM_CEILING, Convention, PhasePair,
                             SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
-from cstorus.lattice import (AlcoveSet, QuotientGroup, alcove_points, quotient_group,
-                             rho_shifted, weyl_orbits)
+from cstorus.lattice import QuotientGroup, WeylOrbits, quotient_group, rho_shifted, weyl_orbits
 from cstorus.roots import LieType, RootSystem, build_root_system
 from cstorus.wgz import GridFunctionFamily, GridSpec, apply_finite_fourier, prequantum_T
-from fraction_oracle import highest_root, inverse, mat, mat_vec, pairing1, weyl_apply
+from fraction_oracle import (fraction_rows, highest_root, inverse, mat, mat_vec, pairing1,
+                             weyl_apply)
+from fraction_oracle import unit_phase as fraction_phase
 from test_lattice import fraction_quotient, is_integral, vec_sub
 
 
@@ -32,7 +33,7 @@ class FiniteVector:
     label: Tuple[Fraction, ...]
 
 
-def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
+def symmetrized_basis(quotient: QuotientGroup, orbits: WeylOrbits,
                       sector: int) -> List[FiniteVector]:
     """Orthonormal Weyl-(anti)symmetrized delta bases indexed by alcove points.
 
@@ -44,9 +45,9 @@ def symmetrized_basis(quotient: QuotientGroup, alcove: AlcoveSet,
     rs = quotient.rs
     wg = rs.weyl_group()
     oracle = fraction_quotient(rs, quotient.k)
-    points = alcove.closed_points if sector == 0 else alcove.open_points
+    rows = orbits.numerators[orbits.interior] if sector else orbits.numerators
     out: List[FiniteVector] = []
-    for gamma in points:
+    for gamma in fraction_rows(rows, orbits.quotient.denom):
         coeff = [0] * quotient.order
         for w in wg.elements:
             idx = oracle.index_of(weyl_apply(w, gamma))
@@ -66,13 +67,13 @@ def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
     out = np.empty((m, m), dtype=complex)
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
-            out[i, j] = unit_phase(quotient.k * pairing1(quotient.rs, a, b))
+            out[i, j] = fraction_phase(quotient.k * pairing1(quotient.rs, a, b))
     return out / math.sqrt(m)
 
 
 def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
     """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
-    diag = [unit_phase(quotient.k * pairing1(quotient.rs, a, a) / 2)
+    diag = [fraction_phase(quotient.k * pairing1(quotient.rs, a, a) / 2)
             for a in fraction_quotient(quotient.rs, quotient.k).reps]
     return np.diag(diag)
 
@@ -131,17 +132,23 @@ def rep_matrices_bruteforce(rs: RootSystem, k: int, sector: int,
         for b, (gb, stb) in enumerate(zip(points, stabs)):
             acc = 0j
             for eps, wga in images:
-                acc += eps * unit_phase(-k * pairing1(rs, wga, gb))
+                acc += eps * fraction_phase(-k * pairing1(rs, wga, gb))
             s[a, b] = acc / (root_z * math.sqrt(sta * stb))
-    s *= unit_phase(-phases.j_exponent)
+    s *= fraction_phase(Fraction(-phases.j_exponent, PHASE_DENOM))
 
     t = np.zeros((dim, dim), dtype=complex)
     for a, ga in enumerate(points):
-        q = -phases.omega_exponent + convention.t_sign * k * pairing1(rs, ga, ga) / 2
-        t[a, a] = unit_phase(q)
+        q = (Fraction(-phases.omega_exponent, PHASE_DENOM)
+             + convention.t_sign * k * pairing1(rs, ga, ga) / 2)
+        t[a, a] = fraction_phase(q)
 
+    # the labels as numerators over the exponent D of Z
+    d = quotient.denom
+    nums = [[d * x for x in ga] for ga in points]
+    assert all(x.denominator == 1 for row in nums for x in row)
+    labels = np.array([[int(x) for x in row] for row in nums], dtype=np.int64)
     return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
-                          labels=tuple(points), s=s, t=t)
+                          labels=labels.reshape(dim, rs.rank), denom=d, s=s, t=t)
 
 
 ORACLE_CASES = ([("A", 1, k) for k in range(1, 9)] + [("A", 2, k) for k in range(1, 6)]
@@ -155,10 +162,11 @@ def test_alcove_points_match_bruteforce(fam, rank, k):
     enumeration and the scan over W."""
     rs = build_root_system(LieType(fam, rank))
     closed, opened = alcove_points_bruteforce(rs, k)
-    alc = alcove_points(rs, k)
-    assert alc.closed_points == closed
-    assert alc.open_points == opened
-    assert alc.stabilizer_sizes == stabilizer_scan(rs, closed)
+    orbits = weyl_orbits(rs, k)
+    d = orbits.quotient.denom
+    assert fraction_rows(orbits.numerators, d) == closed
+    assert fraction_rows(orbits.numerators[orbits.interior], d) == opened
+    assert orbits.stabilizer_sizes == stabilizer_scan(rs, closed)
 
 
 @pytest.mark.parametrize("convention", ["lemma", "theorem"])
@@ -172,18 +180,28 @@ def test_orbit_route_matches_weyl_sum(fam, rank, k, convention):
     for sector in (0, 1):
         got = rep_matrices(rs, k, sector, convention=conv)
         want = rep_matrices_bruteforce(rs, k, sector, convention=conv)
-        assert got.labels == want.labels
+        assert got.denom == want.denom and np.array_equal(got.labels, want.labels)
         assert got.s.shape == want.s.shape
         assert np.abs(got.s - want.s).max(initial=0.0) < 1e-12
         assert np.abs(got.t - want.t).max(initial=0.0) < 1e-12
 
 
 def test_unit_phase_exact_values():
-    assert unit_phase(Fraction(0)) == 1
-    assert abs(unit_phase(Fraction(1, 2)) + 1) < 1e-15
-    assert abs(unit_phase(Fraction(1, 4)) - 1j) < 1e-15
-    assert abs(unit_phase(Fraction(9, 4)) - 1j) < 1e-15
-    assert abs(unit_phase(Fraction(-1, 4)) + 1j) < 1e-15
+    assert unit_phase(0, 1) == 1
+    assert abs(unit_phase(1, 2) + 1) < 1e-15
+    assert abs(unit_phase(1, 4) - 1j) < 1e-15
+    assert abs(unit_phase(9, 4) - 1j) < 1e-15
+    assert abs(unit_phase(-1, 4) + 1j) < 1e-15
+
+
+def test_unit_phase_is_the_fraction_phase_bit_for_bit():
+    """Every numerator and denominator of one rational, reduced or not, give
+    the phase that the exact Fraction gives, to the last bit."""
+    for num in range(-60, 61):
+        for den in range(1, 50):
+            want = fraction_phase(Fraction(num, den))
+            for scale in (1, 6, 2 ** 40 + 3):
+                assert unit_phase(scale * num, scale * den) == want, (num, den, scale)
 
 
 def test_phase_constants_rank_one():
@@ -191,7 +209,7 @@ def test_phase_constants_rank_one():
     pp = phase_constants(rs)
     assert abs(pp.j + 1j) < 1e-15                       # i^{-1}
     assert abs(pp.omega - np.exp(1j * math.pi / 4)) < 1e-15
-    assert pp.omega_exponent == Fraction(1, 8)
+    assert Fraction(pp.omega_exponent, PHASE_DENOM) == Fraction(1, 8)
 
 
 PHASE_TYPES = ([("A", n) for n in range(1, 9)] + [(fam, n) for fam in "BC" for n in range(2, 8)]
@@ -206,10 +224,11 @@ def test_phase_cubic_constraint(fam, rank):
     quotient."""
     rs = build_root_system(LieType(fam, rank))
     pp = phase_constants(rs)
-    assert (3 * pp.omega_exponent - Fraction(rs.rank, 8) + pp.j_exponent).denominator == 1
+    om, jq = (Fraction(x, PHASE_DENOM) for x in (pp.omega_exponent, pp.j_exponent))
+    assert (3 * om - Fraction(rs.rank, 8) + jq).denominator == 1
     rho, d = rho_shifted(rs, [0] * rs.rank)
-    assert pp.omega_exponent == Fraction(int(rho.sum()), d) / (2 * rs.dual_coxeter)
-    target = unit_phase(Fraction(rs.rank, 8)) / pp.j
+    assert om == Fraction(int(rho.sum()), d) / (2 * rs.dual_coxeter)
+    target = unit_phase(rs.rank, 8) / pp.j
     assert abs(pp.omega ** 3 - target) < 1e-12
 
 
@@ -222,8 +241,8 @@ def test_phase_constants_build_no_quotient(monkeypatch, rank):
 
     monkeypatch.setattr(lattice, "quotient_group", refuse)
     pp = phase_constants(build_root_system(LieType("C", rank)))
-    assert pp.omega_exponent == Fraction(rank * (2 * rank + 1), 24)
-    assert pp.j_exponent == Fraction(-rank * rank, 4)
+    assert Fraction(pp.omega_exponent, PHASE_DENOM) == Fraction(rank * (2 * rank + 1), 24)
+    assert Fraction(pp.j_exponent, PHASE_DENOM) == Fraction(-rank * rank, 4)
 
 
 def test_phase_parameters_removed():
@@ -248,11 +267,11 @@ def test_symmetrized_bases_orthonormal_and_invariant():
     rs = build_root_system(LieType("A", 2))
     k = 3
     q = quotient_group(rs, k)
-    alc = alcove_points(rs, k)
+    orbits = weyl_orbits(rs, k)
     wg = rs.weyl_group()
     oracle = fraction_quotient(rs, k)
     for sector in (0, 1):
-        basis = symmetrized_basis(q, alc, sector)
+        basis = symmetrized_basis(q, orbits, sector)
         if not basis:
             continue
         b = np.stack([v.coefficients for v in basis], axis=1)
@@ -283,12 +302,12 @@ def test_operator_route_oracle():
     for fam, rank, k in [("A", 1, 3), ("A", 2, 2), ("B", 2, 2), ("G", 2, 1)]:
         rs = build_root_system(LieType(fam, rank))
         q = quotient_group(rs, k)
-        alc = alcove_points(rs, k)
+        orbits = weyl_orbits(rs, k)
         pp = phase_constants(rs)
-        s_full = unit_phase(-pp.j_exponent) * finite_fourier(q).conj().T
-        t_full = unit_phase(-pp.omega_exponent) * finite_gauss(q)
+        s_full = unit_phase(-pp.j_exponent, PHASE_DENOM) * finite_fourier(q).conj().T
+        t_full = unit_phase(-pp.omega_exponent, PHASE_DENOM) * finite_gauss(q)
         for sector in (0, 1):
-            basis = symmetrized_basis(q, alc, sector)
+            basis = symmetrized_basis(q, orbits, sector)
             if not basis:
                 continue
             b = np.stack([v.coefficients for v in basis], axis=1)

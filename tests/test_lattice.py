@@ -13,11 +13,11 @@ import pytest
 from cstorus import lattice
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.exact import smith_normal_form
-from cstorus.lattice import alcove_points, enumerate_report, quotient_group, weyl_orbits
+from cstorus.lattice import enumerate_report, quotient_group, weyl_orbits
 from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
 from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
-from fraction_oracle import (bilinear, det, highest_root, inverse, mat, mat_mul, mat_vec,
-                             weyl_apply)
+from fraction_oracle import (bilinear, det, fraction_rows, highest_root, inverse, mat, mat_mul,
+                             mat_vec, weyl_apply)
 
 Vec = Tuple[Fraction, ...]
 
@@ -167,9 +167,9 @@ def test_quotient_order_closed_forms(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_rank_one_alcove_counts(k):
     rs = build_root_system(LieType("A", 1))
-    alc = alcove_points(rs, k)
-    assert len(alc.closed_points) == k + 1
-    assert len(alc.open_points) == max(k - 1, 0)
+    orbits = weyl_orbits(rs, k)
+    assert len(orbits.numerators) == k + 1
+    assert orbits.interior.sum() == max(k - 1, 0)
 
 
 @pytest.mark.parametrize("fam,rank", TYPES)
@@ -189,7 +189,8 @@ def test_reps_are_canonical_and_closed(fam, rank):
 def test_fold_to_alcove(fam, rank, k):
     rs = build_root_system(LieType(fam, rank))
     dual = scaled_dual_lattice(rs, k)
-    closed = set(alcove_points(rs, k).closed_points)
+    orbits = weyl_orbits(rs, k)
+    closed = set(fraction_rows(orbits.numerators, orbits.quotient.denom))
     n = rs.rank
     shifts = [tuple(Fraction(x) for x in v)
               for v in [(2,) * n, (-1,) + (0,) * (n - 1), (0,) * (n - 1) + (-3,)]]
@@ -215,11 +216,11 @@ def test_fold_rejects_points_outside_dual():
 
 def test_stabilizers_and_orbit_sizes():
     rs = build_root_system(LieType("A", 1))
-    alc = alcove_points(rs, 4)
+    sizes = weyl_orbits(rs, 4).stabilizer_sizes
     # endpoints of the rank-one alcove are fixed by the reflection
-    assert alc.stabilizer_sizes[0] == 2
-    assert alc.stabilizer_sizes[-1] == 2
-    assert all(s == 1 for s in alc.stabilizer_sizes[1:-1])
+    assert sizes[0] == 2
+    assert sizes[-1] == 2
+    assert all(s == 1 for s in sizes[1:-1])
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 1, 4), ("A", 2, 3), ("B", 2, 2),
@@ -234,9 +235,8 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
     z = orbits.quotient
     assert z.order == q.order and (z.numerators == q.numerators).all()
     d = z.denom
-    alc = alcove_points(rs, k)
     members = orbits.members()
-    for i, gamma in enumerate(alc.closed_points):
+    for i, gamma in enumerate(fraction_rows(orbits.numerators, d)):
         signs = {}
         for w in rs.weyl_group().elements:
             image = frac_part(weyl_apply(w, gamma))
@@ -248,7 +248,7 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
         assert bool(orbits.odd_stabilizer[i]) == odd
         if not odd:
             assert all(signs[x] == {e} for x, e in got.items())
-        assert alc.stabilizer_sizes[i] * len(signs) == rs.weyl_group().order
+        assert orbits.stabilizer_sizes[i] * len(signs) == rs.weyl_group().order
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("G", 2, 3), ("D", 4, 2)])
@@ -307,7 +307,7 @@ def test_enumerate_report_builds_z_once(monkeypatch, fam, rank, k):
     rs = build_root_system(LieType(fam, rank))
     rep = enumerate_report(rs, k)
     assert len(built) == 1
-    assert alcove_points(rs, k).quotient.numerators.tolist() == built[0].numerators.tolist()
+    assert weyl_orbits(rs, k).quotient.numerators.tolist() == built[0].numerators.tolist()
     assert len(rep["reps"]) == rep["order"] == built[0].order
 
 
@@ -316,7 +316,7 @@ def test_invalid_level_rejected():
     with pytest.raises(SchemaError):
         quotient_group(rs, 0)
     with pytest.raises(SchemaError):
-        alcove_points(rs, -1)
+        weyl_orbits(rs, -1)
 
 
 ORACLE_SWEEP = ([(f, r, k) for f, r in TYPES for k in range(1, 6)]
@@ -401,6 +401,26 @@ def test_numeric_modules_import_no_exact_arithmetic(module):
             imported.add(base.rstrip("."))
             imported.update(f"{base.rstrip('.')}.{a.name}" for a in node.names)
     assert not imported & {"fractions", "cstorus.exact"}, sorted(imported)
+
+
+def test_no_module_imports_fractions():
+    """No module under src/cstorus imports `fractions`: labels and phase
+    exponents are int numerators from end to end, and the Fraction label
+    API is gone from lattice."""
+    src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [path.stem for name in names if name.split(".")[0] == "fractions"]
+    assert importers == []
+    assert not {"alcove_points", "AlcoveSet", "Vec"} & set(vars(lattice))
+    assert not hasattr(lattice.WeylOrbits, "labels")
 
 
 def test_one_description_of_z():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstorus.errors import ResourceLimitError, SchemaError
-from cstorus.finrep import phase_constants
+from cstorus.finrep import PHASE_DENOM, phase_constants
 from cstorus.lattice import quotient_group, rho_shifted
 from cstorus.roots import (RANK_CEILING, LieType, build_root_system, generate_weyl_group,
                            weyl_order)
@@ -192,7 +192,7 @@ def test_integer_root_data_match_the_fraction_oracle(fam, rank):
     assert rs.comarks == theta
     assert rs.dual_coxeter == 1 + sum(rs.comarks) == 1 + pairing1(rs, rho, theta)
     assert rs.num_positive == len(positive_roots(rs))
-    assert phase_constants(rs).omega_exponent == rho2 / (2 * rs.dual_coxeter)
+    assert Fraction(phase_constants(rs).omega_exponent, PHASE_DENOM) == rho2 / (2 * rs.dual_coxeter)
 
 
 # every type of rank <= 8; not IDENTITY_TYPES, because

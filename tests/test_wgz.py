@@ -546,6 +546,31 @@ def test_weyl_equivariance():
     assert np.abs(lhs.values - rhs.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("fam,moved", [("A", 4), ("B", 6), ("G", 10)])
+def test_weyl_action_refuses_a_w_that_moves_the_cube(fam, moved):
+    """The cube box is W-invariant only in rank one: in rank two weyl_action
+    applies the two w whose matrix is a signed permutation (1 and -1 in the
+    coroot basis, or a signed swap), equivariantly with F_Z, and refuses
+    every other w with one DomainError that names the limit."""
+    rs = build_root_system(LieType(fam, 2))
+    q = quotient_group(rs, 1)
+    spec = GridSpec(rs=rs, k=1, divisions=q.denom, half_width=1)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(5))
+    refused = 0
+    for w in rs.weyl_group().elements:
+        m = np.array(w.matrix)
+        if (np.abs(m).sum(axis=1) == 1).all():
+            lhs = apply_finite_fourier(weyl_action(f, w))
+            rhs = weyl_action(apply_finite_fourier(f), w)
+            assert np.abs(lhs.values - rhs.values).max() < 1e-12
+        else:
+            with pytest.raises(DomainError, match="W-invariant only in rank one") as err:
+                weyl_action(f, w)
+            assert len(str(err.value).splitlines()) == 1
+            refused += 1
+    assert refused == moved
+
+
 def test_spec_validation():
     rs = build_root_system(LieType("A", 1))
     with pytest.raises(SchemaError):
