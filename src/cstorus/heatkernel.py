@@ -5,15 +5,20 @@ on the folded domain, and a numerical verification of the conjugation
 identity in a truncated basis.
 
 The eigenbasis is evaluated by one normalized recurrence,
-hermite_function_table.  On the flow's parameters |q| = 1, so every grid
-kernel here (the Mehler kernel, rho(S) and both eta kernels) has the form
-diag * exp(i beta y yt) * diag on a uniform grid.  One operator,
-_bilinear_phase, applies diag * exp(i y.A y') * diag over the last n axes of
-an array by one zero-padded FFT convolution with a chirp (Bluestein's chirp-z
-identity), never forming the kernel: n = 1 in heat_apply, n = rank in
-wgz.prequantum_S.  Given signs it applies, in the same FFT pair, the W-sum of
-such kernels on y >= 0: in eta_apply, and in verify_conjugation, whose basis
-row v_l has parity (-1)^l, on L x N/2 blocks (one function per row).
+hermite_function_table.  Every grid kernel here is a Gaussian kernel
+p exp(A y^2 + B y yt + C yt^2), given by its symbol (A, B, C, p), and on the
+flow's parameters |q| = 1 its exponents are imaginary, so it has the form
+diag * exp(i beta y yt) * diag on a uniform grid.  The conjugated generator
+eta_g = exp(-r Laplacian) rho(g) exp(r Laplacian) is composed on symbols, as
+one Gaussian integral over its inner variables (_eta_symbol), so it is one
+such kernel too; eta_apply, at sigma = i b, reads it in closed form.  One
+operator, _bilinear_phase, applies diag * exp(i y.A y') * diag over the last
+n axes of an array by one zero-padded FFT convolution with a chirp
+(Bluestein's chirp-z identity), never forming the kernel: n = 1 in
+heat_apply, n = rank in wgz.prequantum_S.
+Given signs it applies, in the same FFT pair, the W-sum of such kernels on
+y >= 0: in eta_apply, and in verify_conjugation, whose basis row v_l has
+parity (-1)^l, on L x N/2 blocks (one function per row).
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -295,34 +300,40 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
     return apply
 
 
-def _mehler(params: HWParams, y: np.ndarray, w: np.ndarray, sigma: complex,
-            inverse: bool = False, signs=None):
-    """exp(-+ r Laplacian_sigma) by quadrature with weights w on the uniform
-    grid y, as a map on (N,) or (L, N) arrays; given signs, folded on y >= 0
-    for rows of those parities (_bilinear_phase).  The Mehler closed form with
-    ratio q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2):
+def _mehler_symbol(params: HWParams, sigma: complex, inverse: bool = False):
+    """The symbol (A, B, C, p) of exp(-+ r Laplacian_sigma), the kernel
+    p e^{A y^2 + B y yt + C yt^2}: the Mehler closed form with ratio
+    q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2),
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
-    On |q| = 1 c is imaginary; each diagonal is one exp of its summed
-    exponent, which stays bounded where its two factors over- and underflow;
-    that exponent is imaginary up to rounding, and a grid on which its
-    rounding residue matters is refused (_check_quadratic)."""
+    On |q| = 1 c is imaginary, and so are A and C up to rounding: each is
+    one summed exponent, which stays bounded where its two factors over-
+    and underflow.  1 - q^2 = 2k/t cancels to |t|/k ulps as |s|/k grows,
+    so the phase check on c allows a real part of 1e-12 |c| |t|/k."""
     sign = 1 if inverse else -1
     q = cmath.exp(2 * sign * params.k * params.r)
     if (1 - q * q).real <= 0:
         raise DomainError(f"Mehler kernel diverges: Re(1 - q^2) <= 0 for q = {q}")
     a = alpha_constant(sigma)
     c = 2 * a * q / (1 - q * q)
-    if abs(c.real) > 1e-12 * abs(c):
+    if abs(c.real) > 1e-12 * abs(c) * abs(params.t) / params.k:
         raise InconsistencyError(f"Mehler kernel at q = {q} is not a phase in y yt: "
                                  f"coefficient {c}")
     d = -a * q * q / (1 - q * q)
     root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
-    _check_quadratic(y, d - 1j * math.pi / sigma, d + 1j * math.pi / sigma.conjugate())
+    return d - 1j * math.pi / sigma, c, d + 1j * math.pi / sigma.conjugate(), root
+
+
+def _kernel(symbol, y: np.ndarray, w, signs=None):
+    """The kernel of symbol (A, B, C, p) by quadrature with weights w on the
+    uniform grid y, as a map on (N,) or (L, N) arrays; given signs, folded
+    on y >= 0 for rows of those parities (_bilinear_phase, beta = Im(B)).
+    A grid on which the rounding residue of Re(A) or Re(C) matters is
+    refused (_check_quadratic)."""
+    a, b, c, p = symbol
+    _check_quadratic(y, a, c)
     y2 = y * y
-    d_out = root * np.exp((d - 1j * math.pi / sigma) * y2)
-    d_in = w * np.exp((d + 1j * math.pi / sigma.conjugate()) * y2)
-    return _bilinear_phase(c.imag, [y], d_out, d_in, signs)
+    return _bilinear_phase(b.imag, [y], p * np.exp(a * y2), w * np.exp(c * y2), signs)
 
 
 def heat_apply(psi: GridSamples1D, params: HWParams, inverse: bool = False) -> GridSamples1D:
@@ -331,7 +342,8 @@ def heat_apply(psi: GridSamples1D, params: HWParams, inverse: bool = False) -> G
     if not isinstance(psi, GridSamples1D):
         raise SchemaError(f"unsupported input type {type(psi).__name__}")
     y = check_uniform_grid(psi.y)
-    vals = _mehler(params, y, trapezoid_weights(y), params.sigma, inverse)(psi.values)
+    symbol = _mehler_symbol(params, params.sigma, inverse)
+    vals = _kernel(symbol, y, trapezoid_weights(y))(psi.values)
     # the line is truncated at both ends of the grid
     edge = max(abs(psi.values[0]), abs(psi.values[-1]))
     return GridSamples1D(y=psi.y.copy(), values=vals, truncation_error=float(edge))
@@ -360,9 +372,58 @@ def _rank_one_phases() -> Tuple[complex, complex]:
     return pp.j, pp.omega
 
 
+# the largest real part, relative to the largest term that forms it times
+# |t|/k (the ulps the Mehler 1 - q^2 loses), that a composed eta exponent may
+# carry as rounding before it is snapped to zero; measured at most 5.7e-16 at
+# sigma = i b and 1.6e-12 at sigma = 2i, 0.3+1.1i, -0.7+0.4i and 1.5+2i, for
+# |s| <= 1e4 k and k = 1, 2, 5
+_ETA_REAL_PART_BOUND = 1e-10
+
+
+def _eta_symbol(params: HWParams, sigma: complex, generator: str):
+    """The symbol (A, B, C, p) of eta_g = heat_m rho(g) heat_p on the line,
+    heat_-+ = exp(-+ r Laplacian_sigma), rho(S) = j F and rho(T) =
+    omega e^{-pi i y^2}, composed in closed form (Folland 1989, ch. 4).
+    rho(T) is folded into the exponent of the one inner variable; rho(S)
+    has two.  With the inner exponent z.Q z and y, yt coupled to the first
+    and last inner variable by B_m and B_p, the Gaussian integral over z
+    (its Schur complement) gives
+        A = A_m - B_m^2 (Q^-1)_11 / 4,   B = -B_m B_p (Q^-1)_1n / 2,
+        C = C_p - B_p^2 (Q^-1)_nn / 4,   p = p_m p_g p_p pi^{n/2} / sqrt(det(-Q)),
+    the root the product of the principal roots of the eigenvalues of -Q
+    (the Fresnel branch on imaginary Q).  The 2-variable form stays regular
+    where either pairwise inner exponent vanishes (sigma = i b at s = 0):
+    on |q| = 1, Q_T = -i pi and det Q_S = pi^2 + m^2 with m real, so a
+    singular Q means inconsistent Mehler symbols.  A, B and C are imaginary
+    up to rounding; a singular Q or a real part over _ETA_REAL_PART_BOUND
+    raises InconsistencyError, else the real parts are snapped to zero.
+    eta_apply reads this symbol at sigma = i b in closed form."""
+    am, bm, cm, pm = _mehler_symbol(params, sigma)
+    ap, bp, cp, pp = _mehler_symbol(params, sigma, inverse=True)
+    j_const, omega = _rank_one_phases()
+    if generator == "S":
+        quad, pg = np.array([[cm, 1j * math.pi], [1j * math.pi, ap]]), j_const
+    else:
+        quad, pg = np.array([[cm - 1j * math.pi + ap]]), omega
+    if not np.linalg.cond(quad) <= 1e12:
+        raise InconsistencyError(f"eta_{generator} at sigma = {sigma} is not an integral "
+                                 f"kernel: its inner exponent {quad.tolist()} is singular")
+    inv = np.linalg.inv(quad)
+    terms = (bm * bm * inv[0, 0] / 4, bm * bp * inv[0, -1] / 2, bp * bp * inv[-1, -1] / 4)
+    exponents = (am - terms[0], -terms[1], cp - terms[2])
+    scale = max(map(abs, (am, bm, cm, ap, bp, cp) + terms)) * abs(params.t) / params.k
+    if max(abs(e.real) for e in exponents) > _ETA_REAL_PART_BOUND * scale:
+        raise InconsistencyError(f"eta_{generator} at sigma = {sigma} is not a phase "
+                                 f"kernel: exponents {exponents}")
+    p = pm * pg * pp * math.pi ** (len(quad) / 2) / np.prod(np.sqrt(np.linalg.eigvals(-quad)))
+    return tuple(1j * e.imag for e in exponents) + (complex(p),)
+
+
 def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     """Conjugated generator kernels on the rank-one folded domain y >= 0,
-    at the special parameter sigma = i b.
+    at the special parameter sigma = i b, where the symbol of _eta_symbol
+    has a closed form exact in b (the composition carries the |t|/k ulps
+    of the Mehler 1 - q^2):
 
     S kernel: j e^{pi(b - bbar) y^2} sum_w [det w] e^{2 pi i (w y) yt}
               e^{-pi(b - bbar) yt^2};
@@ -379,17 +440,15 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     if y[0] < -1e-12:
         raise DomainError("folded-domain samples must have y >= 0")
     j_const, omega = _rank_one_phases()
+    bb = p.b - p.b.conjugate()
     # T: e^{pi i (w y - yt)^2} = e^{pi i y^2} e^{-2 pi i w y yt} e^{pi i yt^2}
     if spec.generator == "S":
-        pref, beta, chirp = j_const, 2 * math.pi, 0.0
+        symbol = (math.pi * bb, 2j * math.pi, -math.pi * bb, j_const)
     else:
-        pref, beta, chirp = omega * cmath.exp(-1j * math.pi / 4), -2 * math.pi, 1j * math.pi
-    bb = p.b - p.b.conjugate()
-    _check_quadratic(y, math.pi * bb + chirp, -math.pi * bb + chirp)
-    d_out = pref * np.exp((math.pi * bb + chirp) * y ** 2)
-    d_in = trapezoid_weights(y) * np.exp((-math.pi * bb + chirp) * y ** 2)
+        symbol = (math.pi * bb + 1j * math.pi, -2j * math.pi, -math.pi * bb + 1j * math.pi,
+                  omega * cmath.exp(-1j * math.pi / 4))
     # the sign det(w) of w = -1, in sector 1 only
-    vals = _bilinear_phase(beta, [y], d_out, d_in, -1 if spec.sector == 1 else 1)(f.values)
+    vals = _kernel(symbol, y, trapezoid_weights(y), -1 if spec.sector == 1 else 1)(f.values)
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
                          truncation_error=float(abs(f.values[-1])))
@@ -414,18 +473,17 @@ def _rho(generator: str, u: np.ndarray, w: np.ndarray, signs):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _check_chain_growth(y: np.ndarray, heat_m, heat_p, flow2, rho) -> None:
+def _check_chain_growth(y: np.ndarray, eta, heat_m, flow2, rho) -> None:
     """Refuse (DomainError) a grid on which a chain of quadratures that
     verify_conjugation applies could leave the float range.  A chain grows
     a block's sup norm by at most the product of its operators' gains; the
-    chains are S^4 and (S T)^3 of eta = heat_m rho heat_p, and
-    heat_m flow2 rho per generator.  On an under-resolved grid each gain
-    is of the order of the radius, so at a huge radius these products
-    overflow although every single kernel is a phase."""
+    chains are S^4 and (S T)^3 of the composed eta, and heat_m flow2 rho
+    per generator.  On an under-resolved grid each gain is of the order of
+    the radius, so at a huge radius these products overflow although every
+    single kernel is a phase."""
     def log_gain(*ops):     # an underflowed gain counts as the least float
         return sum(math.log(max(op.gain, sys.float_info.min)) for op in ops)
-    eta = {gen: log_gain(heat_m, rho[gen], heat_p) for gen in rho}
-    chains = [4 * eta["S"], 3 * (eta["S"] + eta["T"])]
+    chains = [4 * log_gain(eta["S"]), 3 * log_gain(eta["S"], eta["T"])]
     chains += [log_gain(heat_m, flow2[gen], rho[gen]) for gen in rho]
     if max(chains) >= _LOG_FLOAT_MAX:
         raise DomainError(
@@ -439,14 +497,18 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     """Compare the two constructions of the conjugated rank-one generators
     in the truncated basis and check the modular relations they satisfy.
 
-    Construction (i) conjugates at fixed sigma; construction (ii) composes
-    the two heat flows at sigma and at the Moebius-transformed parameter.
+    Construction (i) conjugates at fixed sigma, each eta_g applied as one
+    composed kernel (_eta_symbol); construction (ii) composes the two heat
+    flows at sigma and at the Moebius-transformed parameter by quadrature.
     Relation residuals (S^4 = Id, (ST)^3 = S^2, unitarity) come in two
     flavours: "relation_residuals" compose the operators faithfully on the
     grid before projecting to the observed L x L block, while
     "truncated_relation_residuals" multiply the compressed L x L matrices
     themselves and so expose the truncation error directly (these decrease
-    as L grows).  Also reports the Laplacian intertwining residual.
+    as L grows).  "relation_edge_mass" gives, per faithful relation, the
+    largest |value| at the grid's right end over the blocks its chain forms:
+    where it is not small the box truncates the chain.  Also reports the
+    Laplacian intertwining residual.
 
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
     accepts (_check_quadratic) and 1 <= L < grid_points; grid_points above
@@ -482,12 +544,13 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     same = signs == signs.T
     # every kernel before any basis table, so that a grid too wide for one
     # of them is refused before the grid x L work
-    heat_m = _mehler(params, u, wf, sigma, signs=signs)
-    heat_p = _mehler(params, u, wf, sigma, inverse=True, signs=signs)
+    heat_m = _kernel(_mehler_symbol(params, sigma), u, wf, signs)
     sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
-    flow2 = {gen: _mehler(params, u, wf, sig2[gen], True, signs) for gen in sig2}
+    flow2 = {gen: _kernel(_mehler_symbol(params, sig2[gen], True), u, wf, signs)
+             for gen in sig2}
     rho = {gen: _rho(gen, u, wf, signs) for gen in sig2}
-    _check_chain_growth(y, heat_m, heat_p, flow2, rho)
+    eta = {gen: _kernel(_eta_symbol(params, sigma, gen), u, wf, signs) for gen in sig2}
+    _check_chain_growth(y, eta, heat_m, flow2, rho)
 
     def gram(a, b):     # the L x L line integrals conj(a_l) b_m
         return same * (a.conj() @ (2 * wf * b).T)
@@ -517,15 +580,12 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         "L": L, "grid_points": grid_points, "box_radius": box_radius,
         "tol": tol,
     }
-    eta = {}
     eta_b0 = {}
     conj_resid = {}
     invariance = {}
-    heat_p_b0 = heat_p(b0)
     for gen in ("S", "T"):
         rho_b0 = rho[gen](b0)
-        eta[gen] = lambda x, r=rho[gen]: heat_m(r(heat_p(x)))
-        eta_b0[gen] = heat_m(rho[gen](heat_p_b0))
+        eta_b0[gen] = eta[gen](b0)
         conj_resid[gen] = float(np.max(np.abs(
             proj0(eta_b0[gen] - heat_m(flow2[gen](rho_b0))))))
         # proj0(rho(lap0 b0) - lap2 rho(b0)) on L x L coefficients: rho acts
@@ -534,17 +594,32 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
         invariance[gen] = float(np.max(np.abs(
             lap0 @ proj0(rho_b0) - (proj2[gen](rho_b0) * eigen) @ proj0(b2[gen]))))
 
-    # faithful composition on the grid, projected to the observed block
+    def edge(*blocks):  # the largest |value| at the grid's right end
+        return max(float(np.max(np.abs(x[:, -1]))) for x in blocks)
+
+    # faithful composition on the grid, projected to the observed block,
+    # with the edge of every block each chain forms
     s2_b0 = eta["S"](eta_b0["S"])
+    s3_b0 = eta["S"](s2_b0)
+    s4_b0 = eta["S"](s3_b0)
     braid_b0 = eta["S"](eta_b0["T"])
+    braid_edge = edge(eta_b0["S"], s2_b0, eta_b0["T"], braid_b0)
     for _ in range(2):
-        braid_b0 = eta["S"](eta["T"](braid_b0))
+        t_b0 = eta["T"](braid_b0)
+        braid_b0 = eta["S"](t_b0)
+        braid_edge = max(braid_edge, edge(t_b0, braid_b0))
     gram0 = gram(b0, b0)
     relations = {
-        "residual_S4": float(np.max(np.abs(proj0(eta["S"](eta["S"](s2_b0))) - np.eye(L)))),
+        "residual_S4": float(np.max(np.abs(proj0(s4_b0) - np.eye(L)))),
         "residual_braid": float(np.max(np.abs(proj0(braid_b0 - s2_b0)))),
         "residual_S_unitary": float(np.max(np.abs(gram(eta_b0["S"], eta_b0["S"]) - gram0))),
         "residual_T_unitary": float(np.max(np.abs(gram(eta_b0["T"], eta_b0["T"]) - gram0))),
+    }
+    edge_mass = {
+        "residual_S4": edge(eta_b0["S"], s2_b0, s3_b0, s4_b0),
+        "residual_braid": braid_edge,
+        "residual_S_unitary": edge(eta_b0["S"]),
+        "residual_T_unitary": edge(eta_b0["T"]),
     }
     # truncation-sensitivity curve: multiply the compressed L x L matrices
     # and track the ground-state column, whose error is set by the basis
@@ -563,6 +638,7 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     report["conjugation_residuals"] = conj_resid
     report["invariance_residuals"] = invariance
     report["relation_residuals"] = relations
+    report["relation_edge_mass"] = edge_mass
     report["truncated_relation_residuals"] = truncated
     report["max_conjugation_residual"] = max(conj_resid.values())
     report["max_relation_residual"] = max(relations.values())

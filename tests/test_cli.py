@@ -22,6 +22,7 @@ from cstorus.roots import RANK_CEILING, LieType, build_root_system
 from cstorus.wgz import WGZ_ARRAY_CEILING
 from test_compactcheck import fraction_shifted_weights
 from test_finrep import alcove_points_bruteforce
+from test_heatkernel import _dense_eta_apply
 from test_lattice import fraction_quotient
 
 
@@ -197,6 +198,26 @@ def test_kernel_eta_file_io(tmp_path, capsys):
     assert code == 0
     got = np.array([complex(re, im) for re, im in doc["samples"]["values"]])
     assert np.abs(got + 1j * vals).max() < 1e-5   # folded self-duality
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("sector", [0, 1])
+@pytest.mark.parametrize("k, s", [(1, 4157.0), (1, 1e4), (1, -1e4), (2, 999.0), (2, -999.0)])
+def test_kernel_eta_at_large_coupling(tmp_path, capsys, k, s, sector, generator):
+    """kernel eta is accepted up to the supported |s| = 1e4 k and its
+    samples match the hand-derived dense kernel to 1e-12 relative."""
+    from cstorus.heatkernel import EtaKernelSpec, GridSamples1D, solve_params
+    y = np.linspace(0.0, 5.0, 400)
+    vals = (1 + y) * np.exp(-math.pi * y ** 2)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"y": list(y), "values": [[float(z), 0.0] for z in vals]}))
+    code, doc = run(capsys, "kernel", "eta", "--k", str(k), f"--s={s!r}",
+                    "--sector", str(sector), "--generator", generator, "--input", str(src))
+    assert code == 0
+    got = np.array([complex(re, im) for re, im in doc["samples"]["values"]])
+    spec = EtaKernelSpec(sector, generator, solve_params(k, s))
+    want = _dense_eta_apply(GridSamples1D(y=y, values=vals + 0j), spec)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
@@ -446,7 +467,7 @@ def _not_a_large_grid(n):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(L=_scalar_or(1, 6, 12), grid_points=_scalar_or(8, 100, 101, 201).filter(_not_a_large_grid),
        box_radius=_scalar_or(4.0, 10.0), s=_scalar_or(0.0, 1.0, -2.5),
-       sigma=_scalar_or(None, "1i", "0.3+1.1i"))
+       sigma=_scalar_or(None, "1i", "2i", "0.3+1.1i"))
 def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
                                                box_radius, s, sigma):
     """Any JSON scalar for the kernel verify fields exits 0-3: exit 0/1 with
@@ -522,6 +543,18 @@ def test_kernel_commands_accept_only_a1(tmp_path, capsys, command, family, expec
         assert "rank 1 only" in err
     else:
         assert err == ""
+
+
+def test_kernel_singular_eta_symbol_exits_schema(tmp_path, capsys, monkeypatch):
+    """A composed eta whose inner exponent is singular (here forced by
+    Mehler symbols with C_m A_p = -pi^2) exits 2 with one line, never with
+    a NaN artifact."""
+    from cstorus import heatkernel
+    monkeypatch.setattr(heatkernel, "_mehler_symbol",
+                        lambda *args, **kwargs: (1j * math.pi, 2j, 1j * math.pi, 1.0))
+    code, out, err = run_err(capsys, *_kernel_argv(tmp_path, "verify"))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1 and "singular" in err
 
 
 @pytest.mark.parametrize("radius", ["1e160", "1.3e154"])

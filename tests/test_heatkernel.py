@@ -20,8 +20,9 @@ from cstorus.heatkernel import (GRAM_CONDITION_CEILING, EtaKernelSpec, GridSampl
                                 hermite_function_table, laplacian_spectrum, mobius_sigma,
                                 solve_params, trapezoid_weights, uniform_grid,
                                 verify_conjugation)
-from cstorus.heatkernel import (_bilinear_phase, _mehler, _rank_one_phases, _rho,
-                                _smooth_length)
+from cstorus import heatkernel
+from cstorus.heatkernel import (_bilinear_phase, _eta_symbol, _kernel, _mehler_symbol,
+                                _rank_one_phases, _rho, _smooth_length)
 from cstorus.roots import LieType, build_root_system
 
 
@@ -49,6 +50,12 @@ def mehler_kernel(params, y_out, y_in, sigma=None, inverse=False):
     q = cmath.exp((2 if inverse else -2) * params.k * params.r)
     root_q = cmath.exp((1 if inverse else -1) * params.k * params.r)
     return mehler_closed_kernel(q, sigma, y_out, y_in, root_q=root_q)
+
+
+def _mehler(params, y, w, sigma, inverse=False, signs=None):
+    """exp(-+ r Laplacian_sigma) by quadrature with weights w on the grid y,
+    folded given signs: the Mehler symbol's kernel."""
+    return _kernel(_mehler_symbol(params, sigma, inverse), y, w, signs)
 
 
 def mehler_series_kernel(q, sigma, y_out, y_in, terms):
@@ -485,6 +492,21 @@ def _dense_verify_conjugation(k, s, sigma, L, grid_points, box_radius, tol=1e-5)
         "residual_T_unitary": float(np.max(np.abs(
             (et @ b0).conj().T @ (w[:, None] * (et @ b0)) - gram0))),
     }
+
+    def edge(*blocks):  # the largest |value| at the grid's right end
+        return max(float(np.max(np.abs(x[-1]))) for x in blocks)
+    s_chain = [es @ b0]
+    for _ in range(3):
+        s_chain.append(es @ s_chain[-1])
+    braid_chain = [et @ b0]
+    for op in (es, et, es, et, es):
+        braid_chain.append(op @ braid_chain[-1])
+    edge_mass = {
+        "residual_S4": edge(*s_chain),
+        "residual_braid": edge(*s_chain[:2], *braid_chain),
+        "residual_S_unitary": edge(es @ b0),
+        "residual_T_unitary": edge(et @ b0),
+    }
     ms, mt = p0 @ (es @ b0), p0 @ (et @ b0)
     e0 = np.eye(L)[0]
     s2 = ms @ ms
@@ -499,7 +521,8 @@ def _dense_verify_conjugation(k, s, sigma, L, grid_points, box_radius, tol=1e-5)
         "k": k, "s": s, "branch": "principal", "sigma": [sigma.real, sigma.imag],
         "L": L, "grid_points": grid_points, "box_radius": box_radius, "tol": tol,
         "conjugation_residuals": conj, "invariance_residuals": inv,
-        "relation_residuals": relations, "truncated_relation_residuals": truncated,
+        "relation_residuals": relations, "relation_edge_mass": edge_mass,
+        "truncated_relation_residuals": truncated,
         "max_conjugation_residual": max(conj.values()),
         "max_relation_residual": max(relations.values()),
         "passed": max(conj.values()) < tol and max(relations.values()) < 10 * tol,
@@ -718,6 +741,22 @@ def test_heat_apply_matches_dense_quadrature(lo, hi, n, s, inverse):
     assert _relmax(got, want) <= 1e-12
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("s", [8312.515, 1e4, -1e4])
+def test_heat_apply_at_large_coupling(s, inverse):
+    """At k = 1 and |s| near 1e4 k, 1 - q^2 cancels to |t|/k ulps and the
+    Mehler coefficient c carries a real part of that size: the phase check
+    allows it (these s were refused by a check of 1e-12 |c|).  The FFT
+    operator drops that real part and the dense kernel keeps it, so they
+    agree to 1e-13 |t|/k, not to 1e-12."""
+    p = solve_params(1, s)
+    y = np.linspace(-6.0, 6.0, 801)
+    f = hermite_function_table(3, y, p.sigma).sum(axis=0)
+    got = heat_apply(GridSamples1D(y=y, values=f), p, inverse=inverse).values
+    want = mehler_kernel(p, y, y, inverse=inverse) @ (trapezoid_weights(y) * f)
+    assert _relmax(got, want) <= 1e-13 * abs(p.t) / p.k
+
+
 @pytest.mark.parametrize("generator", ["S", "T"])
 @pytest.mark.parametrize("sector", [0, 1])
 @pytest.mark.parametrize("s", [0.0, 1.0])
@@ -840,16 +879,22 @@ def test_verify_conjugation_matches_dense_composition(sigma, size):
             assert np.max(np.abs(np.subtract(got[key], val))) <= 1e-12, key
 
 
+def _folded_grid(L, grid_points, box_radius):
+    """verify_conjugation's folded half grid u >= 0, its weights and the row
+    parities of an L-row block."""
+    y = uniform_grid(box_radius, grid_points)
+    u, wf = y[grid_points // 2:], trapezoid_weights(y)[grid_points // 2:]
+    wf[0] /= 1 + grid_points % 2
+    return u, wf, 1.0 - 2.0 * (np.arange(L) % 2)[:, None]
+
+
 def _folded_route(L, grid_points, box_radius, sigma, generator):
     """verify_conjugation's folded blocks for one generator: the basis b0 at
     sigma and b2 at its Moebius image, rho applied to folded blocks, the
     parity-masked projectors and the spectrum."""
     params = solve_params(2, 1.0)
     sigma = params.sigma if sigma is None else complex(sigma)
-    y = uniform_grid(box_radius, grid_points)
-    u, wf = y[grid_points // 2:], trapezoid_weights(y)[grid_points // 2:]
-    wf[0] /= 1 + grid_points % 2
-    signs = 1.0 - 2.0 * (np.arange(L) % 2)[:, None]
+    u, wf, signs = _folded_grid(L, grid_points, box_radius)
     same = signs == signs.T
 
     def projector(b):
@@ -878,6 +923,104 @@ def test_invariance_on_coefficients_matches_the_grid_route(L, sigma, generator):
     for grid, coeff in [(proj0(rho(lap0 @ b0)), lap0 @ proj0(rho_b0)),
                         (proj0(lap2_rho @ b2), lap2_rho @ proj0(b2))]:
         assert np.max(np.abs(grid - coeff)) <= 1e-12 * np.max(np.abs(grid))
+
+
+def _three_quadrature_eta(params, u, wf, sigma, generator, signs):
+    """eta_g = heat_m rho(g) heat_p as three folded quadratures, one per
+    factor: the oracle for the composed kernel of _eta_symbol."""
+    heat_m = _mehler(params, u, wf, sigma, signs=signs)
+    heat_p = _mehler(params, u, wf, sigma, inverse=True, signs=signs)
+    rho = _rho(generator, u, wf, signs)
+    return lambda x: heat_m(rho(heat_p(x)))
+
+
+ETA_SIGMAS = [None, 2j, 0.3 + 1.1j, -0.7 + 0.4j, 1.5 + 2j]
+
+
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("k, s, sigma",
+                         [(2, s, sigma) for s in (0.0, 1.0, -2.5) for sigma in ETA_SIGMAS]
+                         + [(3, 2.5, None), (5, 3.0, -0.7 + 0.4j)])
+def test_composed_eta_matches_three_quadratures(k, s, sigma, generator):
+    """The composed eta kernel, one quadrature, applied to the folded basis
+    block b0 gives the three-quadrature route to 1e-12 at sigma = i b
+    (including s = 0, where both pairwise inner exponents of S vanish), at
+    sigma = 2i and at generic sigma."""
+    params = solve_params(k, s)
+    sigma = params.sigma if sigma is None else sigma
+    u, wf, signs = _folded_grid(12, 1601, 10.0)
+    b0 = hermite_function_table(11, u, sigma)
+    eta = _kernel(_eta_symbol(params, sigma, generator), u, wf, signs)
+    want = _three_quadrature_eta(params, u, wf, sigma, generator, signs)(b0)
+    assert np.max(np.abs(eta(b0) - want)) <= 1e-12
+
+
+# (k, s) up to the supported |s| = 1e4 k, where the Mehler 1 - q^2 = 2k/t
+# cancels to |t|/k ulps
+LARGE_COUPLINGS = [(1, 4157.0), (1, 1e4), (1, -1e4), (2, 999.0), (2, -999.0)]
+
+
+@pytest.mark.parametrize("branch", ["principal", "flipped"])
+@pytest.mark.parametrize("k, s", [(1, 0.0), (2, 0.0), (2, 1.0), (2, -2.5), (3, 2.5), (5, 3.0)]
+                         + LARGE_COUPLINGS)
+def test_eta_symbol_at_i_b_is_the_hand_derived_kernel(k, s, branch):
+    """At sigma = i b the composed symbol (A, B, C, p) is the closed form
+    that eta_apply applies (and _dense_eta_apply applies densely):
+    S: (pi (b - bbar), 2 pi i, -pi (b - bbar), j), T: the same diagonals plus
+    the chirp pi i, cross term -2 pi i and omega i^{-1/2}.  At large |s|/k
+    the composition carries the |t|/k ulps of the Mehler 1 - q^2, and the
+    bound is 1e-14 |t|/k."""
+    p = solve_params(k, s, branch)
+    bb = p.b - p.b.conjugate()
+    j_const, omega = _rank_one_phases()
+    want = {"S": (math.pi * bb, 2j * math.pi, -math.pi * bb, j_const),
+            "T": (math.pi * bb + 1j * math.pi, -2j * math.pi, -math.pi * bb + 1j * math.pi,
+                  omega * cmath.exp(-1j * math.pi / 4))}
+    for generator in ("S", "T"):
+        got = _eta_symbol(p, p.sigma, generator)
+        tol = 1e-14 * (abs(p.t) / k if (k, s) in LARGE_COUPLINGS else 1)
+        assert max(abs(g - w) for g, w in zip(got, want[generator])) <= tol, generator
+        assert all(c.real == 0 for c in got[:3])
+
+
+def test_verify_conjugation_applies_each_eta_once(monkeypatch):
+    """Each eta_g is applied as one composed kernel: verify_conjugation makes
+    at most 15 chirp-z applications (10 for the eta chains, 5 for route
+    (ii)); applying eta as three quadratures took 31."""
+    applies = 0
+    build = heatkernel._bilinear_phase
+
+    def counted(*args, **kwargs):
+        op = build(*args, **kwargs)
+
+        def apply(x):
+            nonlocal applies
+            applies += 1
+            return op(x)
+        apply.gain = op.gain
+        return apply
+    monkeypatch.setattr(heatkernel, "_bilinear_phase", counted)
+    verify_conjugation(2, 1.0, L=6)
+    assert 0 < applies <= 15
+
+
+# Mehler symbols (A, B, C, p), the same for both flows, on which the
+# composition must refuse: the inner exponent of eta_S is singular, or a
+# composed exponent has a real part far above rounding
+BROKEN_SYMBOLS = [
+    pytest.param((1j * math.pi, 2j, 1j * math.pi, 1.0), "singular", id="singular"),
+    pytest.param((1e-3 + 1j, 2j, 1e-3 + 1j, 1.0), "not a phase", id="real-part"),
+]
+
+
+@pytest.mark.parametrize("symbol, message", BROKEN_SYMBOLS)
+def test_eta_composition_refuses_a_broken_symbol(monkeypatch, symbol, message):
+    """A singular inner exponent or a real part above rounding raises
+    InconsistencyError, one line, before any block is applied."""
+    monkeypatch.setattr(heatkernel, "_mehler_symbol", lambda *args, **kwargs: symbol)
+    with pytest.raises(InconsistencyError, match=message) as err:
+        verify_conjugation(2, 1.0, L=6, grid_points=201, box_radius=6.0)
+    assert len(str(err.value).splitlines()) == 1
 
 
 def test_verify_conjugation_forms_no_basis_product():
@@ -940,8 +1083,9 @@ def test_truncation_error_reads_every_truncated_end():
 def test_one_bluestein_operator():
     """Every Gaussian-phase kernel goes through the one chirp-z operator:
     in heatkernel only _bilinear_phase touches np.fft, there is no second
-    (folded) implementation, and the eta, rho and Mehler kernels and
-    wgz.prequantum_S all call _bilinear_phase."""
+    (folded) implementation, rho, the symbol kernel _kernel and
+    wgz.prequantum_S call _bilinear_phase, and the eta and heat kernels
+    and verify_conjugation call _kernel."""
     src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
     trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("heatkernel", "wgz")}
     functions = {name: {node.name: node for node in tree.body
@@ -953,11 +1097,15 @@ def test_one_bluestein_operator():
                         or isinstance(sub, ast.alias) and "fft" in sub.name
                         for sub in ast.walk(node))}
     assert fft_users == {"_bilinear_phase"}
-    for module, name in [("heatkernel", "eta_apply"), ("heatkernel", "_rho"),
-                         ("heatkernel", "_mehler"), ("wgz", "prequantum_S")]:
+    for module, name, callee in [("heatkernel", "_rho", "_bilinear_phase"),
+                                 ("heatkernel", "_kernel", "_bilinear_phase"),
+                                 ("wgz", "prequantum_S", "_bilinear_phase"),
+                                 ("heatkernel", "eta_apply", "_kernel"),
+                                 ("heatkernel", "heat_apply", "_kernel"),
+                                 ("heatkernel", "verify_conjugation", "_kernel")]:
         called = {getattr(node.func, "id", None)
                   for node in ast.walk(functions[module][name]) if isinstance(node, ast.Call)}
-        assert "_bilinear_phase" in called, name
+        assert callee in called, name
 
 
 def test_symbolic_oracle_lives_in_tests():
