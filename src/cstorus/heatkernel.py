@@ -9,9 +9,12 @@ hermite_function_table.  Every grid kernel here is a Gaussian kernel
 p exp(A y^2 + B y yt + C yt^2), given by its symbol (A, B, C, p), and on the
 flow's parameters |q| = 1 its exponents are imaginary, so it has the form
 diag * exp(i beta y yt) * diag on a uniform grid.  The conjugated generator
-eta_g = exp(-r Laplacian) rho(g) exp(r Laplacian) is composed on symbols, as
-one Gaussian integral over its inner variables (_eta_symbol), so it is one
-such kernel too; eta_apply, at sigma = i b, reads it in closed form.  One
+eta_g = exp(-r Laplacian) rho(g) exp(r Laplacian) is composed on symbols, at
+any sigma, as one Gaussian integral over its inner variables (_eta_symbol),
+so it is one such kernel too, and eta_apply applies that symbol.  Every
+kernel has 2 pi |p|^2 = |B|, and a grid is refused where the rounding of its
+phases reaches 1 (_check_quadratic), so one application grows a block by at
+most about 1/sqrt(2 pi eps) and every chain stays in the float range.  One
 operator, _bilinear_phase, applies diag * exp(i y.A y') * diag over the last
 n axes of an array by one zero-padded FFT convolution with a chirp
 (Bluestein's chirp-z identity), never forming the kernel: n = 1 in
@@ -77,9 +80,9 @@ def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
     q = exp(-2 k r) = (+/-) i b.
 
     Self-checks: the two unit-size relations to 1e-12 absolute, and
-    is = k(1-b^2)/(1+b^2) to 1e-12 relative to max(k, |s|). That relation
-    loses digits as |s|/k grows (1 + b^2 = 2k/(k+is)); supported range
-    |s| <= 1e4 k, past ~1e5 k the check may raise InconsistencyError."""
+    is (1+b^2) = k(1-b^2) to 1e-12 relative to max(k, |s|), a form without
+    the division by 1 + b^2 = 2k/(k+is), which cancels as |s|/k grows.
+    Supported range |s| <= 1e4 k."""
     if not isinstance(k, int) or k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k!r}")
     if k > sys.float_info.max:
@@ -95,7 +98,7 @@ def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
     r = -cmath.log(q) / (2 * k)
     for name, resid, scale in [
         ("exp(-4kr) = -(k-is)/(k+is)", abs(cmath.exp(-4 * k * r) + t.conjugate() / t), 1.0),
-        ("is = k(1-b^2)/(1+b^2)", abs(1j * s - k * (1 - b * b) / (1 + b * b)),
+        ("is (1+b^2) = k(1-b^2)", abs(1j * s * (1 + b * b) - k * (1 - b * b)),
          max(k, abs(s))),
         ("exp(-2kr) = q", abs(cmath.exp(-2 * k * r) - q), 1.0),
     ]:
@@ -211,16 +214,18 @@ def hermite_function_table(lmax: int, y: np.ndarray, sigma: complex) -> np.ndarr
 
 def _check_quadratic(y: np.ndarray, *coeffs: complex) -> None:
     """Refuse (DomainError) a grid too wide for the kernel factors exp(c t),
-    c in coeffs.  Every c is imaginary up to rounding (|q| = 1), so its real
-    part is a rounding residue; where Re(c) r^2 reaches 1 at the grid edge
-    (r the largest |y|) the factor is no longer a phase, and the kernel's
-    products overflow soon after.  A chirp or cross phase forms |t| up to
-    (2r)^2, so |c| (2r)^2 must stay finite too.  Python floats overflow to
-    inf without a warning, so the check itself is silent."""
+    c in coeffs.  A chirp or cross phase forms |t| up to (2r)^2, r the
+    largest |y|, so its rounding is eps |c| (2r)^2; where that reaches 1 the
+    phase carries no digit.  Every c is imaginary up to rounding (|q| = 1),
+    and where its real part Re(c) r^2 reaches 1 the factor is no longer a
+    phase either.  Below both, each kernel grows a block by at most about
+    1/sqrt(2 pi eps) (2 pi |p|^2 = |B|, the weights sum to about 2r), so the
+    deepest chain, six applications, stays below e^103.  Python floats
+    overflow to inf without a warning, so the check itself is silent."""
     r = float(np.abs(y).max())
     r2 = r * r
     for c in coeffs:
-        if not (math.isfinite(4 * abs(c) * r2) and abs(c.real) * r2 <= 1):
+        if not (sys.float_info.epsilon * abs(c) * 4 * r2 < 1 and abs(c.real) * r2 <= 1):
             raise DomainError(f"grid radius {r:g} is too wide: exp(c y^2) is not a "
                               f"phase for c = {complex(c):.6g}")
 
@@ -246,9 +251,8 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
     = 2 y0 + h (i + j), the second is a correlation with exp(-i e.A e / 2), met
     by the input spectrum at -k.  So one FFT pair applies both, each axis
     zero-padded to the least 5-smooth length >= 2B - 1 (Bluestein 1970).  The
-    input is only read.  The map's `gain`, max|d_out| sum|d_in| (doubled given
-    signs), bounds how much one application can grow the sup norm of its
-    input, since every kernel entry has modulus one."""
+    input is only read.  A grid too wide for the form is refused
+    (_check_quadratic)."""
     form = np.atleast_2d(np.asarray(form, dtype=float))
     shape = tuple(len(g) for g in grids)
     _check_quadratic(np.array([g[i] for g in grids for i in (0, -1)]),
@@ -294,9 +298,6 @@ def _bilinear_phase(form, grids, d_out=1.0, d_in=1.0, signs=None):
             buf += folded
         transform(np.fft.ifft, buf)
         return post * buf[crop]
-    # Python floats: a product past the float range is inf, without a warning
-    apply.gain = ((1.0 if signs is None else 2.0) * float(np.abs(d_out).max())
-                  * float(np.abs(np.broadcast_to(d_in, shape)).sum()))
     return apply
 
 
@@ -306,21 +307,24 @@ def _mehler_symbol(params: HWParams, sigma: complex, inverse: bool = False):
     q = exp(-+ 2kr), c = 2 alpha q/(1 - q^2), d = -alpha q^2/(1 - q^2),
         q^{1/2} sqrt(alpha / (pi (1 - q^2))) e^{c y yt}
         e^{d y^2 - pi i y^2/sigma} e^{d yt^2 + pi i yt^2/sigmabar}.
-    On |q| = 1 c is imaginary, and so are A and C up to rounding: each is
-    one summed exponent, which stays bounded where its two factors over-
-    and underflow.  1 - q^2 = 2k/t cancels to |t|/k ulps as |s|/k grows,
-    so the phase check on c allows a real part of 1e-12 |c| |t|/k."""
+    Since q^2 = -tbar/t, 1 - q^2 is taken exactly as 2k/t (2k/tbar for the
+    inverse flow), which the difference would lose to cancellation as |s|/k
+    grows.  A q off the unit circle, or a c that is not imaginary to 1e-12
+    |c|, raises InconsistencyError; A and C are imaginary up to rounding,
+    each one summed exponent, which stays bounded where its two factors
+    over- and underflow."""
     sign = 1 if inverse else -1
     q = cmath.exp(2 * sign * params.k * params.r)
-    if (1 - q * q).real <= 0:
-        raise DomainError(f"Mehler kernel diverges: Re(1 - q^2) <= 0 for q = {q}")
+    if abs(abs(q) - 1) > 1e-12:
+        raise InconsistencyError(f"Mehler ratio q = {q} is off the unit circle")
     a = alpha_constant(sigma)
-    c = 2 * a * q / (1 - q * q)
-    if abs(c.real) > 1e-12 * abs(c) * abs(params.t) / params.k:
+    one_minus_q2 = 2 * params.k / (params.t.conjugate() if inverse else params.t)
+    c = 2 * a * q / one_minus_q2
+    if abs(c.real) > 1e-12 * abs(c):
         raise InconsistencyError(f"Mehler kernel at q = {q} is not a phase in y yt: "
                                  f"coefficient {c}")
-    d = -a * q * q / (1 - q * q)
-    root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * (1 - q * q)))
+    d = -a * q * q / one_minus_q2
+    root = cmath.exp(sign * params.k * params.r) * cmath.sqrt(a / (math.pi * one_minus_q2))
     return d - 1j * math.pi / sigma, c, d + 1j * math.pi / sigma.conjugate(), root
 
 
@@ -373,10 +377,11 @@ def _rank_one_phases() -> Tuple[complex, complex]:
 
 
 # the largest real part, relative to the largest term that forms it times
-# |t|/k (the ulps the Mehler 1 - q^2 loses), that a composed eta exponent may
-# carry as rounding before it is snapped to zero; measured at most 5.7e-16 at
-# sigma = i b and 1.6e-12 at sigma = 2i, 0.3+1.1i, -0.7+0.4i and 1.5+2i, for
-# |s| <= 1e4 k and k = 1, 2, 5
+# |t|/k, that a composed eta exponent may carry as rounding before it is
+# snapped to zero: eta_T's inner exponent C_m + A_p - pi i = -pi i sums two
+# terms of size alpha |t|/(2k) that cancel.  Measured at most 2.3e-12 at
+# sigma = 1e-3 i and 1.9e-15 at sigma = i b, 2i, 0.3+1.1i, -0.7+0.4i and
+# 1.5+2i, for |s| <= 1e4 k and k = 1, 2, 5
 _ETA_REAL_PART_BOUND = 1e-10
 
 
@@ -397,7 +402,9 @@ def _eta_symbol(params: HWParams, sigma: complex, generator: str):
     singular Q means inconsistent Mehler symbols.  A, B and C are imaginary
     up to rounding; a singular Q or a real part over _ETA_REAL_PART_BOUND
     raises InconsistencyError, else the real parts are snapped to zero.
-    eta_apply reads this symbol at sigma = i b in closed form."""
+    At sigma = i b it is S: (pi (b - bbar), 2 pi i, -pi (b - bbar), j) and
+    T: the same diagonals plus the chirp pi i, cross term -2 pi i and
+    omega i^{-1/2}."""
     am, bm, cm, pm = _mehler_symbol(params, sigma)
     ap, bp, cp, pp = _mehler_symbol(params, sigma, inverse=True)
     j_const, omega = _rank_one_phases()
@@ -420,33 +427,13 @@ def _eta_symbol(params: HWParams, sigma: complex, generator: str):
 
 
 def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
-    """Conjugated generator kernels on the rank-one folded domain y >= 0,
-    at the special parameter sigma = i b, where the symbol of _eta_symbol
-    has a closed form exact in b (the composition carries the |t|/k ulps
-    of the Mehler 1 - q^2):
-
-    S kernel: j e^{pi(b - bbar) y^2} sum_w [det w] e^{2 pi i (w y) yt}
-              e^{-pi(b - bbar) yt^2};
-    T kernel: omega i^{-1/2} e^{pi(b - bbar) y^2} sum_w [det w]
-              e^{pi i (w y - yt)^2} e^{-pi(b - bbar) yt^2};
-    the det(w) factor is present in sector 1 only.
-    """
-    p = spec.params
-    if abs(p.sigma - 1j * p.b) > 1e-12:
-        raise DomainError(
-            "closed-form generator kernels require sigma = i b; "
-            "use verify_conjugation for generic sigma")
+    """The conjugated generator eta_g at the parameters' sigma on the
+    rank-one folded domain y >= 0: the composed kernel of _eta_symbol,
+    summed over w = +-1 with the factor det(w) in sector 1 only."""
     y = check_uniform_grid(f.y)
     if y[0] < -1e-12:
         raise DomainError("folded-domain samples must have y >= 0")
-    j_const, omega = _rank_one_phases()
-    bb = p.b - p.b.conjugate()
-    # T: e^{pi i (w y - yt)^2} = e^{pi i y^2} e^{-2 pi i w y yt} e^{pi i yt^2}
-    if spec.generator == "S":
-        symbol = (math.pi * bb, 2j * math.pi, -math.pi * bb, j_const)
-    else:
-        symbol = (math.pi * bb + 1j * math.pi, -2j * math.pi, -math.pi * bb + 1j * math.pi,
-                  omega * cmath.exp(-1j * math.pi / 4))
+    symbol = _eta_symbol(spec.params, spec.params.sigma, spec.generator)
     # the sign det(w) of w = -1, in sector 1 only
     vals = _kernel(symbol, y, trapezoid_weights(y), -1 if spec.sector == 1 else 1)(f.values)
     # right end only: y = 0 is the fold of the domain, not a truncation
@@ -457,38 +444,13 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
 def _rho(generator: str, u: np.ndarray, w: np.ndarray, signs):
     """Grid realization of the continuous generator factors
     rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
-    as a map on folded L x B blocks of row parities signs, with its `gain`."""
+    as a map on folded L x B blocks of row parities signs."""
     j_const, omega = _rank_one_phases()
     if generator == "S":
         return _bilinear_phase(2 * math.pi, [u], d_out=j_const, d_in=w, signs=signs)
     _check_quadratic(u, -1j * math.pi)
     phase = omega * np.exp(-1j * math.pi * u ** 2)
-
-    def apply(x):
-        return phase * x
-    apply.gain = 1.0        # a pointwise phase
-    return apply
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _check_chain_growth(y: np.ndarray, eta, heat_m, flow2, rho) -> None:
-    """Refuse (DomainError) a grid on which a chain of quadratures that
-    verify_conjugation applies could leave the float range.  A chain grows
-    a block's sup norm by at most the product of its operators' gains; the
-    chains are S^4 and (S T)^3 of the composed eta, and heat_m flow2 rho
-    per generator.  On an under-resolved grid each gain is of the order of
-    the radius, so at a huge radius these products overflow although every
-    single kernel is a phase."""
-    def log_gain(*ops):     # an underflowed gain counts as the least float
-        return sum(math.log(max(op.gain, sys.float_info.min)) for op in ops)
-    chains = [4 * log_gain(eta["S"]), 3 * log_gain(eta["S"], eta["T"])]
-    chains += [log_gain(heat_m, flow2[gen], rho[gen]) for gen in rho]
-    if max(chains) >= _LOG_FLOAT_MAX:
-        raise DomainError(
-            f"grid of {len(y)} points is too coarse for radius {y[-1]:g}: chained "
-            f"quadratures may grow by e^{max(chains):.4g}, past the float range")
+    return lambda x: phase * x
 
 
 def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
@@ -511,9 +473,11 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     Laplacian intertwining residual.
 
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
-    accepts (_check_quadratic) and 1 <= L < grid_points; grid_points above
-    GRID_POINTS_CEILING or grid_points * L above GRID_BASIS_CEILING raises
-    ResourceLimitError before any kernel or basis block is built.  A Hermite
+    accepts (_check_quadratic, the one width rule, which also keeps every
+    chain of applications in the float range) and 1 <= L < grid_points;
+    grid_points above GRID_POINTS_CEILING or grid_points * L above
+    GRID_BASIS_CEILING raises ResourceLimitError before any kernel or basis
+    block is built.  A Hermite
     basis at sigma or a Moebius image whose Gram condition number exceeds
     GRAM_CONDITION_CEILING raises DomainError before any residual.
     """
@@ -550,7 +514,6 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
              for gen in sig2}
     rho = {gen: _rho(gen, u, wf, signs) for gen in sig2}
     eta = {gen: _kernel(_eta_symbol(params, sigma, gen), u, wf, signs) for gen in sig2}
-    _check_chain_growth(y, eta, heat_m, flow2, rho)
 
     def gram(a, b):     # the L x L line integrals conj(a_l) b_m
         return same * (a.conj() @ (2 * wf * b).T)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from cstorus import cli
 from cstorus.cli import artifact_pieces, build_parser, main
+from cstorus.errors import DomainError
 from cstorus.finrep import SECTOR_DIM_CEILING
-from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING
+from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING, verify_conjugation
 from cstorus.roots import RANK_CEILING, LieType, build_root_system
 from cstorus.wgz import WGZ_ARRAY_CEILING
 from test_compactcheck import fraction_shifted_weights
@@ -481,24 +482,66 @@ def test_kernel_scalars_keep_the_exit_contract(tmp_path, capsys, L, grid_points,
 
 
 def test_kernel_verify_chained_quadratures_past_float_range_exit_schema(capsys):
-    """With a generic sigma every kernel exponent is imaginary, so no single
-    kernel refuses a huge radius; the growth bound of the deepest chain of
-    quadratures does, before any basis block and without a warning."""
+    """With a generic sigma every kernel exponent is imaginary, so a huge
+    radius, on which the chained quadratures would leave the float range,
+    is refused by the one width rule: the rounding eps |c| (2r)^2 of a
+    kernel's phase reaches 1.  One line, before any basis block and without
+    a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
                                  "--L", "1", "--grid-points", "9", "--sigma", "0.3+1.1i",
                                  "--box-radius", "1e100")
         assert code == 2
-        assert out == "" and len(err.strip().splitlines()) == 1 and "float range" in err
+        assert out == "" and len(err.strip().splitlines()) == 1 and "too wide" in err
         code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
                                  "--L", "1", "--grid-points", "9", "--sigma", "0.3+1.1i",
                                  "--box-radius", "100")
     # radius 100 is not refused: a finite artifact (9 points miss the
-    # tolerance there, exit 1, as before the bound)
+    # tolerance there, exit 1)
     assert code in (0, 1) and err == ""
     doc = json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
     assert math.isfinite(doc["conjugation"]["max_relation_residual"])
+
+
+def _accepts_radius(radius, sigma):
+    try:
+        verify_conjugation(2, 1.0, sigma=sigma, L=1, grid_points=9, box_radius=radius)
+    except DomainError as exc:
+        assert "too wide" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("sigma, flag", [(None, ()), (0.3 + 1.1j, ("--sigma", "0.3+1.1i"))],
+                         ids=["i b", "0.3+1.1i"])
+def test_kernel_verify_widest_accepted_grid_stays_finite(capsys, sigma, flag):
+    """On the widest grid the width rule accepts (k = 2, s = 1, 9 points,
+    L = 1, found by bisection to 1e-9 relative), every artifact number is
+    finite, with no warning and exit 0 or 1: the rule alone keeps every
+    chain of quadratures in the float range."""
+    lo, hi = 1e6, 1e8
+    assert _accepts_radius(lo, sigma) and not _accepts_radius(hi, sigma)
+    while hi / lo - 1 > 1e-9:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if _accepts_radius(mid, sigma) else (lo, mid)
+    assert 1e7 <= lo < 1.78e7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
+                                 "--L", "1", "--grid-points", "9", "--box-radius", repr(lo),
+                                 *flag)
+    assert code in (0, 1) and err == ""
+    doc = json.loads(out, parse_constant=lambda tok: pytest.fail(f"bare {tok} in JSON"))
+
+    def numbers(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in numbers(v)]
+        if isinstance(node, list):
+            return [x for v in node for x in numbers(v)]
+        return [node] if isinstance(node, float) else []
+    values = numbers(doc["conjugation"])
+    assert values and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -251,6 +252,19 @@ def test_solve_params_large_coupling(s):
     assert abs(cmath.exp(-4 * k * p.r) + t.conjugate() / t) < 1e-12
     assert abs(1j * s - k * (1 - p.b ** 2) / (1 + p.b ** 2)) < 1e-12 * abs(s)
     assert abs(abs(p.b) - 1) < 1e-12 and p.b.real > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_solve_params_accepts_the_documented_range(k):
+    """Every s with 10 <= |s| <= 1e4 k of a log-spaced sweep is solved, both
+    signs: the self-check is = k(1-b^2)/(1+b^2), divided by 1 + b^2 = 2k/t,
+    refused some (s = 6909.790545715645 at k = 1 with residual 6.9e-9); as
+    is (1+b^2) = k(1-b^2) it cancels nothing."""
+    for s in np.geomspace(10.0, 1e4 * k, 300):
+        for sign in (1, -1):
+            p = solve_params(k, sign * float(s))
+            t = p.t
+            assert abs(p.b ** 2 - t.conjugate() / t) <= 1e-15
 
 
 def test_solve_params_validation():
@@ -555,16 +569,6 @@ def test_eta_matches_conjugation_on_the_line():
                 assert np.abs(out.values - ref).max() < 1e-5
 
 
-def test_eta_requires_special_sigma():
-    p = solve_params(2, 1.0)
-    bad = p.__class__(k=p.k, s=p.s, branch=p.branch, b=p.b, q=p.q, r=p.r,
-                      sigma=2j)
-    y = np.linspace(0, 4, 41)
-    with pytest.raises(DomainError):
-        eta_apply(GridSamples1D(y=y, values=np.exp(-y ** 2)),
-                  EtaKernelSpec(0, "S", bad))
-
-
 def _dense_eta_apply(f, spec):
     """The eta kernels of eta_apply summed over w = +-1 as dense N x N
     arrays, then applied by trapezoid quadrature."""
@@ -744,11 +748,9 @@ def test_heat_apply_matches_dense_quadrature(lo, hi, n, s, inverse):
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("s", [8312.515, 1e4, -1e4])
 def test_heat_apply_at_large_coupling(s, inverse):
-    """At k = 1 and |s| near 1e4 k, 1 - q^2 cancels to |t|/k ulps and the
-    Mehler coefficient c carries a real part of that size: the phase check
-    allows it (these s were refused by a check of 1e-12 |c|).  The FFT
-    operator drops that real part and the dense kernel keeps it, so they
-    agree to 1e-13 |t|/k, not to 1e-12."""
+    """At k = 1 and |s| near 1e4 k the operator, which takes 1 - q^2 as
+    2k/t, is accepted; the dense oracle forms 1 - q^2 from q, which cancels
+    to |t|/k ulps, so they agree to 1e-13 |t|/k, not to 1e-12."""
     p = solve_params(1, s)
     y = np.linspace(-6.0, 6.0, 801)
     f = hermite_function_table(3, y, p.sigma).sum(axis=0)
@@ -955,8 +957,24 @@ def test_composed_eta_matches_three_quadratures(k, s, sigma, generator):
     assert np.max(np.abs(eta(b0) - want)) <= 1e-12
 
 
-# (k, s) up to the supported |s| = 1e4 k, where the Mehler 1 - q^2 = 2k/t
-# cancels to |t|/k ulps
+@pytest.mark.parametrize("generator", ["S", "T"])
+@pytest.mark.parametrize("sector", [0, 1])
+@pytest.mark.parametrize("sigma", [2j, 0.3 + 1.1j])
+def test_eta_apply_at_generic_sigma_matches_three_quadratures(sigma, sector, generator):
+    """eta_apply reads the composed symbol at the parameters' sigma, so away
+    from sigma = i b it gives the three-quadrature route on the half line,
+    with the sector's sign, to 1e-12."""
+    p = dataclasses.replace(solve_params(2, 1.0), sigma=sigma)
+    u = np.linspace(0.0, 10.0, 801)
+    signs = -1 if sector == 1 else 1
+    want = _three_quadrature_eta(p, u, trapezoid_weights(u), sigma, generator, signs)
+    for row in hermite_function_table(11, u, sigma)[sector::2]:
+        got = eta_apply(GridSamples1D(y=u, values=row), EtaKernelSpec(sector, generator, p))
+        assert np.max(np.abs(got.values - want(row))) <= 1e-12
+
+
+# (k, s) up to the supported |s| = 1e4 k, where the difference 1 - q^2 would
+# cancel to |t|/k ulps
 LARGE_COUPLINGS = [(1, 4157.0), (1, 1e4), (1, -1e4), (2, 999.0), (2, -999.0)]
 
 
@@ -964,12 +982,12 @@ LARGE_COUPLINGS = [(1, 4157.0), (1, 1e4), (1, -1e4), (2, 999.0), (2, -999.0)]
 @pytest.mark.parametrize("k, s", [(1, 0.0), (2, 0.0), (2, 1.0), (2, -2.5), (3, 2.5), (5, 3.0)]
                          + LARGE_COUPLINGS)
 def test_eta_symbol_at_i_b_is_the_hand_derived_kernel(k, s, branch):
-    """At sigma = i b the composed symbol (A, B, C, p) is the closed form
-    that eta_apply applies (and _dense_eta_apply applies densely):
+    """At sigma = i b the composed symbol (A, B, C, p) that eta_apply
+    applies is the hand-derived closed form (which _dense_eta_apply applies
+    densely):
     S: (pi (b - bbar), 2 pi i, -pi (b - bbar), j), T: the same diagonals plus
-    the chirp pi i, cross term -2 pi i and omega i^{-1/2}.  At large |s|/k
-    the composition carries the |t|/k ulps of the Mehler 1 - q^2, and the
-    bound is 1e-14 |t|/k."""
+    the chirp pi i, cross term -2 pi i and omega i^{-1/2}.  The Mehler
+    symbols take 1 - q^2 as 2k/t, so the bound is 1e-14 up to |s| = 1e4 k."""
     p = solve_params(k, s, branch)
     bb = p.b - p.b.conjugate()
     j_const, omega = _rank_one_phases()
@@ -978,8 +996,7 @@ def test_eta_symbol_at_i_b_is_the_hand_derived_kernel(k, s, branch):
                   omega * cmath.exp(-1j * math.pi / 4))}
     for generator in ("S", "T"):
         got = _eta_symbol(p, p.sigma, generator)
-        tol = 1e-14 * (abs(p.t) / k if (k, s) in LARGE_COUPLINGS else 1)
-        assert max(abs(g - w) for g, w in zip(got, want[generator])) <= tol, generator
+        assert max(abs(g - w) for g, w in zip(got, want[generator])) <= 1e-14, generator
         assert all(c.real == 0 for c in got[:3])
 
 
@@ -997,7 +1014,6 @@ def test_verify_conjugation_applies_each_eta_once(monkeypatch):
             nonlocal applies
             applies += 1
             return op(x)
-        apply.gain = op.gain
         return apply
     monkeypatch.setattr(heatkernel, "_bilinear_phase", counted)
     verify_conjugation(2, 1.0, L=6)
@@ -1021,6 +1037,37 @@ def test_eta_composition_refuses_a_broken_symbol(monkeypatch, symbol, message):
     with pytest.raises(InconsistencyError, match=message) as err:
         verify_conjugation(2, 1.0, L=6, grid_points=201, box_radius=6.0)
     assert len(str(err.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("k, s", [(1, 0.0), (2, 1.0), (2, -2.5), (5, 3.0)] + LARGE_COUPLINGS)
+def test_every_symbol_has_2pi_p2_equal_to_b(k, s):
+    """2 pi |p|^2 = |B| to 1e-12 for every kernel symbol: both Mehler flows
+    at sigma and at its Moebius images, rho(S) = (0, 2 pi i, 0, j), and eta_S
+    and eta_T, at sigma = i b and generic sigma.  With the width rule of
+    _check_quadratic that bounds what one application can grow a block by."""
+    params = solve_params(k, s)
+    j_const, _ = _rank_one_phases()
+    symbols = [(0.0, 2j * math.pi, 0.0, j_const)]
+    for sigma in ETA_SIGMAS:
+        sigma = params.sigma if sigma is None else sigma
+        for at in [sigma] + [mobius_sigma(gen, sigma) for gen in ("S", "T")]:
+            symbols += [_mehler_symbol(params, at), _mehler_symbol(params, at, inverse=True)]
+        symbols += [_eta_symbol(params, sigma, gen) for gen in ("S", "T")]
+    for _, b, _, p in symbols:
+        assert abs(2 * math.pi * abs(p) ** 2 - abs(b)) <= 1e-12 * abs(b)
+
+
+def test_no_chain_growth_bookkeeping():
+    """The width rule of _check_quadratic is the one grid-width refusal: no
+    module of the package keeps a `gain` on its operators or a chain-growth
+    guard."""
+    src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not names & {"gain", "_check_chain_growth", "_LOG_FLOAT_MAX"}, path.name
 
 
 def test_verify_conjugation_forms_no_basis_product():
@@ -1085,7 +1132,8 @@ def test_one_bluestein_operator():
     in heatkernel only _bilinear_phase touches np.fft, there is no second
     (folded) implementation, rho, the symbol kernel _kernel and
     wgz.prequantum_S call _bilinear_phase, and the eta and heat kernels
-    and verify_conjugation call _kernel."""
+    and verify_conjugation call _kernel; eta_apply and verify_conjugation
+    both read eta from _eta_symbol, its one construction."""
     src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
     trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("heatkernel", "wgz")}
     functions = {name: {node.name: node for node in tree.body
@@ -1102,7 +1150,9 @@ def test_one_bluestein_operator():
                                  ("wgz", "prequantum_S", "_bilinear_phase"),
                                  ("heatkernel", "eta_apply", "_kernel"),
                                  ("heatkernel", "heat_apply", "_kernel"),
-                                 ("heatkernel", "verify_conjugation", "_kernel")]:
+                                 ("heatkernel", "verify_conjugation", "_kernel"),
+                                 ("heatkernel", "eta_apply", "_eta_symbol"),
+                                 ("heatkernel", "verify_conjugation", "_eta_symbol")]:
         called = {getattr(node.func, "id", None)
                   for node in ast.walk(functions[module][name]) if isinstance(node, ast.Call)}
         assert callee in called, name
