@@ -69,18 +69,17 @@ def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int
 
 
 def _check_bridge_domain(rs: RootSystem, k: int) -> None:
-    """The compact oracles exist for simply laced types of rank <= 3 at
-    positive level."""
+    """The compact oracles exist for simply laced types at positive level;
+    their size is bounded by the ceilings of the quotient, the sector and
+    the Weyl group, each of which names itself when it refuses."""
     if not is_simply_laced(rs):
         raise DomainError(f"{rs.lie_type} is not simply laced; no compact bridge is asserted")
-    if rs.rank > 3:
-        raise DomainError(f"rank {rs.rank} exceeds the supported ceiling 3")
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
 
 
 def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
-    """Kac-Peterson character sum for simply laced types of rank <= 3:
+    """Kac-Peterson character sum for simply laced types:
     S_{mu nu} proportional to sum_w det(w) e^{-2 pi i <w mu, nu>_1/(k+h)},
     normalized to unitarity with a positive identity row; T is assembled
     from the exact conformal weights.

@@ -4,24 +4,15 @@ Mehler heat kernel for exp(-r Laplacian), the conjugated generator kernels
 on the folded domain, and a numerical verification of the conjugation
 identity in a truncated basis.
 
-The eigenbasis is evaluated by one normalized recurrence,
-hermite_function_table.  Every grid kernel here is a Gaussian kernel
-p exp(A y^2 + B y yt + C yt^2), given by its symbol (A, B, C, p), and on the
-flow's parameters |q| = 1 its exponents are imaginary, so it has the form
-diag * exp(i beta y yt) * diag on a uniform grid.  The conjugated generator
-eta_g = exp(-r Laplacian) rho(g) exp(r Laplacian) is composed on symbols, at
-any sigma, as one Gaussian integral over its inner variables (_eta_symbol),
-so it is one such kernel too, and eta_apply applies that symbol.  Every
-kernel has 2 pi |p|^2 = |B|, and a grid is refused where the rounding of its
-phases reaches 1 (_check_quadratic), so one application grows a block by at
-most about 1/sqrt(2 pi eps) and every chain stays in the float range.  One
-operator, _bilinear_phase, applies diag * exp(i y.A y') * diag over the last
-n axes of an array by one zero-padded FFT convolution with a chirp
-(Bluestein's chirp-z identity), never forming the kernel: n = 1 in
-heat_apply, n = rank in wgz.prequantum_S.
-Given signs it applies, in the same FFT pair, the W-sum of such kernels on
-y >= 0: in eta_apply, and in verify_conjugation, whose basis row v_l has
-parity (-1)^l, on L x N/2 blocks (one function per row).
+Every grid kernel here is a Gaussian p exp(A y^2 + B y yt + C yt^2), held as
+its symbol (A, B, C, p): the Mehler flows, rho(S) (_rho_factor, the one
+definition of rho(S) and rho(T)) and each conjugated generator
+eta_g = exp(-r Laplacian) rho(g) exp(r Laplacian), composed at any sigma in
+closed form (_eta_symbol).  One operator, _bilinear_phase, applies them all
+by Bluestein's chirp-z identity without forming a kernel, also over n axes
+(wgz.prequantum_S) and, given signs, as the W-sum on the folded domain
+y >= 0.  The eigenbasis is evaluated by one normalized recurrence,
+hermite_function_table.
 
 Coordinates: theta denotes coordinates in a frame orthonormal for the
 level-1 pairing; y = sqrt(k) * theta is orthonormal for the level-k pairing
@@ -376,6 +367,13 @@ def _rank_one_phases() -> Tuple[complex, complex]:
     return pp.j, pp.omega
 
 
+def _rho_factor(generator: str):
+    """The generator factors, defined once: rho(S) = j F as the kernel symbol
+    (0, 2 pi i, 0, j), rho(T) = omega e^{-pi i y^2} as (chirp, factor)."""
+    j_const, omega = _rank_one_phases()
+    return (0j, 2j * math.pi, 0j, j_const) if generator == "S" else (-1j * math.pi, omega)
+
+
 # the largest real part, relative to the largest term that forms it times
 # |t|/k, that a composed eta exponent may carry as rounding before it is
 # snapped to zero: eta_T's inner exponent C_m + A_p - pi i = -pi i sums two
@@ -387,54 +385,58 @@ _ETA_REAL_PART_BOUND = 1e-10
 
 def _eta_symbol(params: HWParams, sigma: complex, generator: str):
     """The symbol (A, B, C, p) of eta_g = heat_m rho(g) heat_p on the line,
-    heat_-+ = exp(-+ r Laplacian_sigma), rho(S) = j F and rho(T) =
-    omega e^{-pi i y^2}, composed in closed form (Folland 1989, ch. 4).
-    rho(T) is folded into the exponent of the one inner variable; rho(S)
-    has two.  With the inner exponent z.Q z and y, yt coupled to the first
-    and last inner variable by B_m and B_p, the Gaussian integral over z
-    (its Schur complement) gives
+    heat_-+ = exp(-+ r Laplacian_sigma) and rho(g) of _rho_factor, composed
+    in closed form in complex arithmetic (Folland 1989, ch. 4).  rho(T) is
+    folded into the exponent of the one inner variable; rho(S) has two.
+    With the inner exponent z.Q z and y, yt coupled to the first and last
+    inner variable by B_m and B_p, the Gaussian integral over z (its Schur
+    complement) gives
         A = A_m - B_m^2 (Q^-1)_11 / 4,   B = -B_m B_p (Q^-1)_1n / 2,
         C = C_p - B_p^2 (Q^-1)_nn / 4,   p = p_m p_g p_p pi^{n/2} / sqrt(det(-Q)),
-    the root the product of the principal roots of the eigenvalues of -Q
-    (the Fresnel branch on imaginary Q).  The 2-variable form stays regular
-    where either pairwise inner exponent vanishes (sigma = i b at s = 0):
-    on |q| = 1, Q_T = -i pi and det Q_S = pi^2 + m^2 with m real, so a
-    singular Q means inconsistent Mehler symbols.  A, B and C are imaginary
-    up to rounding; a singular Q or a real part over _ETA_REAL_PART_BOUND
-    raises InconsistencyError, else the real parts are snapped to zero.
-    At sigma = i b it is S: (pi (b - bbar), 2 pi i, -pi (b - bbar), j) and
-    T: the same diagonals plus the chirp pi i, cross term -2 pi i and
-    omega i^{-1/2}."""
+    Q^-1 the adjugate over det Q, the root the product of the principal
+    roots of the eigenvalues -tr/2 +- sqrt(tr^2/4 - det) of -Q (the Fresnel
+    branch on imaginary Q).  The 2-variable form stays regular where either
+    pairwise inner exponent vanishes (sigma = i b at s = 0): on |q| = 1,
+    Q_T = -i pi and det Q_S = pi^2 + m^2 with m real, so a singular Q,
+    |det Q| <= 1e-12 |Q|^n with |Q| its largest entry, means inconsistent
+    Mehler symbols and raises InconsistencyError, as does a real part of A,
+    B or C over _ETA_REAL_PART_BOUND; below it the real parts are rounding
+    and are snapped to zero."""
     am, bm, cm, pm = _mehler_symbol(params, sigma)
     ap, bp, cp, pp = _mehler_symbol(params, sigma, inverse=True)
-    j_const, omega = _rank_one_phases()
     if generator == "S":
-        quad, pg = np.array([[cm, 1j * math.pi], [1j * math.pi, ap]]), j_const
+        a, b, c, pg = _rho_factor("S")
+        (q11, q12), (_, q22) = quad = [[cm + a, b / 2], [b / 2, c + ap]]
+        det, adj, half = q11 * q22 - q12 * q12, (q22, -q12, q11), -(q11 + q22) / 2
+        eigen = [half + sign * cmath.sqrt(half * half - det) for sign in (1, -1)]
     else:
-        quad, pg = np.array([[cm - 1j * math.pi + ap]]), omega
-    if not np.linalg.cond(quad) <= 1e12:
+        chirp, pg = _rho_factor("T")
+        quad = [[cm + chirp + ap]]
+        det, adj, eigen = quad[0][0], (1, 1, 1), (-quad[0][0],)
+    if not abs(det) > 1e-12 * max(abs(x) for row in quad for x in row) ** len(quad):
         raise InconsistencyError(f"eta_{generator} at sigma = {sigma} is not an integral "
-                                 f"kernel: its inner exponent {quad.tolist()} is singular")
-    inv = np.linalg.inv(quad)
-    terms = (bm * bm * inv[0, 0] / 4, bm * bp * inv[0, -1] / 2, bp * bp * inv[-1, -1] / 4)
+                                 f"kernel: its inner exponent {quad} is singular")
+    inv = [x / det for x in adj]
+    terms = (bm * bm * inv[0] / 4, bm * bp * inv[1] / 2, bp * bp * inv[2] / 4)
     exponents = (am - terms[0], -terms[1], cp - terms[2])
     scale = max(map(abs, (am, bm, cm, ap, bp, cp) + terms)) * abs(params.t) / params.k
     if max(abs(e.real) for e in exponents) > _ETA_REAL_PART_BOUND * scale:
         raise InconsistencyError(f"eta_{generator} at sigma = {sigma} is not a phase "
                                  f"kernel: exponents {exponents}")
-    p = pm * pg * pp * math.pi ** (len(quad) / 2) / np.prod(np.sqrt(np.linalg.eigvals(-quad)))
-    return tuple(1j * e.imag for e in exponents) + (complex(p),)
+    p = pm * pg * pp * math.pi ** (len(quad) / 2) / math.prod(map(cmath.sqrt, eigen))
+    return tuple(1j * e.imag for e in exponents) + (p,)
 
 
 def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
     """The conjugated generator eta_g at the parameters' sigma on the
     rank-one folded domain y >= 0: the composed kernel of _eta_symbol,
     summed over w = +-1 with the factor det(w) in sector 1 only."""
+    if not isinstance(f, GridSamples1D):
+        raise SchemaError(f"unsupported input type {type(f).__name__}")
     y = check_uniform_grid(f.y)
     if y[0] < -1e-12:
         raise DomainError("folded-domain samples must have y >= 0")
     symbol = _eta_symbol(spec.params, spec.params.sigma, spec.generator)
-    # the sign det(w) of w = -1, in sector 1 only
     vals = _kernel(symbol, y, trapezoid_weights(y), -1 if spec.sector == 1 else 1)(f.values)
     # right end only: y = 0 is the fold of the domain, not a truncation
     return GridSamples1D(y=y.copy(), values=vals,
@@ -442,14 +444,13 @@ def eta_apply(f: GridSamples1D, spec: EtaKernelSpec) -> GridSamples1D:
 
 
 def _rho(generator: str, u: np.ndarray, w: np.ndarray, signs):
-    """Grid realization of the continuous generator factors
-    rho(S) = j F (kernel e^{2 pi i y yt}), rho(T) = omega e^{-pi i y^2},
-    as a map on folded L x B blocks of row parities signs."""
-    j_const, omega = _rank_one_phases()
+    """Grid realization of the generator factor of _rho_factor as a map on
+    folded L x B blocks of row parities signs."""
     if generator == "S":
-        return _bilinear_phase(2 * math.pi, [u], d_out=j_const, d_in=w, signs=signs)
-    _check_quadratic(u, -1j * math.pi)
-    phase = omega * np.exp(-1j * math.pi * u ** 2)
+        return _kernel(_rho_factor("S"), u, w, signs)
+    chirp, omega = _rho_factor("T")
+    _check_quadratic(u, chirp)
+    phase = omega * np.exp(chirp * u ** 2)
     return lambda x: phase * x
 
 
@@ -473,13 +474,12 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     Laplacian intertwining residual.
 
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
-    accepts (_check_quadratic, the one width rule, which also keeps every
-    chain of applications in the float range) and 1 <= L < grid_points;
+    accepts (_check_quadratic, the one width rule) and 1 <= L < grid_points;
     grid_points above GRID_POINTS_CEILING or grid_points * L above
     GRID_BASIS_CEILING raises ResourceLimitError before any kernel or basis
-    block is built.  A Hermite
-    basis at sigma or a Moebius image whose Gram condition number exceeds
-    GRAM_CONDITION_CEILING raises DomainError before any residual.
+    block is built.  A Hermite basis at sigma or a Moebius image whose Gram
+    condition number exceeds GRAM_CONDITION_CEILING raises DomainError
+    before any residual.
     """
     params = solve_params(k, s, branch=branch)
     sigma = params.sigma if sigma is None else complex(sigma)

@@ -19,6 +19,7 @@ from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.errors import DomainError
 from cstorus.finrep import SECTOR_DIM_CEILING
 from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING, verify_conjugation
+from cstorus.lattice import Z_ORDER_CEILING
 from cstorus.roots import RANK_CEILING, LieType, build_root_system
 from cstorus.wgz import WGZ_ARRAY_CEILING
 from test_compactcheck import fraction_shifted_weights
@@ -108,7 +109,9 @@ def test_label_strings_are_the_fraction_oracle(capsys, fam, rank, k):
     for sector, points in ((0, closed), (1, opened)):
         _, doc = run(capsys, "rep", "build", *level, "--sector", str(sector))
         assert doc["matrices"]["labels"] == _texts(points)
-    if fam in "ADE" and rank <= 3:
+    # the bridge's real limit: the quotient |Z| = (k + h)^n det(gram1) at level k + h
+    if fam in "ADE" and (k + rs.dual_coxeter) ** rank * round(np.linalg.det(rs.gram1)) \
+            <= Z_ORDER_CEILING:
         _, doc = run(capsys, "compare", "compact", *level)
         shifted = alcove_points_bruteforce(rs, k + rs.dual_coxeter)[1]
         assert doc["compact"]["labels_sector"] == _texts(sorted(shifted, key=lambda p: (sum(p), p)))
@@ -731,6 +734,18 @@ def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, 
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
     assert f"dimension {dim} exceeds the ceiling {SECTOR_DIM_CEILING}" in err
+
+
+@pytest.mark.parametrize("fam,rank,order", [("A", 5, 100842), ("D", 5, 236196),
+                                            ("E", 6, 14480427)])
+def test_compare_compact_past_the_quotient_ceiling_exits_resource(capsys, fam, rank, order):
+    """The bridge has no rank ceiling: past rank 4 at k = 1 the quotient at
+    level k + h refuses, with exit 3 and one line naming its ceiling."""
+    code, out, err = run_err(capsys, "compare", "compact", "--type", fam,
+                             "--rank", str(rank), "--k", "1")
+    assert code == 3
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING}" in err
 
 
 def test_config_integer_past_the_digit_limit_exits_schema(tmp_path, capsys):

@@ -9,9 +9,9 @@ import pytest
 from cstorus.compactcheck import (CompactModularData, _integrable_shifted_weights,
                                   compare_shifted, is_simply_laced,
                                   kac_peterson_sum, su2_modular_data)
-from cstorus.errors import DomainError, SchemaError
+from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.finrep import Convention
-from cstorus.lattice import _alcove_pairings
+from cstorus.lattice import Z_ORDER_CEILING, _alcove_pairings
 from cstorus.roots import LieType, build_root_system
 from fraction_oracle import (fraction_rows, inverse, mat, mat_vec, pairing1, unit_phase,
                              weyl_apply, weyl_vector)
@@ -120,7 +120,8 @@ def fraction_kac_peterson_s(rs, k):
 
 @pytest.mark.parametrize("family,rank,k", [("A", 1, k) for k in range(1, 7)]
                          + [("A", 2, k) for k in (1, 2, 3)]
-                         + [(f, 3, k) for f in "AD" for k in (1, 2)])
+                         + [(f, 3, k) for f in "AD" for k in (1, 2)]
+                         + [(f, 4, 1) for f in "AD"])
 def test_kac_peterson_integer_sum_matches_fraction_oracle(family, rank, k):
     rs = build_root_system(LieType(family, rank))
     labels, s = fraction_kac_peterson_s(rs, k)
@@ -131,7 +132,8 @@ def test_kac_peterson_integer_sum_matches_fraction_oracle(family, rank, k):
 
 @pytest.mark.parametrize("family,rank,k", [("A", 1, k) for k in range(1, 7)]
                          + [("A", 2, k) for k in (1, 2, 3)]
-                         + [(f, 3, k) for f in "AD" for k in (1, 2)])
+                         + [(f, 3, k) for f in "AD" for k in (1, 2)]
+                         + [(f, 4, 1) for f in "AD"])
 def test_compact_t_phases_match_fraction_oracle(family, rank, k):
     """The integer T exponents of both compact oracles give the phases of the
     exact conformal weights <mu, mu>_1 / 2(k+h) - <rho, rho>_1 / 2h, to the
@@ -175,6 +177,28 @@ def test_bridge_rank_two(k):
     # identity-phase snap: no twist is needed
     assert abs(complex(*rep["snapped_S_phase"]) - 1) < 1e-14
     assert abs(complex(*rep["fitted_T_phase"]) - 1) < 1e-10
+
+
+@pytest.mark.parametrize("family,k", [(f, k) for f in "AD" for k in (1, 2)])
+def test_bridge_rank_four(family, k):
+    """The bridge has no rank ceiling of its own: A4 and D4 at k = 1, 2
+    match the Kac-Peterson sum with the identity S and T phases."""
+    rep = compare_shifted(build_root_system(LieType(family, 4)), k)
+    assert rep["passed"], rep
+    assert max(rep["residual_S"], rep["residual_T"]) < 1e-13
+    assert rep["snapped_S_phase"] == [1, 0]
+    assert abs(complex(*rep["fitted_T_phase"]) - 1) < 1e-13
+
+
+@pytest.mark.parametrize("family,rank,order", [("A", 5, 100842), ("D", 5, 236196),
+                                               ("E", 6, 14480427)])
+def test_bridge_refusal_names_the_quotient_ceiling(family, rank, order):
+    """Past rank 4 at k = 1 the quotient at level k + h is what refuses, and
+    the one-line refusal names |Z_k| and its ceiling."""
+    with pytest.raises(ResourceLimitError) as err:
+        compare_shifted(build_root_system(LieType(family, rank)), 1)
+    assert f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING}" in str(err.value)
+    assert len(str(err.value).splitlines()) == 1
 
 
 def test_bridge_rejects_non_simply_laced():

@@ -1000,6 +1000,63 @@ def test_eta_symbol_at_i_b_is_the_hand_derived_kernel(k, s, branch):
         assert all(c.real == 0 for c in got[:3])
 
 
+def _numpy_eta_symbol(params, sigma, generator):
+    """Oracle for _eta_symbol: the same Schur complement of the inner form Q
+    by numpy linear algebra, np.linalg.inv for Q^-1 and the product of the
+    principal roots of np.linalg.eigvals(-Q) for sqrt(det(-Q))."""
+    am, bm, cm, pm = _mehler_symbol(params, sigma)
+    ap, bp, cp, pp = _mehler_symbol(params, sigma, inverse=True)
+    j_const, omega = _rank_one_phases()
+    if generator == "S":
+        quad, pg = np.array([[cm, 1j * math.pi], [1j * math.pi, ap]]), j_const
+    else:
+        quad, pg = np.array([[cm - 1j * math.pi + ap]]), omega
+    inv = np.linalg.inv(quad)
+    exponents = (am - bm * bm * inv[0, 0] / 4, -bm * bp * inv[0, -1] / 2,
+                 cp - bp * bp * inv[-1, -1] / 4)
+    p = pm * pg * pp * math.pi ** (len(quad) / 2) / np.prod(np.sqrt(np.linalg.eigvals(-quad)))
+    return tuple(1j * e.imag for e in exponents) + (complex(p),)
+
+
+@pytest.mark.parametrize("k, s", [(1, 0.0), (2, 0.0), (2, 1.0), (2, -2.5), (3, 2.5), (5, 3.0),
+                                  (5, -15.0)] + LARGE_COUPLINGS)
+def test_eta_symbol_matches_the_numpy_schur_complement(k, s):
+    """The closed-form 1 x 1 and 2 x 2 Schur complement gives the numpy
+    oracle's symbol at every sigma of ETA_SIGMAS, both branches and both
+    generators: A, B and C to 1e-14 of max(|entry|, alpha |t|/k), the size
+    of the two terms that cancel in A and C as |s|/k grows, and p to 1e-14
+    relative.  Measured at most 4e-16 of that scale; relative to |A| alone
+    the two differ by up to 1.4e-14 at |s| <= 3k and 8.5e-8 at k = 1,
+    s = -1e4, sigma = 0.3+1.1i, where |A| = 8.6e-5."""
+    for branch in ("principal", "flipped"):
+        params = solve_params(k, s, branch)
+        for sigma in ETA_SIGMAS:
+            sigma = params.sigma if sigma is None else sigma
+            scale = alpha_constant(sigma) * abs(params.t) / k
+            for generator in ("S", "T"):
+                got = _eta_symbol(params, sigma, generator)
+                want = _numpy_eta_symbol(params, sigma, generator)
+                for g, w in zip(got[:3], want[:3]):
+                    assert abs(g - w) <= 1e-14 * max(abs(w), scale), (branch, sigma, generator)
+                assert abs(got[3] - want[3]) <= 1e-14 * abs(want[3]), (branch, sigma, generator)
+
+
+def test_symbol_code_uses_no_numpy_linear_algebra():
+    """Symbols are composed in complex arithmetic: in heatkernel only the
+    Gram projector inside verify_conjugation calls np.linalg."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "cstorus"
+                      / "heatkernel.py").read_text())
+
+    def linalg(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "linalg"
+                   or isinstance(n, ast.alias) and "linalg" in n.name for n in ast.walk(node))
+    verify = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "verify_conjugation")
+    projector = next(node for node in ast.walk(verify)
+                     if isinstance(node, ast.FunctionDef) and node.name == "projector")
+    assert linalg(tree) == linalg(projector) > 0
+
+
 def test_verify_conjugation_applies_each_eta_once(monkeypatch):
     """Each eta_g is applied as one composed kernel: verify_conjugation makes
     at most 15 chirp-z applications (10 for the eta chains, 5 for route
@@ -1115,6 +1172,16 @@ def test_verify_conjugation_large_L_stays_finite():
     assert np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("apply", [heat_apply,
+                                   lambda f, p: eta_apply(f, EtaKernelSpec(0, "S", p))],
+                         ids=["heat_apply", "eta_apply"])
+def test_appliers_refuse_anything_but_grid_samples(apply):
+    """heat_apply and eta_apply take GridSamples1D only: a bare array is a
+    SchemaError naming its type, not an AttributeError."""
+    with pytest.raises(SchemaError, match="unsupported input type ndarray"):
+        apply(np.zeros(5), solve_params(2, 1.0))
+
+
 def test_truncation_error_reads_every_truncated_end():
     """heat_apply bounds its line at both ends; eta_apply at the right end
     only, since y = 0 is the fold of its domain."""
@@ -1130,9 +1197,9 @@ def test_truncation_error_reads_every_truncated_end():
 def test_one_bluestein_operator():
     """Every Gaussian-phase kernel goes through the one chirp-z operator:
     in heatkernel only _bilinear_phase touches np.fft, there is no second
-    (folded) implementation, rho, the symbol kernel _kernel and
-    wgz.prequantum_S call _bilinear_phase, and the eta and heat kernels
-    and verify_conjugation call _kernel; eta_apply and verify_conjugation
+    (folded) implementation, the symbol kernel _kernel and
+    wgz.prequantum_S call _bilinear_phase, and rho, the eta and heat
+    kernels and verify_conjugation call _kernel; eta_apply and verify_conjugation
     both read eta from _eta_symbol, its one construction."""
     src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
     trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("heatkernel", "wgz")}
@@ -1145,7 +1212,7 @@ def test_one_bluestein_operator():
                         or isinstance(sub, ast.alias) and "fft" in sub.name
                         for sub in ast.walk(node))}
     assert fft_users == {"_bilinear_phase"}
-    for module, name, callee in [("heatkernel", "_rho", "_bilinear_phase"),
+    for module, name, callee in [("heatkernel", "_rho", "_kernel"),
                                  ("heatkernel", "_kernel", "_bilinear_phase"),
                                  ("wgz", "prequantum_S", "_bilinear_phase"),
                                  ("heatkernel", "eta_apply", "_kernel"),
