@@ -1,7 +1,8 @@
 """Sweep the finite sector matrices over families and levels and print the
-modular relation residuals."""
+modular relation residuals; exit 1 if any row fails."""
 
 import argparse
+import sys
 import time
 
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
@@ -17,6 +18,7 @@ def main():
     args = ap.parse_args()
     conv = Convention.from_name(args.convention)
     start = time.monotonic()
+    failed = 0
     print(f"{'type':>5} {'k':>3} {'sector':>6} {'dim':>4} "
           f"{'S^4=Id':>10} {'braid':>10} {'unitary':>10}")
     for fam, rank, kmax in SWEEP:
@@ -26,12 +28,14 @@ def main():
                 m = rep_matrices(rs, k, sector, convention=conv)
                 rep = verify_sl2z(m)
                 flag = "" if rep.passed else "  FAIL"
+                failed += not rep.passed
                 print(f"{fam}{rank:>4} {k:>3} {sector:>6} {m.dim:>4} "
                       f"{rep.residual_s4:>10.2e} {rep.residual_braid:>10.2e} "
                       f"{max(rep.residual_s_unitary, rep.residual_t_unitary):>10.2e}"
                       f"{flag}")
     print(f"elapsed: {time.monotonic() - start:.2f} s")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

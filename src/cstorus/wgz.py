@@ -16,19 +16,24 @@ fold, and every gamma shares that one fftn.  The inverse is its adjoint: one
 ifftn, read off once per gamma-hat at a shifted frequency.
 
 Everything that depends on the grid alone is planned once and cached on the
-GridSpec: the half-angle phase e^{-pi i <p, q>_k} over cell pairs (C x C for
-C = N^n cells); per theta1 offset, the (C, S) box gather index of the S
+GridSpec: the half-angle phase e^{-pi i <p, q>_k} over cell pairs as n
+factors R_a[p_a, q] of shape (N, C), C = N^n cells (in rank one R_0 is the
+whole C x C table); per theta1 offset, the (C, S) box gather index of the S
 lattice shifts kept, sorted by residue mod N so that the fold is one
-reduceat, and their gamma modulation; the (|Z|, B^n) flat read-off index of
-the inverse, built after its alias check; and the gather index and phase of
-each section operator.  A forward call then gathers and modulates a C x S
-block, folds it into its C x C result and runs fftn and the phases in place
-there; an inverse call fills one C x C buffer with the samples times the
-conjugate half-angle phase, runs ifftn in place and gathers the family from
-it.  So each call allocates one C x C array besides O(C S) and the |Z| B^n
-family, and no (cells x box points) matrix is formed.  A grid whose section
-samples (N^(2n)) or family values (|Z| B^n) exceed WGZ_ARRAY_CEILING complex
-entries is refused before any array is allocated.
+reduceat, and their gamma modulation; the read-off of every family entry
+from the inverse, built after its alias check and grouped by row blocks of
+whole leading-axis slices of at most 2^16 entries; and the gather index and
+phase of each section operator.  A forward call gathers and modulates a
+C x S block, folds it into its C x C result and runs fftn and the phase
+factors in place there.  An inverse call takes one row block at a time:
+the samples times the conjugate phase, one ifftn, and the block's read-off
+entries scattered into the family.  quasi_periodicity_residual builds one
+translate at a time and compares it with e_lambda s a row block at a time.
+So a transform holds its input, its output, O(C S) and O(n N C + 2^16)
+scratch, and no C x C buffer or (cells x box points) matrix; a round trip
+holds two sections.  A grid whose section samples (N^(2n)) or family values
+(|Z| B^n) exceed WGZ_ARRAY_CEILING complex entries is refused before any
+array is allocated.
 
 Z, its numerators and the integer kG all come from one QuotientGroup
 (lattice.quotient_group): on a grid it is spec.quotient(), built once and
@@ -40,7 +45,6 @@ norm of Z, as finrep.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +53,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, SchemaError
+from .finrep import _ONE_THREAD_MADDS, _product
 from .heatkernel import _bilinear_phase
 from .lattice import QuotientGroup, quotient_group
 from .roots import RootSystem
@@ -388,29 +393,32 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray) -
     out[:, plan.residues] = np.add.reduceat(shifted, plan.starts, axis=1)
     grid = out.reshape((-1,) + (nn,) * n)
     np.fft.fftn(grid, axes=range(1, n + 1), out=grid)
-    out *= _half_angle_phase(spec)
+    by_digit = out.reshape((nn,) * n + (-1,))      # row p as its n digits
+    for a, factor in enumerate(_half_angle_phase(spec)):
+        by_digit *= _on_row_axis(factor, a, n)
     if off1.any():
         out *= np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
     return out
 
 
-def _half_angle_phase(spec: GridSpec) -> np.ndarray:
-    """e^{-pi i <p, q>_k} over cell pairs (p, q), shape (C, C), cached: the
-    product over axis pairs (a, b) of the N x N tables
-    e^{-pi i kG_ab p_a q_b / N^2}, broadcast over the other axes."""
+def _half_angle_phase(spec: GridSpec) -> Tuple[np.ndarray, ...]:
+    """e^{-pi i <p, q>_k} over cell pairs (p, q) as n factors, cached: the
+    phase is the product over axes a of R_a[p_a, q] = e^{-pi i p_a (kG q)_a
+    / N^2}, each of shape (N, C) and one exp of an exact integer exponent
+    (in rank one R_0 is the whole C x C table)."""
     if "half_angle" not in spec._cache:
-        n, nn = spec.n, spec.divisions
-        kg = spec.quotient().kg
-        pq = np.outer(np.arange(nn), np.arange(nn))
-
-        def table(a, b):
-            shape = [1] * (2 * n)
-            shape[a] = shape[n + b] = nn
-            return np.exp(-1j * math.pi * (pq * kg[a, b] / nn ** 2)).reshape(shape)
-
-        out = functools.reduce(np.multiply, (table(a, b) for a in range(n) for b in range(n)))
-        spec._cache["half_angle"] = out.reshape(nn ** n, nn ** n)
+        nn = spec.divisions
+        kq = spec.cell_coords() @ spec.quotient().kg    # (C, n); kG is symmetric
+        p = np.arange(nn)[:, None]
+        spec._cache["half_angle"] = tuple(
+            np.exp(-1j * math.pi * (p * kq[:, a] / nn ** 2)) for a in range(spec.n))
     return spec._cache["half_angle"]
+
+
+def _on_row_axis(factor: np.ndarray, a: int, n: int) -> np.ndarray:
+    """A (P, C) factor of row digit p_a, shaped to broadcast against a
+    (..., N, ..., C) view of C x C rows with p_a on axis a."""
+    return factor.reshape((1,) * a + (len(factor),) + (1,) * (n - 1 - a) + (-1,))
 
 
 def wgz_forward(f: GridFunctionFamily) -> SectionSamples:
@@ -441,11 +449,22 @@ def alias_margin(spec: GridSpec) -> int:
     return best - 2 * spec.half_width * nn
 
 
-def _inverse_plan(spec: GridSpec) -> np.ndarray:
-    """Flat index (|Z|, B^n) into the C x C inverse DFT of the read-off of
-    every box point m = p + ghat + N nu: row p, frequency (y + kG nu) mod N
-    with y = kG ghat.  Built once per grid, after the alias check, which
-    raises DomainError on a grid too coarse for alias-free inversion."""
+@dataclass(frozen=True)
+class _InversePlan:
+    """Row blocks of the inverse and the family entries each one feeds."""
+    rows: int            # C x C rows per block: whole leading-axis slices
+    bounds: np.ndarray   # (blocks + 1,) runs of `order` read from each block
+    order: np.ndarray    # (|Z| B^n,) flat family entries, by block and offset
+    offset: np.ndarray   # (|Z| B^n,) flat offset in its block of each entry
+
+
+def _inverse_plan(spec: GridSpec) -> _InversePlan:
+    """The read-off of every box point m = p + ghat + N nu from the C x C
+    inverse DFT, at row p and frequency (y + kG nu) mod N with y = kG ghat,
+    grouped by blocks of whole leading-axis slices of at most
+    _ONE_THREAD_MADDS entries (one slice when a slice alone is larger).
+    Built once per grid, after the alias check, which raises DomainError on
+    a grid too coarse for alias-free inversion."""
     if "inverse" not in spec._cache:
         margin = alias_margin(spec)
         if margin <= 0:
@@ -471,8 +490,43 @@ def _inverse_plan(spec: GridSpec) -> np.ndarray:
             freq = sum(on_axis(nu[:, a] * kg[a, b], a) for a in range(n))
             freq += y[:, b].reshape((-1,) + (1,) * n)
             index = index + freq % nn * nn ** (n - 1 - b)
-        spec._cache["inverse"] = index.reshape(len(gam), -1)
+        index = index.reshape(-1)
+        cells = nn ** n
+        slices = max(1, _ONE_THREAD_MADDS // (cells * cells // nn))
+        rows = slices * (cells // nn)
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        bounds = np.searchsorted(index, np.arange(0, cells + rows, rows) * cells)
+        spec._cache["inverse"] = _InversePlan(rows=rows, bounds=bounds, order=order,
+                                              offset=index % (rows * cells))
     return spec._cache["inverse"]
+
+
+def _inverse_readoff(s: SectionSamples) -> np.ndarray:
+    """The inverse before F_Z, shape (|Z|, B^n): one row block at a time,
+    the samples times the conjugate half-angle phase, one ifftn over q, and
+    the block's read-off entries scattered into the family."""
+    spec = s.spec
+    n, nn = spec.n, spec.divisions
+    cells = nn ** n
+    plan = _inverse_plan(spec)
+    lead, *rest = _half_angle_phase(spec)
+    rest = [np.conjugate(factor) for factor in rest]
+    buf = np.empty(plan.rows * cells, dtype=complex)
+    fam = np.empty(s.quotient.order * spec.box_points_per_axis ** n, dtype=complex)
+    slab = cells // nn                      # rows of one leading-axis slice
+    for b, lo in enumerate(range(0, cells, plan.rows)):
+        hi = min(lo + plan.rows, cells)
+        block = buf[:(hi - lo) * cells].reshape((-1,) + (nn,) * (n - 1) + (cells,))
+        np.conjugate(_on_row_axis(lead[lo // slab:hi // slab], 0, n), out=block)
+        for a, factor in enumerate(rest, 1):
+            block *= _on_row_axis(factor, a, n)
+        block *= s.values[lo:hi].reshape(block.shape)
+        grid = block.reshape((-1,) + (nn,) * n)
+        np.fft.ifftn(grid, axes=range(1, n + 1), out=grid)
+        run = slice(plan.bounds[b], plan.bounds[b + 1])
+        fam[plan.order[run]] = buf[plan.offset[run]]
+    return fam.reshape(s.quotient.order, -1)
 
 
 def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
@@ -481,31 +535,36 @@ def wgz_inverse(s: SectionSamples) -> GridFunctionFamily:
     Requires an alias-free grid (alias_margin(spec) > 0); otherwise the
     periodic quadrature folds distant box points onto each other.
     """
-    spec, quotient = s.spec, s.quotient
-    n, nn = spec.n, spec.divisions
-    readoff = _inverse_plan(spec)
     # Half-angle Fourier sum back to the box point m = p + ghat + N nu:
     #   mean_q s[p, q] e^{-pi i <p, q>_k} e^{2 pi i <m, q>_k}
     #   = mean_q s[p, q] e^{pi i <p, q>_k} e^{2 pi i (y + kG nu).q / N},
     # with y = kG ghat integral: one inverse DFT over q serves every ghat,
     # read off at (y + kG nu) mod N.  This is the adjoint of the forward.
-    coef = np.conjugate(_half_angle_phase(spec))
-    coef *= s.values
-    grid = coef.reshape((-1,) + (nn,) * n)
-    np.fft.ifftn(grid, axes=range(1, n + 1), out=grid)
-    return apply_finite_fourier(GridFunctionFamily(spec, quotient, coef.take(readoff)))
+    # The read-off's block scratch is freed before F_Z allocates its output.
+    return apply_finite_fourier(GridFunctionFamily(s.spec, s.quotient, _inverse_readoff(s)))
+
+
+_VDOT_CHUNK = 8192
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) summed over chunks of _VDOT_CHUNK entries, which zdotc
+    runs on the calling thread; it wakes the OpenBLAS pool above ~12 000."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    return sum((complex(np.vdot(a[i:i + _VDOT_CHUNK], b[i:i + _VDOT_CHUNK]))
+                for i in range(0, a.size, _VDOT_CHUNK)), 0j)
 
 
 def inner_family(f: GridFunctionFamily, g: GridFunctionFamily) -> complex:
     """<f, g> = sum_gamma int f conj(g) dvol_k by the box trapezoid rule."""
-    return complex(np.vdot(g.values, f.values)) * f.spec.cell_volume()
+    return _vdot(g.values, f.values) * f.spec.cell_volume()
 
 
 def inner_section(s1: SectionSamples, s2: SectionSamples) -> complex:
     """(1/Vol Lambda) double integral over F_Lambda^2 with dvol_k."""
     spec = s1.spec
     vol = math.sqrt(float(np.linalg.det(s1.quotient.kg)))
-    return complex(np.vdot(s2.values, s1.values)) * vol / spec.divisions ** (2 * spec.n)
+    return _vdot(s2.values, s1.values) * vol / spec.divisions ** (2 * spec.n)
 
 
 def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
@@ -519,15 +578,20 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
         translations += [(0 * eye[j], eye[j]) for j in range(spec.n)]
         translations += [(eye[0], eye[-1 % spec.n])]
     cell = spec.cell_coords() / nn
+    rows = max(1, _ONE_THREAD_MADDS // len(cell))
     worst = 0.0
     for mu1, mu2 in translations:
         if np.abs(mu1).max() >= spec.half_width:
             continue
+        # one translate at a time (freed before the next one is built),
+        # compared with e_lambda s a row block at a time
         lhs = _forward_values(f, np.asarray(mu1), np.asarray(mu2))
-        mult = multiplier_eval(rs, k, mu1, mu2, cell[:, None], cell[None, :])
-        mult *= s.values
-        lhs -= mult
-        worst = max(worst, float(np.abs(lhs).max()))
+        for lo in range(0, len(cell), rows):
+            diff = multiplier_eval(rs, k, mu1, mu2, cell[lo:lo + rows, None], cell[None, :])
+            diff *= s.values[lo:lo + rows]
+            np.subtract(lhs[lo:lo + rows], diff, out=diff)
+            worst = max(worst, float(np.abs(diff).max()))
+        del lhs
     return worst
 
 
@@ -540,7 +604,7 @@ def apply_finite_fourier(f: GridFunctionFamily, inverse: bool = False
     sign = -2j if inverse else 2j
     roots = np.exp(sign * math.pi * np.arange(z.denom) / z.denom) / math.sqrt(z.order)
     mat = roots[z.pair(z.numerators, z.numerators)]
-    return GridFunctionFamily(f.spec, z, mat @ f.values)
+    return GridFunctionFamily(f.spec, z, _product(mat, f.values))
 
 
 def prequantum_T(f: GridFunctionFamily) -> GridFunctionFamily:
@@ -639,8 +703,8 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
     quotient = spec.quotient()
     rng = np.random.default_rng(seed)
     worst_rt = worst_parseval = decay = 0.0
-    # one family and section at a time: the first for quasi-periodicity,
-    # the previous one for Parseval
+    # one family and section at a time: quasi-periodicity on the first as
+    # soon as it is built, Parseval against the previous one
     for i in range(trials):
         f = (gaussian_family(spec, quotient) if i == 0
              else random_gaussian_poly_family(spec, quotient, rng))
@@ -650,14 +714,13 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
         worst_rt = max(worst_rt,
                        float(np.abs(back.values - f.values).max()) / scale)
         if i == 0:
-            first = f, s
+            qp = quasi_periodicity_residual(f, s)
         else:
             lhs = inner_section(prev[1], s)
             rhs = inner_family(prev[0], f)
             worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(abs(rhs), 1e-30))
         decay = max(decay, s.truncation_error)
         prev = f, s
-    qp = quasi_periodicity_residual(*first)
     return {
         "type": str(rs.lie_type),
         "level": k,

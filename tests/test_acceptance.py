@@ -186,3 +186,37 @@ def test_rep_build_dim_512_artifact_memory(tmp_path):
     assert code == "0"
     assert float(peak_mb) < REP_BUILD_512_PEAK_MB < 291
     assert dims == ["512"] * 4
+
+
+# `wgz roundtrip` at N = 1440 (2 073 600 section samples, just under
+# WGZ_ARRAY_CEILING) with 4 trials peaked at 140.1-140.4 MB (2-vCPU VM, five
+# fresh runs): the rank-one half-angle table and two 33 MB sections. The
+# round trip it replaced held a C x C buffer per inverse, C x C multipliers
+# in the quasi-periodicity check and a third section, and peaked at 233 MB
+WGZ_ROUNDTRIP_1440_PEAK_MB = 155
+
+
+def test_wgz_roundtrip_at_the_array_ceiling_memory(tmp_path):
+    """`wgz roundtrip` of A1 k=2 at resolution 1440 with 4 trials, in a
+    fresh process, peaks below WGZ_ROUNDTRIP_1440_PEAK_MB, measured by the
+    process itself, and passes its round trip and Parseval checks."""
+    out = tmp_path / "roundtrip.json"
+    child = ("import json, resource, sys\n"
+             "from cstorus.cli import main\n"
+             "code = main(['wgz', 'roundtrip', '--type', 'A', '--rank', '1', '--level', '2',\n"
+             "             '--resolution', '1440', '--box-radius', '6', '--trials', '4',\n"
+             "             '--out', sys.argv[1]])\n"
+             "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+             "with open(sys.argv[1]) as fh:\n"
+             "    rep = json.load(fh)['roundtrip']\n"
+             "print(code, peak_mb, rep['divisions'], rep['roundtrip_residual'],\n"
+             "      rep['parseval_relative_error'])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child, str(out)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, peak_mb, divisions, roundtrip, parseval = done.stdout.split()
+    assert code == "0" and divisions == "1440"
+    assert float(peak_mb) < WGZ_ROUNDTRIP_1440_PEAK_MB < 233
+    assert max(float(roundtrip), float(parseval)) < 1e-12

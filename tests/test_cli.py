@@ -723,6 +723,16 @@ def test_script_imports_and_shows_help(script):
     assert done.stdout.startswith("usage:")
 
 
+@pytest.mark.parametrize("convention,code", [("lemma", 0), ("theorem", 1)])
+def test_modular_sweep_exits_1_on_a_failed_row(convention, code):
+    """run_modular_sweep.py passes every row in the default convention and
+    exits 0; the rejected theorem convention fails rows and exits 1."""
+    script = Path(SRC).parent / "scripts" / "run_modular_sweep.py"
+    done = _python(str(script), "--convention", convention)
+    assert done.returncode == code, done.stderr
+    assert ("FAIL" in done.stdout) == bool(code)
+
+
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])
 def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
     """The sector's dimension at level k + h is checked before the oracle

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cstorus import wgz
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.heatkernel import _smooth_length
 from cstorus.lattice import quotient_group
@@ -188,10 +189,16 @@ TABLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 2.0), ("B", 2, 1, 3, 2.0),
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", TABLE_GRIDS)
 def test_half_angle_table_matches_dense_exp(fam, rank, k, res, radius):
-    """The product of per-axis-pair tables is the dense exp: identical in
-    rank one, within 5e-15 in rank two."""
+    """The product of the n per-axis factors R_a[p_a, q], each (N, C), is
+    the dense exp: identical in rank one, within 5e-15 in rank two."""
     _, spec, _ = make(fam, rank, k, res, radius)
-    got, want = _half_angle_phase(spec), half_angle_oracle(spec)
+    nn, cells = spec.divisions, spec.divisions ** rank
+    factors = _half_angle_phase(spec)
+    assert [r.shape for r in factors] == [(nn, cells)] * rank
+    got = np.ones((nn,) * rank + (cells,), dtype=complex)
+    for a, r in enumerate(factors):
+        got = got * r.reshape((1,) * a + (nn,) + (1,) * (rank - 1 - a) + (cells,))
+    got, want = got.reshape(cells, cells), half_angle_oracle(spec)
     if rank == 1:
         assert np.array_equal(got, want)
     else:
@@ -200,13 +207,46 @@ def test_half_angle_table_matches_dense_exp(fam, rank, k, res, radius):
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", TABLE_GRIDS + ORACLE_GRIDS[1:])
 def test_inverse_plan_matches_box_point_oracle(fam, rank, k, res, radius):
-    _, spec, _ = make(fam, rank, k, res, radius)
-    assert np.array_equal(_inverse_plan(spec), inverse_plan_oracle(spec))
+    """The blocked read-off, put back in family order, is the read-off index
+    of every box point; a block is whole leading-axis slices, of at most
+    2^16 entries unless one slice alone is larger."""
+    _, spec, q = make(fam, rank, k, res, radius)
+    plan = _inverse_plan(spec)
+    cells, slab = spec.divisions ** rank, spec.divisions ** (rank - 1)
+    assert plan.rows % slab == 0
+    assert plan.rows == slab or plan.rows * cells <= 2 ** 16
+    assert np.array_equal(np.sort(plan.order), np.arange(len(plan.order)))
+    block = np.repeat(np.arange(len(plan.bounds) - 1), np.diff(plan.bounds))
+    assert len(block) == len(plan.order) and plan.offset.max() < plan.rows * cells
+    index = np.empty(len(plan.order), dtype=np.int64)
+    index[plan.order] = plan.offset + block * (plan.rows * cells)
+    assert np.array_equal(index.reshape(q.order, -1), inverse_plan_oracle(spec))
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", [("A", 1, 1, 320, 2.0), ("A", 2, 1, 6, 3.0),
+                                                   ("G", 2, 1, 4, 1.5)])
+def test_inverse_and_quasi_periodicity_do_not_depend_on_the_block(monkeypatch, fam, rank, k,
+                                                                   res, radius):
+    """Row blocks only split the work: on grids of several blocks the inverse
+    and the quasi-periodicity residual are bit-identical to one block."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(6))
+    s = wgz_forward(f)
+    assert len(_inverse_plan(spec).bounds) > 2
+    blocked = wgz_inverse(s).values, quasi_periodicity_residual(f, s)
+    monkeypatch.setattr(wgz, "_ONE_THREAD_MADDS", spec.divisions ** (2 * rank))
+    _, spec1, _ = make(fam, rank, k, res, radius)
+    f1 = GridFunctionFamily(spec1, q, f.values)
+    s1 = wgz_forward(f1)
+    assert len(_inverse_plan(spec1).bounds) == 2
+    assert np.array_equal(wgz_inverse(s1).values, blocked[0])
+    assert quasi_periodicity_residual(f1, s1) == blocked[1]
 
 
 def test_one_fft_per_transform(monkeypatch):
-    """Every finite index rides on one fold and one FFT, and the half-angle
-    phase table is built once per grid."""
+    """Every finite index rides on one fold and one FFT; the inverse runs
+    one ifftn per row block, which is one on this grid, and the half-angle
+    factors are built once per grid."""
     rs, spec, q = make("B", 2, 2, 4, 1.0)
     assert q.order == 16
     calls = []
@@ -216,10 +256,11 @@ def test_one_fft_per_transform(monkeypatch):
                             lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
     s = wgz_forward(random_gaussian_poly_family(spec, q, np.random.default_rng(4)))
     assert calls == ["fftn"]
-    table = spec._cache["half_angle"]
+    factors = spec._cache["half_angle"]
     wgz_inverse(s)
+    assert len(_inverse_plan(spec).bounds) == 2
     assert calls == ["fftn", "ifftn"]
-    assert spec._cache["half_angle"] is table
+    assert spec._cache["half_angle"] is factors
 
 
 PLAN_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 3.0)]
@@ -234,13 +275,13 @@ def _transform_all(f):
 @pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
 def test_transforms_leave_inputs_and_cache_unchanged(fam, rank, k, res, radius):
     """The in-place FFTs and phase multiplies write only into buffers the
-    call allocated: inputs and the half-angle table are byte-equal after."""
+    call allocated: inputs and each half-angle factor are byte-equal after."""
     rs, spec, q = make(fam, rank, k, res, radius)
     f = random_gaussian_poly_family(spec, q, np.random.default_rng(10))
     f_bytes = f.values.tobytes()
     s = wgz_forward(f)
     s_bytes = s.values.tobytes()
-    table = spec._cache["half_angle"].tobytes()
+    factors = [r.tobytes() for r in spec._cache["half_angle"]]
     wgz_inverse(s)
     quasi_periodicity_residual(f, s)
     section_S(s)
@@ -248,7 +289,7 @@ def test_transforms_leave_inputs_and_cache_unchanged(fam, rank, k, res, radius):
     wgz_forward(f)
     assert f.values.tobytes() == f_bytes
     assert s.values.tobytes() == s_bytes
-    assert spec._cache["half_angle"].tobytes() == table
+    assert [r.tobytes() for r in spec._cache["half_angle"]] == factors
 
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
@@ -513,6 +554,37 @@ def test_prequantum_S_holds_one_padded_buffer():
     assert peak < 2 * f.values.nbytes + 3 * padded
 
 
+def test_wgz_inverse_holds_its_family_and_one_block():
+    """The inverse runs one row block of at most 2^16 entries at a time and
+    reads the half-angle phase from its (N, C) factors: on A2 k=1 res 30,
+    whose section is 13 MB, it peaks below its family plus 2 MB."""
+    rs, spec, q = make("A", 2, 1, 30, 2.0)
+    rng = np.random.default_rng(0)
+    shape = (spec.divisions ** 2,) * 2
+    s = SectionSamples(spec, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    wgz_inverse(s)      # the plan and the phase factors are cached on the grid
+    tracemalloc.start()
+    back = wgz_inverse(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < back.values.nbytes + 2e6
+
+
+def test_quasi_periodicity_holds_one_section_sized_array():
+    """One translate at a time, compared with e_lambda s a row block at a
+    time: besides the forward's C x S work arrays, one section-sized array
+    (A2 k=1 res 30)."""
+    rs, spec, q = make("A", 2, 1, 30, 2.0)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(0))
+    s = wgz_forward(f)
+    quasi_periodicity_residual(f, s)    # builds the plan of each translate
+    tracemalloc.start()
+    quasi_periodicity_residual(f, s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * s.values.nbytes
+
+
 def test_prequantum_T_on_single_index_gaussian():
     rs, spec, q = make("A", 1, 1, 24, 5.0)
     f = gaussian_family(spec, q, gamma_index=0)
@@ -625,8 +697,9 @@ def test_roundtrip_report_matches_all_families_at_once():
 
 
 def test_roundtrip_report_memory_flat_in_trials():
-    """Only the first and the previous family are kept, so peak memory does
-    not grow with the number of trials."""
+    """Only the previous family and section are kept (quasi-periodicity is
+    taken on the first one as soon as it is built), so peak memory does not
+    grow with the number of trials."""
     rs = build_root_system(LieType("A", 2))
     peaks = []
     for trials in (3, 12):
@@ -635,6 +708,19 @@ def test_roundtrip_report_memory_flat_in_trials():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_roundtrip_report_holds_two_sections():
+    """The previous section and the one being built are the only section-sized
+    arrays alive: with the forward's C x S block, the families and the
+    grid's plans, under 2.5 sections on A2 k=1 res 36 (27 MB each)."""
+    rs = build_root_system(LieType("A", 2))
+    spec = grid_spec_from_box(rs, 1, 36, 1.0)
+    tracemalloc.start()
+    roundtrip_report(rs, 1, 36, 1.0, trials=4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2.5 * 16 * spec.divisions ** 4
 
 
 def test_grid_over_ceiling_refused_before_allocation():
