@@ -76,10 +76,10 @@ class QuotientGroup:
         return np.einsum("...i,...i->...", x, x @ self.kg // self.denom) % (2 * self.denom)
 
 
-def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> QuotientGroup:
+def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
     """The finite abelian group (k-scaled dual lattice) / (coroot lattice);
     |Z_k| = det(k*gram1), the product of the Smith divisors in Python ints,
-    above max_order raises ResourceLimitError before any array is built."""
+    above Z_ORDER_CEILING raises ResourceLimitError before any array is built."""
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
     kg = [[k * e for e in row] for row in rs.gram1]
@@ -87,9 +87,9 @@ def quotient_group(rs: RootSystem, k: int, max_order: int = Z_ORDER_CEILING) -> 
     # columns of k*gram1; Smith form gives the cyclic decomposition.
     d, u, v = exact.smith_normal_form(kg)
     order = math.prod(d[i][i] for i in range(len(d)))
-    if order > max_order:
+    if order > Z_ORDER_CEILING:
         raise ResourceLimitError(
-            f"|Z_k| = {order} exceeds the ceiling {max_order} for {rs.lie_type}, k={k}")
+            f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING} for {rs.lie_type}, k={k}")
     d, u, v = (np.array(m, dtype=np.int64) for m in (d, u, v))
     divisors = np.diag(d).copy()
     denom = int(divisors[-1])

@@ -192,10 +192,10 @@ class RootSystem:
     def rank(self) -> int:
         return self.lie_type.rank
 
-    def weyl_group(self, max_elements: int = 100_000) -> WeylGroup:
+    def weyl_group(self) -> WeylGroup:
         key = "wg"
         if key not in self._weyl_cache:
-            self._weyl_cache[key] = generate_weyl_group(self, max_elements=max_elements)
+            self._weyl_cache[key] = generate_weyl_group(self)
         return self._weyl_cache[key]
 
     def summary(self) -> dict:

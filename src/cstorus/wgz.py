@@ -40,15 +40,17 @@ Z, its numerators and the integer kG all come from one QuotientGroup
 cached, and a family or section carries it as `quotient`, which must be Z
 of the grid's (type, k).  Row g of a family is the point of dense index g.
 F_Z and the Gauss factor G_Z read their phases from the integer pair and
-norm of Z, as finrep.
+norm of Z, as finrep, and the cell volume sqrt|Z| / N^n and the alias
+period (N^2 / D) kinv from its order and integer inverse.  The section
+operators take their phase from multiplier_eval, the one line-bundle
+multiplier.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -63,19 +65,20 @@ def multiplier_eval(rs: RootSystem, k: int, lam1, lam2, theta1, theta2):
     """Multiplier e_lambda(A) of the level-k line bundle over the torus pair.
 
     Returns (-1)^(<lam1,lam2>_k) * exp(-pi*i*(<theta1,lam2>_k - <lam1,theta2>_k))
-    with the parity exponent computed exactly.  theta1 and theta2 may be
-    arrays of shape (..., n) that broadcast against each other; the result
-    then has their broadcast shape without the last axis.
+    with the parity exponent computed exactly.  lam1, lam2, theta1 and theta2
+    may be arrays of shape (..., n) that broadcast against each other; the
+    result then has their broadcast shape without the last axis.
     """
     l1f, l2f = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
     if not (np.all(l1f % 1 == 0) and np.all(l2f % 1 == 0)):
         raise DomainError("multiplier lattice vectors must be integral coroot vectors")
     kg = k * np.array(rs.gram1, dtype=np.int64)
-    sign = -1.0 if int(l1f.astype(np.int64) @ kg @ l2f.astype(np.int64)) % 2 else 1.0
-    # kg is symmetric, so <lam1, theta2>_k = theta2 . (kg lam1); the phase is
+    l1, l2 = l1f.astype(np.int64), l2f.astype(np.int64)
+    sign = 1 - 2 * ((l1 @ kg * l2).sum(axis=-1) % 2)
+    # kg is symmetric, so <lam1, theta2>_k = theta2 . (lam1 kg); the phase is
     # one exp over theta1 times one exp over theta2, multiplied on broadcast
-    e1 = np.exp(-1j * math.pi * (np.asarray(theta1, dtype=float) @ (kg @ l2f)))
-    e2 = np.exp(1j * math.pi * (np.asarray(theta2, dtype=float) @ (kg @ l1f)))
+    e1 = np.exp(-1j * math.pi * (np.asarray(theta1, dtype=float) * (l2 @ kg)).sum(axis=-1))
+    e2 = np.exp(1j * math.pi * (np.asarray(theta2, dtype=float) * (l1 @ kg)).sum(axis=-1))
     return sign * e1 * e2
 
 
@@ -131,14 +134,6 @@ class GridSpec:
             self._cache["cell"] = _mesh(axes)
         return self._cache["cell"]
 
-    def shell_index(self) -> np.ndarray:
-        """Flat box indices of the outermost grid shell, cached."""
-        if "shell" not in self._cache:
-            mn = self.half_width * self.divisions
-            self._cache["shell"] = np.flatnonzero(
-                np.abs(self.box_coords()).max(axis=1) == mn)
-        return self._cache["shell"]
-
     def box_flat_index(self, coords: np.ndarray) -> np.ndarray:
         """Flat box index of integer coordinates; raises if out of the box."""
         mn = self.half_width * self.divisions
@@ -149,9 +144,8 @@ class GridSpec:
         return _ravel(shifted, (b,) * self.n)
 
     def cell_volume(self) -> float:
-        """dvol_k of one grid cell."""
-        det = float(np.linalg.det(self.quotient().kg))
-        return math.sqrt(det) / self.divisions ** self.n
+        """dvol_k of one grid cell, sqrt(det kG) / N^n with det kG = |Z|."""
+        return math.sqrt(self.quotient().order) / self.divisions ** self.n
 
     def lattice_shifts(self) -> np.ndarray:
         """Integer grid coordinates lam*N, shape (S, n), of the dual-lattice
@@ -241,48 +235,33 @@ class GridFunctionFamily:
                 f"grid family shape {self.values.shape} does not match {expected}")
 
     def boundary_decay(self) -> float:
-        """Sup of |f| on the outermost grid shell (Schwartz-truncation sanity)."""
-        return float(np.abs(self.values[:, self.spec.shell_index()]).max())
+        """Sup of |f| on the 2n faces of the box (Schwartz-truncation sanity)."""
+        cube = self.values.reshape((-1,) + (self.spec.box_points_per_axis,) * self.spec.n)
+        return float(max(np.abs(cube.take((0, -1), axis=a)).max() for a in range(1, cube.ndim)))
 
 
-def family_from_callable(spec: GridSpec, quotient: QuotientGroup,
-                         fn) -> GridFunctionFamily:
-    """Sample fn(gamma_index, theta_coords_array) -> complex array on the box."""
+def gaussian_family(spec: GridSpec, quotient: QuotientGroup) -> GridFunctionFamily:
+    """Standard Gaussian e^{-pi <theta,theta>_k} on finite index 0, zero elsewhere."""
     coords = spec.box_coords() / spec.divisions
-    vals = np.stack([np.asarray(fn(g, coords), dtype=complex)
-                     for g in range(quotient.order)])
+    vals = np.zeros((quotient.order, len(coords)), dtype=complex)
+    vals[0] = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, quotient.kg, coords))
     return GridFunctionFamily(spec, quotient, vals)
 
 
-def gaussian_family(spec: GridSpec, quotient: QuotientGroup,
-                    gamma_index: int = 0) -> GridFunctionFamily:
-    """Standard Gaussian e^{-pi <theta,theta>_k} supported on one finite index."""
-    kg = quotient.kg
-
-    def fn(g, coords):
-        if g != gamma_index:
-            return np.zeros(len(coords), dtype=complex)
-        q = np.einsum("pi,ij,pj->p", coords, kg, coords)
-        return np.exp(-math.pi * q).astype(complex)
-
-    return family_from_callable(spec, quotient, fn)
-
-
 def random_gaussian_poly_family(spec: GridSpec, quotient: QuotientGroup,
-                                rng: np.random.Generator,
-                                max_degree: int = 3) -> GridFunctionFamily:
-    """Random polynomial-times-Gaussian family, one random profile per index,
+                                rng: np.random.Generator) -> GridFunctionFamily:
+    """Random cubic-polynomial-times-Gaussian family, one profile per index,
     from one draw; summed a degree at a time, so two family arrays at most."""
-    n, kg = spec.n, quotient.kg
+    n, kg, degree = spec.n, quotient.kg, 3
     coords = spec.box_coords() / spec.divisions
     env = np.exp(-math.pi * np.einsum("pi,ij,pj->p", coords, kg, coords))
     # per index and degree: re c, im c, re a, im a of the term (theta.c)^d a
-    z = rng.standard_normal((quotient.order, max_degree + 1, 2 * n + 2))
+    z = rng.standard_normal((quotient.order, degree + 1, 2 * n + 2))
     c = z[..., :n] + 1j * z[..., n:2 * n]
     a = z[..., 2 * n] + 1j * z[..., 2 * n + 1]
     vals = np.zeros((quotient.order, len(coords)), dtype=complex)
     term = np.empty_like(vals)
-    for d in range(max_degree + 1):
+    for d in range(degree + 1):
         np.einsum("zi,pi->zp", c[:, d], coords, out=term)
         term **= d
         term *= a[:, d, None]
@@ -297,7 +276,6 @@ class SectionSamples:
     spec: GridSpec
     quotient: QuotientGroup
     values: np.ndarray        # complex, shape (N^n, N^n)
-    truncation_error: float = 0.0
 
     def __post_init__(self):
         _check_quotient(self.spec, self.quotient)
@@ -425,8 +403,7 @@ def wgz_forward(f: GridFunctionFamily) -> SectionSamples:
     """Transform a function family into section samples on F_Lambda^2."""
     n = f.spec.n
     vals = _forward_values(f, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
-    return SectionSamples(f.spec, f.quotient, vals,
-                          truncation_error=f.boundary_decay())
+    return SectionSamples(f.spec, f.quotient, vals)
 
 
 def alias_margin(spec: GridSpec) -> int:
@@ -435,18 +412,13 @@ def alias_margin(spec: GridSpec) -> int:
     The periodic trapezoid sum in wgz_inverse identifies frequencies that
     differ by a vector of N^2 * (k gram1)^{-1} Z^n; reconstruction is exact
     only when the shortest such vector (max-norm, grid units) exceeds the
-    box diameter 2*M*N.  Returns shortest - diameter (positive = safe).
+    box diameter 2*M*N.  Returns shortest - diameter (positive = safe), with
+    N^2 (kG)^{-1} = (N^2 / D) kinv integral and x != 0 in {-2..2}^n.
     """
-    n, nn = spec.n, spec.divisions
-    dual = np.linalg.inv(spec.quotient().kg) * nn ** 2
-    best = None
-    for x in itertools.product(range(-2, 3), repeat=n):
-        if all(v == 0 for v in x):
-            continue
-        vec = dual @ np.asarray(x, dtype=float)
-        m = int(np.rint(np.abs(vec).max()))
-        best = m if best is None else min(best, m)
-    return best - 2 * spec.half_width * nn
+    n, nn, z = spec.n, spec.divisions, spec.quotient()
+    x = _mesh([np.arange(-2, 3)] * n)
+    images = x[x.any(axis=1)] @ z.kinv.T * (nn * nn // z.denom)
+    return int(np.abs(images).max(axis=1).min()) - 2 * spec.half_width * nn
 
 
 @dataclass(frozen=True)
@@ -563,20 +535,17 @@ def inner_family(f: GridFunctionFamily, g: GridFunctionFamily) -> complex:
 def inner_section(s1: SectionSamples, s2: SectionSamples) -> complex:
     """(1/Vol Lambda) double integral over F_Lambda^2 with dvol_k."""
     spec = s1.spec
-    vol = math.sqrt(float(np.linalg.det(s1.quotient.kg)))
-    return _vdot(s2.values, s1.values) * vol / spec.divisions ** (2 * spec.n)
+    return _vdot(s2.values, s1.values) * spec.cell_volume() / spec.divisions ** spec.n
 
 
-def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples,
-                               translations: Optional[List] = None) -> float:
+def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples) -> float:
     """Sup residual of s(A + lambda) = e_lambda(A) s(A) over coroot translations."""
     spec = f.spec
     rs, k, nn = spec.rs, spec.k, spec.divisions
-    if translations is None:
-        eye = np.eye(spec.n, dtype=int)
-        translations = [(eye[j], 0 * eye[j]) for j in range(spec.n)]
-        translations += [(0 * eye[j], eye[j]) for j in range(spec.n)]
-        translations += [(eye[0], eye[-1 % spec.n])]
+    eye = np.eye(spec.n, dtype=int)
+    translations = [(eye[j], 0 * eye[j]) for j in range(spec.n)]
+    translations += [(0 * eye[j], eye[j]) for j in range(spec.n)]
+    translations += [(eye[0], eye[-1])]
     cell = spec.cell_coords() / nn
     rows = max(1, _ONE_THREAD_MADDS // len(cell))
     worst = 0.0
@@ -655,7 +624,7 @@ def _section_plan(spec: GridSpec, name: str):
     """Flat gather index into the C x C samples and phase of section_S or
     section_T, cached per grid.  Both read psi(a, b) with a a cell and b a
     grid point; b = c + N mu with c its cell, and quasi-periodicity gives
-    psi(a, b) = e^{-pi i <a, mu>_k} psi(a, c)."""
+    psi(a, b) = e_{(0, mu)}(a, c) psi(a, c) = e^{-pi i <a, mu>_k} psi(a, c)."""
     key = "section_" + name
     if key not in spec._cache:
         nn, cell = spec.divisions, spec.cell_coords()
@@ -669,8 +638,8 @@ def _section_plan(spec: GridSpec, name: str):
         c = b % nn
         mu = (b - c) // nn
         gather = a * len(cell) + _ravel(c, (nn,) * spec.n)
-        expo = np.einsum("pqi,pqi->pq", (cell @ spec.quotient().kg)[a], mu)
-        spec._cache[key] = gather, np.exp(-1j * math.pi * expo / nn)
+        spec._cache[key] = gather, multiplier_eval(spec.rs, spec.k, np.zeros(spec.n), mu,
+                                                   cell[a] / nn, c / nn)
     return spec._cache[key]
 
 
@@ -678,7 +647,7 @@ def _apply_section(s: SectionSamples, name: str) -> SectionSamples:
     gather, phase = _section_plan(s.spec, name)
     out = s.values.take(gather)
     out *= phase
-    return SectionSamples(s.spec, s.quotient, out, s.truncation_error)
+    return SectionSamples(s.spec, s.quotient, out)
 
 
 def section_S(s: SectionSamples) -> SectionSamples:
@@ -719,7 +688,7 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
             lhs = inner_section(prev[1], s)
             rhs = inner_family(prev[0], f)
             worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-        decay = max(decay, s.truncation_error)
+        decay = max(decay, f.boundary_decay())
         prev = f, s
     return {
         "type": str(rs.lie_type),

@@ -1,6 +1,7 @@
 """Lattice transform: multiplier, round trips, unitarity, operator intertwining."""
 
 import ast
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -16,15 +17,18 @@ from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
                          SectionSamples, _forward_plan, _forward_values,
-                         _half_angle_phase, _inverse_plan, alias_margin,
-                         apply_finite_fourier, family_from_callable,
-                         gaussian_family, grid_spec_from_box, inner_family,
-                         inner_section, multiplier_eval, prequantum_S,
-                         prequantum_T, quasi_periodicity_residual,
+                         _half_angle_phase, _inverse_plan, _section_plan,
+                         alias_margin, apply_finite_fourier, gaussian_family,
+                         grid_spec_from_box, inner_family, inner_section,
+                         multiplier_eval, prequantum_S, prequantum_T,
+                         quasi_periodicity_residual,
                          random_gaussian_poly_family, roundtrip_report,
                          section_S, section_T, weyl_action, wgz_forward,
                          wgz_inverse)
 from fraction_oracle import pairing1
+
+
+EPS = np.finfo(float).eps
 
 
 def make(fam, rank, k, resolution, radius):
@@ -337,6 +341,59 @@ def test_section_operators_match_cell_by_cell_oracle(fam, rank, k, divisions):
     assert np.abs(section_T(s).values - section_oracle(s, "T")).max() <= 1e-13
 
 
+def section_phase_oracle(spec, name):
+    """The phase table of section_S or section_T from its exact integer
+    exponent: e^{-pi i <a, mu>_k / N} for psi(a, c + N mu)."""
+    nn, cell = spec.divisions, spec.cell_coords()
+    rows = np.arange(len(cell))
+    if name == "S":
+        a = np.broadcast_to(rows[None, :], (len(cell),) * 2)
+        b = np.broadcast_to(-cell[:, None, :], a.shape + (spec.n,))
+    else:
+        a = np.broadcast_to(rows[:, None], (len(cell),) * 2)
+        b = cell[:, None, :] + cell[None, :, :]
+    mu = (b - b % nn) // nn
+    expo = np.einsum("pqi,pqi->pq", (cell @ spec.quotient().kg)[a], mu)
+    return np.exp(-1j * math.pi * expo / nn), np.abs(expo).max() / nn
+
+
+@pytest.mark.parametrize("fam,rank,k,divisions", [("A", 1, 2, 16), ("A", 1, 3, 96),
+                                                   ("A", 2, 1, 9), ("B", 2, 1, 6),
+                                                   ("G", 2, 3, 18), ("C", 3, 2, 8)])
+def test_section_phases_are_the_multiplier(fam, rank, k, divisions):
+    """The section plans take their phase from multiplier_eval at (0, mu)
+    and (a/N, c/N).  Its argument <a/N, mu>_k is formed from the inexact a/N,
+    so it departs from the exact-exponent table by a few ulps of the largest
+    argument: none at a power-of-two N, 7e-15 on G2 k=3 N=18."""
+    rs = build_root_system(LieType(fam, rank))
+    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=1)
+    for name in ("S", "T"):
+        want, arg = section_phase_oracle(spec, name)
+        got = _section_plan(spec, name)[1]
+        assert np.abs(got - want).max() <= 2 * EPS * math.pi * (1 + arg)
+        if divisions & (divisions - 1) == 0:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 1, 2), ("A", 2, 1), ("G", 2, 3), ("B", 3, 2),
+                                        ("D", 4, 1)])
+def test_multiplier_per_element_lattice_vectors_match_scalar_calls(fam, rank, k):
+    """lam1 and lam2 broadcast like theta: each entry is the scalar call, to
+    the one ulp by which numpy's array and scalar complex products differ."""
+    rs = build_root_system(LieType(fam, rank))
+    rng = np.random.default_rng(14)
+    l1, l2 = rng.integers(-3, 4, (2, 60, rank))
+    t1, t2 = rng.normal(size=(2, 60, rank))
+    got = multiplier_eval(rs, k, l1, l2, t1, t2)
+    want = [multiplier_eval(rs, k, *args) for args in zip(l1, l2, t1, t2)]
+    assert got.shape == (60,)
+    assert np.abs(got - want).max() <= 2 * EPS
+    # the parity per element: at theta = 0 the multiplier is the sign alone
+    zero = np.zeros(rank)
+    assert np.array_equal(multiplier_eval(rs, k, l1, l2, zero, zero).real,
+                          [multiplier_eval(rs, k, a, b, zero, zero).real for a, b in zip(l1, l2)])
+
+
 @pytest.mark.parametrize("fam,rank,k,res,radius,stride",
                          [("A", 1, 2, 32, 5.0, 1), ("A", 2, 1, 6, 3.0, 13)])
 def test_multiplier_broadcast_matches_pointwise_loop(fam, rank, k, res, radius,
@@ -415,7 +472,7 @@ def test_roundtrip_random_inputs_and_parseval():
 
 def test_forward_of_zero_is_zero():
     rs, spec, q = make("A", 1, 1, 16, 4.0)
-    f = family_from_callable(spec, q, lambda g, c: np.zeros(len(c)))
+    f = GridFunctionFamily(spec, q, np.zeros((q.order, spec.box_points_per_axis)))
     s = wgz_forward(f)
     assert np.abs(s.values).max() == 0
     assert np.abs(wgz_inverse(s).values).max() == 0
@@ -438,6 +495,40 @@ def test_alias_guard_raises_on_coarse_grid():
     s = wgz_forward(gaussian_family(spec, q))
     with pytest.raises(DomainError):
         wgz_inverse(s)
+
+
+def alias_margin_oracle(spec):
+    """alias_margin from the float inverse N^2 (kG)^{-1}, each image rounded
+    to the nearest grid unit, one x in {-2..2}^n at a time."""
+    n, nn = spec.n, spec.divisions
+    dual = np.linalg.inv(float_kg(spec)) * nn ** 2
+    best = None
+    for x in itertools.product(range(-2, 3), repeat=n):
+        if any(x):
+            m = int(np.rint(np.abs(dual @ np.asarray(x, dtype=float)).max()))
+            best = m if best is None else min(best, m)
+    return best - 2 * spec.half_width * nn
+
+
+LATTICE_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+                 ("D", 4)]
+
+
+@pytest.mark.parametrize("fam,rank", LATTICE_TYPES)
+def test_alias_margin_and_cell_volume_match_float_oracles(fam, rank):
+    """The integer dual period (N^2 / D) kinv gives the margin of the float
+    inverse on every grid, 3 levels x 5 divisions x 3 box widths per type;
+    the cell volume sqrt|Z| / N^n is sqrt(det kG) / N^n to 4e-16."""
+    rs = build_root_system(LieType(fam, rank))
+    for k in (1, 2, 3):
+        q = quotient_group(rs, k)
+        for mult in (1, 2, 3, 5, 8):
+            for half_width in (1, 2, 6):
+                spec = GridSpec(rs=rs, k=k, divisions=q.denom * mult,
+                                half_width=half_width, _cache={"quotient": q})
+                assert alias_margin(spec) == alias_margin_oracle(spec)
+            want = math.sqrt(np.linalg.det(float_kg(spec))) / spec.divisions ** rank
+            assert abs(spec.cell_volume() - want) <= 4e-16 * want
 
 
 def test_grid_spec_from_box_bumps_past_alias_limit():
@@ -527,10 +618,12 @@ def test_random_family_matches_sequential_draws(fam, rank, k, res, radius):
 
 def test_random_family_holds_two_family_arrays():
     """The degree-at-a-time sum keeps two |Z| x B^n arrays besides the
-    per-point coordinates and envelope (half a family each in A1)."""
+    per-point coordinates and envelope (half a family each in A1).  The
+    first call in a process allocates ~0.75 MB more, so one warm-up call
+    comes first and the bound holds whether the test runs alone or not."""
     rs = build_root_system(LieType("A", 1))
     spec = GridSpec(rs=rs, k=1, divisions=256, half_width=64)
-    spec.box_coords()
+    random_gaussian_poly_family(spec, quotient_group(rs, 1), np.random.default_rng(0))
     tracemalloc.start()
     f = random_gaussian_poly_family(spec, quotient_group(rs, 1), np.random.default_rng(0))
     peak = tracemalloc.get_traced_memory()[1]
@@ -587,7 +680,7 @@ def test_quasi_periodicity_holds_one_section_sized_array():
 
 def test_prequantum_T_on_single_index_gaussian():
     rs, spec, q = make("A", 1, 1, 24, 5.0)
-    f = gaussian_family(spec, q, gamma_index=0)
+    f = gaussian_family(spec, q)
     out = prequantum_T(f)
     # gamma = 0 carries finite phase 1; pointwise factor is e^{-pi i <t,t>_k}
     coords = spec.box_coords() / spec.divisions
@@ -745,6 +838,18 @@ def test_roundtrip_report_boundary_decay_covers_every_family():
     fams += [random_gaussian_poly_family(spec, q, rng) for _ in range(4)]
     decays = [f.boundary_decay() for f in fams]
     assert rep["boundary_decay"] == max(decays) > decays[0]
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius", [("A", 1, 2, 32, 0.1), ("A", 2, 1, 3, 0.5),
+                                                   ("G", 2, 1, 3, 0.5)])
+def test_boundary_decay_reads_the_outer_shell(fam, rank, k, res, radius):
+    """The 2n faces of the box are the points whose max-norm coordinate is
+    M N: boundary_decay is the sup of |f| over that shell, picked out point
+    by point."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    f = random_gaussian_poly_family(spec, q, np.random.default_rng(15))
+    shell = np.abs(spec.box_coords()).max(axis=1) == spec.half_width * spec.divisions
+    assert f.boundary_decay() == np.abs(f.values[:, shell]).max()
 
 
 @pytest.mark.parametrize("name", ["apply_finite_fourier", "prequantum_T"])
