@@ -2,9 +2,15 @@
 matrix construction and verification, transform round-trip reports, heat and
 conjugated-generator kernels, and the compact-theory comparison.
 
+One table, `_COMMANDS`, gives each command's runner, the flags it reads
+and which of them it requires; the parser, the config keys a command
+accepts, the requirement check and the dispatch are built from it.  A
+runner returns (payload, passed); `main` writes the artifact.
+
 All artifacts are deterministic JSON embedding the resolved configuration and
 the library version.  Exit codes: 0 success, 1 tolerance failure, 2 invalid
-configuration or domain, 3 resource ceiling exceeded.
+configuration or domain (argparse refusals among them, one stderr line each),
+3 resource ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -59,10 +65,12 @@ class RunConfig:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
-    """Start from a config file if given; explicit flags supersede it."""
+def _merge_config(args: argparse.Namespace, command: str, flags: list) -> RunConfig:
+    """Start from a config file if given; explicit flags supersede it. A
+    config key for no flag of the command, or a required flag ("!") left
+    unset, is an invalid configuration."""
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         # ValueError covers malformed JSON and an integer literal past
         # Python's int-from-string digit limit
         try:
@@ -73,21 +81,23 @@ def _merge_config(args: argparse.Namespace, command: str) -> RunConfig:
         if not isinstance(base, dict):
             raise SchemaError("config file must contain a JSON object")
     cfg = RunConfig(command=command)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    keys = [_dest(flag) for flag in flags]
     for key, val in base.items():
         if key == "command":
             continue
-        if key not in fields:
-            raise SchemaError(f"unknown config key {key!r}")
+        if key not in keys:
+            raise SchemaError(f"unknown config key {key!r} for {command}")
         setattr(cfg, key, val)
-    for key in fields:
-        if key == "command":
-            continue
-        val = getattr(args, key, None)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
     for f in dataclasses.fields(RunConfig):
         setattr(cfg, f.name, _checked(f.name, f.type, getattr(cfg, f.name)))
+    missing = [flag[:-1] for flag in flags
+               if flag.endswith("!") and getattr(cfg, _dest(flag)) is None]
+    if missing:
+        raise SchemaError(f"{command} requires {' and '.join(missing)}")
     return cfg
 
 
@@ -112,15 +122,7 @@ def _checked(key: str, declared: str, val):
 
 
 def _root_system(cfg: RunConfig):
-    if cfg.family is None or cfg.rank is None:
-        raise SchemaError("this command requires --type and --rank")
     return build_root_system(LieType(cfg.family, cfg.rank))
-
-
-def _require_level(cfg: RunConfig) -> int:
-    if cfg.level is None:
-        raise SchemaError("this command requires --level")
-    return cfg.level
 
 
 def _parse_complex(text: str) -> complex:
@@ -266,193 +268,156 @@ def _samples_payload(g) -> dict:
     }
 
 
-def _cmd_roots_info(cfg: RunConfig) -> int:
-    rs = _root_system(cfg)
-    _emit(cfg, {"roots": rs.summary()})
-    return EXIT_OK
+def _roots_info(cfg: RunConfig):
+    return {"roots": _root_system(cfg).summary()}, True
 
 
-def _cmd_lattice_enumerate(cfg: RunConfig) -> int:
-    rs = _root_system(cfg)
-    _emit(cfg, {"lattice": enumerate_report(rs, _require_level(cfg))})
-    return EXIT_OK
+def _lattice_enumerate(cfg: RunConfig):
+    return {"lattice": enumerate_report(_root_system(cfg), cfg.level)}, True
 
 
-def _cmd_rep(cfg: RunConfig, verify_only: bool) -> int:
-    rs = _root_system(cfg)
-    if cfg.sector is None:
-        raise SchemaError("rep commands require --sector")
-    mats = rep_matrices(rs, _require_level(cfg), cfg.sector,
+def _rep(cfg: RunConfig, verify_only: bool):
+    mats = rep_matrices(_root_system(cfg), cfg.level, cfg.sector,
                         convention=Convention.from_name(cfg.convention))
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    rep = verify_sl2z(mats, tol=tol)
+    rep = verify_sl2z(mats, tol=cfg.tol if cfg.tol is not None else 1e-10)
     payload = {"verification": rep.to_json_dict()}
     if not verify_only:
         payload["matrices"] = mats.to_json_dict()
-    _emit(cfg, payload)
-    return EXIT_OK if rep.passed else EXIT_TOLERANCE
+    return payload, rep.passed
 
 
-def _cmd_wgz_roundtrip(cfg: RunConfig) -> int:
+def _wgz_roundtrip(cfg: RunConfig):
     from .wgz import roundtrip_report
-    rs = _root_system(cfg)
-    rep = roundtrip_report(rs, _require_level(cfg), cfg.resolution, cfg.box_radius,
+    rep = roundtrip_report(_root_system(cfg), cfg.level, cfg.resolution, cfg.box_radius,
                            trials=cfg.trials, seed=cfg.seed)
-    _emit(cfg, {"roundtrip": rep})
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    ok = rep["roundtrip_residual"] < tol and rep["parseval_relative_error"] < tol
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return {"roundtrip": rep}, (rep["roundtrip_residual"] < tol
+                                and rep["parseval_relative_error"] < tol)
 
 
-def _require_rank_one(cfg: RunConfig) -> None:
-    """The kernel commands are rank one: --type and --rank may only name A1."""
+def _kernel_params(cfg: RunConfig) -> dict:
+    """The k, s and branch keywords of solve_params and verify_conjugation;
+    the kernel commands are rank one, so --type and --rank may only name A1."""
     if cfg.family not in (None, "A") or cfg.rank not in (None, 1):
         raise SchemaError(f"kernel commands support type A rank 1 only, "
                           f"got type {cfg.family} rank {cfg.rank}")
+    return {"k": cfg.level, "s": cfg.s, "branch": cfg.branch}
 
 
-def _kernel_params(cfg: RunConfig):
-    from .heatkernel import solve_params
-    if cfg.level is None or cfg.s is None:
-        raise SchemaError("kernel commands require --k and --s")
-    return solve_params(cfg.level, cfg.s, branch=cfg.branch)
+def _kernel_heat(cfg: RunConfig):
+    from .heatkernel import heat_apply, solve_params
+    kernel = _kernel_params(cfg)        # refuses a type other than A1 before the input is read
+    g = heat_apply(_load_samples(cfg.input), solve_params(**kernel))
+    return {"samples": _samples_payload(g)}, True
 
 
-def _cmd_kernel_heat(cfg: RunConfig) -> int:
-    from .heatkernel import heat_apply
-    _require_rank_one(cfg)
-    if not cfg.input:
-        raise SchemaError("kernel heat requires --input")
-    g = heat_apply(_load_samples(cfg.input), _kernel_params(cfg))
-    _emit(cfg, {"samples": _samples_payload(g)})
-    return EXIT_OK
-
-
-def _cmd_kernel_eta(cfg: RunConfig) -> int:
-    from .heatkernel import EtaKernelSpec, eta_apply
-    _require_rank_one(cfg)
-    if not cfg.input:
-        raise SchemaError("kernel eta requires --input")
-    if cfg.sector is None or cfg.generator is None:
-        raise SchemaError("kernel eta requires --sector and --generator")
+def _kernel_eta(cfg: RunConfig):
+    from .heatkernel import EtaKernelSpec, eta_apply, solve_params
     spec = EtaKernelSpec(sector=cfg.sector, generator=cfg.generator,
-                         params=_kernel_params(cfg))
-    g = eta_apply(_load_samples(cfg.input), spec)
-    _emit(cfg, {"samples": _samples_payload(g)})
-    return EXIT_OK
+                         params=solve_params(**_kernel_params(cfg)))
+    return {"samples": _samples_payload(eta_apply(_load_samples(cfg.input), spec))}, True
 
 
-def _cmd_kernel_verify(cfg: RunConfig) -> int:
+def _kernel_verify(cfg: RunConfig):
     from .heatkernel import verify_conjugation
-    _require_rank_one(cfg)
-    if cfg.level is None or cfg.s is None:
-        raise SchemaError("kernel verify requires --k and --s")
-    sigma = _parse_complex(cfg.sigma) if cfg.sigma else None
-    tol = cfg.tol if cfg.tol is not None else 1e-5
-    rep = verify_conjugation(cfg.level, cfg.s, sigma=sigma, L=cfg.L,
-                             tol=tol, grid_points=cfg.grid_points,
-                             box_radius=cfg.box_radius, branch=cfg.branch)
-    _emit(cfg, {"conjugation": rep})
-    return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
+    rep = verify_conjugation(**_kernel_params(cfg),
+                             sigma=_parse_complex(cfg.sigma) if cfg.sigma else None,
+                             L=cfg.L, tol=cfg.tol if cfg.tol is not None else 1e-5,
+                             grid_points=cfg.grid_points, box_radius=cfg.box_radius)
+    return {"conjugation": rep}, rep["passed"]
 
 
-def _cmd_compare_compact(cfg: RunConfig) -> int:
+def _compare_compact(cfg: RunConfig):
     from .compactcheck import compare_shifted
-    rs = _root_system(cfg)
-    rep = compare_shifted(rs, _require_level(cfg),
+    rep = compare_shifted(_root_system(cfg), cfg.level,
                           convention=Convention.from_name(cfg.convention))
-    _emit(cfg, {"compact": rep})
-    return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
+    return {"compact": rep}, rep["passed"]
+
+
+# (group, command): its runner and the flags it reads, a required one marked
+# "!". Every command also reads --config and --out.
+_REP_FLAGS = "--type! --rank! --level! --sector! --convention --tol"
+_COMMANDS = {
+    ("roots", "info"): (_roots_info, "--type! --rank!"),
+    ("lattice", "enumerate"): (_lattice_enumerate, "--type! --rank! --level!"),
+    ("rep", "build"): (lambda cfg: _rep(cfg, verify_only=False), _REP_FLAGS),
+    ("rep", "verify"): (lambda cfg: _rep(cfg, verify_only=True), _REP_FLAGS),
+    ("wgz", "roundtrip"): (_wgz_roundtrip, "--type! --rank! --level! --resolution "
+                           "--box-radius --trials --seed --tol"),
+    ("kernel", "heat"): (_kernel_heat, "--type --rank --k! --s! --branch --input!"),
+    ("kernel", "eta"): (_kernel_eta, "--type --rank --k! --s! --branch --sector! "
+                        "--generator! --input!"),
+    ("kernel", "verify"): (_kernel_verify, "--type --rank --k! --s! --branch --sigma --L "
+                           "--grid-points --box-radius --tol"),
+    ("compare", "compact"): (_compare_compact, "--type! --rank! --k! --convention"),
+}
+
+_GROUPS = {"roots": "root-system inspection", "lattice": "quotient and alcove enumeration",
+           "rep": "finite sector matrices", "wgz": "lattice transform checks",
+           "kernel": "heat and conjugated generator kernels", "compare": "compact-theory bridge"}
+
+_LEVEL = {"dest": "level", "type": int, "help": "level"}
+# add_argument's keywords per flag; --level and --k are one flag, spelt
+# first as the table names it
+_FLAGS = {
+    "--config": {"help": "JSON config file; explicit flags supersede it"},
+    "--out": {"help": "write the JSON artifact here instead of stdout"},
+    "--type": {"dest": "family", "help": "Lie family letter, e.g. A"},
+    "--level": _LEVEL, "--k": _LEVEL,
+    **dict.fromkeys("--rank --sector --resolution --trials --seed --L --grid-points".split(),
+                    {"type": int}),
+    **dict.fromkeys("--tol --box-radius --s".split(), {"type": float}),
+    "--sigma": {}, "--input": {},
+    "--convention": {"choices": ["lemma", "theorem"]},
+    "--branch": {"choices": ["principal", "flipped"]},
+    "--generator": {"choices": ["S", "T"]},
+}
+_ALIASES = {"--level": ("--k",), "--k": ("--level",)}
+
+
+def _dest(flag: str) -> str:
+    """The RunConfig field that a flag of the table sets."""
+    flag = flag.rstrip("!")
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusal is one stderr line and exit 2;
+    add_subparsers gives the subcommand parsers the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_SCHEMA, f"error: {message}\n")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it: a
-    parser holds no state between parse_args calls, and building one costs
-    far more than parsing with it."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built from `_COMMANDS` on the first call and
+    shared after it: a parser holds no state between parse_args calls, and
+    building one costs far more than parsing with it."""
+    parser = _Parser(
         prog="cstorus",
         description="Exact and numerical genus-one quantum representation toolkit")
-    sub = parser.add_subparsers(dest="command_group", required=True)
-
-    def common(p, level_flag="--level"):
-        p.add_argument("--config", help="JSON config file; explicit flags supersede it")
-        p.add_argument("--type", dest="family", help="Lie family letter, e.g. A")
-        p.add_argument("--rank", type=int)
-        p.add_argument(level_flag, "--k" if level_flag == "--level" else "--level",
-                       dest="level", type=int, help="level")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", help="write the JSON artifact here instead of stdout")
-
-    p_roots = sub.add_parser("roots", help="root-system inspection")
-    sp = p_roots.add_subparsers(dest="command", required=True)
-    common(sp.add_parser("info"))
-
-    p_lat = sub.add_parser("lattice", help="quotient and alcove enumeration")
-    sp = p_lat.add_subparsers(dest="command", required=True)
-    common(sp.add_parser("enumerate"))
-
-    p_rep = sub.add_parser("rep", help="finite sector matrices")
-    sp = p_rep.add_subparsers(dest="command", required=True)
-    for name in ("build", "verify"):
-        q = sp.add_parser(name)
-        common(q)
-        q.add_argument("--sector", type=int)
-        q.add_argument("--convention", choices=["lemma", "theorem"])
-
-    p_wgz = sub.add_parser("wgz", help="lattice transform checks")
-    sp = p_wgz.add_subparsers(dest="command", required=True)
-    q = sp.add_parser("roundtrip")
-    common(q)
-    q.add_argument("--resolution", type=int)
-    q.add_argument("--box-radius", dest="box_radius", type=float)
-    q.add_argument("--trials", type=int)
-    q.add_argument("--seed", type=int)
-
-    p_ker = sub.add_parser("kernel", help="heat and conjugated generator kernels")
-    sp = p_ker.add_subparsers(dest="command", required=True)
-    for name in ("heat", "eta", "verify"):
-        q = sp.add_parser(name)
-        common(q, level_flag="--k")
-        q.add_argument("--s", type=float)
-        q.add_argument("--branch", choices=["principal", "flipped"])
-        q.add_argument("--input")
-        if name == "eta":
-            q.add_argument("--sector", type=int)
-            q.add_argument("--generator", choices=["S", "T"])
-        if name == "verify":
-            q.add_argument("--sigma")
-            q.add_argument("--L", type=int)
-            q.add_argument("--grid-points", dest="grid_points", type=int)
-            q.add_argument("--box-radius", dest="box_radius", type=float)
-
-    p_cmp = sub.add_parser("compare", help="compact-theory bridge")
-    sp = p_cmp.add_subparsers(dest="command", required=True)
-    q = sp.add_parser("compact")
-    common(q, level_flag="--k")
-    q.add_argument("--convention", choices=["lemma", "theorem"])
+    groups = parser.add_subparsers(dest="command_group", required=True)
+    commands = {}
+    for (group, name), (_, flags) in _COMMANDS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="command", required=True)
+        q = commands[group].add_parser(name)
+        for flag in ["--config", *flags.replace("!", "").split(), "--out"]:
+            q.add_argument(flag, *_ALIASES.get(flag, ()), **_FLAGS[flag])
     return parser
-
-
-_DISPATCH = {
-    ("roots", "info"): _cmd_roots_info,
-    ("lattice", "enumerate"): _cmd_lattice_enumerate,
-    ("rep", "build"): lambda cfg: _cmd_rep(cfg, verify_only=False),
-    ("rep", "verify"): lambda cfg: _cmd_rep(cfg, verify_only=True),
-    ("wgz", "roundtrip"): _cmd_wgz_roundtrip,
-    ("kernel", "heat"): _cmd_kernel_heat,
-    ("kernel", "eta"): _cmd_kernel_eta,
-    ("kernel", "verify"): _cmd_kernel_verify,
-    ("compare", "compact"): _cmd_compare_compact,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     key = (args.command_group, args.command)
+    run, flags = _COMMANDS[key]
     try:
-        cfg = _merge_config(args, command=" ".join(key))
-        return _DISPATCH[key](cfg)
+        cfg = _merge_config(args, " ".join(key), [*flags.split(), "--out"])
+        payload, passed = run(cfg)
+        _emit(cfg, payload)
+        return EXIT_OK if passed else EXIT_TOLERANCE
     except ResourceLimitError as e:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,8 +1,11 @@
 """CLI: exit codes, config files, deterministic JSON artifacts, file IO."""
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -150,6 +153,103 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _ = run(capsys, "roots", "info", "--config", str(cfg),
                   "--type", "A", "--rank", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command,key", [(("rep", "verify"), "box_radius"),
+                                         (("roots", "info"), "level"),
+                                         (("kernel", "heat"), "sector")])
+def test_config_key_the_command_does_not_read_exits_schema(tmp_path, capsys, command, key):
+    """Config keys are per command: a RunConfig field that the command does
+    not read is refused with one line, not echoed and ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 2}))
+    code, out, err = run_err(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: unknown config key {key!r} for {' '.join(command)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "info", "--type", "A", "--rank", "1", "--no-such-flag"),
+    ("roots", "info", "--type", "A", "--rank", "x"),
+    ("kernel", "eta", "--k", "2", "--s", "1.0", "--sector", "0", "--generator", "U",
+     "--input", "in.json"),
+    ("roots",),
+], ids=["unknown flag", "rank x", "generator U", "no subcommand"])
+def test_argparse_refusal_is_one_line(capsys, argv):
+    """A refusal by the parser is one stderr line and exit 2, with nothing
+    on stdout, like every other invalid configuration."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _command_flags():
+    """Per (group, command) of the parser, its flags but -h, --config and
+    --out, each by its first spelling."""
+    groups = _subcommands(build_parser())
+    return {(group, name): [a.option_strings[0] for a in parser._actions if a.option_strings
+                            and a.option_strings[0] not in ("-h", "--config", "--out")]
+            for group in groups for name, parser in _subcommands(groups[group]).items()}
+
+
+# per command, an argv that gives an artifact, and per flag one value other
+# than the base's or the default
+_FLAG_BASE = {
+    ("roots", "info"): "--type A --rank 1",
+    ("lattice", "enumerate"): "--type A --rank 1 --level 3",
+    ("rep", "build"): "--type A --rank 1 --level 3 --sector 0",
+    ("rep", "verify"): "--type A --rank 1 --level 3 --sector 0",
+    ("wgz", "roundtrip"): "--type A --rank 1 --level 1 --resolution 24 --box-radius 5.0 "
+                          "--trials 2",
+    ("kernel", "heat"): "--k 2 --s 1.0 --input heat.json",
+    ("kernel", "eta"): "--k 2 --s 1.0 --sector 0 --generator S --input eta.json",
+    ("kernel", "verify"): "--k 2 --s 1.0 --L 4 --grid-points 201",
+    ("compare", "compact"): "--type A --rank 1 --k 3",
+}
+_FLAG_ALT = {"--type": "G", "--rank": "2", "--level": "4", "--k": "4", "--sector": "1",
+             "--convention": "theorem", "--tol": "1e-30", "--resolution": "32",
+             "--box-radius": "4.0", "--trials": "3", "--seed": "5", "--s": "2.5",
+             "--branch": "flipped", "--sigma": "2i", "--L": "5", "--grid-points": "301",
+             "--generator": "T", "--input": "other.json"}
+
+
+def test_every_accepted_flag_is_read(tmp_path, capsys, monkeypatch):
+    """For each command of the parser and each of its flags but --config and
+    --out, one other value changes the exit code or the artifact outside its
+    config echo: no command accepts a setting it ignores."""
+    monkeypatch.chdir(tmp_path)
+    _sample_file(tmp_path / "heat.json", np.linspace(-6.0, 6.0, 121))
+    _sample_file(tmp_path / "eta.json", np.linspace(0.0, 8.0, 81))
+    (tmp_path / "other.json").write_text(json.dumps(
+        {"y": [i / 10 for i in range(81)], "values": [[1.0 / (1 + i), 0.0] for i in range(81)]}))
+
+    def outcome(argv):
+        code, out, _ = run_err(capsys, *argv)
+        doc = json.loads(out) if out else {}
+        doc.pop("config", None)
+        return code, doc
+
+    commands = _command_flags()
+    assert commands.keys() == _FLAG_BASE.keys()
+    for key, flags in commands.items():
+        base = _FLAG_BASE[key].split()
+        code, doc = outcome([*key, *base])
+        assert code == 0 and doc, key
+        for flag in flags:
+            alt = _FLAG_ALT[flag]
+            argv = [*key, *base]
+            if flag in base:
+                assert argv[argv.index(flag) + 1] != alt
+                argv[argv.index(flag) + 1] = alt
+            else:
+                argv += [flag, alt]
+            assert outcome(argv) != (code, doc), (key, flag)
 
 
 def test_artifact_determinism(tmp_path):
@@ -327,9 +427,8 @@ def test_config_field_of_wrong_type_exits_schema(tmp_path, capsys, level):
 
 def test_config_integral_float_is_an_int(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "A", "rank": 1.0, "level": 2.0, "sector": 0,
-                               "box_radius": 6}))
-    code, doc = run(capsys, "rep", "verify", "--config", str(cfg))
+    cfg.write_text(json.dumps({"family": "A", "rank": 1.0, "level": 2.0, "box_radius": 6}))
+    code, doc = run(capsys, "wgz", "roundtrip", "--config", str(cfg))
     assert code == 0
     assert doc["config"]["level"] == 2 and isinstance(doc["config"]["level"], int)
     assert doc["config"]["box_radius"] == 6.0
@@ -723,6 +822,42 @@ def test_script_imports_and_shows_help(script):
     assert done.stdout.startswith("usage:")
 
 
+README = Path(SRC).parent / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    """Every `cstorus ...` example in README's sh blocks parses with the
+    shared parser, and README's flag table names, per command, the flags the
+    parser accepts (but --config and --out) and the ones the command
+    requires."""
+    text = README.read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    examples = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cstorus ")]
+    assert len(examples) >= 9
+    for line in examples:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    rows = [line.split("|")[1:4] for line in text.splitlines() if line.startswith("| `")]
+    documented = {}
+    for names, required, read in rows:
+        for name in re.findall(r"`([a-z ]+)`", names):
+            documented[tuple(name.split())] = (re.findall(r"`(--[a-zA-Z-]+)`", required),
+                                               re.findall(r"`(--[a-zA-Z-]+)`", read))
+    for key, flags in _command_flags().items():
+        required, read = documented.pop(key)
+        assert sorted(required + read) == sorted(flags), key
+        assert required == [f[:-1] for f in cli._COMMANDS[key][1].split() if f.endswith("!")], key
+    assert not documented
+
+
+def test_ci_workflow_parses():
+    """The workflow is YAML that GitHub can load: a step name with an
+    unquoted ": " in it makes the whole file invalid."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((Path(SRC).parent / ".github/workflows/tier1.yml").read_text())
+    assert all("name" in step or "uses" in step for step in workflow["jobs"]["tests"]["steps"])
+
+
 @pytest.mark.parametrize("convention,code", [("lemma", 0), ("theorem", 1)])
 def test_modular_sweep_exits_1_on_a_failed_row(convention, code):
     """run_modular_sweep.py passes every row in the default convention and
@@ -845,9 +980,11 @@ def test_kernel_apply_scalars_keep_the_exit_contract(tmp_path, capsys, command, 
     src = tmp_path / "in.json"
     y = np.linspace(0.0 if command == "eta" else -radius, radius, 41)
     src.write_text(json.dumps({"y": list(y), "values": [[1.0, 0.5]] * len(y)}))
+    fields = {"level": level, "s": s, "branch": branch, "input": str(src)}
+    if command == "eta":
+        fields.update(sector=sector, generator=generator)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"level": level, "s": s, "branch": branch, "sector": sector,
-                               "generator": generator, "input": str(src)}))
+    cfg.write_text(json.dumps(fields))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _exit_contract(*run_err(capsys, "kernel", command, "--config", str(cfg)))

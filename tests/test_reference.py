@@ -5,7 +5,9 @@ Labels, ints, strings, booleans and exit codes must match exactly; other
 floats, the S and T entries among them, to 1e-12; a residual may move at
 rounding level but not pass from one side of its tolerance to the other
 (the `passed` flags and exit codes match) and must stay at most
-max(10 x reference, 1e-13).
+max(10 x reference, 1e-13).  The error budgets `boundary_decay` and
+`truncation_error`, which sit far below any absolute floor, must match to
+1e-9 of the reference.
 
 Regenerate the bundle after a change that means to move an artifact:
 
@@ -30,6 +32,7 @@ from cstorus.cli import main
 BUNDLE = Path(__file__).resolve().parent / "reference" / "artifacts.json.gz"
 FLOAT_TOL = 1e-12
 RESIDUAL_FACTOR, RESIDUAL_FLOOR = 10.0, 1e-13
+RELATIVE_KEYS, RELATIVE_TOL = ("boundary_decay", "truncation_error"), 1e-9
 
 # the finite_sweep workload of perfbench/cases.py: (family, rank, levels)
 SWEEP = [("A", 1, range(1, 9)), ("A", 2, range(1, 6)), ("B", 2, range(1, 4)),
@@ -123,7 +126,9 @@ def differences(want, got, path=()) -> list:
     if type(want) is not type(got):
         return [f"{where}: {want!r} != {got!r}"]
     if isinstance(want, float):
-        if _is_residual(path):
+        if path[-1] in RELATIVE_KEYS:
+            ok = abs(got - want) <= RELATIVE_TOL * abs(want)
+        elif _is_residual(path):
             ok = got <= max(RESIDUAL_FACTOR * want, RESIDUAL_FLOOR)
         else:
             ok = abs(got - want) <= FLOAT_TOL * max(1.0, abs(want))
@@ -188,6 +193,22 @@ def test_gate_bounds_residuals_by_ten_times_the_reference(reference):
     assert compare_records(want, got) == []
     rep["parseval_relative_error"] = 11.0 * max(error, 1e-13)
     assert len(compare_records(want, got)) == 1
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("wgz", "roundtrip", "boundary_decay"), ("kernel", "samples", "truncation_error")])
+def test_gate_compares_error_budgets_relatively(reference, command, section, key):
+    """A budget far below the absolute floor (boundary_decay reads 7.7e-47)
+    may move by rounding but not by a factor of ten."""
+    want, got = _mutable(reference, lambda r: r["argv"][0] == command
+                         and key in r["artifact"].get(section, {}))
+    budget = got[0]["artifact"][section]
+    value = budget[key]
+    budget[key] = value * (1 + 1e-12)
+    assert compare_records(want, got) == []
+    budget[key] = value * 10
+    mismatches = compare_records(want, got)
+    assert len(mismatches) == 1 and f"{section}/{key}" in mismatches[0]
 
 
 if __name__ == "__main__":
