@@ -6,12 +6,12 @@ cross-checks."""
 __version__ = "0.1.0"
 
 from .errors import (CSTorusError, DomainError, InconsistencyError,
-                     ResourceLimitError, SchemaError, ToleranceError)
+                     ResourceLimitError, SchemaError)
 from .roots import LieType, RootSystem, build_root_system, generate_weyl_group
 
 __all__ = [
     "__version__",
     "CSTorusError", "DomainError", "InconsistencyError",
-    "ResourceLimitError", "SchemaError", "ToleranceError",
+    "ResourceLimitError", "SchemaError",
     "LieType", "RootSystem", "build_root_system", "generate_weyl_group",
 ]

@@ -2,32 +2,31 @@
 matrix construction and verification, transform round-trip reports, heat and
 conjugated-generator kernels, and the compact-theory comparison.
 
-One table, `_COMMANDS`, gives each command's runner, the flags it reads
-and which of them it requires; the parser, the config keys a command
-accepts, the requirement check and the dispatch are built from it.  A
-runner returns (payload, passed); `main` writes the artifact.
+One table, `_COMMANDS`, gives each command's runner and the flags it reads
+(required, or with a default of its own); `_FLAGS` gives each flag's type
+and any other default.  The parser, the config keys, the requirement check
+and the dispatch are built from them.  A runner returns its payload and its
+checks (name, value, bound); `main` writes the artifact.
 
-All artifacts are deterministic JSON embedding the resolved configuration and
-the library version.  Exit codes: 0 success, 1 tolerance failure, 2 invalid
-configuration or domain (argparse refusals among them, one stderr line each),
-3 resource ceiling exceeded.
+Artifacts are deterministic JSON embedding the command's resolved flags,
+the library version and the checks.  Exit codes: 0 success, 1 some check's
+value at or over its bound, 2 invalid configuration or domain (argparse
+refusals among them, one stderr line each), 3 resource ceiling exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import (CSTorusError, ResourceLimitError, SchemaError,
-                     ToleranceError)
+from .errors import (CSTorusError, ResourceLimitError, SchemaError, checks_below,
+                     within_bounds)
 from .finrep import Convention, rep_matrices, verify_sl2z
 from .lattice import enumerate_report
 from .roots import LieType, build_root_system
@@ -38,91 +37,59 @@ EXIT_SCHEMA = 2
 EXIT_RESOURCE = 3
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved configuration of one CLI run; fully serializable."""
-    command: str
-    family: Optional[str] = None
-    rank: Optional[int] = None
-    level: Optional[int] = None
-    sector: Optional[int] = None
-    convention: str = "lemma"
-    s: Optional[float] = None
-    sigma: Optional[str] = None
-    branch: str = "principal"
-    L: int = 12
-    resolution: int = 256
-    box_radius: float = 6.0
-    grid_points: int = 1601
-    trials: int = 20
-    seed: int = 0
-    generator: Optional[str] = None
-    tol: Optional[float] = None
-    input: Optional[str] = None
-    out: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
-
-
-def _merge_config(args: argparse.Namespace, command: str, flags: list) -> RunConfig:
-    """Start from a config file if given; explicit flags supersede it. A
-    config key for no flag of the command, or a required flag ("!") left
-    unset, is an invalid configuration."""
+def _merge_config(args: argparse.Namespace, command: str, flags: str) -> dict:
+    """Each of the command's flags that has a value: the command line's,
+    else the config file's, else its default. A config key for no flag of
+    the command, or a required flag left unset, is an invalid
+    configuration; a JSON null leaves a flag without a default unset."""
+    given = vars(args)
     base = {}
-    if args.config:
+    if "config" in given:
         # ValueError covers malformed JSON and an integer literal past
         # Python's int-from-string digit limit
         try:
-            with open(args.config) as fh:
+            with open(given["config"]) as fh:
                 base = json.load(fh)
         except (OSError, ValueError) as e:
-            raise SchemaError(f"cannot read config file {args.config}: {e}")
+            raise SchemaError(f"cannot read config file {given['config']}: {e}")
         if not isinstance(base, dict):
             raise SchemaError("config file must contain a JSON object")
-    cfg = RunConfig(command=command)
-    keys = [_dest(flag) for flag in flags]
-    for key, val in base.items():
-        if key == "command":
-            continue
-        if key not in keys:
+    row = _row(flags)
+    known = {"command", *(key for _, key, *_ in row)}
+    for key in base:
+        if key not in known:
             raise SchemaError(f"unknown config key {key!r} for {command}")
-        setattr(cfg, key, val)
-    for key in keys:
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
-    for f in dataclasses.fields(RunConfig):
-        setattr(cfg, f.name, _checked(f.name, f.type, getattr(cfg, f.name)))
-    missing = [flag[:-1] for flag in flags
-               if flag.endswith("!") and getattr(cfg, _dest(flag)) is None]
+    cfg, missing = {}, []
+    for flag, key, kind, default, required in row:
+        val = given.get(key, base.get(key, default))
+        if val is not None or default is not None:
+            cfg[key] = _checked(key, kind, val)
+        elif required:
+            missing.append(flag)
     if missing:
         raise SchemaError(f"{command} requires {' and '.join(missing)}")
     return cfg
 
 
-_KINDS = {"int": "an integer", "float": "a finite number", "str": "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _checked(key: str, declared: str, val):
-    """`val` as the declared RunConfig type: an int field takes an integral
-    number, a float field a finite number, a str field a string."""
-    kind = declared.removeprefix("Optional[").rstrip("]")
-    if val is None and kind != declared:
-        return None
+def _checked(key: str, kind: type, val):
+    """`val` as the flag's type: an int flag takes an integral number, a
+    float flag a finite number, a str flag a string."""
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     finite = number and abs(val) <= sys.float_info.max
-    if kind == "str" and isinstance(val, str):
+    if kind is str and isinstance(val, str):
         return val
-    if kind == "int" and number and (isinstance(val, int) or finite and val == int(val)):
+    if kind is int and number and (isinstance(val, int) or finite and val == int(val)):
         return int(val)
-    if kind == "float" and finite:
+    if kind is float and finite:
         return float(val)
     raise SchemaError(f"{key} must be {_KINDS[kind]}, got {val!r}")
 
 
-def _root_system(cfg: RunConfig):
-    return build_root_system(LieType(cfg.family, cfg.rank))
+def _root_system(cfg: dict):
+    return build_root_system(LieType(cfg["family"], cfg["rank"]))
 
 
 def _parse_complex(text: str) -> complex:
@@ -228,22 +195,21 @@ def artifact_pieces(doc) -> list:
     return out
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
+def _emit(config: dict, payload: dict, checks: list) -> None:
     """Build and check every piece, then write them and a newline to --out
     or stdout unjoined, so the text is held once."""
-    doc = {"config": cfg.to_json_dict(), "version": __version__}
-    doc.update(payload)
+    doc = {"config": config, "version": __version__, **payload, "checks": checks}
     try:
         pieces = artifact_pieces(doc)
     except ValueError as e:
         raise SchemaError(f"artifact would contain a non-finite number: {e}")
     pieces.append("\n")
-    if cfg.out:
+    if "out" in config:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(config["out"], "w") as fh:
                 fh.writelines(pieces)
         except OSError as e:
-            raise SchemaError(f"cannot write the artifact to {cfg.out}: {e}")
+            raise SchemaError(f"cannot write the artifact to {config['out']}: {e}")
     else:
         sys.stdout.writelines(pieces)
 
@@ -268,87 +234,88 @@ def _samples_payload(g) -> dict:
     }
 
 
-def _roots_info(cfg: RunConfig):
-    return {"roots": _root_system(cfg).summary()}, True
+def _roots_info(cfg: dict):
+    return {"roots": _root_system(cfg).summary()}, []
 
 
-def _lattice_enumerate(cfg: RunConfig):
-    return {"lattice": enumerate_report(_root_system(cfg), cfg.level)}, True
+def _lattice_enumerate(cfg: dict):
+    return {"lattice": enumerate_report(_root_system(cfg), cfg["level"])}, []
 
 
-def _rep(cfg: RunConfig, verify_only: bool):
-    mats = rep_matrices(_root_system(cfg), cfg.level, cfg.sector,
-                        convention=Convention.from_name(cfg.convention))
-    rep = verify_sl2z(mats, tol=cfg.tol if cfg.tol is not None else 1e-10)
+def _rep(cfg: dict, verify_only: bool):
+    mats = rep_matrices(_root_system(cfg), cfg["level"], cfg["sector"],
+                        convention=Convention.from_name(cfg["convention"]))
+    rep = verify_sl2z(mats, tol=cfg["tol"])
     payload = {"verification": rep.to_json_dict()}
     if not verify_only:
         payload["matrices"] = mats.to_json_dict()
-    return payload, rep.passed
+    return payload, rep.checks
 
 
-def _wgz_roundtrip(cfg: RunConfig):
+def _wgz_roundtrip(cfg: dict):
     from .wgz import roundtrip_report
-    rep = roundtrip_report(_root_system(cfg), cfg.level, cfg.resolution, cfg.box_radius,
-                           trials=cfg.trials, seed=cfg.seed)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-    return {"roundtrip": rep}, (rep["roundtrip_residual"] < tol
-                                and rep["parseval_relative_error"] < tol)
+    rep = roundtrip_report(_root_system(cfg), cfg["level"], cfg["resolution"],
+                           cfg["box_radius"], trials=cfg["trials"], seed=cfg["seed"])
+    return {"roundtrip": rep}, checks_below(cfg["tol"], **{key: rep[key] for key in (
+        "roundtrip_residual", "parseval_relative_error", "quasi_periodicity_residual")})
 
 
-def _kernel_params(cfg: RunConfig) -> dict:
+def _kernel_params(cfg: dict) -> dict:
     """The k, s and branch keywords of solve_params and verify_conjugation;
     the kernel commands are rank one, so --type and --rank may only name A1."""
-    if cfg.family not in (None, "A") or cfg.rank not in (None, 1):
+    family, rank = cfg.get("family"), cfg.get("rank")
+    if family not in (None, "A") or rank not in (None, 1):
         raise SchemaError(f"kernel commands support type A rank 1 only, "
-                          f"got type {cfg.family} rank {cfg.rank}")
-    return {"k": cfg.level, "s": cfg.s, "branch": cfg.branch}
+                          f"got type {family} rank {rank}")
+    return {"k": cfg["level"], "s": cfg["s"], "branch": cfg["branch"]}
 
 
-def _kernel_heat(cfg: RunConfig):
+def _kernel_heat(cfg: dict):
     from .heatkernel import heat_apply, solve_params
     kernel = _kernel_params(cfg)        # refuses a type other than A1 before the input is read
-    g = heat_apply(_load_samples(cfg.input), solve_params(**kernel))
-    return {"samples": _samples_payload(g)}, True
+    g = heat_apply(_load_samples(cfg["input"]), solve_params(**kernel))
+    return {"samples": _samples_payload(g)}, []
 
 
-def _kernel_eta(cfg: RunConfig):
+def _kernel_eta(cfg: dict):
     from .heatkernel import EtaKernelSpec, eta_apply, solve_params
-    spec = EtaKernelSpec(sector=cfg.sector, generator=cfg.generator,
+    spec = EtaKernelSpec(sector=cfg["sector"], generator=cfg["generator"],
                          params=solve_params(**_kernel_params(cfg)))
-    return {"samples": _samples_payload(eta_apply(_load_samples(cfg.input), spec))}, True
+    return {"samples": _samples_payload(eta_apply(_load_samples(cfg["input"]), spec))}, []
 
 
-def _kernel_verify(cfg: RunConfig):
-    from .heatkernel import verify_conjugation
+def _kernel_verify(cfg: dict):
+    from .heatkernel import conjugation_checks, verify_conjugation
     rep = verify_conjugation(**_kernel_params(cfg),
-                             sigma=_parse_complex(cfg.sigma) if cfg.sigma else None,
-                             L=cfg.L, tol=cfg.tol if cfg.tol is not None else 1e-5,
-                             grid_points=cfg.grid_points, box_radius=cfg.box_radius)
-    return {"conjugation": rep}, rep["passed"]
+                             sigma=_parse_complex(cfg["sigma"]) if cfg.get("sigma") else None,
+                             L=cfg["L"], tol=cfg["tol"], grid_points=cfg["grid_points"],
+                             box_radius=cfg["box_radius"])
+    return {"conjugation": rep}, conjugation_checks(rep)
 
 
-def _compare_compact(cfg: RunConfig):
-    from .compactcheck import compare_shifted
-    rep = compare_shifted(_root_system(cfg), cfg.level,
-                          convention=Convention.from_name(cfg.convention))
-    return {"compact": rep}, rep["passed"]
+def _compare_compact(cfg: dict):
+    from .compactcheck import bridge_checks, compare_shifted
+    rep = compare_shifted(_root_system(cfg), cfg["level"],
+                          convention=Convention.from_name(cfg["convention"]))
+    return {"compact": rep}, bridge_checks(rep)
 
 
 # (group, command): its runner and the flags it reads, a required one marked
-# "!". Every command also reads --config and --out.
-_REP_FLAGS = "--type! --rank! --level! --sector! --convention --tol"
+# "!" and a default of the command's own given after "=". Every command also
+# reads --config and --out.
+_REP_FLAGS = "--type! --rank! --level! --sector! --convention --tol=1e-10"
 _COMMANDS = {
     ("roots", "info"): (_roots_info, "--type! --rank!"),
     ("lattice", "enumerate"): (_lattice_enumerate, "--type! --rank! --level!"),
     ("rep", "build"): (lambda cfg: _rep(cfg, verify_only=False), _REP_FLAGS),
     ("rep", "verify"): (lambda cfg: _rep(cfg, verify_only=True), _REP_FLAGS),
     ("wgz", "roundtrip"): (_wgz_roundtrip, "--type! --rank! --level! --resolution "
-                           "--box-radius --trials --seed --tol"),
+                           "--box-radius --trials --seed --tol=1e-6"),
     ("kernel", "heat"): (_kernel_heat, "--type --rank --k! --s! --branch --input!"),
     ("kernel", "eta"): (_kernel_eta, "--type --rank --k! --s! --branch --sector! "
                         "--generator! --input!"),
     ("kernel", "verify"): (_kernel_verify, "--type --rank --k! --s! --branch --sigma --L "
-                           "--grid-points --box-radius --tol"),
+                           "--grid-points --box-radius --tol=1e-5"),
     ("compare", "compact"): (_compare_compact, "--type! --rank! --k! --convention"),
 }
 
@@ -357,28 +324,38 @@ _GROUPS = {"roots": "root-system inspection", "lattice": "quotient and alcove en
            "kernel": "heat and conjugated generator kernels", "compare": "compact-theory bridge"}
 
 _LEVEL = {"dest": "level", "type": int, "help": "level"}
-# add_argument's keywords per flag; --level and --k are one flag, spelt
-# first as the table names it
+# add_argument's keywords per flag, "default" the value taken when neither
+# the command line nor the config file sets it; --level and --k are one
+# flag, spelt first as the table names it
 _FLAGS = {
     "--config": {"help": "JSON config file; explicit flags supersede it"},
     "--out": {"help": "write the JSON artifact here instead of stdout"},
     "--type": {"dest": "family", "help": "Lie family letter, e.g. A"},
     "--level": _LEVEL, "--k": _LEVEL,
-    **dict.fromkeys("--rank --sector --resolution --trials --seed --L --grid-points".split(),
-                    {"type": int}),
-    **dict.fromkeys("--tol --box-radius --s".split(), {"type": float}),
+    **{flag: {"type": int, "default": default} for flag, default in [
+        ("--rank", None), ("--sector", None), ("--resolution", 256), ("--trials", 20),
+        ("--seed", 0), ("--L", 12), ("--grid-points", 1601)]},
+    **{flag: {"type": float, "default": default} for flag, default in [
+        ("--s", None), ("--tol", None), ("--box-radius", 6.0)]},
     "--sigma": {}, "--input": {},
-    "--convention": {"choices": ["lemma", "theorem"]},
-    "--branch": {"choices": ["principal", "flipped"]},
+    "--convention": {"choices": ["lemma", "theorem"], "default": "lemma"},
+    "--branch": {"choices": ["principal", "flipped"], "default": "principal"},
     "--generator": {"choices": ["S", "T"]},
 }
 _ALIASES = {"--level": ("--k",), "--k": ("--level",)}
 
 
-def _dest(flag: str) -> str:
-    """The RunConfig field that a flag of the table sets."""
-    flag = flag.rstrip("!")
-    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+def _row(flags: str) -> list:
+    """(flag, config key, type, default, required) per flag of a table row
+    and --out."""
+    row = []
+    for entry in [*flags.split(), "--out"]:
+        flag, _, default = entry.rstrip("!").partition("=")
+        kw = _FLAGS[flag]
+        kind = kw.get("type", str)
+        row.append((flag, kw.get("dest", flag[2:].replace("-", "_")), kind,
+                    kind(default) if default else kw.get("default"), entry.endswith("!")))
+    return row
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,7 +370,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built from `_COMMANDS` on the first call and
     shared after it: a parser holds no state between parse_args calls, and
-    building one costs far more than parsing with it."""
+    building one costs far more than parsing with it. An unset flag is
+    left out of the namespace, for the config file or its default to fill."""
     parser = _Parser(
         prog="cstorus",
         description="Exact and numerical genus-one quantum representation toolkit")
@@ -403,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group not in commands:
             commands[group] = groups.add_parser(group, help=_GROUPS[group]).add_subparsers(
                 dest="command", required=True)
-        q = commands[group].add_parser(name)
-        for flag in ["--config", *flags.replace("!", "").split(), "--out"]:
-            q.add_argument(flag, *_ALIASES.get(flag, ()), **_FLAGS[flag])
+        q = commands[group].add_parser(name, allow_abbrev=False)
+        for flag in ["--config", *(flag for flag, *_ in _row(flags))]:
+            q.add_argument(flag, *_ALIASES.get(flag, ()),
+                           **{**_FLAGS[flag], "default": argparse.SUPPRESS})
     return parser
 
 
@@ -413,17 +392,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     key = (args.command_group, args.command)
     run, flags = _COMMANDS[key]
+    command = " ".join(key)
     try:
-        cfg = _merge_config(args, " ".join(key), [*flags.split(), "--out"])
-        payload, passed = run(cfg)
-        _emit(cfg, payload)
-        return EXIT_OK if passed else EXIT_TOLERANCE
+        cfg = _merge_config(args, command, flags)
+        payload, checks = run(cfg)
+        _emit({"command": command, **cfg}, payload, checks)
+        return EXIT_OK if within_bounds(checks) else EXIT_TOLERANCE
     except ResourceLimitError as e:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ToleranceError as e:
-        print(f"tolerance failure: {e}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except CSTorusError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, checks_below, within_bounds
 from .finrep import Convention, rep_matrices, unit_phase
 from .lattice import _alcove_pairings, fraction_strings, rho_shifted
 from .roots import RootSystem
@@ -170,6 +170,11 @@ def compare_shifted(rs: RootSystem, k: int,
         "residual_S": resid_s,
         "residual_T": resid_t,
         "snap_error": float(abs(fitted_s - snapped_s)),
-        "passed": bool(resid_s < 1e-10 and resid_t < 1e-10),
     }
+    report["passed"] = within_bounds(bridge_checks(report))
     return report
+
+
+def bridge_checks(report: dict) -> list:
+    """Both residuals of a compare_shifted report at the bridge's tolerance."""
+    return checks_below(1e-10, residual_S=report["residual_S"], residual_T=report["residual_T"])

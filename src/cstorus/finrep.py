@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError, SchemaError
+from .errors import ResourceLimitError, SchemaError, checks_below, within_bounds
 from .lattice import fraction_strings, weyl_orbits
 from .roots import RootSystem
 
@@ -173,9 +173,15 @@ class SL2ZReport:
     residual_t_unitary: float
 
     @property
+    def checks(self) -> list:
+        return checks_below(self.tol, residual_S4=self.residual_s4,
+                            residual_braid=self.residual_braid,
+                            residual_S_unitary=self.residual_s_unitary,
+                            residual_T_unitary=self.residual_t_unitary)
+
+    @property
     def passed(self) -> bool:
-        return max(self.residual_s4, self.residual_braid,
-                   self.residual_s_unitary, self.residual_t_unitary) < self.tol
+        return within_bounds(self.checks)
 
     def to_json_dict(self) -> dict:
         return {

@@ -33,7 +33,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, ResourceLimitError, SchemaError
+from .errors import (DomainError, InconsistencyError, ResourceLimitError, SchemaError,
+                     checks_below, within_bounds)
 
 
 def alpha_constant(sigma: complex) -> float:
@@ -605,6 +606,13 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     report["truncated_relation_residuals"] = truncated
     report["max_conjugation_residual"] = max(conj_resid.values())
     report["max_relation_residual"] = max(relations.values())
-    report["passed"] = bool(max(conj_resid.values()) < tol
-                            and max(relations.values()) < 10 * tol)
+    report["passed"] = within_bounds(conjugation_checks(report))
     return report
+
+
+def conjugation_checks(report: dict) -> list:
+    """The conjugation residual of a verify_conjugation report against its
+    tol, and the faithful relation residual against 10 tol."""
+    tol = report["tol"]
+    return (checks_below(tol, max_conjugation_residual=report["max_conjugation_residual"])
+            + checks_below(10 * tol, max_relation_residual=report["max_relation_residual"]))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cstorus import cli
+from cstorus import cli, compactcheck
 from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.errors import DomainError
 from cstorus.finrep import SECTOR_DIM_CEILING
@@ -159,8 +159,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
                                          (("roots", "info"), "level"),
                                          (("kernel", "heat"), "sector")])
 def test_config_key_the_command_does_not_read_exits_schema(tmp_path, capsys, command, key):
-    """Config keys are per command: a RunConfig field that the command does
-    not read is refused with one line, not echoed and ignored."""
+    """Config keys are per command: the key of another command's flag is
+    refused with one line, not echoed and ignored."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 2}))
     code, out, err = run_err(capsys, *command, "--config", str(cfg))
@@ -174,7 +174,8 @@ def test_config_key_the_command_does_not_read_exits_schema(tmp_path, capsys, com
     ("kernel", "eta", "--k", "2", "--s", "1.0", "--sector", "0", "--generator", "U",
      "--input", "in.json"),
     ("roots",),
-], ids=["unknown flag", "rank x", "generator U", "no subcommand"])
+    ("wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "1", "--res", "24"),
+], ids=["unknown flag", "rank x", "generator U", "no subcommand", "abbreviated flag"])
 def test_argparse_refusal_is_one_line(capsys, argv):
     """A refusal by the parser is one stderr line and exit 2, with nothing
     on stdout, like every other invalid configuration."""
@@ -189,13 +190,19 @@ def _subcommands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _command_parsers():
+    """The parser of each (group, command)."""
+    groups = _subcommands(build_parser())
+    return {(group, name): parser
+            for group in groups for name, parser in _subcommands(groups[group]).items()}
+
+
 def _command_flags():
     """Per (group, command) of the parser, its flags but -h, --config and
     --out, each by its first spelling."""
-    groups = _subcommands(build_parser())
-    return {(group, name): [a.option_strings[0] for a in parser._actions if a.option_strings
-                            and a.option_strings[0] not in ("-h", "--config", "--out")]
-            for group in groups for name, parser in _subcommands(groups[group]).items()}
+    return {key: [a.option_strings[0] for a in parser._actions if a.option_strings
+                  and a.option_strings[0] not in ("-h", "--config", "--out")]
+            for key, parser in _command_parsers().items()}
 
 
 # per command, an argv that gives an artifact, and per flag one value other
@@ -219,20 +226,26 @@ _FLAG_ALT = {"--type": "G", "--rank": "2", "--level": "4", "--k": "4", "--sector
              "--generator": "T", "--input": "other.json"}
 
 
-def test_every_accepted_flag_is_read(tmp_path, capsys, monkeypatch):
-    """For each command of the parser and each of its flags but --config and
-    --out, one other value changes the exit code or the artifact outside its
-    config echo: no command accepts a setting it ignores."""
+def _flag_inputs(tmp_path, monkeypatch):
+    """The sample files that _FLAG_BASE and _FLAG_ALT name, in the working directory."""
     monkeypatch.chdir(tmp_path)
     _sample_file(tmp_path / "heat.json", np.linspace(-6.0, 6.0, 121))
     _sample_file(tmp_path / "eta.json", np.linspace(0.0, 8.0, 81))
     (tmp_path / "other.json").write_text(json.dumps(
         {"y": [i / 10 for i in range(81)], "values": [[1.0 / (1 + i), 0.0] for i in range(81)]}))
 
+
+def test_every_accepted_flag_is_read(tmp_path, capsys, monkeypatch):
+    """For each command of the parser and each of its flags but --config and
+    --out, one other value changes the exit code or the artifact outside its
+    config echo and checks: no command accepts a setting it ignores."""
+    _flag_inputs(tmp_path, monkeypatch)
+
     def outcome(argv):
         code, out, _ = run_err(capsys, *argv)
         doc = json.loads(out) if out else {}
         doc.pop("config", None)
+        doc.pop("checks", None)
         return code, doc
 
     commands = _command_flags()
@@ -250,6 +263,70 @@ def test_every_accepted_flag_is_read(tmp_path, capsys, monkeypatch):
             else:
                 argv += [flag, alt]
             assert outcome(argv) != (code, doc), (key, flag)
+
+
+# the commands whose artifacts hold checks, and the payload flag derived from them
+_CHECKED = {("rep", "build"): "verification", ("rep", "verify"): "verification",
+            ("wgz", "roundtrip"): None, ("kernel", "verify"): "conjugation",
+            ("compare", "compact"): "compact"}
+
+
+def test_config_echo_is_the_command_and_its_flags(tmp_path, capsys, monkeypatch):
+    """Walking _COMMANDS: each artifact's config holds `command` and only
+    the command's flags, each flag with a default among them, and only the
+    commands with checks write a non-empty `checks`, each check repeating
+    the payload value of the key it names."""
+    _flag_inputs(tmp_path, monkeypatch)
+    parsers = _command_parsers()
+    assert parsers.keys() == cli._COMMANDS.keys()
+    for key, (_, flags) in cli._COMMANDS.items():
+        code, doc = run(capsys, *key, *_FLAG_BASE[key].split())
+        assert code == 0, key
+        config = doc["config"]
+        assert config.pop("command") == " ".join(key)
+        read = {a.dest for a in parsers[key]._actions if a.option_strings} - {"help", "config"}
+        defaulted = {dest for _, dest, _, default, _ in cli._row(flags) if default is not None}
+        assert defaulted <= config.keys() <= read, key
+        assert {dest for _, dest, *_ in cli._row(flags)} == read, key
+        assert bool(doc["checks"]) == (key in _CHECKED), key
+        for check in doc["checks"]:
+            assert [check["value"]] == [section[check["name"]] for section in doc.values()
+                                        if isinstance(section, dict) and check["name"] in section]
+    code, doc = run(capsys, "roots", "info", "--type", "A", "--rank", "1")
+    assert doc["config"] == {"command": "roots info", "family": "A", "rank": 1}
+
+
+@pytest.mark.parametrize("key", _CHECKED, ids=" ".join)
+def test_a_check_past_its_bound_exits_1(tmp_path, capsys, monkeypatch, key):
+    """Exit 1 exactly when some check's value is at or over its bound: the
+    base argv passes every check, and --tol 1e-30 (compare compact, which
+    has no --tol: one value patched up to its bound) fails one, the
+    payload's `passed` flag with it."""
+    _flag_inputs(tmp_path, monkeypatch)
+    argv = [*key, *_FLAG_BASE[key].split()]
+    code, doc = run(capsys, *argv)
+    assert code == 0 and all(c["value"] < c["bound"] for c in doc["checks"])
+    if key == ("compare", "compact"):
+        real = compactcheck.bridge_checks
+        monkeypatch.setattr(compactcheck, "bridge_checks", lambda rep: [
+            {**c, "value": c["bound"]} if c["name"] == "residual_T" else c for c in real(rep)])
+    else:
+        argv += ["--tol", "1e-30"]
+    code, doc = run(capsys, *argv)
+    assert code == 1 and any(c["value"] >= c["bound"] for c in doc["checks"])
+    if _CHECKED[key]:
+        assert doc[_CHECKED[key]]["passed"] is False
+
+
+def test_wgz_roundtrip_gates_quasi_periodicity(capsys):
+    """The A2 grid whose round trip and Parseval pass but whose
+    quasi-periodicity residual (7.2e-5) does not exits 1 at --tol 1e-6."""
+    code, doc = run(capsys, "wgz", "roundtrip", "--type", "A", "--rank", "2", "--level", "1",
+                    "--resolution", "3", "--box-radius", "2")
+    assert code == 1
+    failed = [c["name"] for c in doc["checks"] if not c["value"] < c["bound"]]
+    assert failed == ["quasi_periodicity_residual"]
+    assert doc["checks"][-1]["value"] == doc["roundtrip"]["quasi_periodicity_residual"]
 
 
 def test_artifact_determinism(tmp_path):

@@ -7,7 +7,8 @@ rounding level but not pass from one side of its tolerance to the other
 (the `passed` flags and exit codes match) and must stay at most
 max(10 x reference, 1e-13).  The error budgets `boundary_decay` and
 `truncation_error`, which sit far below any absolute floor, must match to
-1e-9 of the reference.
+1e-9 of the reference.  A check's name and bound must match exactly, and
+its value by the rule of the payload key it names.
 
 Regenerate the bundle after a change that means to move an artifact:
 
@@ -117,6 +118,11 @@ def differences(want, got, path=()) -> list:
     if isinstance(want, dict) and isinstance(got, dict):
         if want.keys() != got.keys():
             return [f"{where}: keys {sorted(want)} != {sorted(got)}"]
+        if path[-2:-1] == ("checks",):
+            # a check: its value under the rule of the key it names
+            same = (want["name"], want["bound"]) == (got["name"], got["bound"])
+            return ([] if same else [f"{where}: {want!r} != {got!r}"]) + differences(
+                want["value"], got["value"], path + (want["name"],))
         return [d for key in want for d in differences(want[key], got[key], path + (key,))]
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
@@ -192,6 +198,24 @@ def test_gate_bounds_residuals_by_ten_times_the_reference(reference):
     rep["parseval_relative_error"] = 9.0 * error
     assert compare_records(want, got) == []
     rep["parseval_relative_error"] = 11.0 * max(error, 1e-13)
+    assert len(compare_records(want, got)) == 1
+
+
+def test_gate_compares_a_check_exactly_but_for_its_value(reference):
+    """A check's name and bound match exactly; its value may move as the
+    residual it names may: x 9 passes and x 11 fails, though the 1e-12
+    rule of other floats would pass both."""
+    want, got = _mutable(reference, lambda r: r["argv"][:2] == ["wgz", "roundtrip"])
+    check = next(c for c in got[0]["artifact"]["checks"]
+                 if c["name"] == "parseval_relative_error")
+    value, bound = check["value"], check["bound"]
+    check["value"] = 9.0 * value
+    assert compare_records(want, got) == []
+    check["value"] = 11.0 * max(value, 1e-13)
+    assert len(compare_records(want, got)) == 1
+    check.update(value=value, bound=math.nextafter(bound, 1.0))
+    assert len(compare_records(want, got)) == 1
+    check.update(bound=bound, name="roundtrip_residual")
     assert len(compare_records(want, got)) == 1
 
 
