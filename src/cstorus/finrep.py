@@ -3,10 +3,10 @@ the sector S and T matrices, assembled from Weyl orbits on the quotient
 group, and SL(2,Z) relation checks.
 
 Phase bookkeeping is exact: every phase exponent is an integer numerator
-over a fixed denominator, reduced as an integer and evaluated once: the
-`pair` and `norm` of the QuotientGroup that the Weyl orbits carry (lattice),
-so S and T are the Weil representation of Z that wgz applies, restricted to
-the W-invariants or W-anti-invariants.
+over a fixed denominator, reduced as an integer and evaluated once.  S and T
+read the character and Gauss phase of the quadratic module Z that the Weyl
+orbits carry (lattice), so they are the Weil representation of Z that wgz
+applies, restricted to the W-invariants or W-anti-invariants.
 """
 
 from __future__ import annotations
@@ -118,17 +118,15 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     sum over the orbit O_a, with det(w) signs where the convention asks for
     them; a sign-carrying orbit whose stabilizer holds an odd element sums
     to zero. T is diagonal with entries omega^{-1} exp(pi i <a,a>_k) under
-    the default convention. Every phase is an integer numerator over D or 2D
-    (D the exponent of Z) from `pair` or `norm`, evaluated once. A sector of
-    dimension above SECTOR_DIM_CEILING raises ResourceLimitError before S is
-    allocated.
+    the default convention. Both read Z's phases: its character, a D-th
+    root of unity per pair, and its Gauss phase. A sector of dimension above
+    SECTOR_DIM_CEILING raises ResourceLimitError before S is allocated.
     """
     if sector not in (0, 1):
         raise SchemaError(f"sector must be 0 or 1, got {sector}")
     phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
     z = orbits.quotient
-    d = z.denom
     idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(orbits.pairings))
     if len(idx) > SECTOR_DIM_CEILING:
         raise ResourceLimitError(
@@ -136,14 +134,13 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
             f"{SECTOR_DIM_CEILING} for {rs.lie_type}, k={k}")
     use_det = convention.det_in_invariant == (sector == 0)
     points = orbits.numerators[idx]
-    roots = np.exp(-2j * math.pi * np.arange(d) / d)
     members = orbits.members()
     s = np.zeros((len(idx), len(idx)), dtype=complex)
     for r, a in enumerate(idx):
         if use_det and orbits.odd_stabilizer[a]:
             continue
         m = members[a]
-        phase = roots[z.pair(z.numerators[m], points)]
+        phase = z.character(z.numerators[m], points, -1)
         s[r] = (orbits.sign[m] @ phase) if use_det else phase.sum(axis=0)
     # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
     # interior points have trivial stabilizers
@@ -151,16 +148,12 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent, PHASE_DENOM)
                                                / math.sqrt(z.order))
 
-    # -omega + t_sign <a,a>_k / 2 with <a,a>_k / 2 = norm / (2D), over
-    # lcm(2D, den(omega)), den(omega) of omega's exponent in lowest terms
-    om = phases.omega_exponent
-    den = math.lcm(2 * d, PHASE_DENOM // math.gcd(om, PHASE_DENOM))
-    num = (convention.t_sign * z.norm(points) * (den // (2 * d))
-           - om * den // PHASE_DENOM) % den
-    t = np.diag(np.exp(2j * math.pi * num / den))
+    gauss = z.gauss(points)
+    t = np.diag((gauss if convention.t_sign > 0 else gauss.conj())
+                * unit_phase(-phases.omega_exponent, PHASE_DENOM))
 
     return SectorMatrices(rs=rs, k=k, sector=sector, convention=convention,
-                          labels=points, denom=d, s=s, t=t)
+                          labels=points, denom=z.denom, s=s, t=t)
 
 
 @dataclass

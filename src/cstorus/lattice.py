@@ -1,14 +1,14 @@
-"""The finite quotient group Z = (kG)^{-1} Z^n / Z^n of the k-scaled dual
-of the coroot lattice and the Weyl orbits on Z.
+"""The finite quadratic module Z = (kG)^{-1} Z^n / Z^n of an even Gram matrix
+kG, and the Weyl orbits on Z for kG = k gram1.
 
 Conventions: vectors are coroot-basis coordinates, and the coroot lattice is
-Z^n in these coordinates.  A point gamma of the k-scaled dual lattice is held
-as the int vector x = D gamma of numerators over the exponent D of Z; its
-canonical coset representative is x mod D, in the half-open cube [0,1)^n.
-With q(gamma) = <gamma, gamma>_k / 2 mod 1, Z is a discriminant form; its
-integer `pair` and `norm` give every phase on Z in finrep and wgz, whose
-finite operators are its Weil representation.  `quotient_group` is the one
-object that describes Z, in the dense (Smith) order; only the `reps` that
+Z^n in these coordinates.  A point gamma of the dual lattice is held as the
+int vector x = D gamma of numerators over the exponent D of Z; its canonical
+coset representative is x mod D, in the half-open cube [0,1)^n.  With
+q(gamma) = <gamma, gamma>_k / 2 mod 1, `quadratic_module` builds (Z, q) from
+kG alone, in the dense (Smith) order, and `quotient_group(rs, k)` is it for
+k gram1.  Its `character` e(-+<a, b>_k) and `gauss` phase e(q(a)) are the one
+definition of F_Z and G_Z, which finrep and wgz read.  Only the `reps` that
 `enumerate_report` prints are sorted lexicographically.  Points stay int
 numerators up to the JSON artifacts, which spell them by `fraction_strings`.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ Z_ORDER_CEILING = 100_000
 
 @dataclass(frozen=True, eq=False)
 class QuotientGroup:
-    """Z in integers, from the Smith form u (kG) v = diag(d_1, ..., d_n).
+    """Z of kG in integers, from the Smith form u (kG) v = diag(d_1, ..., d_n).
 
     Then (kG)^{-1} = v diag(1/d) u, so the exponent of Z is D = d_n and
     D (kG)^{-1} = v diag(D/d) u is integral.  A point x (numerators over D)
@@ -40,9 +41,7 @@ class QuotientGroup:
     Smith basis as u c mod (d_1, ..., d_n), flattened row-major to a dense
     index in [0, |Z|); row i of `numerators` is the point of dense index i.
     """
-    rs: RootSystem
-    k: int
-    kg: np.ndarray          # (n, n) k * gram1
+    kg: np.ndarray          # (n, n) the even Gram matrix
     denom: int              # D
     kinv: np.ndarray        # (n, n) D (kG)^{-1}
     divisors: np.ndarray    # (n,) d_i, each dividing the next
@@ -53,16 +52,12 @@ class QuotientGroup:
     def order(self) -> int:
         return len(self.numerators)
 
-    @property
-    def snf_invariants(self) -> Tuple[int, ...]:
-        return tuple(int(d) for d in self.divisors if d > 1)
-
     def index_of(self, x) -> np.ndarray:
         """Dense index of the points with numerators x, shape (..., n), any
         coset representative; DomainError off the dual lattice."""
         c = np.asarray(x, dtype=np.int64) @ self.kg
         if (c % self.denom).any():
-            raise DomainError("numerators are not a point of the k-scaled dual lattice")
+            raise DomainError("numerators are not a point of the dual lattice (kG)^{-1} Z^n")
         y = (c // self.denom) @ self.u.T % self.divisors
         return np.ravel_multi_index(tuple(np.moveaxis(y, -1, 0)), self.divisors)
 
@@ -71,37 +66,58 @@ class QuotientGroup:
         return x @ (y @ self.kg // self.denom).T % self.denom
 
     def norm(self, x: np.ndarray) -> np.ndarray:
-        """D <a, a>_k mod 2D = 2D q(a) for numerators x (..., n); the coroot
-        lattice is even, so this is a function on Z."""
+        """D <a, a>_k mod 2D = 2D q(a) for numerators x (..., n); kG is even,
+        so this is a function on Z."""
         return np.einsum("...i,...i->...", x, x @ self.kg // self.denom) % (2 * self.denom)
 
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """e(-j / D) for j in [0, D)."""
+        return np.exp(-2j * math.pi * np.arange(self.denom) / self.denom)
 
-def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
-    """The finite abelian group (k-scaled dual lattice) / (coroot lattice);
-    |Z_k| = det(k*gram1), the product of the Smith divisors in Python ints,
-    above Z_ORDER_CEILING raises ResourceLimitError before any array is built."""
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
-    kg = [[k * e for e in row] for row in rs.gram1]
-    # In dual-lattice coordinates the coroot lattice is spanned by the
-    # columns of k*gram1; Smith form gives the cyclic decomposition.
-    d, u, v = exact.smith_normal_form(kg)
+    def character(self, x: np.ndarray, y: np.ndarray, sign: int) -> np.ndarray:
+        """e(sign <a, b>_k), sign = +-1, for numerators x (A, n), y (B, n),
+        shape (A, B): a D-th root of unity per entry, looked up through `pair`."""
+        phase = self._roots[self.pair(x, y)]
+        return phase if sign < 0 else phase.conj()
+
+    def gauss(self, x: np.ndarray) -> np.ndarray:
+        """The Gauss phase e(q(a)) = e^{pi i norm / D} for numerators x (..., n)."""
+        return np.exp(1j * math.pi * self.norm(x) / self.denom)
+
+
+def quadratic_module(gram, label: str) -> QuotientGroup:
+    """(gram^{-1} Z^n / Z^n, q) of an (n, n) even, positive-definite integer
+    matrix (DomainError unless symmetric, even and nonsingular, else Z or q
+    is not defined); |Z| = det(gram), the product of the Smith divisors of
+    gram in Python ints, above Z_ORDER_CEILING raises ResourceLimitError
+    naming `label` before any array of Z is built."""
+    d, u, v = exact.smith_normal_form(gram)
     order = math.prod(d[i][i] for i in range(len(d)))
     if order > Z_ORDER_CEILING:
         raise ResourceLimitError(
-            f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING} for {rs.lie_type}, k={k}")
+            f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING} for {label}")
+    kg = np.array(gram, dtype=np.int64)
+    if (kg != kg.T).any() or (np.diag(kg) % 2).any() or not order:
+        raise DomainError(f"Gram matrix {kg.tolist()} is not symmetric, even and nonsingular")
     d, u, v = (np.array(m, dtype=np.int64) for m in (d, u, v))
     divisors = np.diag(d).copy()
     denom = int(divisors[-1])
-    assert divisors.min() > 0
     kinv = v @ ((denom // divisors)[:, None] * u)
-    kg = np.array(kg, dtype=np.int64)
     assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()
     # Smith coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)
     y = np.indices(divisors).reshape(len(divisors), -1).T
-    return QuotientGroup(rs=rs, k=k, kg=kg, denom=denom, kinv=kinv, divisors=divisors,
+    return QuotientGroup(kg=kg, denom=denom, kinv=kinv, divisors=divisors,
                          u=u % divisors[:, None],
                          numerators=(y * (denom // divisors)) @ v.T % denom)
+
+
+def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
+    """Z_k = (k-scaled dual lattice) / (coroot lattice): the quadratic module
+    of k gram1."""
+    if k < 1:
+        raise SchemaError(f"level k must be a positive integer, got {k}")
+    return quadratic_module([[k * e for e in row] for row in rs.gram1], f"{rs.lie_type}, k={k}")
 
 
 def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
@@ -216,7 +232,7 @@ def enumerate_report(rs: RootSystem, k: int) -> dict:
         "type": str(rs.lie_type),
         "level": k,
         "order": q.order,
-        "invariant_factors": list(q.snf_invariants),
+        "invariant_factors": [int(d) for d in q.divisors if d > 1],
         "reps": fraction_strings(q.numerators[np.lexsort(q.numerators.T[::-1])], q.denom),
         "alcove": {
             "open": fraction_strings(orbits.numerators[orbits.interior], q.denom),

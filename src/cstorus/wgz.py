@@ -35,13 +35,13 @@ holds two sections.  A grid whose section samples (N^(2n)) or family values
 (|Z| B^n) exceed WGZ_ARRAY_CEILING complex entries is refused before any
 array is allocated.
 
-Z, its numerators and the integer kG all come from one QuotientGroup
-(lattice.quotient_group): on a grid it is spec.quotient(), built once and
-cached, and a family or section carries it as `quotient`, which must be Z
-of the grid's (type, k).  Row g of a family is the point of dense index g.
-F_Z and the Gauss factor G_Z read their phases from the integer pair and
-norm of Z, as finrep, and the cell volume sqrt|Z| / N^n and the alias
-period (N^2 / D) kinv from its order and integer inverse.  The section
+Z, its numerators and the integer kG all come from one QuotientGroup, the
+quadratic module of kG (lattice): on a grid it is spec.quotient(), built
+once and cached, and a family or section carries it as `quotient`, whose
+Gram matrix must be the grid's.  Row g of a family is the point of dense
+index g.  F_Z and the Gauss factor G_Z are Z's character and Gauss phase,
+as in finrep, and the cell volume sqrt|Z| / N^n and the alias period
+(N^2 / D) kinv come from its order and integer inverse.  The section
 operators take their phase from multiplier_eval, the one line-bundle
 multiplier.
 """
@@ -286,23 +286,17 @@ class SectionSamples:
 
 
 def _check_quotient(spec: GridSpec, quotient: QuotientGroup) -> None:
-    if (quotient.rs.lie_type, quotient.k) != (spec.rs.lie_type, spec.k):
+    if quotient is not spec.quotient() and not np.array_equal(quotient.kg, spec.quotient().kg):
         raise SchemaError(
-            f"quotient of {quotient.rs.lie_type} k={quotient.k} does not match "
-            f"the grid's {spec.rs.lie_type} k={spec.k}")
-
-
-def _gamma_grid_coords(spec: GridSpec) -> np.ndarray:
-    """Integer grid coordinates (units 1/N) of the canonical quotient reps."""
-    z = spec.quotient()
-    return z.numerators * (spec.divisions // z.denom)
+            f"quotient of Gram matrix {quotient.kg.tolist()} does not match the Gram "
+            f"matrix {spec.quotient().kg.tolist()} of the grid's {spec.rs.lie_type} k={spec.k}")
 
 
 @dataclass(frozen=True)
 class _ForwardPlan:
     """Index tables of the forward transform at one theta1 offset."""
     gather: np.ndarray      # (C, S) flat box index of theta1 + lambda
-    modulation: np.ndarray  # (|Z|, S) e^{-2 pi i x.gamma / N} / sqrt|Z|
+    modulation: np.ndarray  # (|Z|, S) e^{-2 pi i <gamma, lambda>_k} / sqrt|Z|
     residues: np.ndarray    # (U,) distinct flat residues x mod N, increasing
     starts: np.ndarray      # (U,) first shift of each residue
 
@@ -327,11 +321,10 @@ def _forward_plan(spec: GridSpec, off1: np.ndarray) -> _ForwardPlan:
         order = np.argsort(residue, kind="stable")
         shifts, x, residue = shifts[order], x[order], residue[order]
         starts = np.flatnonzero(np.diff(residue, prepend=-1))
-        gam = _gamma_grid_coords(spec)                  # (|Z|, n) in units 1/N
         spec._cache[key] = _ForwardPlan(
             gather=spec.box_flat_index(t1[:, None, :] + shifts[None, :, :]),
-            modulation=(np.exp(-2j * math.pi * ((gam @ x.T) % nn) / nn)
-                        / math.sqrt(z.order)),
+            # Z's character at the numerators D lambda = kinv x of the shifts
+            modulation=z.character(z.numerators, x @ z.kinv.T, -1) / math.sqrt(z.order),
             residues=residue[starts], starts=starts)
     return spec._cache[key]
 
@@ -443,9 +436,8 @@ def _inverse_plan(spec: GridSpec) -> _InversePlan:
             raise DomainError(
                 "grid too coarse for alias-free inversion; increase divisions "
                 f"(alias margin {margin} grid units)")
-        n, nn = spec.n, spec.divisions
-        kg = spec.quotient().kg
-        gam = _gamma_grid_coords(spec)
+        n, nn, z = spec.n, spec.divisions, spec.quotient()
+        kg, gam = z.kg, z.numerators * (nn // z.denom)   # gamma in units 1/N
         mn = spec.half_width * nn
         # per axis a, m_a = box_a - ghat_a = p_a + N nu_a, shape (|Z|, n, B);
         # each digit of the index is a sum of per-axis parts broadcast over
@@ -567,23 +559,20 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples) -> floa
 def apply_finite_fourier(f: GridFunctionFamily, inverse: bool = False
                          ) -> GridFunctionFamily:
     """F_Z (or its inverse) acting on the finite index of a family: the
-    kernel e^{+-2 pi i <a, b>_k} / sqrt|Z|, a D-th root of unity per entry
-    from the integer pairing on Z."""
+    kernel e^{+-2 pi i <a, b>_k} / sqrt|Z|, from Z's character."""
     z = f.quotient
-    sign = -2j if inverse else 2j
-    roots = np.exp(sign * math.pi * np.arange(z.denom) / z.denom) / math.sqrt(z.order)
-    mat = roots[z.pair(z.numerators, z.numerators)]
+    mat = z.character(z.numerators, z.numerators, -1 if inverse else 1) / math.sqrt(z.order)
     return GridFunctionFamily(f.spec, z, _product(mat, f.values))
 
 
 def prequantum_T(f: GridFunctionFamily) -> GridFunctionFamily:
-    """T-hat = G_Z (finite Gauss phase e^{2 pi i q(gamma)}, from the integer
-    norm on Z) composed with G_E^{-1} (pointwise e^{-pi i <theta, theta>_k})."""
+    """T-hat = G_Z (Z's Gauss phase e^{2 pi i q(gamma)}) composed with
+    G_E^{-1} (pointwise e^{-pi i <theta, theta>_k})."""
     spec, z = f.spec, f.quotient
     box = spec.box_coords()
     qbox = np.einsum("pi,ij,pj->p", box, z.kg, box) / spec.divisions ** 2
     out = f.values * np.exp(-1j * math.pi * qbox)[None, :]
-    out *= np.exp(1j * math.pi * z.norm(z.numerators) / z.denom)[:, None]
+    out *= z.gauss(z.numerators)[:, None]
     return GridFunctionFamily(spec, z, out)
 
 

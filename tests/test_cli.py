@@ -1,6 +1,7 @@
 """CLI: exit codes, config files, deterministic JSON artifacts, file IO."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -943,6 +944,25 @@ def test_modular_sweep_exits_1_on_a_failed_row(convention, code):
     done = _python(str(script), "--convention", convention)
     assert done.returncode == code, done.stderr
     assert ("FAIL" in done.stdout) == bool(code)
+    assert done.stdout.splitlines()[0].split()[-1] == "Milgram"
+
+
+def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
+    """A Milgram residual above 1e-12 fails its (type, k) rows, and only
+    those, and the sweep returns 1, though every relation passes."""
+    spec = importlib.util.spec_from_file_location(
+        "run_modular_sweep", Path(SRC).parent / "scripts" / "run_modular_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    milgram = sweep.milgram_residual
+    monkeypatch.setattr(sweep, "SWEEP", [("A", 1, 3)])
+    monkeypatch.setattr(sweep, "milgram_residual",
+                        lambda rs, k: 2e-12 if k == 2 else milgram(rs, k))
+    monkeypatch.setattr(sys, "argv", ["run_modular_sweep.py"])
+    assert sweep.main() == 1
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[2] for row in rows if row.endswith("FAIL")] == ["2", "2"]
+    assert len(rows) == 6
 
 
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])

@@ -6,15 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cstorus.compactcheck import (CompactModularData, _integrable_shifted_weights,
-                                  compare_shifted, is_simply_laced,
+from cstorus.compactcheck import (CompactModularData, _fit_phase, _integrable_shifted_weights,
+                                  _rho_order, compare_shifted, is_simply_laced,
                                   kac_peterson_sum, su2_modular_data)
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
-from cstorus.finrep import Convention
+from cstorus.finrep import Convention, rep_matrices
 from cstorus.lattice import Z_ORDER_CEILING, _alcove_pairings
 from cstorus.roots import LieType, build_root_system
-from fraction_oracle import (fraction_rows, inverse, mat, mat_vec, pairing1, unit_phase,
-                             weyl_apply, weyl_vector)
+from fraction_oracle import (fraction_rows, inverse, mat, mat_vec, pairing1, positive_roots,
+                             unit_phase, weyl_apply, weyl_vector)
 from test_roots import IDENTITY_TYPES
 
 
@@ -188,6 +188,34 @@ def test_bridge_rank_four(family, k):
     assert max(rep["residual_S"], rep["residual_T"]) < 1e-13
     assert rep["snapped_S_phase"] == [1, 0]
     assert abs(complex(*rep["fitted_T_phase"]) - 1) < 1e-13
+
+
+BRIDGE_CASES = ([("A", 1, k) for k in range(1, 7)] + [("A", 2, k) for k in (1, 2, 3)]
+                + [(f, r, k) for f, r in [("A", 3), ("A", 4), ("D", 4)] for k in (1, 2)])
+
+
+@pytest.mark.parametrize("family,rank,k", BRIDGE_CASES)
+def test_identity_row_is_the_weyl_denominator(family, rank, k):
+    """With no W-sum, the Weyl denominator formula gives the identity row:
+    S_{0 lambda} is proportional to prod_{alpha > 0} 2 sin(pi <alpha,
+    lambda>_1 / (k + h)) over the rho-shifted labels lambda = mu + rho
+    (Kac, Infinite-Dimensional Lie Algebras, ch. 13).  Normalised, it is
+    the Kac-Peterson row and, up to the bridge's fitted phase, the row of
+    the sector at level k + h whose label is rho / (k + h)."""
+    rs = build_root_system(LieType(family, rank))
+    kk = k + rs.dual_coxeter
+    labels = fraction_shifted_weights(rs, k)
+    prod = np.array([math.prod(2 * math.sin(math.pi * float(pairing1(rs, a, lam)) / kk)
+                               for a in positive_roots(rs)) for lam in labels])
+    want = prod / np.linalg.norm(prod)
+    kp = kac_peterson_sum(rs, k).s[0]
+    assert np.abs(kp - want).max() <= 1e-12
+    sect = rep_matrices(rs, kk, sector=1)
+    order = _rho_order(sect.labels)
+    assert [tuple(kk * x for x in v) for v in fraction_rows(sect.labels[order], sect.denom)] \
+        == labels
+    row = sect.s[order[0], order]
+    assert np.abs(_fit_phase(row, want) * row - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family,rank,order", [("A", 5, 100842), ("D", 5, 236196),

@@ -33,7 +33,7 @@ class FiniteVector:
     label: Tuple[Fraction, ...]
 
 
-def symmetrized_basis(quotient: QuotientGroup, orbits: WeylOrbits,
+def symmetrized_basis(rs: RootSystem, k: int, orbits: WeylOrbits,
                       sector: int) -> List[FiniteVector]:
     """Orthonormal Weyl-(anti)symmetrized delta bases indexed by alcove points.
 
@@ -42,9 +42,9 @@ def symmetrized_basis(quotient: QuotientGroup, orbits: WeylOrbits,
     with a nontrivial stabilizer are not unit norm under the bare 1/sqrt|W|
     normalization).
     """
-    rs = quotient.rs
+    quotient = orbits.quotient
     wg = rs.weyl_group()
-    oracle = fraction_quotient(rs, quotient.k)
+    oracle = fraction_quotient(rs, k)
     rows = orbits.numerators[orbits.interior] if sector else orbits.numerators
     out: List[FiniteVector] = []
     for gamma in fraction_rows(rows, orbits.quotient.denom):
@@ -60,21 +60,20 @@ def symmetrized_basis(quotient: QuotientGroup, orbits: WeylOrbits,
     return out
 
 
-def finite_fourier(quotient: QuotientGroup) -> np.ndarray:
+def finite_fourier(rs: RootSystem, k: int) -> np.ndarray:
     """Unitary discrete Fourier matrix with kernel exp(2 pi i <a,b>_k)."""
-    m = quotient.order
-    reps = fraction_quotient(quotient.rs, quotient.k).reps
+    reps = fraction_quotient(rs, k).reps
+    m = len(reps)
     out = np.empty((m, m), dtype=complex)
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
-            out[i, j] = fraction_phase(quotient.k * pairing1(quotient.rs, a, b))
+            out[i, j] = fraction_phase(k * pairing1(rs, a, b))
     return out / math.sqrt(m)
 
 
-def finite_gauss(quotient: QuotientGroup) -> np.ndarray:
+def finite_gauss(rs: RootSystem, k: int) -> np.ndarray:
     """Diagonal Gauss operator with entries exp(pi i <a,a>_k)."""
-    diag = [fraction_phase(quotient.k * pairing1(quotient.rs, a, a) / 2)
-            for a in fraction_quotient(quotient.rs, quotient.k).reps]
+    diag = [fraction_phase(k * pairing1(rs, a, a) / 2) for a in fraction_quotient(rs, k).reps]
     return np.diag(diag)
 
 
@@ -256,7 +255,7 @@ def test_phase_parameters_removed():
 def test_finite_fourier_unitary_order_four(fam, rank, k):
     rs = build_root_system(LieType(fam, rank))
     q = quotient_group(rs, k)
-    f = finite_fourier(q)
+    f = finite_fourier(rs, k)
     eye = np.eye(q.order)
     assert np.abs(f.conj().T @ f - eye).max() < 1e-12
     f2 = f @ f
@@ -266,12 +265,11 @@ def test_finite_fourier_unitary_order_four(fam, rank, k):
 def test_symmetrized_bases_orthonormal_and_invariant():
     rs = build_root_system(LieType("A", 2))
     k = 3
-    q = quotient_group(rs, k)
     orbits = weyl_orbits(rs, k)
     wg = rs.weyl_group()
     oracle = fraction_quotient(rs, k)
     for sector in (0, 1):
-        basis = symmetrized_basis(q, orbits, sector)
+        basis = symmetrized_basis(rs, k, orbits, sector)
         if not basis:
             continue
         b = np.stack([v.coefficients for v in basis], axis=1)
@@ -301,13 +299,12 @@ def test_operator_route_oracle():
     bases must reproduce the assembled sector matrices."""
     for fam, rank, k in [("A", 1, 3), ("A", 2, 2), ("B", 2, 2), ("G", 2, 1)]:
         rs = build_root_system(LieType(fam, rank))
-        q = quotient_group(rs, k)
         orbits = weyl_orbits(rs, k)
         pp = phase_constants(rs)
-        s_full = unit_phase(-pp.j_exponent, PHASE_DENOM) * finite_fourier(q).conj().T
-        t_full = unit_phase(-pp.omega_exponent, PHASE_DENOM) * finite_gauss(q)
+        s_full = unit_phase(-pp.j_exponent, PHASE_DENOM) * finite_fourier(rs, k).conj().T
+        t_full = unit_phase(-pp.omega_exponent, PHASE_DENOM) * finite_gauss(rs, k)
         for sector in (0, 1):
-            basis = symmetrized_basis(q, orbits, sector)
+            basis = symmetrized_basis(rs, k, orbits, sector)
             if not basis:
                 continue
             b = np.stack([v.coefficients for v in basis], axis=1)

@@ -1,7 +1,9 @@
 """Quotient groups, alcove enumeration and affine folding."""
 
 import ast
+import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,9 @@ import pytest
 from cstorus import lattice
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.exact import smith_normal_form
-from cstorus.lattice import enumerate_report, quotient_group, weyl_orbits
+from cstorus.finrep import phase_constants
+from cstorus.lattice import (Z_ORDER_CEILING, enumerate_report, quadratic_module, quotient_group,
+                             weyl_orbits)
 from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
 from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
 from fraction_oracle import (bilinear, det, fraction_rows, highest_root, inverse, mat, mat_mul,
@@ -360,6 +364,70 @@ def test_discriminant_form_matches_fraction_oracle(fam, rank, k):
     assert (q.norm(x[rows]) % d == np.diag(q.pair(x[rows], x[rows]))).all()
 
 
+def milgram_residual(z) -> float:
+    """|sum_{x in Z} e(q(x)) - sqrt|Z| e(n/8)| / sqrt|Z|, the sum taken over
+    the production Gauss phase; Milgram's formula says it is 0 for an even,
+    positive-definite Gram matrix of rank n (signature n)."""
+    root = math.sqrt(z.order)
+    return abs(z.gauss(z.numerators).sum() - root * cmath.exp(2j * math.pi * len(z.kg) / 8)) / root
+
+
+MILGRAM_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+                 ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("fam,rank", MILGRAM_TYPES)
+def test_milgram_formula_on_every_level_under_the_ceiling(fam, rank):
+    """Milgram's formula sum_{x in Z} e(q(x)) = sqrt|Z| e(n/8) (Milnor and
+    Husemoller, Symmetric Bilinear Forms, appendix 4) holds for Z_k at every
+    k <= 7 under Z_ORDER_CEILING, and fixes omega^3 j = e(n/8): the i^{n/2}
+    of the cubic constraint is read off Z itself."""
+    rs = build_root_system(LieType(fam, rank))
+    pp = phase_constants(rs)
+    levels = [k for k in range(1, 8) if k ** rank * det(mat(rs.gram1)) <= Z_ORDER_CEILING]
+    assert levels
+    for k in levels:
+        z = quotient_group(rs, k)
+        assert milgram_residual(z) <= 1e-12, (k, milgram_residual(z))
+        gauss_sum = z.gauss(z.numerators).sum() / math.sqrt(z.order)
+        assert abs(pp.omega ** 3 * pp.j - gauss_sum) <= 1e-13, k
+
+
+@pytest.mark.parametrize("gram,order", [([[2, 1], [1, 4]], 7), ([[4, 2], [2, 6]], 20),
+                                        ([[6]], 6), ([[2, 1, 0], [1, 4, 1], [0, 1, 8]], 54)])
+def test_module_from_a_gram_matrix_alone(gram, order):
+    """The module needs only an even Gram matrix, here none of them k gram1
+    of a root system: |Z| = det, index_of reads every point back at its own
+    row, Milgram's formula holds, and F = e(<a, b>) / sqrt|Z|, G = e(q)
+    give the Weil representation: F^4 = Id (S^4 = -Id in odd rank) and
+    (S T)^3 = S^2 with S = e(-n/8) F^{-1}, T = G."""
+    z = quadratic_module(gram, f"Gram matrix {gram}")
+    assert z.order == order == det(mat(gram))
+    assert (z.index_of(z.numerators) == np.arange(order)).all()
+    assert milgram_residual(z) <= 1e-13
+    eye = np.eye(order)
+    f = z.character(z.numerators, z.numerators, 1) / math.sqrt(order)
+    f_inv = z.character(z.numerators, z.numerators, -1) / math.sqrt(order)
+    assert np.abs(f @ f_inv - eye).max() <= 1e-13
+    assert np.abs(np.linalg.matrix_power(f, 4) - eye).max() <= 1e-13
+    s = cmath.exp(-2j * math.pi * len(gram) / 8) * f_inv
+    t = np.diag(z.gauss(z.numerators))
+    assert np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s).max() <= 1e-13
+
+
+def test_module_refuses_an_odd_or_singular_form_and_an_order_over_the_ceiling():
+    """An odd or asymmetric Gram matrix has no quadratic form on Z and a
+    singular one no finite Z; an order over the ceiling is refused, naming
+    the label, before any array of Z."""
+    for gram in ([[3]], [[2, 1], [0, 2]], [[2, 1], [1, 3]], [[2, 2], [2, 2]]):
+        with pytest.raises(DomainError, match="is not symmetric, even and nonsingular"):
+            quadratic_module(gram, "an odd form")
+    with pytest.raises(ResourceLimitError,
+                       match=rf"\|Z_k\| = 200002 exceeds the ceiling {Z_ORDER_CEILING} for "
+                             r"Gram matrix \[\[200002\]\]$"):
+        quadratic_module([[200_002]], "Gram matrix [[200002]]")
+
+
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])
 def test_weyl_action_permutes_like_the_fraction_route(monkeypatch, fam, rank, k):
     """weyl_action moves finite index g to the row of w(gamma_g) mod the coroot
@@ -428,7 +496,10 @@ def test_one_description_of_z():
     description of it, enumerate_report is the only place that sorts it
     lexicographically (for the reps it prints), and wgz builds no float kG of
     its own.  The one other lexsort orders the dual-lattice shifts of a grid
-    by max-norm, not the points of Z."""
+    by max-norm, not the points of Z.  F_Z and G_Z are defined once, as
+    Z's `character` and `gauss`: finrep and wgz read neither `pair` nor
+    `norm` and build no root-of-unity table (an exp of an arange or of a
+    phase over `denom`) of their own."""
     src = Path(__file__).resolve().parents[1] / "src" / "cstorus"
     lattice = ast.parse((src / "lattice.py").read_text())
     defined = {node.name for node in ast.walk(lattice)
@@ -446,3 +517,16 @@ def test_one_description_of_z():
     named |= {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(wgz) if isinstance(node, ast.Call)}
     assert "pairing_matrix" not in named
+    defined = [node.name for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)]
+    assert defined.count("character") == defined.count("gauss") == 1
+    for module in ("finrep", "wgz"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not {getattr(c.func, "attr", None) for c in calls} & {"pair", "norm"}, module
+        for c in calls:
+            if getattr(c.func, "attr", None) == "exp":
+                inner = {getattr(node, "attr", getattr(node, "id", None))
+                         for arg in c.args for node in ast.walk(arg)}
+                assert not inner & {"arange", "denom"}, (module, ast.unparse(c))

@@ -691,6 +691,38 @@ def test_prequantum_T_on_single_index_gaussian():
     assert np.abs(out.values[1:] - f.values[1:] * 0).max() == 0
 
 
+@pytest.mark.parametrize("fam,rank,k,divisions,half_width", [("A", 1, 2, 4, 3),
+                                                              ("A", 2, 1, 3, 2),
+                                                              ("G", 2, 1, 3, 2)])
+def test_prequantum_T_chirp_is_periodic_on_the_window_lattice(fam, rank, k, divisions,
+                                                              half_width):
+    """The pointwise chirp of T-hat, e^{-pi i p.kG p / N^2} at grid index p
+    (row gamma = 0 of prequantum_T on ones, where G_Z is 1), is invariant
+    under p -> p + l for l in L = (N^2 / D) kinv Z^n: kG l = N^2 m, and
+    l.kG l / N^2 = x.kG x with x = l / N integral and kG even.  So the
+    period window Z^n / L is a quadratic module too.  Checked on every box
+    pair that L joins, in integers and on the values."""
+    rs = build_root_system(LieType(fam, rank))
+    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
+    z, nn = spec.quotient(), spec.divisions
+    ones = GridFunctionFamily(spec, z, np.ones((z.order, spec.box_points_per_axis ** rank)))
+    chirp = prequantum_T(ones).values[z.index_of(np.zeros(rank, dtype=np.int64))]
+    box = spec.box_coords()
+    mn = spec.half_width * nn
+    pairs = 0
+    for m in itertools.product(range(-2, 3), repeat=rank):
+        ell = z.kinv @ np.array(m) * (nn * nn // z.denom)
+        assert (z.kg @ ell == nn * nn * np.array(m)).all()
+        inside = np.all(np.abs(box + ell) <= mn, axis=1)
+        p = box[inside]
+        expo = 2 * np.einsum("pi,ij,j->p", p, z.kg, ell) + ell @ z.kg @ ell
+        assert (expo % (2 * nn * nn) == 0).all()
+        moved = chirp[spec.box_flat_index(p + ell)]
+        assert np.abs(moved - chirp[inside]).max(initial=0.0) <= 1e-12
+        pairs += int(inside.sum()) * any(m)
+    assert pairs > 0
+
+
 def test_prequantum_S_gaussian_self_dual():
     """On the standard Gaussian the continuous Fourier factor acts as the
     identity, so S-hat reduces to the inverse finite Fourier transform."""
@@ -854,15 +886,16 @@ def test_boundary_decay_reads_the_outer_shell(fam, rank, k, res, radius):
 
 @pytest.mark.parametrize("name", ["apply_finite_fourier", "prequantum_T"])
 def test_finite_operators_read_the_integer_discriminant_form(name):
-    """F_Z and the Gauss factor of T-hat take their phases from the integer
-    pairing and norm on Z: neither forms a float <gamma, gamma'>_k from the
-    float Gram matrix or the grid coordinates of the reps."""
+    """F_Z and the Gauss factor of T-hat take their phases from Z's
+    `character` and `gauss`, which read the integer pairing and norm on Z:
+    neither forms a float <gamma, gamma'>_k from the float Gram matrix or
+    the grid coordinates of the reps, nor reads `pair` or `norm` itself."""
     path = Path(__file__).resolve().parents[1] / "src" / "cstorus" / "wgz.py"
     fn = next(node for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.FunctionDef) and node.name == name)
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(fn) if isinstance(node, ast.Call)}
     read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
-    assert not called & {"pairing_matrix", "_gamma_grid_coords"}, sorted(called)
-    assert ("pair" if name == "apply_finite_fourier" else "norm") in called
-    assert {"quotient", "numerators", "denom"} <= read, sorted(read)
+    assert not called & {"pairing_matrix", "_gamma_grid_coords", "pair", "norm"}, sorted(called)
+    assert ("character" if name == "apply_finite_fourier" else "gauss") in called
+    assert {"quotient", "numerators"} <= read, sorted(read)
