@@ -17,7 +17,8 @@ def main():
     print(f"{'type':>5} {'k':>3} {'k+h':>4} {'dim':>4} {'resid S':>10} "
           f"{'resid T':>10} {'S phase':>16}")
     failed = 0
-    for fam, rank, kmax in [("A", 1, 6), ("A", 2, 3), ("A", 4, 2), ("D", 4, 2)]:
+    for fam, rank, kmax in [("A", 1, 6), ("A", 2, 3), ("A", 4, 2), ("D", 4, 2), ("A", 5, 1),
+                            ("D", 5, 1)]:
         rs = build_root_system(LieType(fam, rank))
         for k in range(1, kmax + 1):
             rep = compare_shifted(rs, k, convention=conv)

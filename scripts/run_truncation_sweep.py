@@ -14,9 +14,12 @@ L = 200 (k = 2, s = 1, box radius 10). The edge column, the largest
 relation_edge_mass, shows why: it is ~1e-14 up to L = 40, 1e-7 at L = 64 and
 1e-3 at L = 80, where the chains' blocks reach the end of the box. Each row
 ends with the wall time of its verify_conjugation call in seconds: 0.02 s at
-L = 12, 0.06 s at L = 40 and 0.3 s at L = 200 on a 2-vCPU VM."""
+L = 12, 0.06 s at L = 40 and 0.3 s at L = 200 on a 2-vCPU VM. A row whose
+report fails its checks (conjugation residual at 1e-5, faithful relations at
+1e-4) is marked FAIL, and the sweep then exits 1."""
 
 import argparse
+import sys
 import time
 
 from cstorus.heatkernel import verify_conjugation
@@ -34,6 +37,7 @@ def main():
     print(f"{'L':>3} {'conj(S)':>10} {'conj(T)':>10} {'rel(max)':>10} "
           f"{'trunc S^4':>10} {'trunc braid':>12} {'trunc unit':>11} {'edge':>9} "
           f"{'wall s':>8}")
+    failed = 0
     for L in args.levels:
         start = time.perf_counter()
         rep = verify_conjugation(args.k, args.s, L=L,
@@ -41,13 +45,16 @@ def main():
                                  box_radius=args.box_radius)
         wall = time.perf_counter() - start
         tr = rep["truncated_relation_residuals"]
+        failed += not rep["passed"]
         print(f"{L:>3} {rep['conjugation_residuals']['S']:>10.2e} "
               f"{rep['conjugation_residuals']['T']:>10.2e} "
               f"{rep['max_relation_residual']:>10.2e} "
               f"{tr['residual_S4']:>10.2e} {tr['residual_braid']:>12.2e} "
               f"{max(tr['residual_S_unitary'], tr['residual_T_unitary']):>11.2e} "
-              f"{max(rep['relation_edge_mass'].values()):>9.2e} {wall:>8.3f}")
+              f"{max(rep['relation_edge_mass'].values()):>9.2e} {wall:>8.3f}"
+              f"{'' if rep['passed'] else '  FAIL'}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ checks (name, value, bound); `main` writes the artifact.
 Artifacts are deterministic JSON embedding the command's resolved flags,
 the library version and the checks.  Exit codes: 0 success, 1 some check's
 value at or over its bound, 2 invalid configuration or domain (argparse
-refusals among them, one stderr line each), 3 resource ceiling exceeded.
+refusals among them, one stderr line each), 3 over a resource budget.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
-from .errors import (CSTorusError, ResourceLimitError, SchemaError, checks_below,
+from .errors import (CSTorusError, ResourceLimitError, SchemaError, checks_below, require,
                      within_bounds)
 from .finrep import Convention, rep_matrices, verify_sl2z
 from .lattice import enumerate_report
@@ -215,8 +216,11 @@ def _emit(config: dict, payload: dict, checks: list) -> None:
 
 
 def _load_samples(path: str):
+    """The samples of a kernel input, charged at 32 bytes a byte on disk before
+    it is parsed: a point costs 300-500 bytes and ~20 in short decimals."""
     from .heatkernel import GridSamples1D, check_uniform_grid
     try:
+        require(path, kernel_input=32 * os.path.getsize(path))
         with open(path) as fh:
             doc = json.load(fh)
         y = np.asarray(doc["y"], dtype=float)

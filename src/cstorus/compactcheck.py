@@ -70,8 +70,8 @@ def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int
 
 def _check_bridge_domain(rs: RootSystem, k: int) -> None:
     """The compact oracles exist for simply laced types at positive level;
-    their size is bounded by the ceilings of the quotient, the sector and
-    the Weyl group, each of which names itself when it refuses."""
+    their size is charged by the sector at level k + h (its Weyl orbits and
+    dense matrices) and by the Weyl group closure of the Kac-Peterson sum."""
     if not is_simply_laced(rs):
         raise DomainError(f"{rs.lie_type} is not simply laced; no compact bridge is asserted")
     if k < 1:
@@ -138,8 +138,8 @@ def compare_shifted(rs: RootSystem, k: int,
     rho; S may differ by one global 4th root of unity, T must match exactly."""
     _check_bridge_domain(rs, k)
     h = rs.dual_coxeter
-    # the sector first: it refuses a dimension over SECTOR_DIM_CEILING before
-    # the oracle allocates its dim x dim matrices
+    # the sector first: it is charged before the oracle allocates its
+    # dim x dim matrices
     sect = rep_matrices(rs, k + h, sector=1, convention=convention)
     oracle = su2_modular_data(k) if (rs.lie_type.family == "A" and rs.rank == 1) \
         else kac_peterson_sum(rs, k)

@@ -10,8 +10,7 @@ def smith_normal_form(m):
     d[i] | d[i+1].
     """
     a = [[int(e) for e in row] for row in m]
-    n = len(a)
-    nc = len(a[0])
+    n, nc = len(a), len(a[0])
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
@@ -35,21 +34,15 @@ def smith_normal_form(m):
         for row in v:
             row[dst] += f * row[src]
 
-    size = min(n, nc)
-    for t in range(size):
+    for t in range(min(n, nc)):
         while True:
-            # pick the nonzero entry of smallest magnitude as pivot
-            piv = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, nc):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        piv = (i, j)
+            # the nonzero entry of smallest magnitude, first in row-major order
+            piv = min(((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, nc)
+                       if a[i][j]), default=None)
             if piv is None:
                 break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
+            swap_rows(t, piv[1])
+            swap_cols(t, piv[2])
             p = a[t][t]
             dirty = False
             for i in range(t + 1, n):
@@ -63,20 +56,13 @@ def smith_normal_form(m):
             if dirty:
                 continue
             # pivot divides everything below-right, or fold a bad row in
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, n) for j in range(t + 1, nc) if a[i][j] % p),
+                       None)
             if bad is None:
                 break
             add_row(bad, t, 1)
-        if t < size and a[t][t] < 0:
+        if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
 
-    d = tuple(tuple(row) for row in a)
-    return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+    return tuple(tuple(tuple(row) for row in m) for m in (a, u, v))

@@ -18,8 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError, SchemaError, checks_below, within_bounds
-from .lattice import fraction_strings, weyl_orbits
+from .errors import SchemaError, checks_below, require, within_bounds
+from .lattice import alcove_count, fraction_strings, orbit_terms, weyl_orbits
 from .roots import RootSystem
 
 
@@ -102,13 +102,6 @@ class SectorMatrices:
         }
 
 
-# sector dimension above this raises ResourceLimitError: S and T are dense
-# dim x dim complex128 and the `rep build` JSON artifact writes every entry
-# as text, so time and peak memory grow as dim^2 (A1 `rep build --out` on a
-# 2-vCPU VM: 1.7-1.8 s and 74 MB at dim 512, 4.4-4.8 s and 201 MB at 1024)
-SECTOR_DIM_CEILING = 1024
-
-
 def rep_matrices(rs: RootSystem, k: int, sector: int,
                  convention: Convention = Convention()) -> SectorMatrices:
     """Sector S and T matrices from the Weyl orbits on the quotient Z.
@@ -119,19 +112,20 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     them; a sign-carrying orbit whose stabilizer holds an odd element sums
     to zero. T is diagonal with entries omega^{-1} exp(pi i <a,a>_k) under
     the default convention. Both read Z's phases: its character, a D-th
-    root of unity per pair, and its Gauss phase. A sector of dimension above
-    SECTOR_DIM_CEILING raises ResourceLimitError before S is allocated.
+    root of unity per pair, and its Gauss phase.  Charged before Z is built:
+    the orbits, and per entry of the alcove count squared S, T and either
+    verify_sl2z's products or the `rep build` text (171 bytes at dim 1024).
     """
     if sector not in (0, 1):
         raise SchemaError(f"sector must be 0 or 1, got {sector}")
+    label, orbit = f"{rs.lie_type}, k={k}", orbit_terms(rs, k)
+    require(label, **orbit)     # bounds k, so that the count is quick
+    dim = alcove_count(rs, k - sector * rs.dual_coxeter)
+    require(label, **orbit, sector_matrices=188 * dim * dim)
     phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
     z = orbits.quotient
     idx = np.flatnonzero(orbits.interior) if sector else np.arange(len(orbits.pairings))
-    if len(idx) > SECTOR_DIM_CEILING:
-        raise ResourceLimitError(
-            f"sector {sector} dimension {len(idx)} exceeds the ceiling "
-            f"{SECTOR_DIM_CEILING} for {rs.lie_type}, k={k}")
     use_det = convention.det_in_invariant == (sector == 0)
     points = orbits.numerators[idx]
     members = orbits.members()

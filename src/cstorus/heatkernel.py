@@ -33,8 +33,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, InconsistencyError, ResourceLimitError, SchemaError,
-                     checks_below, within_bounds)
+from .errors import (DomainError, InconsistencyError, SchemaError, checks_below, require,
+                     within_bounds)
+from .finrep import _product, phase_constants
+from .roots import LieType, build_root_system
 
 
 def alpha_constant(sigma: complex) -> float:
@@ -137,18 +139,6 @@ class GridSamples1D:
                               f"{np.shape(self.values)} on a grid of shape {np.shape(self.y)}")
 
 
-# a grid of more points than this raises ResourceLimitError.  No N x N kernel
-# is formed: the cost is the folded L x B blocks of verify_conjugation
-# (B = ceil(N/2), L < N, about a dozen alive at once) and two FFT buffers of
-# L x P complex numbers, P the least 5-smooth length >= 2B - 1 (P < 1.16N)
-GRID_POINTS_CEILING = 4096
-
-# grid_points * L above this raises ResourceLimitError in verify_conjugation:
-# measured peak RSS 83 MB at N = 1601, L = 200, 113 MB at N = 1601, L = 320
-# and 118 MB at this ceiling (N = 4096, L = 128; 0.82 s) in a fresh process
-# (2-vCPU VM, numpy 2.4)
-GRID_BASIS_CEILING = 2 ** 19
-
 # verify_conjugation refuses a Hermite basis whose Gram matrix has a larger
 # condition number, by which rounding can grow in the projections.  Measured
 # 1.0-1.14 on resolving grids (L <= 200, 101-4096 points), 1e4-1e21 on 8 or 9
@@ -156,21 +146,14 @@ GRID_BASIS_CEILING = 2 ** 19
 GRAM_CONDITION_CEILING = 1e8
 
 
-def _check_grid_size(points: int) -> None:
-    if points > GRID_POINTS_CEILING:
-        raise ResourceLimitError(
-            f"grid of {points} points exceeds the ceiling {GRID_POINTS_CEILING}")
-
-
 def check_uniform_grid(y) -> np.ndarray:
-    """y as a float array, refused unless it is an increasing grid of 2 to
-    GRID_POINTS_CEILING points that equals linspace(y[0], y[-1], N) to 16
-    ulps of its largest |y|.  The FFT kernels and trapezoid_weights use only
+    """y as a float array, refused unless it is an increasing grid of at
+    least 2 points that equals linspace(y[0], y[-1], N) to 16 ulps of its
+    largest |y|.  The FFT kernels and trapezoid_weights use only
     y[0], y[-1] and N; at that bound the phase error beta y dy the kernels
     inherit is of the order of the rounding of beta y yt itself."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1 and len(y) >= 2:
-        _check_grid_size(len(y))
         dev = np.max(np.abs(y - np.linspace(y[0], y[-1], len(y))))
         if np.all(np.diff(y) > 0) and dev <= 16 * np.finfo(float).eps * max(abs(y[0]), abs(y[-1])):
             return y
@@ -362,8 +345,6 @@ class EtaKernelSpec:
 @functools.cache
 def _rank_one_phases() -> Tuple[complex, complex]:
     """(j, omega) for the rank-one root system: j = i^{-1}, omega = e^{i pi/4}."""
-    from .finrep import phase_constants
-    from .roots import LieType, build_root_system
     pp = phase_constants(build_root_system(LieType("A", 1)))
     return pp.j, pp.omega
 
@@ -475,10 +456,10 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     Laplacian intertwining residual.
 
     Needs 0 < box_radius with pi r^2 / |sigma| finite, a grid every kernel
-    accepts (_check_quadratic, the one width rule) and 1 <= L < grid_points;
-    grid_points above GRID_POINTS_CEILING or grid_points * L above
-    GRID_BASIS_CEILING raises ResourceLimitError before any kernel or basis
-    block is built.  A Hermite basis at sigma or a Moebius image whose Gram
+    accepts (_check_quadratic, the one width rule) and 1 <= L < grid_points.
+    Its ~20 L x ceil(N/2) blocks, three L x P FFT buffers (P < 1.17 N) and
+    kernels of ~1 kB a point are charged before any is built.
+    A Hermite basis at sigma or a Moebius image whose Gram
     condition number exceeds GRAM_CONDITION_CEILING raises DomainError
     before any residual.
     """
@@ -494,11 +475,9 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     if not math.isfinite(box_radius * box_radius * math.pi / abs(sigma)):
         raise SchemaError(f"box_radius {box_radius} is too large: pi r^2 / |sigma| "
                           "overflows")
-    _check_grid_size(grid_points)
-    if grid_points * L > GRID_BASIS_CEILING:
-        raise ResourceLimitError(
-            f"grid of {grid_points} points times L = {L} exceeds the ceiling "
-            f"{GRID_BASIS_CEILING} on grid_points * L")
+    require(f"kernel verify on {grid_points} points with L={L}",
+            basis_blocks=320 * L * -(-grid_points // 2), fft_buffers=56 * L * grid_points,
+            kernels=1024 * grid_points)
     y = uniform_grid(box_radius, grid_points)
     # row l of every block has parity (-1)^l, kept by every operator, so all
     # runs on the folded half u >= 0, u = 0 (odd N) at half weight; a line
@@ -516,8 +495,8 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     rho = {gen: _rho(gen, u, wf, signs) for gen in sig2}
     eta = {gen: _kernel(_eta_symbol(params, sigma, gen), u, wf, signs) for gen in sig2}
 
-    def gram(a, b):     # the L x L line integrals conj(a_l) b_m
-        return same * (a.conj() @ (2 * wf * b).T)
+    def gram(a, b):     # the L x L line integrals conj(a_l) b_m, on the calling thread
+        return same * _product(a.conj(), (2 * wf * b).T)
 
     def projector(b):   # x -> x @ p.T, the transposed coefficients in the rows of b
         g = gram(b, b)
@@ -526,7 +505,7 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
                               f"{cond:.3g} on the {grid_points}-point grid, over "
                               f"{GRAM_CONDITION_CEILING:g}: the grid does not resolve it")
         p = np.linalg.solve(g, b.conj() * (2 * wf))
-        return lambda x: same * (x @ p.T)
+        return lambda x: same * _product(x, p.T)
 
     # one function per row of a block; coefficients are read via max|.| until es, et;
     # every projector before any residual, so an unresolved basis is refused first

@@ -23,12 +23,8 @@ from typing import List, Tuple
 import numpy as np
 
 from . import exact
-from .errors import DomainError, ResourceLimitError, SchemaError
+from .errors import DomainError, SchemaError, require
 from .roots import RootSystem, weyl_order
-
-# |Z_k| above this raises ResourceLimitError: the quotient and its Weyl
-# orbits are held in memory point by point
-Z_ORDER_CEILING = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,12 +36,13 @@ class QuotientGroup:
     has the dual coordinates c = kG x / D, and its class in Z is read in the
     Smith basis as u c mod (d_1, ..., d_n), flattened row-major to a dense
     index in [0, |Z|); row i of `numerators` is the point of dense index i.
+    Only the d_i > 1 (and d_n) are axes of the index: numpy takes at most 64.
     """
     kg: np.ndarray          # (n, n) the even Gram matrix
     denom: int              # D
     kinv: np.ndarray        # (n, n) D (kG)^{-1}
-    divisors: np.ndarray    # (n,) d_i, each dividing the next
-    u: np.ndarray           # (n, n) Smith row transform, row i reduced mod d_i
+    divisors: np.ndarray    # (m,) the kept d_i, each dividing the next
+    u: np.ndarray           # (m, n) their rows of the Smith row transform, row i mod d_i
     numerators: np.ndarray  # (|Z|, n) canonical numerators in [0, D), dense order
 
     @property
@@ -89,14 +86,13 @@ class QuotientGroup:
 def quadratic_module(gram, label: str) -> QuotientGroup:
     """(gram^{-1} Z^n / Z^n, q) of an (n, n) even, positive-definite integer
     matrix (DomainError unless symmetric, even and nonsingular, else Z or q
-    is not defined); |Z| = det(gram), the product of the Smith divisors of
-    gram in Python ints, above Z_ORDER_CEILING raises ResourceLimitError
-    naming `label` before any array of Z is built."""
+    is not defined); its Smith form (n^3 steps) and then Z's (|Z|, n) int
+    arrays, |Z| = det(gram), are charged to `label` before either is built."""
+    n = len(gram)
+    require(label, smith_form_ops=n ** 3)
     d, u, v = exact.smith_normal_form(gram)
-    order = math.prod(d[i][i] for i in range(len(d)))
-    if order > Z_ORDER_CEILING:
-        raise ResourceLimitError(
-            f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING} for {label}")
+    order = math.prod(d[i][i] for i in range(n))
+    require(label, quotient=40 * n * order)
     kg = np.array(gram, dtype=np.int64)
     if (kg != kg.T).any() or (np.diag(kg) % 2).any() or not order:
         raise DomainError(f"Gram matrix {kg.tolist()} is not symmetric, even and nonsingular")
@@ -106,10 +102,11 @@ def quadratic_module(gram, label: str) -> QuotientGroup:
     kinv = v @ ((denom // divisors)[:, None] * u)
     assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()
     # Smith coordinates y give the point v diag(1/d) y (Cohen, GTM 138, 2.4.3)
-    y = np.indices(divisors).reshape(len(divisors), -1).T
-    return QuotientGroup(kg=kg, denom=denom, kinv=kinv, divisors=divisors,
-                         u=u % divisors[:, None],
-                         numerators=(y * (denom // divisors)) @ v.T % denom)
+    keep = np.append(divisors[:-1] > 1, True)
+    d = divisors[keep]
+    y = np.indices(d).reshape(len(d), -1).T
+    return QuotientGroup(kg=kg, denom=denom, kinv=kinv, divisors=d, u=u[keep] % d[:, None],
+                         numerators=(y * (denom // d)) @ v[:, keep].T % denom)
 
 
 def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
@@ -118,6 +115,31 @@ def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
     return quadratic_module([[k * e for e in row] for row in rs.gram1], f"{rs.lie_type}, k={k}")
+
+
+def quotient_order(rs: RootSystem, k: int) -> int:
+    """|Z_k| = k^n det(gram1) without a Smith form: gram1 = diag(e) cartan,
+    and det(cartan) is 1 plus the number of marks comarks_i e_i equal to 1."""
+    e = [row[i] // 2 for i, row in enumerate(rs.gram1)]
+    return k ** rs.rank * math.prod(e) * (1 + sum(a * x == 1 for a, x in zip(rs.comarks, e)))
+
+
+def orbit_terms(rs: RootSystem, k: int) -> dict:
+    """weyl_orbits' charge: n + 1 permutations and (|Z|, n) int arrays, and
+    n + 1 (|Z|, n) @ (n, n) integer products."""
+    n, order = rs.rank, quotient_order(rs, k)
+    return {"weyl_orbits": 64 * (n + 1) * order, "weyl_orbits_ops": (n + 1) * n * n * order}
+
+
+def alcove_count(rs: RootSystem, level: int) -> int:
+    """The closed-alcove points n >= 0, sum_i a_i n_i <= level, counted in
+    O(n level) steps (the open alcove at k is the closed one at k - h^vee);
+    callers charge orbit_terms first, which bounds the level by |Z|."""
+    ways = [1] + [0] * level
+    for a in rs.comarks:
+        for t in range(a, level + 1):
+            ways[t] += ways[t - a]
+    return sum(ways) if level >= 0 else 0
 
 
 def _alcove_pairings(rs: RootSystem, k: int) -> List[Tuple[int, ...]]:
@@ -173,8 +195,9 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     partition Z. An alcove point is parametrized by its integer pairings
     n_i = <gamma, b_i>_k with the simple coroots: the alcove conditions are
     n_i >= 0 and sum_i a_i n_i <= k with a_i the highest-root coordinates.
-    Memory is O(|Z| n); |Z| above Z_ORDER_CEILING raises ResourceLimitError.
+    Memory is O(|Z| n), charged (orbit_terms) before Z is built.
     """
+    require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k))
     z = quotient_group(rs, k)
     n = rs.rank
     pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
@@ -225,7 +248,12 @@ def fraction_strings(nums, den: int) -> List[List[str]]:
 
 def enumerate_report(rs: RootSystem, k: int) -> dict:
     """JSON-ready report for the `lattice enumerate` CLI command: Z and the
-    closed and open alcove points, read from `weyl_orbits`."""
+    closed and open alcove points, read from `weyl_orbits`; its strings and
+    text, 320 + 288 n bytes a row of Z or of either alcove, charged first."""
+    label = f"{rs.lie_type}, k={k}"
+    require(label, **orbit_terms(rs, k))    # bounds k, so that the counts are quick
+    rows = quotient_order(rs, k) + alcove_count(rs, k) + alcove_count(rs, k - rs.dual_coxeter)
+    require(label, enumeration=(320 + 288 * rs.rank) * rows)
     orbits = weyl_orbits(rs, k)
     q = orbits.quotient
     return {

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import ResourceLimitError, SchemaError
+from .errors import SchemaError, require
 
 VALID_FAMILIES = "ABCDEFG"
 
@@ -209,20 +209,11 @@ class RootSystem:
         }
 
 
-# rank above this raises ResourceLimitError.  The root data are a table
-# lookup (under 1 ms at rank 40), so a rank-40 command costs about its
-# interpreter and numpy start-up (best of 3 on a 2-vCPU VM, A40/B40/C40/D40:
-# `roots info` 0.28-0.30 s, level-1 `rep verify` 0.30-0.32 s); the A40
-# level-1 sector itself takes 15 ms in-process (best of 30), 6 ms of it the
-# Smith form of its quotient
-RANK_CEILING = 40
-
-
 def build_root_system(lt: LieType) -> RootSystem:
-    if lt.rank > RANK_CEILING:
-        raise ResourceLimitError(f"rank {lt.rank} of {lt} exceeds the ceiling {RANK_CEILING}")
-    a = cartan_matrix(lt)
     n = lt.rank
+    # the n x n tables and `roots info` strings: 220-230 bytes an entry at rank 200-500
+    require(str(lt), root_data=256 * n * n)
+    a = cartan_matrix(lt)
     e = _symmetrizer(a)
     gram1 = tuple(tuple(e[i] * a[i][j] for j in range(n)) for i in range(n))
     comarks = _lookup(_COMARKS, lt)
@@ -260,13 +251,12 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> Tuple[Tuple[int, ...], .
     )
 
 
-def generate_weyl_group(rs: RootSystem, max_elements: int = 100_000) -> WeylGroup:
-    # the closed-form order refuses a group past the ceiling before enumerating it
-    if weyl_order(rs.lie_type) > max_elements:
-        raise ResourceLimitError(
-            f"Weyl group of {rs.lie_type} exceeds the element ceiling "
-            f"{max_elements}; raise max_elements to enumerate it")
-    n = rs.rank
+def generate_weyl_group(rs: RootSystem) -> WeylGroup:
+    # charged from the closed-form order: an element is n compositions of n^3
+    # steps and holds 630-800 bytes at rank 4-6 (tracemalloc)
+    n, order = rs.rank, weyl_order(rs.lie_type)
+    require(f"Weyl group of {rs.lie_type}", weyl_elements=order * (480 + 10 * n * n),
+            weyl_closure_ops=order * n ** 4)
     gens = [WeylElement(simple_reflection_matrix(rs, i), -1) for i in range(n)]
     ident = WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
     seen = {ident.matrix: ident}

@@ -31,9 +31,8 @@ entries scattered into the family.  quasi_periodicity_residual builds one
 translate at a time and compares it with e_lambda s a row block at a time.
 So a transform holds its input, its output, O(C S) and O(n N C + 2^16)
 scratch, and no C x C buffer or (cells x box points) matrix; a round trip
-holds two sections.  A grid whose section samples (N^(2n)) or family values
-(|Z| B^n) exceed WGZ_ARRAY_CEILING complex entries is refused before any
-array is allocated.
+holds two sections.  A grid is charged to the resource model (errors) before
+any array of it is built, and a round trip its trials.
 
 Z, its numerators and the integer kG all come from one QuotientGroup, the
 quadratic module of kG (lattice): on a grid it is spec.quotient(), built
@@ -54,7 +53,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, SchemaError
+from .errors import DomainError, SchemaError, require
 from .finrep import _ONE_THREAD_MADDS, _product
 from .heatkernel import _bilinear_phase
 from .lattice import QuotientGroup, quotient_group
@@ -174,46 +173,39 @@ def _ravel(coords: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), grid)
 
 
-WGZ_ARRAY_CEILING = 2 ** 21
-
-
-def _check_array_size(rs: RootSystem, k: int, order: int, divisions: int,
-                      half_width: int) -> None:
-    """Refuse a grid whose largest complex array, the N^(2n) section samples
-    or the |Z| B^n family values, exceeds WGZ_ARRAY_CEILING entries."""
-    n = rs.rank
-    entries = max(divisions ** (2 * n),
-                  order * (2 * half_width * divisions + 1) ** n)
-    if entries > WGZ_ARRAY_CEILING:
-        raise ResourceLimitError(
-            f"{rs.lie_type} k={k} grid with N={divisions}, M={half_width} needs "
-            f"arrays over the ceiling {WGZ_ARRAY_CEILING} entries")
+def _require_grid(spec: GridSpec) -> None:
+    """Charge a grid: four N^(2n) sections (two held, one written, and FFT
+    scratch or a freed one that glibc keeps below its 32 MiB mmap threshold),
+    the half-angle factors, five |Z| B^n families and lattice_shifts' mesh."""
+    n, nn, z = spec.n, spec.divisions, spec.quotient()
+    bound = int(np.abs(z.kg).sum(axis=1).max()) * spec.half_width + 1
+    require(f"{spec.rs.lie_type} k={spec.k} grid with N={nn}, M={spec.half_width}",
+            sections=64 * nn ** (2 * n), half_angle=16 * n * nn ** (n + 1),
+            families=80 * z.order * spec.box_points_per_axis ** n,
+            shift_candidates=24 * n * (2 * bound + 1) ** n)
 
 
 def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
                        box_radius: float) -> GridSpec:
     """Pick (divisions, half_width) so the coroot box contains the centered
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
-    A resolution below 1 raises SchemaError; a grid over WGZ_ARRAY_CEILING
-    raises ResourceLimitError before any array is allocated."""
+    A resolution below 1 raises SchemaError; each candidate grid is charged
+    (_require_grid) before its alias check."""
     if resolution < 1:
         raise SchemaError(f"resolution must be a positive integer, got {resolution}")
     z = quotient_group(rs, k)
     divisions = max(resolution, z.denom)
     divisions += (-divisions) % z.denom
-    # the smallest box first: refuses a level or resolution over the ceiling
-    # before k is taken to floating point
-    _check_array_size(rs, k, z.order, divisions, 1)
     c = np.linalg.cholesky(z.kg)
     # coroot coords of an orthonormal-frame point y: c = C^{-T} y
     cinv_t = np.linalg.inv(c.T)
     reach = np.abs(cinv_t).sum(axis=1).max() * box_radius
-    # capped: a wider box is over the ceiling whatever N is
-    half_width = int(np.ceil(min(reach, WGZ_ARRAY_CEILING)))
+    # capped: a wider box is far over the budget whatever N is
+    half_width = math.ceil(min(reach, 2.0 ** 64))
     while True:
         spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width,
                         _cache={"quotient": z})
-        _check_array_size(rs, k, z.order, divisions, half_width)
+        _require_grid(spec)
         if alias_margin(spec) > 0:
             return spec
         divisions += z.denom
@@ -659,6 +651,9 @@ def roundtrip_report(rs: RootSystem, k: int, resolution: int, box_radius: float,
         raise SchemaError(f"seed must be a non-negative integer, got {seed}")
     spec = grid_spec_from_box(rs, k, resolution, box_radius)
     quotient = spec.quotient()
+    # a trial: tens of ns per section sample and family value
+    require(f"{rs.lie_type} k={k} round trip", roundtrip_ops=trials * (
+        spec.divisions ** (2 * spec.n) + quotient.order * spec.box_points_per_axis ** spec.n))
     rng = np.random.default_rng(seed)
     worst_rt = worst_parseval = decay = 0.0
     # one family and section at a time: quasi-periodicity on the first as

@@ -188,9 +188,9 @@ def test_rep_build_dim_512_artifact_memory(tmp_path):
     assert dims == ["512"] * 4
 
 
-# `wgz roundtrip` at N = 1440 (2 073 600 section samples, just under
-# WGZ_ARRAY_CEILING) with 4 trials peaked at 140.1-140.4 MB (2-vCPU VM, five
-# fresh runs): the rank-one half-angle table and two 33 MB sections. The
+# `wgz roundtrip` at N = 1440 (2 073 600 section samples) with 4 trials
+# peaked at 140.1-140.4 MB (2-vCPU VM, five fresh runs): the rank-one
+# half-angle table and two 33 MB sections. The
 # round trip it replaced held a C x C buffer per inverse, C x C multipliers
 # in the quasi-periodicity check and a third section, and peaked at 233 MB
 WGZ_ROUNDTRIP_1440_PEAK_MB = 155

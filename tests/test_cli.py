@@ -21,11 +21,8 @@ from hypothesis import strategies as st
 from cstorus import cli, compactcheck
 from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.errors import DomainError
-from cstorus.finrep import SECTOR_DIM_CEILING
-from cstorus.heatkernel import GRID_BASIS_CEILING, GRID_POINTS_CEILING, verify_conjugation
-from cstorus.lattice import Z_ORDER_CEILING
-from cstorus.roots import RANK_CEILING, LieType, build_root_system
-from cstorus.wgz import WGZ_ARRAY_CEILING
+from cstorus.heatkernel import verify_conjugation
+from cstorus.roots import LieType, build_root_system
 from test_compactcheck import fraction_shifted_weights
 from test_finrep import alcove_points_bruteforce
 from test_heatkernel import _dense_eta_apply
@@ -65,11 +62,11 @@ def test_rep_build_e8(capsys):
 
 
 def test_rep_build_over_dimension_ceiling_exits_resource(capsys):
-    # |Z_k| = 100000 is within its ceiling; the 50001-dim sector is not
+    # the orbits of |Z_k| = 100000 are within the budget; the 50001-dim sector is not
     code, out, err = run_err(capsys, "rep", "build", "--type", "A", "--rank", "1",
                              "--level", "50000", "--sector", "0")
     assert code == 3
-    assert out == "" and "dimension 50001 exceeds the ceiling" in err
+    assert out == "" and "A1, k=50000: sector_matrices needs 4.7e+11 bytes" in err
 
 
 def test_invalid_type_exits_schema(capsys):
@@ -113,9 +110,9 @@ def test_label_strings_are_the_fraction_oracle(capsys, fam, rank, k):
     for sector, points in ((0, closed), (1, opened)):
         _, doc = run(capsys, "rep", "build", *level, "--sector", str(sector))
         assert doc["matrices"]["labels"] == _texts(points)
-    # the bridge's real limit: the quotient |Z| = (k + h)^n det(gram1) at level k + h
-    if fam in "ADE" and (k + rs.dual_coxeter) ** rank * round(np.linalg.det(rs.gram1)) \
-            <= Z_ORDER_CEILING:
+    # the bridge's real limit: the orbits of Z at level k + h (E6 at k = 1 is
+    # over the byte budget)
+    if fam in "AD":
         _, doc = run(capsys, "compare", "compact", *level)
         shifted = alcove_points_bruteforce(rs, k + rs.dual_coxeter)[1]
         assert doc["compact"]["labels_sector"] == _texts(sorted(shifted, key=lambda p: (sum(p), p)))
@@ -548,15 +545,18 @@ def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, se
 
 
 @pytest.mark.parametrize("command,rank,expected", [
-    ("info", RANK_CEILING, 0), ("info", RANK_CEILING + 1, 3),
-    ("verify", RANK_CEILING, 0), ("verify", RANK_CEILING + 1, 3)])
+    ("info", 40, 0), ("info", 1000, 3), ("verify", 40, 0), ("verify", 100, 3)])
 def test_rank_ceiling(capsys, command, rank, expected):
+    """No rank ceiling: `roots info` is refused by its n^2 root data from
+    rank 887, a level-1 `rep verify` by the (n + 1) n^2 |Z| steps of its
+    Weyl orbits from rank 100, each before anything of that size is built."""
     argv = (("roots", "info") if command == "info"
             else ("rep", "verify", "--level", "1", "--sector", "0"))
     code, out, err = run_err(capsys, *argv, "--type", "A", "--rank", str(rank))
     assert code == expected
     if expected == 3:
-        assert out == "" and f"ceiling {RANK_CEILING}" in err
+        term = "root_data" if command == "info" else "weyl_orbits_ops"
+        assert out == "" and err.startswith(f"resource error: A{rank}") and term in err
 
 
 @pytest.mark.parametrize("extra", [
@@ -603,45 +603,52 @@ def test_kernel_verify_unresolved_basis_exits_schema(capsys, extra):
     assert out == "" and len(err.strip().splitlines()) == 1 and "condition number" in err
 
 
+@pytest.fixture(scope="module")
+def over_budget_input(tmp_path_factory):
+    """A uniform 400 000-point grid on [0, 400) in 9 MB of JSON, over the
+    byte budget by its size on disk."""
+    path = tmp_path_factory.mktemp("input") / "wide.json"
+    path.write_text(json.dumps({"y": [i / 1000 for i in range(400_000)],
+                                "values": [[0.0, 0.0]] * 400_000}))
+    return path
+
+
 @pytest.mark.parametrize("command", ["verify", "heat", "eta"])
-def test_kernel_grid_over_ceiling_exits_resource(tmp_path, capsys, command):
-    """One point over the ceiling is refused before any kernel is applied."""
-    n = GRID_POINTS_CEILING + 1
+def test_kernel_grid_over_ceiling_exits_resource(over_budget_input, capsys, command):
+    """A grid over the byte budget is refused before any kernel is applied:
+    `kernel verify` by its kernels on 10^6 points, `kernel heat` and
+    `kernel eta` by the size of their input on disk, before it is parsed."""
     if command == "verify":
-        extra = ("--grid-points", str(n))
+        extra, term = ("--L", "1", "--grid-points", str(10 ** 6)), "kernels"
     else:
-        src = tmp_path / "in.json"
-        src.write_text(json.dumps({"y": list(np.linspace(0.0, 8.0, n)),
-                                   "values": [[1.0, 0.0]] * n}))
-        extra = ("--input", str(src))
+        extra, term = ("--input", str(over_budget_input)), "kernel_input"
         if command == "eta":
             extra += ("--sector", "0", "--generator", "S")
     start = time.monotonic()
     code, out, err = run_err(capsys, "kernel", command, "--k", "2", "--s", "0.0", *extra)
     assert time.monotonic() - start < 1.0
     assert code == 3
-    assert out == "" and f"ceiling {GRID_POINTS_CEILING}" in err
+    assert out == "" and len(err.splitlines()) == 1 and f": {term} needs " in err
 
 
-@pytest.mark.parametrize("grid_points,L", [(1601, 1600), (4096, 129)])
+@pytest.mark.parametrize("grid_points,L", [(1601, 1600), (4096, 1024)])
 def test_kernel_verify_basis_over_ceiling_exits_resource(capsys, grid_points, L):
-    """grid_points * L over its ceiling is refused before any kernel or N x L
-    block is built."""
-    assert grid_points * L > GRID_BASIS_CEILING
+    """L x ceil(N/2) blocks over the byte budget are refused before any
+    kernel or block is built (N = 4096 with L = 128 runs: test_resources)."""
     start = time.monotonic()
     code, out, err = run_err(capsys, "kernel", "verify", "--k", "2", "--s", "1.0",
                              "--L", str(L), "--grid-points", str(grid_points))
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"ceiling {GRID_BASIS_CEILING}" in err
+    assert f"basis_blocks needs {320 * L * (grid_points + 1) // 2:.3g} bytes" in err
 
 
 def _not_a_large_grid(n):
-    # grid sizes from 202 up to the ceiling are valid; left out to keep the
-    # examples small
+    # grid sizes from 202 up to 10^6, over the byte budget, are valid or
+    # refused by L; left out to keep the examples small
     return not (isinstance(n, (int, float)) and not isinstance(n, bool)
-                and 201 < n <= GRID_POINTS_CEILING)
+                and 201 < n < 10 ** 6)
 
 
 @settings(max_examples=60, deadline=None,
@@ -730,12 +737,14 @@ def test_kernel_verify_widest_accepted_grid_stays_finite(capsys, sigma, flag):
     ("--rank", "3"),
 ])
 def test_wgz_grid_over_ceiling_exits_resource(capsys, argv):
-    """Refused before any section or family array is allocated."""
+    """Refused by its sections or families before any section or family
+    array is allocated."""
     start = time.monotonic()
     code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--level", "1", *argv)
     assert time.monotonic() - start < 1.0
     assert code == 3
-    assert out == "" and f"ceiling {WGZ_ARRAY_CEILING}" in err
+    assert out == "" and re.search(r": (sections|families) needs \S+ bytes of a predicted \S+, "
+                                   r"over the budget 2.01e\+08 bytes$", err)
     assert len(err.strip().splitlines()) == 1
 
 
@@ -947,6 +956,28 @@ def test_modular_sweep_exits_1_on_a_failed_row(convention, code):
     assert done.stdout.splitlines()[0].split()[-1] == "Milgram"
 
 
+@pytest.mark.parametrize("levels,code", [(["6", "12"], 0), (["6", "96"], 1)])
+def test_truncation_sweep_exits_1_on_a_failed_row(levels, code):
+    """run_truncation_sweep.py marks a row FAIL where its report has
+    `passed` false, L = 96 on the default 1601-point grid of radius 10
+    (faithful relations ~1e-2, over 10 x 1e-5), and then exits 1."""
+    script = Path(SRC).parent / "scripts" / "run_truncation_sweep.py"
+    done = _python(str(script), "--levels", *levels)
+    assert done.returncode == code, done.stderr
+    rows = done.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows if row.endswith("FAIL")] == levels[1:] * code
+
+
+def test_compact_bridge_script_runs_rank_five():
+    """run_compact_bridge.py passes every case, A5 and D5 at k = 1 among
+    them, and exits 0."""
+    done = _python(str(Path(SRC).parent / "scripts" / "run_compact_bridge.py"))
+    assert done.returncode == 0, done.stderr
+    rows = [row.split() for row in done.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows if row[1] == "5"] == [["A", "5", "1"], ["D", "5", "1"]]
+    assert not any("FAIL" in row for row in rows)
+
+
 def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
     """A Milgram residual above 1e-12 fails its (type, k) rows, and only
     those, and the sweep returns 1, though every relation passes."""
@@ -967,27 +998,31 @@ def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
 
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])
 def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
-    """The sector's dimension at level k + h is checked before the oracle
-    allocates anything of that size."""
+    """The sector's dimension at level k + h is charged from the alcove
+    count before Z or the oracle allocates anything of that size."""
     start = time.monotonic()
     code, out, err = run_err(capsys, "compare", "compact", "--type", "A",
                              "--rank", str(rank), "--k", str(k))
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"dimension {dim} exceeds the ceiling {SECTOR_DIM_CEILING}" in err
+    assert f"sector_matrices needs {188 * dim * dim:.3g} bytes" in err
 
 
 @pytest.mark.parametrize("fam,rank,order", [("A", 5, 100842), ("D", 5, 236196),
                                             ("E", 6, 14480427)])
 def test_compare_compact_past_the_quotient_ceiling_exits_resource(capsys, fam, rank, order):
-    """The bridge has no rank ceiling: past rank 4 at k = 1 the quotient at
-    level k + h refuses, with exit 3 and one line naming its ceiling."""
+    """The bridge has no rank ceiling: at k = 1 the orbits of the quotient
+    at level k + h set its cost.  A5 and D5 pass; E6, with 7 x 64 bytes for
+    each of its 14 480 427 points, exits 3 with one line naming the term."""
     code, out, err = run_err(capsys, "compare", "compact", "--type", fam,
                              "--rank", str(rank), "--k", "1")
+    if fam != "E":
+        assert code == 0 and err == "" and json.loads(out)["compact"]["passed"]
+        return
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING}" in err
+    assert f"weyl_orbits needs {64 * 7 * order:.3g} bytes" in err
 
 
 def test_config_integer_past_the_digit_limit_exits_schema(tmp_path, capsys):
@@ -1041,7 +1076,7 @@ def test_kernel_apply_wide_input_grid_exits_schema(tmp_path, capsys, command):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(family=_scalar_or("A", "B", "D", "G"),
-       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, RANK_CEILING + 1)),
+       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, 1000)),
        level=_scalar_or(1, 2, 3, 10 ** 6).filter(_quick_or_refused(3, 10 ** 6)))
 def test_lattice_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, level):
     cfg = tmp_path / "cfg.json"
@@ -1052,7 +1087,7 @@ def test_lattice_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(family=_scalar_or("A", "D", "B"),
-       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, RANK_CEILING + 1)),
+       rank=_scalar_or(1, 2, 3).filter(_quick_or_refused(3, 1000)),
        level=_scalar_or(1, 2, 3, 10 ** 4).filter(_quick_or_refused(3, 10 ** 4)),
        convention=_scalar_or("lemma", "theorem"))
 def test_compare_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, level,

@@ -11,7 +11,7 @@ from cstorus.compactcheck import (CompactModularData, _fit_phase, _integrable_sh
                                   kac_peterson_sum, su2_modular_data)
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.finrep import Convention, rep_matrices
-from cstorus.lattice import Z_ORDER_CEILING, _alcove_pairings
+from cstorus.lattice import _alcove_pairings, quotient_order
 from cstorus.roots import LieType, build_root_system
 from fraction_oracle import (fraction_rows, inverse, mat, mat_vec, pairing1, positive_roots,
                              unit_phase, weyl_apply, weyl_vector)
@@ -221,11 +221,19 @@ def test_identity_row_is_the_weyl_denominator(family, rank, k):
 @pytest.mark.parametrize("family,rank,order", [("A", 5, 100842), ("D", 5, 236196),
                                                ("E", 6, 14480427)])
 def test_bridge_refusal_names_the_quotient_ceiling(family, rank, order):
-    """Past rank 4 at k = 1 the quotient at level k + h is what refuses, and
-    the one-line refusal names |Z_k| and its ceiling."""
+    """Past rank 4 at k = 1 the quotient Z at level k + h sets the cost: A5
+    and D5 pass, and E6's orbits on 14 480 427 points are over the byte
+    budget, a one-line refusal naming the term, its size and the budget."""
+    rs = build_root_system(LieType(family, rank))
+    assert quotient_order(rs, 1 + rs.dual_coxeter) == order
+    if family != "E":
+        rep = compare_shifted(rs, 1)
+        assert rep["passed"] and max(rep["residual_S"], rep["residual_T"]) < 1e-13, rep
+        return
     with pytest.raises(ResourceLimitError) as err:
-        compare_shifted(build_root_system(LieType(family, rank)), 1)
-    assert f"|Z_k| = {order} exceeds the ceiling {Z_ORDER_CEILING}" in str(err.value)
+        compare_shifted(rs, 1)
+    assert str(err.value).startswith(f"E6, k=13: weyl_orbits needs {64 * 7 * order:.3g} bytes")
+    assert str(err.value).endswith("over the budget 2.01e+08 bytes")
     assert len(str(err.value).splitlines()) == 1
 
 

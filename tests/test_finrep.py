@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -12,10 +13,11 @@ import pytest
 
 from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus import finrep, lattice
-from cstorus.finrep import (PHASE_DENOM, SECTOR_DIM_CEILING, Convention, PhasePair,
+from cstorus.finrep import (PHASE_DENOM, Convention, PhasePair,
                             SectorMatrices, phase_constants, rep_matrices,
                             unit_phase, verify_sl2z)
-from cstorus.lattice import QuotientGroup, WeylOrbits, quotient_group, rho_shifted, weyl_orbits
+from cstorus.lattice import (QuotientGroup, WeylOrbits, quotient_group, quotient_order,
+                             rho_shifted, weyl_orbits)
 from cstorus.roots import LieType, RootSystem, build_root_system
 from cstorus.wgz import GridFunctionFamily, GridSpec, apply_finite_fourier, prequantum_T
 from fraction_oracle import (fraction_rows, highest_root, inverse, mat, mat_vec, pairing1,
@@ -233,8 +235,8 @@ def test_phase_cubic_constraint(fam, rank):
 
 @pytest.mark.parametrize("rank", [17, 40])
 def test_phase_constants_build_no_quotient(monkeypatch, rank):
-    """C17..C40 have a level-1 quotient of 2^n points, over the quotient
-    ceiling; phase_constants needs none of it, only dim g = n (2n + 1)."""
+    """C17..C40 have a level-1 quotient of 2^n points, over the byte
+    budget; phase_constants needs none of it, only dim g = n (2n + 1)."""
     def refuse(*args, **kwargs):
         raise AssertionError("phase_constants built a quotient")
 
@@ -451,20 +453,25 @@ def test_negative_control_conventions_break_relations():
 @pytest.mark.parametrize("fam,rank,k,order", [("A", 1, 50_001, 100_002),
                                                ("E", 8, 5, 390_625)])
 def test_quotient_ceiling_raises_resource_limit(fam, rank, k, order):
+    """Over the byte budget before Z is built: A1 at k = 50001 by its
+    50002 x 50002 sector, E8 at k = 5 by the orbits of its |Z| = 390625."""
     rs = build_root_system(LieType(fam, rank))
-    with pytest.raises(ResourceLimitError,
-                       match=rf"\|Z_k\| = {order} exceeds the ceiling 100000"):
+    term = "sector_matrices" if rank == 1 else "weyl_orbits"
+    with pytest.raises(ResourceLimitError, match=rf"^{fam}{rank}, k={k}: {term} needs "):
         rep_matrices(rs, k, sector=0)
+    assert quotient_order(rs, k) == order
 
 
 def test_sector_dimension_ceiling_raises_resource_limit():
-    """|Z_k| = 100000 passes its ceiling but the dense sector-0 S and T
-    would be 50001 x 50001."""
+    """The dense sector-0 S and T of A1 at k = 50000 would be 50001 x
+    50001, refused from the alcove count before Z is built; dim 1024, the
+    largest `rep build` the tests gate, is within the budget."""
     rs = build_root_system(LieType("A", 1))
     with pytest.raises(ResourceLimitError,
-                       match=rf"sector 0 dimension 50001 exceeds the ceiling {SECTOR_DIM_CEILING}"):
+                       match=r"^A1, k=50000: sector_matrices needs "
+                             + re.escape(f"{188 * 50001 ** 2:.3g} bytes")):
         rep_matrices(rs, 50_000, sector=0)
-    assert rep_matrices(rs, SECTOR_DIM_CEILING - 1, sector=0).dim == SECTOR_DIM_CEILING
+    assert rep_matrices(rs, 1023, sector=0).dim == 1024
 
 
 def test_sector_validation():

@@ -1127,21 +1127,45 @@ def test_no_chain_growth_bookkeeping():
         assert not names & {"gain", "_check_chain_growth", "_LOG_FLOAT_MAX"}, path.name
 
 
-def test_verify_conjugation_forms_no_basis_product():
-    """No (L x L) @ (L x N) product in verify_conjugation: no matmul there
-    takes a basis block, b0 or b2[...], as its right operand, so the
-    residuals stay on L x L coefficients."""
+def test_verify_conjugation_forms_no_basis_product(monkeypatch):
+    """No (L x L) @ (L x N) product in verify_conjugation, and no bare `@`
+    takes an L x ceil(N/2) block: both operands of every matmul there are
+    L x L coefficients (a projection, lap0, es, et, s2 or e0), and the Gram
+    and projector products of blocks go through finrep._product, which runs
+    them in row blocks on the calling thread.  At L = 40 the report equals
+    the one with plain products to 1e-13."""
     tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "cstorus"
                       / "heatkernel.py").read_text())
     verify = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "verify_conjugation")
-    right = [node.right for node in ast.walk(verify)
-             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
-    assert right
-    for operand in right:
-        base = operand.value if isinstance(operand, ast.Subscript) else operand
-        assert not (isinstance(base, ast.Name) and base.id in ("b0", "b2")), \
-            ast.unparse(operand)
+
+    def coefficients(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("lap0", "es", "et", "s2", "e0")
+        if isinstance(node, ast.Call):      # proj0(...) or proj2[gen](...)
+            func = node.func.value if isinstance(node.func, ast.Subscript) else node.func
+            return isinstance(func, ast.Name) and func.id in ("proj0", "proj2")
+        if isinstance(node, ast.BinOp):     # a product, or coefficients times the spectrum
+            return coefficients(node.left) and (isinstance(node.op, ast.Mult)
+                                                or coefficients(node.right))
+        return False
+    products = [node for node in ast.walk(verify)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    assert products
+    for node in products:
+        assert coefficients(node.left) and coefficients(node.right), ast.unparse(node)
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_product"
+               for node in ast.walk(verify)) == 2
+
+    def numbers(node):
+        if isinstance(node, dict):
+            return [x for key in sorted(node) for x in numbers(node[key])]
+        return [node] if isinstance(node, float) else []
+    blocked = numbers(verify_conjugation(2, 1.0, L=40))
+    monkeypatch.setattr(heatkernel, "_product", lambda a, b: a @ b)
+    plain = numbers(verify_conjugation(2, 1.0, L=40))
+    assert len(blocked) == len(plain) > 20
+    assert max(abs(x - y) for x, y in zip(blocked, plain)) <= 1e-13
 
 
 def test_signed_operator_keeps_no_row_table():

@@ -16,7 +16,7 @@ from cstorus import lattice
 from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.exact import smith_normal_form
 from cstorus.finrep import phase_constants
-from cstorus.lattice import (Z_ORDER_CEILING, enumerate_report, quadratic_module, quotient_group,
+from cstorus.lattice import (enumerate_report, quadratic_module, quotient_group,
                              weyl_orbits)
 from cstorus.roots import LieType, WeylElement, build_root_system, simple_reflection_matrix
 from cstorus.wgz import GridFunctionFamily, GridSpec, weyl_action
@@ -284,9 +284,47 @@ def test_quotient_order_is_the_product_of_smith_divisors(monkeypatch):
 
 
 def test_weyl_orbits_quotient_ceiling():
+    """|Z| = 120000 at A2 k = 200 passes; at k = 600 its orbits are over the
+    byte budget, refused from the closed-form |Z| before Z is built."""
     rs = build_root_system(LieType("A", 2))
-    with pytest.raises(ResourceLimitError, match="exceeds the ceiling"):
-        weyl_orbits(rs, 200)
+    assert weyl_orbits(rs, 200).quotient.order == 120_000
+    with pytest.raises(ResourceLimitError, match=r"^A2, k=600: weyl_orbits needs 2.07e\+08 "):
+        weyl_orbits(rs, 600)
+
+
+ORDER_TYPES = ([(f, n) for f in "ABC" for n in range(2 if f != "A" else 1, 11)]
+               + [("D", n) for n in range(3, 11)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4),
+                                                      ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", ORDER_TYPES)
+def test_closed_forms_the_charges_read(fam, rank):
+    """The charges read |Z| and the sector dimension without building Z:
+    quotient_order, k^n times one more than the number of marks equal to 1
+    times prod e_i, is the Smith form's product of divisors, and
+    alcove_count is the number of alcove points listed, closed at k and
+    open at k - h (none below 0)."""
+    rs = build_root_system(LieType(fam, rank))
+    for k in (1, 2, 3):
+        d = smith_normal_form([[k * e for e in row] for row in rs.gram1])[0]
+        assert lattice.quotient_order(rs, k) == math.prod(d[i][i] for i in range(rank))
+    for k in range(0, 5 if rank <= 6 else 3):
+        closed = lattice._alcove_pairings(rs, k)
+        assert lattice.alcove_count(rs, k) == len(closed)
+        assert lattice.alcove_count(rs, k - rs.dual_coxeter) == sum(
+            min(p) >= 1 and sum(a * x for a, x in zip(rs.comarks, p)) <= k - 1 for p in closed)
+
+
+def test_quotient_past_numpy_axis_limit():
+    """Only the Smith divisors d_i > 1 are axes of the dense index, so a
+    rank over numpy's 64 axes builds Z and its orbits: A99 at k = 1 is
+    Z/100, with the alcove points 0 and the 99 fundamental weights."""
+    rs = build_root_system(LieType("A", 99))
+    orbits = weyl_orbits(rs, 1)
+    z = orbits.quotient
+    assert z.order == 100 and z.divisors.tolist() == [100] and z.u.shape == (1, 99)
+    assert (z.index_of(z.numerators) == np.arange(100)).all()
+    assert len(orbits.pairings) == 100 and orbits.stabilizer_sizes[0] == math.factorial(100)
 
 
 def test_enumerate_report_shape():
@@ -380,11 +418,11 @@ MILGRAM_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C
 def test_milgram_formula_on_every_level_under_the_ceiling(fam, rank):
     """Milgram's formula sum_{x in Z} e(q(x)) = sqrt|Z| e(n/8) (Milnor and
     Husemoller, Symmetric Bilinear Forms, appendix 4) holds for Z_k at every
-    k <= 7 under Z_ORDER_CEILING, and fixes omega^3 j = e(n/8): the i^{n/2}
-    of the cubic constraint is read off Z itself."""
+    k <= 7 with |Z| <= 10^5 (kept small for time), and fixes omega^3 j =
+    e(n/8): the i^{n/2} of the cubic constraint is read off Z itself."""
     rs = build_root_system(LieType(fam, rank))
     pp = phase_constants(rs)
-    levels = [k for k in range(1, 8) if k ** rank * det(mat(rs.gram1)) <= Z_ORDER_CEILING]
+    levels = [k for k in range(1, 8) if k ** rank * det(mat(rs.gram1)) <= 10 ** 5]
     assert levels
     for k in levels:
         z = quotient_group(rs, k)
@@ -417,15 +455,15 @@ def test_module_from_a_gram_matrix_alone(gram, order):
 
 def test_module_refuses_an_odd_or_singular_form_and_an_order_over_the_ceiling():
     """An odd or asymmetric Gram matrix has no quadratic form on Z and a
-    singular one no finite Z; an order over the ceiling is refused, naming
-    the label, before any array of Z."""
+    singular one no finite Z; an order whose arrays are over the byte
+    budget is refused, naming the label, before any array of Z."""
     for gram in ([[3]], [[2, 1], [0, 2]], [[2, 1], [1, 3]], [[2, 2], [2, 2]]):
         with pytest.raises(DomainError, match="is not symmetric, even and nonsingular"):
             quadratic_module(gram, "an odd form")
+    assert quadratic_module([[200_002]], "Gram matrix [[200002]]").order == 200_002
     with pytest.raises(ResourceLimitError,
-                       match=rf"\|Z_k\| = 200002 exceeds the ceiling {Z_ORDER_CEILING} for "
-                             r"Gram matrix \[\[200002\]\]$"):
-        quadratic_module([[200_002]], "Gram matrix [[200002]]")
+                       match=r"^Gram matrix \[\[10\*\*8\]\]: quotient needs 4e\+09 bytes "):
+        quadratic_module([[10 ** 8]], "Gram matrix [[10**8]]")
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("B", 2, 2), ("G", 2, 2)])

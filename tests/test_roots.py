@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from cstorus.errors import ResourceLimitError, SchemaError
 from cstorus.finrep import PHASE_DENOM, phase_constants
 from cstorus.lattice import quotient_group, rho_shifted
-from cstorus.roots import (RANK_CEILING, LieType, build_root_system, generate_weyl_group,
+from cstorus.roots import (LieType, build_root_system, generate_weyl_group,
                            weyl_order)
 from fraction_oracle import (bilinear, highest_root, pairing, pairing1, positive_roots,
                              weyl_apply, weyl_vector)
@@ -57,22 +58,25 @@ def test_weyl_order_table_exceptional_and_summary():
 
 @pytest.mark.parametrize("rank", [7, 8])
 def test_weyl_group_past_the_ceiling_is_refused_before_enumeration(rank):
-    """E7 (2 903 040) and E8 exceed the default element ceiling 100 000:
-    the closed-form order refuses them at once, where enumerating up to the
-    ceiling first took 12-15 s; the message names the ceiling."""
+    """E7 (2 903 040 elements) and E8 are over the byte budget: the
+    closed-form order refuses them at once, where enumerating first took
+    12-15 s; the message names the term, its size and the budget."""
     rs = build_root_system(LieType("E", rank))
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=f"Weyl group of E{rank} exceeds the "
-                       "element ceiling 100000; raise max_elements to enumerate it"):
+    size = weyl_order(rs.lie_type) * (480 + 10 * rank * rank)
+    with pytest.raises(ResourceLimitError, match=f"^Weyl group of E{rank}: weyl_elements needs "
+                       + re.escape(f"{size:.3g} bytes of a predicted {size:.3g}, over the budget "
+                                   "2.01e+08 bytes") + "$"):
         rs.weyl_group()
     assert time.perf_counter() - start < 1.0
 
 
 def test_weyl_group_at_the_ceiling_is_enumerated():
-    rs = build_root_system(LieType("A", 3))
-    assert generate_weyl_group(rs, max_elements=24).order == 24
-    with pytest.raises(ResourceLimitError, match="ceiling 23;"):
-        generate_weyl_group(rs, max_elements=23)
+    """The closure is charged from the closed-form order: A3's 24 elements
+    are enumerated, A8's 362 880 refused by their bytes before the first."""
+    assert build_root_system(LieType("A", 3)).weyl_group().order == 24
+    with pytest.raises(ResourceLimitError, match="^Weyl group of A8: weyl_elements needs"):
+        generate_weyl_group(build_root_system(LieType("A", 8)))
 
 
 @pytest.mark.parametrize("fam,rank", SMALL_TYPES)
@@ -196,7 +200,7 @@ def test_integer_root_data_match_the_fraction_oracle(fam, rank):
 
 
 # every type of rank <= 8; not IDENTITY_TYPES, because
-# test_root_data_are_integers enumerates W on those, and W(B7) is over its ceiling
+# test_root_data_are_integers enumerates W on those, and W(B7) is over the budget
 ORACLE_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
                 + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
                 + [("E", n) for n in (6, 7, 8)] + [("F", 4), ("G", 2)])
@@ -215,10 +219,10 @@ def test_comark_table_matches_the_reflection_closure(fam, rank):
     assert rs.dual_coxeter == 1 + pairing1(rs, rho, pos[-1])
 
 
-# every supported type: 161 up to RANK_CEILING = 40
-ALL_TYPES = ([("A", n) for n in range(1, RANK_CEILING + 1)]
-             + [(fam, n) for fam in "BC" for n in range(2, RANK_CEILING + 1)]
-             + [("D", n) for n in range(3, RANK_CEILING + 1)]
+# every type up to rank 40: 161
+ALL_TYPES = ([("A", n) for n in range(1, 41)]
+             + [(fam, n) for fam in "BC" for n in range(2, 41)]
+             + [("D", n) for n in range(3, 41)]
              + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 CLASSICAL_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
                          "C": lambda n: n * n, "D": lambda n: n * (n - 1)}

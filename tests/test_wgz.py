@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 import tracemalloc
@@ -15,7 +16,7 @@ from cstorus.errors import DomainError, ResourceLimitError, SchemaError
 from cstorus.heatkernel import _smooth_length
 from cstorus.lattice import quotient_group
 from cstorus.roots import LieType, build_root_system
-from cstorus.wgz import (WGZ_ARRAY_CEILING, GridFunctionFamily, GridSpec,
+from cstorus.wgz import (GridFunctionFamily, GridSpec,
                          SectionSamples, _forward_plan, _forward_values,
                          _half_angle_phase, _inverse_plan, _section_plan,
                          alias_margin, apply_finite_fourier, gaussian_family,
@@ -849,9 +850,12 @@ def test_roundtrip_report_holds_two_sections():
 
 
 def test_grid_over_ceiling_refused_before_allocation():
+    """A3 k=1 at resolution 16 and box radius 6: its families of 4 x 289^3
+    values are over the byte budget, refused before any array of the grid."""
     rs = build_root_system(LieType("A", 3))
     tracemalloc.start()
-    with pytest.raises(ResourceLimitError, match=f"ceiling {WGZ_ARRAY_CEILING}"):
+    with pytest.raises(ResourceLimitError, match=r"^A3 k=1 grid with N=16, M=9: families needs "
+                       + re.escape(f"{80 * 4 * 289 ** 3:.3g} bytes")):
         roundtrip_report(rs, 1, 16, 6.0)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
