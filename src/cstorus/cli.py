@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import (CSTorusError, ResourceLimitError, SchemaError, checks_below, require,
                      within_bounds)
-from .finrep import Convention, rep_matrices, verify_sl2z
+from .finrep import Convention, rep_matrices, sector_dimension, verify_sl2z
 from .lattice import enumerate_report
 from .roots import LieType, build_root_system
 
@@ -247,13 +247,14 @@ def _lattice_enumerate(cfg: dict):
 
 
 def _rep(cfg: dict, verify_only: bool):
-    mats = rep_matrices(_root_system(cfg), cfg["level"], cfg["sector"],
-                        convention=Convention.from_name(cfg["convention"]))
+    rs, k, sector = _root_system(cfg), cfg["level"], cfg["sector"]
+    if not verify_only:     # S, T and their text, 171 bytes an entry at dim 1024
+        dim = sector_dimension(rs, k, sector)
+        require(f"{rs.lie_type}, k={k}", sector_matrices=188 * dim * dim)
+    mats = rep_matrices(rs, k, sector, convention=Convention.from_name(cfg["convention"]))
     rep = verify_sl2z(mats, tol=cfg["tol"])
-    payload = {"verification": rep.to_json_dict()}
-    if not verify_only:
-        payload["matrices"] = mats.to_json_dict()
-    return payload, rep.checks
+    matrices = {} if verify_only else {"matrices": mats.to_json_dict()}
+    return {"verification": rep.to_json_dict(), **matrices}, rep.checks
 
 
 def _wgz_roundtrip(cfg: dict):

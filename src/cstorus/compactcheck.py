@@ -16,8 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, checks_below, within_bounds
-from .finrep import Convention, rep_matrices, unit_phase
+from .errors import DomainError, SchemaError, checks_below, require, within_bounds
+from .finrep import Convention, rep_matrices, sector_dimension, unit_phase
 from .lattice import _alcove_pairings, fraction_strings, rho_shifted
 from .roots import RootSystem
 
@@ -138,8 +138,8 @@ def compare_shifted(rs: RootSystem, k: int,
     rho; S may differ by one global 4th root of unity, T must match exactly."""
     _check_bridge_domain(rs, k)
     h = rs.dual_coxeter
-    # the sector first: it is charged before the oracle allocates its
-    # dim x dim matrices
+    # both S and T, their sorted copies and a residual: 116-122 bytes measured
+    require(f"{rs.lie_type}, k={k + h}", sector_matrices=160 * sector_dimension(rs, k + h, 1) ** 2)
     sect = rep_matrices(rs, k + h, sector=1, convention=convention)
     oracle = su2_modular_data(k) if (rs.lie_type.family == "A" and rs.rank == 1) \
         else kac_peterson_sum(rs, k)

@@ -102,6 +102,14 @@ class SectorMatrices:
         }
 
 
+def sector_dimension(rs: RootSystem, k: int, sector: int) -> int:
+    """The sector's dimension by the alcove count, once Z's orbits, which bound k, are charged."""
+    if sector not in (0, 1):
+        raise SchemaError(f"sector must be 0 or 1, got {sector}")
+    require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k))
+    return alcove_count(rs, k - sector * rs.dual_coxeter)
+
+
 def rep_matrices(rs: RootSystem, k: int, sector: int,
                  convention: Convention = Convention()) -> SectorMatrices:
     """Sector S and T matrices from the Weyl orbits on the quotient Z.
@@ -113,15 +121,11 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     to zero. T is diagonal with entries omega^{-1} exp(pi i <a,a>_k) under
     the default convention. Both read Z's phases: its character, a D-th
     root of unity per pair, and its Gauss phase.  Charged before Z is built:
-    the orbits, and per entry of the alcove count squared S, T and either
-    verify_sl2z's products or the `rep build` text (171 bytes at dim 1024).
+    the orbits, and per entry of the alcove count squared S, T and
+    verify_sl2z's products (104-108 bytes measured at dims 701-1024).
     """
-    if sector not in (0, 1):
-        raise SchemaError(f"sector must be 0 or 1, got {sector}")
-    label, orbit = f"{rs.lie_type}, k={k}", orbit_terms(rs, k)
-    require(label, **orbit)     # bounds k, so that the count is quick
-    dim = alcove_count(rs, k - sector * rs.dual_coxeter)
-    require(label, **orbit, sector_matrices=188 * dim * dim)
+    dim = sector_dimension(rs, k, sector)
+    require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k), sector_matrices=128 * dim * dim)
     phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
     z = orbits.quotient

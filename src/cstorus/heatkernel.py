@@ -76,11 +76,11 @@ def solve_params(k: int, s: float, branch: str = "principal") -> HWParams:
     Self-checks: the two unit-size relations to 1e-12 absolute, and
     is (1+b^2) = k(1-b^2) to 1e-12 relative to max(k, |s|), a form without
     the division by 1 + b^2 = 2k/(k+is), which cancels as |s|/k grows.
-    Supported range |s| <= 1e4 k."""
+    Supported range |s| <= 1e4 k, and k <= K_MAX."""
     if not isinstance(k, int) or k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k!r}")
-    if k > sys.float_info.max:
-        raise SchemaError(f"level k exceeds the float range {sys.float_info.max:.6g}")
+    if k > K_MAX:
+        raise SchemaError(f"level k exceeds {K_MAX:.6g}, where 4k or 2k(l + 1/2) overflows")
     s = float(s)
     if branch not in ("principal", "flipped"):
         raise SchemaError(f"branch must be 'principal' or 'flipped', got {branch!r}")
@@ -144,6 +144,8 @@ class GridSamples1D:
 # 1.0-1.14 on resolving grids (L <= 200, 101-4096 points), 1e4-1e21 on 8 or 9
 # points; at 3e16 (L = 7 on 8) residuals moved 10x under rounding changes
 GRAM_CONDITION_CEILING = 1e8
+# the largest level whose 4k and 2k(l + 1/2), l < 2^18 (any admitted basis), stay finite
+K_MAX = sys.float_info.max / 2 ** 20
 
 
 def check_uniform_grid(y) -> np.ndarray:

@@ -16,23 +16,21 @@ fold, and every gamma shares that one fftn.  The inverse is its adjoint: one
 ifftn, read off once per gamma-hat at a shifted frequency.
 
 Everything that depends on the grid alone is planned once and cached on the
-GridSpec: the half-angle phase e^{-pi i <p, q>_k} over cell pairs as n
-factors R_a[p_a, q] of shape (N, C), C = N^n cells (in rank one R_0 is the
-whole C x C table); per theta1 offset, the (C, S) box gather index of the S
-lattice shifts kept, sorted by residue mod N so that the fold is one
-reduceat, and their gamma modulation; the read-off of every family entry
-from the inverse, built after its alias check and grouped by row blocks of
-whole leading-axis slices of at most 2^16 entries; and the gather index and
-phase of each section operator.  A forward call gathers and modulates a
-C x S block, folds it into its C x C result and runs fftn and the phase
-factors in place there.  An inverse call takes one row block at a time:
-the samples times the conjugate phase, one ifftn, and the block's read-off
-entries scattered into the family.  quasi_periodicity_residual builds one
-translate at a time and compares it with e_lambda s a row block at a time.
-So a transform holds its input, its output, O(C S) and O(n N C + 2^16)
-scratch, and no C x C buffer or (cells x box points) matrix; a round trip
-holds two sections.  A grid is charged to the resource model (errors) before
-any array of it is built, and a round trip its trials.
+GridSpec, each table sized by what it holds: the S lattice shifts, gamma + nu
+with gamma in Z and nu in [-M, M)^n; the half-angle phase over C = N^n cell
+pairs as the window of one (2N - 1)^n chirp and a C-entry cell factor; per
+theta1 offset, the (C, S) box gather index of the shifts kept, sorted by
+residue mod N so that the fold is one reduceat, and their gamma modulation;
+the read-off of every family entry from the inverse, after its alias check,
+by row blocks of whole leading-axis slices of at most 2^16 entries; and the
+gather index and phase of each section operator.  A forward call folds a
+gathered, modulated C x S block into its C x C result and applies fftn and
+the phase in place there; an inverse call takes one row block at a time:
+the samples times the conjugate phase, one ifftn, and the block's read-off.
+quasi_periodicity_residual builds one translate at a time.  So a transform
+holds its input, its output, O(C S) and O((2N)^n + 2^16) scratch, and a
+round trip two sections.  A grid is charged to the resource model (errors)
+before any array of it is built, and a round trip its trials.
 
 Z, its numerators and the integer kG all come from one QuotientGroup, the
 quadratic module of kG (lattice): on a grid it is spec.quotient(), built
@@ -52,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, SchemaError, require
 from .finrep import _ONE_THREAD_MADDS, _product
@@ -122,15 +121,13 @@ class GridSpec:
         """Integer grid coordinates (units of 1/N) of the box, shape (B^n, n)."""
         if "box" not in self._cache:
             mn = self.half_width * self.divisions
-            axes = [np.arange(-mn, mn + 1)] * self.n
-            self._cache["box"] = _mesh(axes)
+            self._cache["box"] = _mesh([np.arange(-mn, mn + 1)] * self.n)
         return self._cache["box"]
 
     def cell_coords(self) -> np.ndarray:
         """Integer grid coordinates of F_Lambda, shape (N^n, n)."""
         if "cell" not in self._cache:
-            axes = [np.arange(self.divisions)] * self.n
-            self._cache["cell"] = _mesh(axes)
+            self._cache["cell"] = _mesh([np.arange(self.divisions)] * self.n)
         return self._cache["cell"]
 
     def box_flat_index(self, coords: np.ndarray) -> np.ndarray:
@@ -149,17 +146,15 @@ class GridSpec:
     def lattice_shifts(self) -> np.ndarray:
         """Integer grid coordinates lam*N, shape (S, n), of the dual-lattice
         vectors whose F_Lambda translate lies entirely inside the box, in
-        order of max-norm, then lexicographic."""
-        if "shifts" in self._cache:
-            return self._cache["shifts"]
-        n, nn, mn = self.n, self.divisions, self.half_width * self.divisions
-        z = self.quotient()
-        bound = int(np.abs(z.kg).sum(axis=1).max()) * self.half_width + 1
-        # lam N = (N / D) D (kG)^{-1} x, integral since D divides N
-        lam_n = _mesh([np.arange(-bound, bound + 1)] * n) @ z.kinv.T * (nn // z.denom)
-        shifts = lam_n[np.all((lam_n >= -mn) & (lam_n + nn - 1 <= mn), axis=1)]
-        order = np.lexsort(tuple(shifts.T[::-1]) + (np.abs(shifts).max(axis=1),))
-        self._cache["shifts"] = shifts[order]
+        order of max-norm, then lexicographic: gamma + nu with gamma a point
+        of Z in [0, 1)^n and nu in [-M, M)^n, the only nu that can fit."""
+        if "shifts" not in self._cache:
+            nn, mn, z = self.divisions, self.half_width * self.divisions, self.quotient()
+            nu = _mesh([np.arange(-self.half_width, self.half_width)] * self.n)
+            lam_n = (z.numerators[:, None] * (nn // z.denom) + nu * nn).reshape(-1, self.n)
+            shifts = lam_n[np.all((lam_n >= -mn) & (lam_n + nn - 1 <= mn), axis=1)]
+            order = np.lexsort(tuple(shifts.T[::-1]) + (np.abs(shifts).max(axis=1),))
+            self._cache["shifts"] = shifts[order]
         return self._cache["shifts"]
 
 
@@ -175,27 +170,25 @@ def _ravel(coords: np.ndarray, grid: Tuple[int, ...]) -> np.ndarray:
 
 def _require_grid(spec: GridSpec) -> None:
     """Charge a grid: four N^(2n) sections (two held, one written, and FFT
-    scratch or a freed one that glibc keeps below its 32 MiB mmap threshold),
-    the half-angle factors, five |Z| B^n families and lattice_shifts' mesh."""
-    n, nn, z = spec.n, spec.divisions, spec.quotient()
-    bound = int(np.abs(z.kg).sum(axis=1).max()) * spec.half_width + 1
-    require(f"{spec.rs.lie_type} k={spec.k} grid with N={nn}, M={spec.half_width}",
-            sections=64 * nn ** (2 * n), half_angle=16 * n * nn ** (n + 1),
-            families=80 * z.order * spec.box_points_per_axis ** n,
-            shift_candidates=24 * n * (2 * bound + 1) ** n)
+    scratch or a freed one that glibc keeps below its 32 MiB mmap threshold)
+    and five |Z| B^n families, above the O(|Z| (2M)^n + (2N)^n) shifts and chirp."""
+    require(f"{spec.rs.lie_type} k={spec.k} grid with N={spec.divisions}, M={spec.half_width}",
+            sections=64 * spec.divisions ** (2 * spec.n),
+            families=80 * spec.quotient().order * spec.box_points_per_axis ** spec.n)
 
 
 def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
                        box_radius: float) -> GridSpec:
     """Pick (divisions, half_width) so the coroot box contains the centered
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
-    A resolution below 1 raises SchemaError; each candidate grid is charged
-    (_require_grid) before its alias check."""
+    N is the first multiple of D from the resolution up whose cofactor N / D
+    is 7-smooth, so that the N-point FFTs are fast, and that passes the
+    alias check.  A resolution below 1 raises SchemaError; each candidate
+    grid is charged (_require_grid) before it is tested."""
     if resolution < 1:
         raise SchemaError(f"resolution must be a positive integer, got {resolution}")
     z = quotient_group(rs, k)
-    divisions = max(resolution, z.denom)
-    divisions += (-divisions) % z.denom
+    cofactor = -(-resolution // z.denom)    # N = D cofactor, the least N >= resolution
     c = np.linalg.cholesky(z.kg)
     # coroot coords of an orthonormal-frame point y: c = C^{-T} y
     cinv_t = np.linalg.inv(c.T)
@@ -203,12 +196,13 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
     # capped: a wider box is far over the budget whatever N is
     half_width = math.ceil(min(reach, 2.0 ** 64))
     while True:
-        spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width,
+        spec = GridSpec(rs=rs, k=k, divisions=cofactor * z.denom, half_width=half_width,
                         _cache={"quotient": z})
-        _require_grid(spec)
-        if alias_margin(spec) > 0:
+        _require_grid(spec)     # every candidate, so no search runs past the budget
+        # 7-smooth: each prime exponent is below bit_length, so it divides 210^bit_length
+        if pow(210, cofactor.bit_length(), cofactor) == 0 and alias_margin(spec) > 0:
             return spec
-        divisions += z.denom
+        cofactor += 1
 
 
 @dataclass
@@ -347,48 +341,49 @@ def _forward_values(f: GridFunctionFamily, off1: np.ndarray, off2: np.ndarray) -
         np.take(f.values[g], plan.gather, out=part)
         part *= plan.modulation[g]
         shifted += part
-    # e^{-pi i <t1, t2>_k} at t = cell + N off: the cell table times a row
-    # and a column modulation and a constant; the row one commutes with the
-    # fold and the DFT over columns, so it goes on the C x S block
-    if off2.any():
-        shifted *= np.exp(-1j * math.pi * (cell @ kg @ off2) / nn)[:, None]
+    # e^{-pi i <t1, t2>_k} at t = cell + N off: c(p + q) e(p) e(q) and the offsets'
+    # modulations; the row factor commutes with the column DFT, so it goes on the fold
+    window, _, e = _half_angle_phase(spec)
+    row = e * np.exp(-1j * math.pi * (cell @ kg @ off2) / nn) if off2.any() else e
+    col = (e * np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
+           if off1.any() else e)
+    folded = np.add.reduceat(shifted, plan.starts, axis=1)
+    folded *= row[:, None]
     out = np.zeros((len(cell),) * 2, dtype=complex)
-    out[:, plan.residues] = np.add.reduceat(shifted, plan.starts, axis=1)
+    out[:, plan.residues] = folded
     grid = out.reshape((-1,) + (nn,) * n)
     np.fft.fftn(grid, axes=range(1, n + 1), out=grid)
-    by_digit = out.reshape((nn,) * n + (-1,))      # row p as its n digits
-    for a, factor in enumerate(_half_angle_phase(spec)):
-        by_digit *= _on_row_axis(factor, a, n)
-    if off1.any():
-        out *= np.exp(-1j * math.pi * ((cell @ kg @ off1) / nn + off1 @ kg @ off2))
+    by_pair = out.reshape((nn,) * (2 * n))          # (p, q) as their 2n digits
+    step = max(1, _ONE_THREAD_MADDS * nn // len(cell) ** 2)    # slices of <= 2^16 entries
+    for a in range(0, nn, step):    # both factors on a block while it is in cache
+        by_pair[a:a + step] *= window[a:a + step]
+        by_pair[a:a + step] *= col.reshape((nn,) * n)
     return out
 
 
-def _half_angle_phase(spec: GridSpec) -> Tuple[np.ndarray, ...]:
-    """e^{-pi i <p, q>_k} over cell pairs (p, q) as n factors, cached: the
-    phase is the product over axes a of R_a[p_a, q] = e^{-pi i p_a (kG q)_a
-    / N^2}, each of shape (N, C) and one exp of an exact integer exponent
-    (in rank one R_0 is the whole C x C table)."""
+def _half_angle_phase(spec: GridSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{-pi i <p, q>_k / N^2} over cell pairs (p, q) is c(p + q) e(p) e(q),
+    as 2<p, q>_k = <p+q, p+q>_k - <p, p>_k - <q, q>_k, with the chirp
+    c(m) = e^{-pi i <m, m>_k / 2N^2} on m in [0, 2N - 1)^n and e = conj c on
+    the cells.  Cached: the windows of c and conj c, (N,)^(2n) over (p, q),
+    and e, (C,).  Each c(m) is (-i)^t times one exp of an angle of at most
+    pi / 4, from the exact integer <m, m>_k = N^2 t + r, |r| <= N^2 / 2."""
     if "half_angle" not in spec._cache:
-        nn = spec.divisions
-        kq = spec.cell_coords() @ spec.quotient().kg    # (C, n); kG is symmetric
-        p = np.arange(nn)[:, None]
-        spec._cache["half_angle"] = tuple(
-            np.exp(-1j * math.pi * (p * kq[:, a] / nn ** 2)) for a in range(spec.n))
+        n, nn, nsq = spec.n, spec.divisions, spec.divisions ** 2
+        m = _mesh([np.arange(2 * nn - 1)] * n)
+        turns, r = np.divmod(np.einsum("pi,pi->p", m @ spec.quotient().kg, m) + nsq // 2, nsq)
+        chirp = (np.array([1, -1j, -1, 1j])[turns % 4]
+                 * np.exp(-0.5j * math.pi / nsq * (r - nsq // 2))).reshape((2 * nn - 1,) * n)
+        spec._cache["half_angle"] = (sliding_window_view(chirp, (nn,) * n),
+                                     sliding_window_view(chirp.conj(), (nn,) * n),
+                                     chirp[(slice(nn),) * n].conj().reshape(-1))
     return spec._cache["half_angle"]
-
-
-def _on_row_axis(factor: np.ndarray, a: int, n: int) -> np.ndarray:
-    """A (P, C) factor of row digit p_a, shaped to broadcast against a
-    (..., N, ..., C) view of C x C rows with p_a on axis a."""
-    return factor.reshape((1,) * a + (len(factor),) + (1,) * (n - 1 - a) + (-1,))
 
 
 def wgz_forward(f: GridFunctionFamily) -> SectionSamples:
     """Transform a function family into section samples on F_Lambda^2."""
-    n = f.spec.n
-    vals = _forward_values(f, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
-    return SectionSamples(f.spec, f.quotient, vals)
+    zero = np.zeros(f.spec.n, dtype=int)
+    return SectionSamples(f.spec, f.quotient, _forward_values(f, zero, zero))
 
 
 def alias_margin(spec: GridSpec) -> int:
@@ -460,28 +455,27 @@ def _inverse_plan(spec: GridSpec) -> _InversePlan:
 
 def _inverse_readoff(s: SectionSamples) -> np.ndarray:
     """The inverse before F_Z, shape (|Z|, B^n): one row block at a time,
-    the samples times the conjugate half-angle phase, one ifftn over q, and
-    the block's read-off entries scattered into the family."""
+    the samples times conj c(p + q) and c(q), one ifftn over q, and the
+    read-off entries times c(p), which commutes with it, into the family."""
     spec = s.spec
     n, nn = spec.n, spec.divisions
     cells = nn ** n
     plan = _inverse_plan(spec)
-    lead, *rest = _half_angle_phase(spec)
-    rest = [np.conjugate(factor) for factor in rest]
+    _, conj_window, e = _half_angle_phase(spec)
+    c = e.conj()
     buf = np.empty(plan.rows * cells, dtype=complex)
     fam = np.empty(s.quotient.order * spec.box_points_per_axis ** n, dtype=complex)
     slab = cells // nn                      # rows of one leading-axis slice
     for b, lo in enumerate(range(0, cells, plan.rows)):
         hi = min(lo + plan.rows, cells)
-        block = buf[:(hi - lo) * cells].reshape((-1,) + (nn,) * (n - 1) + (cells,))
-        np.conjugate(_on_row_axis(lead[lo // slab:hi // slab], 0, n), out=block)
-        for a, factor in enumerate(rest, 1):
-            block *= _on_row_axis(factor, a, n)
-        block *= s.values[lo:hi].reshape(block.shape)
+        block = buf[:(hi - lo) * cells].reshape((-1,) + (nn,) * (2 * n - 1))
+        np.multiply(conj_window[lo // slab:hi // slab], s.values[lo:hi].reshape(block.shape),
+                    out=block)
+        block *= c.reshape((nn,) * n)
         grid = block.reshape((-1,) + (nn,) * n)
         np.fft.ifftn(grid, axes=range(1, n + 1), out=grid)
-        run = slice(plan.bounds[b], plan.bounds[b + 1])
-        fam[plan.order[run]] = buf[plan.offset[run]]
+        at = plan.offset[plan.bounds[b]:plan.bounds[b + 1]]
+        fam[plan.order[plan.bounds[b]:plan.bounds[b + 1]]] = buf[at] * c[lo + at // cells]
     return fam.reshape(s.quotient.order, -1)
 
 
@@ -526,10 +520,8 @@ def quasi_periodicity_residual(f: GridFunctionFamily, s: SectionSamples) -> floa
     """Sup residual of s(A + lambda) = e_lambda(A) s(A) over coroot translations."""
     spec = f.spec
     rs, k, nn = spec.rs, spec.k, spec.divisions
-    eye = np.eye(spec.n, dtype=int)
-    translations = [(eye[j], 0 * eye[j]) for j in range(spec.n)]
-    translations += [(0 * eye[j], eye[j]) for j in range(spec.n)]
-    translations += [(eye[0], eye[-1])]
+    eye, zero = np.eye(spec.n, dtype=int), np.zeros(spec.n, dtype=int)
+    translations = [(e, zero) for e in eye] + [(zero, e) for e in eye] + [(eye[0], eye[-1])]
     cell = spec.cell_coords() / nn
     rows = max(1, _ONE_THREAD_MADDS // len(cell))
     worst = 0.0

@@ -158,9 +158,15 @@ def test_negative_controls_break_by_margin():
     assert max(bridge["residual_S"], bridge["residual_T"]) >= 1e-2
 
 
-# `rep build` at dim 512 peaked at 109-123 MB (2-vCPU VM, eight runs); the
+# a child's peak RSS in MB: VmHWM, the high-water mark of its own memory
+# map (ru_maxrss also counts the parent's RSS when the child was spawned)
+PEAK_MB = ("with open('/proc/self/status') as fh:\n"
+           "    peak_mb = int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)) / 1024\n")
+
+# `rep build` at dim 512 peaked at 73.3-74.3 MB by VmHWM (2-vCPU VM, five
+# runs; 109-123 MB by the ru_maxrss that counted the pytest parent); the
 # nested-list artifact it replaced peaked at 291 MB
-REP_BUILD_512_PEAK_MB = 175
+REP_BUILD_512_PEAK_MB = 105
 
 
 def test_rep_build_dim_512_artifact_memory(tmp_path):
@@ -168,11 +174,11 @@ def test_rep_build_dim_512_artifact_memory(tmp_path):
     process peaks below REP_BUILD_512_PEAK_MB, measured by the process
     itself, and writes an artifact that parses with dim 512."""
     out = tmp_path / "rep.json"
-    child = ("import json, resource, sys\n"
+    child = ("import json, re, sys\n"
              "from cstorus.cli import main\n"
              "code = main(['rep', 'build', '--type', 'A', '--rank', '1', '--level', '511',\n"
              "             '--sector', '0', '--out', sys.argv[1]])\n"
-             "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+             + PEAK_MB +
              "with open(sys.argv[1]) as fh:\n"
              "    doc = json.load(fh)\n"
              "print(code, peak_mb, doc['verification']['dim'], len(doc['matrices']['S']),\n"
@@ -189,11 +195,11 @@ def test_rep_build_dim_512_artifact_memory(tmp_path):
 
 
 # `wgz roundtrip` at N = 1440 (2 073 600 section samples) with 4 trials
-# peaked at 140.1-140.4 MB (2-vCPU VM, five fresh runs): the rank-one
-# half-angle table and two 33 MB sections. The
-# round trip it replaced held a C x C buffer per inverse, C x C multipliers
+# peaked at 108.1-108.2 MB by VmHWM (2-vCPU VM, five fresh runs), two 33 MB
+# sections; with a C x C half-angle table it peaked at 139.4-139.6 MB.  The
+# round trip before that held a C x C buffer per inverse, C x C multipliers
 # in the quasi-periodicity check and a third section, and peaked at 233 MB
-WGZ_ROUNDTRIP_1440_PEAK_MB = 155
+WGZ_ROUNDTRIP_1440_PEAK_MB = 120
 
 
 def test_wgz_roundtrip_at_the_array_ceiling_memory(tmp_path):
@@ -201,12 +207,12 @@ def test_wgz_roundtrip_at_the_array_ceiling_memory(tmp_path):
     fresh process, peaks below WGZ_ROUNDTRIP_1440_PEAK_MB, measured by the
     process itself, and passes its round trip and Parseval checks."""
     out = tmp_path / "roundtrip.json"
-    child = ("import json, resource, sys\n"
+    child = ("import json, re, sys\n"
              "from cstorus.cli import main\n"
              "code = main(['wgz', 'roundtrip', '--type', 'A', '--rank', '1', '--level', '2',\n"
              "             '--resolution', '1440', '--box-radius', '6', '--trials', '4',\n"
              "             '--out', sys.argv[1]])\n"
-             "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+             + PEAK_MB +
              "with open(sys.argv[1]) as fh:\n"
              "    rep = json.load(fh)['roundtrip']\n"
              "print(code, peak_mb, rep['divisions'], rep['roundtrip_residual'],\n"

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cstorus import cli, compactcheck
 from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.errors import DomainError
-from cstorus.heatkernel import verify_conjugation
+from cstorus.heatkernel import K_MAX, verify_conjugation
 from cstorus.roots import LieType, build_root_system
 from test_compactcheck import fraction_shifted_weights
 from test_finrep import alcove_points_bruteforce
@@ -1006,7 +1006,7 @@ def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, 
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"sector_matrices needs {188 * dim * dim:.3g} bytes" in err
+    assert f"sector_matrices needs {160 * dim * dim:.3g} bytes" in err
 
 
 @pytest.mark.parametrize("fam,rank,order", [("A", 5, 100842), ("D", 5, 236196),
@@ -1043,6 +1043,21 @@ def test_kernel_level_beyond_float_range_exits_schema(capsys):
                                  "--s", "1.0", "--L", "4", "--grid-points", "101")
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("level,code", [(8.98846567431158e+307, 2), (K_MAX * 2, 2),
+                                        (int(K_MAX), 0)])
+def test_kernel_verify_level_at_k_max(tmp_path, capsys, level, code):
+    """kernel verify refuses a level past K_MAX, where 4k or the spectrum
+    2k(l + 1/2) of its basis overflows, with exit 2 and one stderr line,
+    and runs at K_MAX with no warning and a finite artifact."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": level, "s": 0.0, "L": 4, "grid_points": 101}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_err(capsys, "kernel", "verify", "--config", str(cfg))
+    assert got[0] == code
+    _exit_contract(*got)
 
 
 @pytest.mark.parametrize("radius", ["1e10", "1e8", "1e150"])
@@ -1105,6 +1120,11 @@ def test_compare_scalars_keep_the_exit_contract(tmp_path, capsys, family, rank, 
        branch=_scalar_or("principal", "flipped"), sector=_scalar_or(0, 1),
        generator=_scalar_or("S", "T"),
        radius=st.sampled_from([1.0, 8.0, 1e4, 1e10, 1e150]))
+# 2^1023: 2k overflowed in solve_params, a traceback and exit 1
+@example(command="heat", level=8.98846567431158e+307, s=0.0, branch="principal", sector=0,
+         generator="S", radius=1.0)
+@example(command="eta", level=8.98846567431158e+307, s=0.0, branch="principal", sector=0,
+         generator="S", radius=1.0)
 def test_kernel_apply_scalars_keep_the_exit_contract(tmp_path, capsys, command, level, s,
                                                      branch, sector, generator, radius):
     """kernel heat/eta under any JSON scalar for their fields, on a 41-point

@@ -469,7 +469,7 @@ def test_sector_dimension_ceiling_raises_resource_limit():
     rs = build_root_system(LieType("A", 1))
     with pytest.raises(ResourceLimitError,
                        match=r"^A1, k=50000: sector_matrices needs "
-                             + re.escape(f"{188 * 50001 ** 2:.3g} bytes")):
+                             + re.escape(f"{128 * 50001 ** 2:.3g} bytes")):
         rep_matrices(rs, 50_000, sector=0)
     assert rep_matrices(rs, 1023, sector=0).dim == 1024
 

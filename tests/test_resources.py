@@ -66,6 +66,7 @@ SWEEP = [
     ["rep", "build", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
     ["rep", "build", "--type", "E", "--rank", "8", "--level", "2", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
+    ["rep", "verify", "--type", "A", "--rank", "4", "--level", "10", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "5", "--level", "7", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "40", "--level", "1", "--sector", "0"],
     ["wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "2", "--resolution", "1440",
@@ -90,10 +91,10 @@ def test_predictions_bound_the_measured_peaks(tmp_path):
     peak RSS above the `roots info` baseline (same process set-up) exceeds
     20 MB, measured <= predicted <= 3 x measured.  The sweep holds today's
     largest accepted runs: `rep build` at dim 1024, `wgz roundtrip` at
-    N = 1440, `kernel verify` at N = 4096 with L = 128, `rep verify` A5
-    k=7 and the compact bridges A5 and D5 at k = 1.  The model counts one
-    freed section that glibc may keep near its mmap threshold, so a round
-    trip reads 1.3-1.5 x."""
+    N = 1440, `kernel verify` at N = 4096 with L = 128, `rep verify` A4
+    k=10 and A5 k=7 and the compact bridges A5 and D5 at k = 1.  The model
+    counts one freed section that glibc may keep near its mmap threshold,
+    so a round trip reads 1.2-1.7 x."""
     _kernel_input(tmp_path / "heat.json", [(i - 50_000) / 1000 for i in range(100_001)],
                   lambda t: math.exp(-math.pi * t * t))
     _kernel_input(tmp_path / "eta.json", [i / 1000 for i in range(100_001)],
@@ -139,7 +140,7 @@ OVER_BUDGET = [
     (["wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "1", "--box-radius",
       "100000"], "families"),
     (["wgz", "roundtrip", "--type", "E", "--rank", "8", "--level", "1", "--resolution", "2",
-      "--box-radius", "0.1"], "shift_candidates"),
+      "--box-radius", "0.1"], "families"),
     (["kernel", "verify", "--k", "2", "--s", "1.0", "--L", "1024", "--grid-points", "4096"],
      "basis_blocks"),
     (["kernel", "verify", "--k", "2", "--s", "1.0", "--L", "1", "--grid-points", "1000000"],
@@ -147,8 +148,9 @@ OVER_BUDGET = [
 ]
 
 
-@pytest.mark.parametrize("argv,term", OVER_BUDGET, ids=[" ".join(a[:2]) + f" {t}"
-                                                        for a, t in OVER_BUDGET])
+# the E8 grid is named apart from the A1 box that is also refused on families
+@pytest.mark.parametrize("argv,term", OVER_BUDGET, ids=[
+    " ".join(a[:2]) + " E8" * ("E" in a) + f" {t}" for a, t in OVER_BUDGET])
 def test_over_budget_refusals_allocate_under_10_mb(capsys, over_budget_input, argv, term):
     """Exit 3 with one stderr line naming the term, its predicted size and
     the budget, and nothing on stdout, before 10 MB is allocated (tracemalloc

@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 import tracemalloc
@@ -63,6 +64,20 @@ def multiplier_oracle(rs, k, lam1, lam2, theta1, theta2):
                                          -math.sin(math.pi * expo))
 
 
+def shift_oracle(spec):
+    """The dual-lattice shifts lam*N whose F_Lambda translate lies in the
+    box, from a cube of integer dual coordinates x = kG lam wide enough for
+    any lam in the box (|x| <= M times the largest row sum of |kG|, plus 1),
+    sorted by max-norm, then lexicographically."""
+    n, nn, mn = spec.n, spec.divisions, spec.half_width * spec.divisions
+    q = spec.quotient()
+    bound = int(np.abs(q.kg).sum(axis=1).max()) * spec.half_width + 1
+    axes = np.meshgrid(*[np.arange(-bound, bound + 1)] * n, indexing="ij")
+    lam_n = np.stack([a.ravel() for a in axes], axis=-1) @ q.kinv.T * (nn // q.denom)
+    shifts = lam_n[np.all((lam_n >= -mn) & (lam_n + nn - 1 <= mn), axis=1)]
+    return shifts[np.lexsort(tuple(shifts.T[::-1]) + (np.abs(shifts).max(axis=1),))]
+
+
 def forward_oracle(f, off1, off2, skip_outside=False):
     """Transform series summed shift by shift, one outer product each."""
     spec, quotient = f.spec, f.quotient
@@ -73,7 +88,7 @@ def forward_oracle(f, off1, off2, skip_outside=False):
     t1, t2 = cell + off1 * nn, cell + off2 * nn
     out = np.zeros((len(cell), len(cell)), dtype=complex)
     for g in range(quotient.order):
-        for lam_n in spec.lattice_shifts():
+        for lam_n in shift_oracle(spec):
             shifted = t1 + lam_n
             if np.abs(shifted).max() > mn:
                 if skip_outside:
@@ -111,9 +126,11 @@ def inverse_oracle(s, chunk=2048):
 
 
 def half_angle_oracle(spec):
-    """e^{-pi i <p, q>_k} by one exp per cell pair (p, q)."""
-    cell = spec.cell_coords()
-    return np.exp(-1j * math.pi * (cell @ spec.quotient().kg @ cell.T) / spec.divisions ** 2)
+    """e^{-pi i <p, q>_k / N^2} by one exp per cell pair (p, q), of the
+    integer exponent reduced exactly into [-N^2, N^2)."""
+    cell, nsq = spec.cell_coords(), spec.divisions ** 2
+    x = (cell @ spec.quotient().kg @ cell.T + nsq) % (2 * nsq) - nsq
+    return np.exp(-1j * math.pi * (x / nsq))
 
 
 def inverse_plan_oracle(spec):
@@ -194,20 +211,39 @@ TABLE_GRIDS = [("A", 1, 2, 32, 5.0), ("A", 2, 1, 6, 2.0), ("B", 2, 1, 3, 2.0),
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", TABLE_GRIDS)
 def test_half_angle_table_matches_dense_exp(fam, rank, k, res, radius):
-    """The product of the n per-axis factors R_a[p_a, q], each (N, C), is
-    the dense exp: identical in rank one, within 5e-15 in rank two."""
+    """The window c(p + q) of one (2N - 1)^n chirp times the cell factors
+    e(p) e(q) is the dense exp to 1e-15; the window and its conjugate are
+    views that each span one chirp alone."""
     _, spec, _ = make(fam, rank, k, res, radius)
     nn, cells = spec.divisions, spec.divisions ** rank
-    factors = _half_angle_phase(spec)
-    assert [r.shape for r in factors] == [(nn, cells)] * rank
-    got = np.ones((nn,) * rank + (cells,), dtype=complex)
-    for a, r in enumerate(factors):
-        got = got * r.reshape((1,) * a + (nn,) + (1,) * (rank - 1 - a) + (cells,))
-    got, want = got.reshape(cells, cells), half_angle_oracle(spec)
-    if rank == 1:
-        assert np.array_equal(got, want)
-    else:
-        assert np.abs(got - want).max() <= 5e-15
+    window, conj_window, e = _half_angle_phase(spec)
+    assert window.shape == conj_window.shape == (nn,) * (2 * rank) and e.shape == (cells,)
+    for view in (window, conj_window):
+        low, high = np.lib.array_utils.byte_bounds(view)
+        assert high - low == 16 * (2 * nn - 1) ** rank
+    assert np.array_equal(conj_window, window.conj())
+    got = window.reshape(cells, cells) * e[:, None] * e[None, :]
+    assert np.abs(got - half_angle_oracle(spec)).max() <= 1e-15
+
+
+# (type, k, N, M) of every grid of this file's tests, and A3, C2 and D4
+SHIFT_GRIDS = [("A", 1, 1, 24, 4), ("A", 1, 1, 256, 64), ("A", 1, 1, 320, 2), ("A", 1, 2, 8, 4),
+               ("A", 1, 2, 16, 1), ("A", 1, 2, 32, 1), ("A", 1, 2, 32, 3), ("A", 1, 2, 48, 3),
+               ("A", 1, 2, 256, 3), ("A", 2, 1, 9, 1), ("A", 2, 1, 15, 2), ("A", 2, 1, 21, 3),
+               ("A", 2, 1, 27, 4), ("A", 2, 1, 30, 3), ("A", 2, 1, 36, 2), ("A", 2, 2, 12, 3),
+               ("B", 2, 1, 6, 1), ("B", 2, 1, 14, 3), ("B", 2, 1, 24, 5), ("B", 2, 2, 12, 1),
+               ("G", 2, 1, 9, 1), ("G", 2, 1, 21, 3), ("G", 2, 1, 24, 1), ("A", 3, 1, 8, 1),
+               ("C", 2, 1, 4, 2), ("D", 4, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("fam,rank,k,divisions,half_width", SHIFT_GRIDS)
+def test_lattice_shifts_are_the_cube_mesh_oracle(fam, rank, k, divisions, half_width):
+    """The shifts built from Z's points and nu in [-M, M)^n equal the
+    cube-mesh enumeration bit for bit, in the same order."""
+    rs = build_root_system(LieType(fam, rank))
+    spec = GridSpec(rs=rs, k=k, divisions=divisions, half_width=half_width)
+    got = spec.lattice_shifts()
+    assert got.dtype == np.int64 and np.array_equal(got, shift_oracle(spec))
 
 
 @pytest.mark.parametrize("fam,rank,k,res,radius", TABLE_GRIDS + ORACLE_GRIDS[1:])
@@ -251,7 +287,7 @@ def test_inverse_and_quasi_periodicity_do_not_depend_on_the_block(monkeypatch, f
 def test_one_fft_per_transform(monkeypatch):
     """Every finite index rides on one fold and one FFT; the inverse runs
     one ifftn per row block, which is one on this grid, and the half-angle
-    factors are built once per grid."""
+    chirp is built once per grid."""
     rs, spec, q = make("B", 2, 2, 4, 1.0)
     assert q.order == 16
     calls = []
@@ -280,7 +316,8 @@ def _transform_all(f):
 @pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
 def test_transforms_leave_inputs_and_cache_unchanged(fam, rank, k, res, radius):
     """The in-place FFTs and phase multiplies write only into buffers the
-    call allocated: inputs and each half-angle factor are byte-equal after."""
+    call allocated: inputs and the half-angle window and cell factor are
+    byte-equal after."""
     rs, spec, q = make(fam, rank, k, res, radius)
     f = random_gaussian_poly_family(spec, q, np.random.default_rng(10))
     f_bytes = f.values.tobytes()
@@ -541,6 +578,41 @@ def test_grid_spec_from_box_bumps_past_alias_limit():
     assert np.abs(wgz_inverse(wgz_forward(f)).values - f.values).max() < 1e-12
 
 
+def _smooth7(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("fam,rank,k,res,radius,divisions", [
+    ("A", 1, 2, 1448, 6.0, 1500), ("A", 1, 1, 22, 6.0, 24), ("A", 1, 1, 26, 6.0, 28),
+    ("A", 2, 1, 33, 2.0, 36), ("A", 1, 2, 1440, 6.0, 1440), ("A", 2, 1, 3, 2.0, 21)])
+def test_grid_divisions_have_a_7_smooth_cofactor(fam, rank, k, res, radius, divisions):
+    """N is the first multiple of D from the resolution up whose cofactor
+    N / D is 7-smooth (trial division here) and that passes the alias
+    check: 1448 = 4 * 2 * 181 moves to 1500 = 4 * 3 * 5^3, 22 = 2 * 11 to
+    24, and A2's alias bump to 21 = 3 * 7 stays."""
+    rs, spec, q = make(fam, rank, k, res, radius)
+    assert spec.divisions == divisions
+    first = next(n for n in range(-(-res // q.denom) * q.denom, divisions + 1, q.denom)
+                 if _smooth7(n // q.denom) and alias_margin(GridSpec(
+                     rs=rs, k=k, divisions=n, half_width=spec.half_width)) > 0)
+    assert first == divisions
+
+
+def test_resolution_past_the_budget_is_refused_at_once():
+    """Every candidate grid is charged before its cofactor is tested, so a
+    resolution far past the budget is refused on its first candidate, with
+    no search for a 7-smooth cofactor (the next one past 5 * 10^11 is far)."""
+    rs = build_root_system(LieType("A", 1))
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError,
+                       match=r"^A1 k=1 grid with N=1000000000002, M=5: sections needs "):
+        grid_spec_from_box(rs, 1, 10 ** 12 + 1, 6.0)
+    assert time.monotonic() - start < 1.0
+
+
 def test_operator_intertwining():
     """S-tilde and T-tilde on sections match the prequantum operators
     transported through the transform composed with the finite Fourier map,
@@ -650,8 +722,8 @@ def test_prequantum_S_holds_one_padded_buffer():
 
 def test_wgz_inverse_holds_its_family_and_one_block():
     """The inverse runs one row block of at most 2^16 entries at a time and
-    reads the half-angle phase from its (N, C) factors: on A2 k=1 res 30,
-    whose section is 13 MB, it peaks below its family plus 2 MB."""
+    reads the half-angle phase from its chirp: on A2 k=1 res 30, whose
+    section is 13 MB, it peaks below its family plus 2 MB."""
     rs, spec, q = make("A", 2, 1, 30, 2.0)
     rng = np.random.default_rng(0)
     shape = (spec.divisions ** 2,) * 2
