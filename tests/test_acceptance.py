@@ -163,10 +163,10 @@ def test_negative_controls_break_by_margin():
 PEAK_MB = ("with open('/proc/self/status') as fh:\n"
            "    peak_mb = int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)) / 1024\n")
 
-# `rep build` at dim 512 peaked at 73.3-74.3 MB by VmHWM (2-vCPU VM, five
+# `rep build` at dim 512 peaked at 73.3-74.3 MB by VmHWM (2-vCPU VM, fifteen
 # runs; 109-123 MB by the ru_maxrss that counted the pytest parent); the
 # nested-list artifact it replaced peaked at 291 MB
-REP_BUILD_512_PEAK_MB = 105
+REP_BUILD_512_PEAK_MB = 120
 
 
 def test_rep_build_dim_512_artifact_memory(tmp_path):
@@ -195,7 +195,7 @@ def test_rep_build_dim_512_artifact_memory(tmp_path):
 
 
 # `wgz roundtrip` at N = 1440 (2 073 600 section samples) with 4 trials
-# peaked at 108.1-108.2 MB by VmHWM (2-vCPU VM, five fresh runs), two 33 MB
+# peaked at 108.0-108.2 MB by VmHWM (2-vCPU VM, fifteen fresh runs), two 33 MB
 # sections; with a C x C half-angle table it peaked at 139.4-139.6 MB.  The
 # round trip before that held a C x C buffer per inverse, C x C multipliers
 # in the quasi-periodicity check and a third section, and peaked at 233 MB
