@@ -316,7 +316,7 @@ def _transform_all(f):
 @pytest.mark.parametrize("fam,rank,k,res,radius", PLAN_GRIDS)
 def test_transforms_leave_inputs_and_cache_unchanged(fam, rank, k, res, radius):
     """The in-place FFTs and phase multiplies write only into buffers the
-    call allocated: inputs and the half-angle window and cell factor are
+    call allocated: inputs and the half-angle windows and cell factor are
     byte-equal after."""
     rs, spec, q = make(fam, rank, k, res, radius)
     f = random_gaussian_poly_family(spec, q, np.random.default_rng(10))
