@@ -33,10 +33,10 @@ def within_bounds(checks: list) -> bool:
     return all(check["value"] < check["bound"] for check in checks)
 
 
-# Entry points charge `require`, before they allocate, the bytes they will
-# hold beyond the interpreter and the steps of their interpreted loops.  The
-# bytes admit `rep build` at dim 1024 (188 MiB predicted) and `wgz roundtrip`
-# at N = 1500 (140 MiB); a step takes 40-250 ns, so 10^8 is under ~25 s.
+# Entry points charge `require`, before they allocate, the bytes they will hold
+# beyond the interpreter and the steps of their interpreted loops.  The bytes admit
+# `rep build` at dim 1024 (188 MiB predicted), `rep verify` at dim 1390 (192 MiB) and
+# `wgz roundtrip` at N = 1500 (140 MiB); a step takes 40-250 ns, so 10^8 is under ~25 s.
 BYTE_BUDGET = 192 * 2 ** 20
 OPERATION_BUDGET = 10 ** 8
 

@@ -94,10 +94,10 @@ def quadratic_module(gram, label: str) -> QuotientGroup:
     order = math.prod(d[i][i] for i in range(n))
     require(label, quotient=40 * n * order)
     kg = np.array(gram, dtype=np.int64)
-    if (kg != kg.T).any() or (np.diag(kg) % 2).any() or not order:
+    if (kg != kg.T).any() or (kg.diagonal() % 2).any() or not order:
         raise DomainError(f"Gram matrix {kg.tolist()} is not symmetric, even and nonsingular")
     d, u, v = (np.array(m, dtype=np.int64) for m in (d, u, v))
-    divisors = np.diag(d).copy()
+    divisors = d.diagonal()
     denom = int(divisors[-1])
     kinv = v @ ((denom // divisors)[:, None] * u)
     assert (kg @ kinv == denom * np.eye(len(kg), dtype=np.int64)).all()

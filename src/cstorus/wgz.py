@@ -183,10 +183,12 @@ def grid_spec_from_box(rs: RootSystem, k: int, resolution: int,
     orthonormal-frame box of the given radius and shifts stay grid-aligned.
     N is the first multiple of D from the resolution up whose cofactor N / D
     is 7-smooth, so that the N-point FFTs are fast, and that passes the
-    alias check.  A resolution below 1 raises SchemaError; each candidate
-    grid is charged (_require_grid) before it is tested."""
+    alias check.  A resolution below 1 or a box_radius <= 0 is a SchemaError;
+    each candidate grid is charged (_require_grid) before it is tested."""
     if resolution < 1:
         raise SchemaError(f"resolution must be a positive integer, got {resolution}")
+    if not box_radius > 0:
+        raise SchemaError(f"box_radius must be positive, got {box_radius}")
     z = quotient_group(rs, k)
     cofactor = -(-resolution // z.denom)    # N = D cofactor, the least N >= resolution
     c = np.linalg.cholesky(z.kg)

@@ -846,14 +846,18 @@ def test_wgz_fewer_than_two_trials_exits_schema(capsys, trials):
     assert out == "" and len(err.strip().splitlines()) == 1 and "trials" in err
 
 
-@pytest.mark.parametrize("resolution", ["-5", "0"])
-def test_wgz_nonpositive_resolution_exits_schema(capsys, resolution):
-    """A resolution below 1 is an invalid configuration (exit 2, one line),
-    not an artifact that records it."""
+# the resolution cases keep their bare-value ids
+@pytest.mark.parametrize("key,value", [("resolution", "-5"), ("resolution", "0"),
+                                       ("box_radius", "0"), ("box_radius", "-1")],
+                         ids=["-5", "0", "box_radius=0", "box_radius=-1"])
+def test_wgz_nonpositive_resolution_exits_schema(capsys, key, value):
+    """A resolution below 1 or a box radius not above 0 is an invalid
+    configuration (exit 2, one line naming the flag's key), not an artifact
+    that records it or a refusal that names the grid fields derived from it."""
     code, out, err = run_err(capsys, "wgz", "roundtrip", "--type", "A", "--rank", "1",
-                             "--level", "1", "--resolution", resolution)
+                             "--level", "1", "--" + key.replace("_", "-"), value)
     assert code == 2
-    assert out == "" and len(err.strip().splitlines()) == 1 and "resolution" in err
+    assert out == "" and len(err.strip().splitlines()) == 1 and key in err, err
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -996,7 +1000,7 @@ def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
     assert len(rows) == 6
 
 
-@pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 17, 1140)])
+@pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 19, 1540)])
 def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
     """The sector's dimension at level k + h is charged from the alcove
     count before Z or the oracle allocates anything of that size."""
@@ -1006,7 +1010,7 @@ def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, 
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"sector_matrices needs {160 * dim * dim:.3g} bytes" in err
+    assert f"sector_matrices needs {100 * dim * dim:.3g} bytes" in err
 
 
 @pytest.mark.parametrize("fam,rank,order", [("A", 5, 100842), ("D", 5, 236196),

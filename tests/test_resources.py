@@ -66,6 +66,7 @@ SWEEP = [
     ["rep", "build", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
     ["rep", "build", "--type", "E", "--rank", "8", "--level", "2", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
+    ["rep", "verify", "--type", "A", "--rank", "1", "--level", "1300", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "4", "--level", "10", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "5", "--level", "7", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "40", "--level", "1", "--sector", "0"],
@@ -82,6 +83,7 @@ SWEEP = [
     ["kernel", "verify", "--k", "2", "--s", "1.0", "--L", "6", "--grid-points", "401"],
     ["compare", "compact", "--type", "A", "--rank", "5", "--k", "1"],
     ["compare", "compact", "--type", "D", "--rank", "5", "--k", "1"],
+    ["compare", "compact", "--type", "A", "--rank", "3", "--k", "17"],
     ["compare", "compact", "--type", "A", "--rank", "2", "--k", "3"],
 ]
 
@@ -91,8 +93,9 @@ def test_predictions_bound_the_measured_peaks(tmp_path):
     peak RSS above the `roots info` baseline (same process set-up) exceeds
     20 MB, measured <= predicted <= 3 x measured.  The sweep holds today's
     largest accepted runs: `rep build` at dim 1024, `wgz roundtrip` at
-    N = 1440, `kernel verify` at N = 4096 with L = 128, `rep verify` A4
-    k=10 and A5 k=7 and the compact bridges A5 and D5 at k = 1.  The model
+    N = 1440, `kernel verify` at N = 4096 with L = 128, `rep verify` A1
+    k=1300 (dim 1301), A4 k=10 and A5 k=7, the compact bridges A5 and D5
+    at k = 1 and A3 at k = 17 (dim 1140).  The model
     counts one freed section that glibc may keep near its mmap threshold,
     so a round trip reads 1.2-1.7 x."""
     _kernel_input(tmp_path / "heat.json", [(i - 50_000) / 1000 for i in range(100_001)],
