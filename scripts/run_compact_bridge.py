@@ -1,5 +1,6 @@
 """Compare the anti-invariant sector at shifted level k + h against the
-compact modular data for the simply laced types; exits 1 if any case fails."""
+compact modular data of every Lie type swept, A to G; exits 1 if any case
+fails."""
 
 import argparse
 import sys
@@ -18,7 +19,8 @@ def main():
           f"{'resid T':>10} {'S phase':>16}")
     failed = 0
     for fam, rank, kmax in [("A", 1, 6), ("A", 2, 3), ("A", 3, 3), ("A", 4, 2), ("D", 4, 2),
-                            ("A", 5, 1), ("D", 5, 1)]:
+                            ("A", 5, 1), ("D", 5, 1), ("B", 2, 3), ("C", 2, 2), ("C", 3, 2),
+                            ("G", 2, 3), ("B", 3, 2), ("F", 4, 2)]:
         rs = build_root_system(LieType(fam, rank))
         for k in range(1, kmax + 1):
             rep = compare_shifted(rs, k, convention=conv)

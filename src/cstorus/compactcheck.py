@@ -1,11 +1,11 @@
-"""Bridge to compact Chern-Simons modular data: for simply laced types the
+"""Bridge to compact Chern-Simons modular data: for every type the
 anti-invariant sector at shifted level k + h, with rho-shifted weight labels,
 reproduces the affine-Lie-algebra (Kac-Peterson) S and T matrices up to one
-global phase per generator.
+global phase per generator (Kac, Infinite-Dimensional Lie Algebras, ch. 13).
 
-Two independent oracles are provided: the SU(2) closed form and a direct
-Kac-Peterson character sum; both are normalized to unitarity with a positive
-identity row and carry exact T phases, int numerators over one denominator.
+The oracle is a direct Kac-Peterson character sum, normalized to unitarity
+with a positive identity row, with exact T phases: int numerators over one
+denominator.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, checks_below, require, within_bounds
-from .finrep import Convention, rep_matrices, sector_dimension, unit_phase
+from .errors import DomainError, SchemaError, checks_below, within_bounds
+from .finrep import Convention, rep_matrices, unit_phase
 from .lattice import _alcove_pairings, fraction_strings, rho_shifted
 from .roots import RootSystem
 
@@ -37,24 +37,6 @@ class CompactModularData:
         return len(self.labels)
 
 
-def su2_modular_data(k: int) -> CompactModularData:
-    """SU(2) level-k data: S_ab = sqrt(2/(k+2)) sin(pi a b/(k+2)) and
-    T_aa = e^{-pi i/4} e^{pi i a^2/(2(k+2))} for shifted labels a = 1..k+1."""
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
-    kk = k + 2
-    a = np.arange(1, k + 2)
-    s = np.sqrt(2.0 / kk) * np.sin(math.pi * np.outer(a, a) / kk)
-    # a^2 / 4(k+2) - 1/8 = (2 a^2 - (k+2)) / 8(k+2)
-    t = np.array([unit_phase(2 * x * x - kk, 8 * kk) for x in a.tolist()])
-    return CompactModularData(k=k, labels=a[:, None], denom=2, s=s, t=t)
-
-
-def is_simply_laced(rs: RootSystem) -> bool:
-    return all(rs.cartan[i][j] == rs.cartan[j][i]
-               for i in range(rs.rank) for j in range(rs.rank))
-
-
 def _rho_order(nums: np.ndarray) -> list:
     """Row order of int numerators over one denominator D > 0 by pairing with
     rho (the coordinate sum, so the numerator sum), then lexicographically."""
@@ -68,27 +50,23 @@ def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int
     return nums[_rho_order(nums)], d
 
 
-def _check_bridge_domain(rs: RootSystem, k: int) -> None:
-    """The compact oracles exist for simply laced types at positive level;
-    their size is charged by the sector at level k + h (its Weyl orbits and
-    dense matrices) and by the Weyl group closure of the Kac-Peterson sum."""
-    if not is_simply_laced(rs):
-        raise DomainError(f"{rs.lie_type} is not simply laced; no compact bridge is asserted")
+def _check_level(k: int) -> None:
     if k < 1:
         raise SchemaError(f"level k must be a positive integer, got {k}")
 
 
 def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
-    """Kac-Peterson character sum for simply laced types:
+    """Kac-Peterson character sum, for every type:
     S_{mu nu} proportional to sum_w det(w) e^{-2 pi i <w mu, nu>_1/(k+h)},
-    normalized to unitarity with a positive identity row; T is assembled
-    from the exact conformal weights.
+    with <,>_1 the form of gram1 (long roots of length^2 2) and h the dual
+    Coxeter number, normalized to unitarity with a positive identity row;
+    T is assembled from the exact conformal weights.
 
     The labels are integer numerators over their common denominator den, so
     each pairing <w mu, nu>_1 is an integer numerator over den^2; it is
     reduced mod den^2 (k+h) before the phase is evaluated, one Weyl element
     at a time (peak memory dim^2, not |W| dim^2)."""
-    _check_bridge_domain(rs, k)
+    _check_level(k)
     h = rs.dual_coxeter
     kk = k + h
     shifted, d = _integrable_shifted_weights(rs, k)
@@ -108,9 +86,8 @@ def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
     # normalize: raw is a phase times a unitary matrix times any row's norm
     raw /= np.linalg.norm(raw[0]) * raw[0, 0] / abs(raw[0, 0])
     # <mu, mu>_1 / 2(k+h) - <rho, rho>_1 / 2h, with <mu, mu>_1 over den^2 and
-    # <rho, rho>_1 the coordinate sum of rho over d
-    rho, _ = rho_shifted(rs, [0] * rs.rank)
-    rho_num = int(rho.sum()) * kk * den * den
+    # <rho, rho>_1 the coordinate sum of rho over d; rho is the first label
+    rho_num = int(shifted[0].sum()) * kk * den * den
     t_den = 2 * kk * h * d * den * den
     t = np.array([unit_phase(int(mu @ gram @ mu) * h * d - rho_num, t_den) for mu in nums])
     return CompactModularData(k=k, labels=nums, denom=den, s=raw, t=t)
@@ -134,13 +111,11 @@ def compare_shifted(rs: RootSystem, k: int,
     """Compare the anti-invariant sector matrices at level k + h against the
     compact oracle at level k, after sorting both label sets by pairing with
     rho; S may differ by one global 4th root of unity, T must match exactly."""
-    _check_bridge_domain(rs, k)
+    _check_level(k)
     h = rs.dual_coxeter
-    # the sector's and oracle's S, a sorted copy and a residual: 65-76 bytes at dims 946-1326
-    require(f"{rs.lie_type}, k={k + h}", sector_matrices=100 * sector_dimension(rs, k + h, 1) ** 2)
+    # charged first: its 104 dim^2 bytes also hold the oracle's S, a sorted copy and a residual
     sect = rep_matrices(rs, k + h, sector=1, convention=convention)
-    oracle = su2_modular_data(k) if (rs.lie_type.family == "A" and rs.rank == 1) \
-        else kac_peterson_sum(rs, k)
+    oracle = kac_peterson_sum(rs, k)
     if sect.dim != oracle.dim:
         raise DomainError(
             f"dimension mismatch: sector 1 at level {k + h} has dim {sect.dim}, "

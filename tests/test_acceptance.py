@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cstorus.compactcheck import compare_shifted, su2_modular_data
+from cstorus.compactcheck import compare_shifted
 from cstorus.finrep import Convention, rep_matrices, verify_sl2z
 from cstorus.heatkernel import (GridSamples1D, heat_apply, hermite_function_table,
                                 solve_params, uniform_grid, verify_conjugation)
@@ -18,6 +18,7 @@ from cstorus.lattice import quotient_group, weyl_orbits
 from cstorus.roots import LieType, build_root_system
 from cstorus.wgz import roundtrip_report
 from fraction_oracle import det, mat
+from test_compactcheck import su2_modular_data
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

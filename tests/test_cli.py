@@ -112,7 +112,7 @@ def test_label_strings_are_the_fraction_oracle(capsys, fam, rank, k):
         assert doc["matrices"]["labels"] == _texts(points)
     # the bridge's real limit: the orbits of Z at level k + h (E6 at k = 1 is
     # over the byte budget)
-    if fam in "AD":
+    if fam != "E":
         _, doc = run(capsys, "compare", "compact", *level)
         shifted = alcove_points_bruteforce(rs, k + rs.dual_coxeter)[1]
         assert doc["compact"]["labels_sector"] == _texts(sorted(shifted, key=lambda p: (sum(p), p)))
@@ -1003,14 +1003,29 @@ def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 19, 1540)])
 def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
     """The sector's dimension at level k + h is charged from the alcove
-    count before Z or the oracle allocates anything of that size."""
+    count (`rep_matrices`' 104 dim^2 bytes) before Z or the oracle allocates
+    anything of that size."""
     start = time.monotonic()
     code, out, err = run_err(capsys, "compare", "compact", "--type", "A",
                              "--rank", str(rank), "--k", str(k))
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"sector_matrices needs {100 * dim * dim:.3g} bytes" in err
+    assert f"sector_matrices needs {104 * dim * dim:.3g} bytes" in err
+
+
+@pytest.mark.parametrize("fam,rank,k", [("B", 2, k) for k in (1, 2, 3)]
+                         + [("C", 3, k) for k in (1, 2)] + [("G", 2, k) for k in (1, 2, 3)]
+                         + [("F", 4, k) for k in (1, 2)])
+def test_compare_compact_runs_every_type(capsys, fam, rank, k):
+    """The bridge is not limited to the simply laced types: B, C, F and G
+    match the Kac-Peterson sum as A, D and E do (Kac, Infinite-Dimensional
+    Lie Algebras, ch. 13)."""
+    code, doc = run(capsys, "compare", "compact", "--type", fam, "--rank", str(rank),
+                    "--k", str(k))
+    assert code == 0
+    report = doc["compact"]
+    assert max(report["residual_S"], report["residual_T"], report["snap_error"]) <= 1e-13
 
 
 @pytest.mark.parametrize("fam,rank,order", [("A", 5, 100842), ("D", 5, 236196),
