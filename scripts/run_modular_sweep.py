@@ -23,7 +23,9 @@ def milgram_residual(rs, k):
     return abs(z.gauss(z.numerators).sum() - root * cmath.exp(2j * math.pi * rs.rank / 8)) / root
 
 SWEEP = [("A", 1, 8), ("A", 2, 5), ("B", 2, 3), ("G", 2, 3),
-         ("D", 4, 2), ("F", 4, 2), ("E", 6, 2), ("E", 7, 2), ("E", 8, 2)]
+         ("D", 4, 2), ("F", 4, 2), ("E", 6, 2), ("E", 7, 2), ("E", 8, 2),
+         # high rank at k = 1: |W| of B151 and D152 is past the largest float
+         ("A", 100, 1), ("A", 200, 1), ("B", 151, 1), ("D", 152, 1), ("C", 16, 1)]
 
 
 def main():

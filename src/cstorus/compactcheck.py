@@ -16,9 +16,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, checks_below, within_bounds
+from .errors import DomainError, checks_below, within_bounds
 from .finrep import Convention, rep_matrices, unit_phase
-from .lattice import _alcove_pairings, fraction_strings, rho_shifted
+from .lattice import _alcove_pairings, check_level, fraction_strings, rho_shifted
 from .roots import RootSystem
 
 
@@ -50,11 +50,6 @@ def _integrable_shifted_weights(rs: RootSystem, k: int) -> Tuple[np.ndarray, int
     return nums[_rho_order(nums)], d
 
 
-def _check_level(k: int) -> None:
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
-
-
 def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
     """Kac-Peterson character sum, for every type:
     S_{mu nu} proportional to sum_w det(w) e^{-2 pi i <w mu, nu>_1/(k+h)},
@@ -66,7 +61,7 @@ def kac_peterson_sum(rs: RootSystem, k: int) -> CompactModularData:
     each pairing <w mu, nu>_1 is an integer numerator over den^2; it is
     reduced mod den^2 (k+h) before the phase is evaluated, one Weyl element
     at a time (peak memory dim^2, not |W| dim^2)."""
-    _check_level(k)
+    check_level(k)
     h = rs.dual_coxeter
     kk = k + h
     shifted, d = _integrable_shifted_weights(rs, k)
@@ -111,7 +106,7 @@ def compare_shifted(rs: RootSystem, k: int,
     """Compare the anti-invariant sector matrices at level k + h against the
     compact oracle at level k, after sorting both label sets by pairing with
     rho; S may differ by one global 4th root of unity, T must match exactly."""
-    _check_level(k)
+    check_level(k)
     h = rs.dual_coxeter
     # charged first: its 104 dim^2 bytes also hold the oracle's S, a sorted copy and a residual
     sect = rep_matrices(rs, k + h, sector=1, convention=convention)

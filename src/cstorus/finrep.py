@@ -140,11 +140,10 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
         m = members[a]
         phase = z.character(z.numerators[m], points, -1)
         s[r] = (orbits.sign[m] @ phase) if use_det else phase.sum(axis=0)
-    # |Stab_a| from the orbit sum over the sqrt(|Stab_a| |Stab_b|) basis norms;
-    # interior points have trivial stabilizers
-    root_stab = np.sqrt(np.array(orbits.stabilizer_sizes, dtype=float)[idx])
-    s *= np.outer(root_stab, 1 / root_stab) * (unit_phase(-phases.j_exponent, PHASE_DENOM)
-                                               / math.sqrt(z.order))
+    # |Stab_a| over the sqrt(|Stab_a| |Stab_b|) basis norms is sqrt(|O_b| / |O_a|)
+    root = np.sqrt([len(members[a]) for a in idx])
+    s *= np.outer(1 / root, root) * (unit_phase(-phases.j_exponent, PHASE_DENOM)
+                                     / math.sqrt(z.order))
 
     gauss = z.gauss(points)
     t = ((gauss if convention.t_sign > 0 else gauss.conj())

@@ -1,5 +1,6 @@
 """The finite quadratic module Z = (kG)^{-1} Z^n / Z^n of an even Gram matrix
-kG, and the Weyl orbits on Z for kG = k gram1.
+kG, and for kG = k gram1 the Weyl orbits on Z, closed under the simple
+reflections as rank-one updates of Z's Smith index (`weyl_orbits`).
 
 Conventions: vectors are coroot-basis coordinates, and the coroot lattice is
 Z^n in these coordinates.  A point gamma of the dual lattice is held as the
@@ -8,9 +9,9 @@ coset representative is x mod D, in the half-open cube [0,1)^n.  With
 q(gamma) = <gamma, gamma>_k / 2 mod 1, `quadratic_module` builds (Z, q) from
 kG alone, in the dense (Smith) order, and `quotient_group(rs, k)` is it for
 k gram1.  Its `character` e(-+<a, b>_k) and `gauss` phase e(q(a)) are the one
-definition of F_Z and G_Z, which finrep and wgz read.  Only the `reps` that
-`enumerate_report` prints are sorted lexicographically.  Points stay int
-numerators up to the JSON artifacts, which spell them by `fraction_strings`.
+definition of F_Z and G_Z, which finrep and wgz read.  Points stay int
+numerators up to the JSON artifacts (`fraction_strings`); only the `reps`
+that `enumerate_report` prints are sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class QuotientGroup:
     kinv: np.ndarray        # (n, n) D (kG)^{-1}
     divisors: np.ndarray    # (m,) the kept d_i, each dividing the next
     u: np.ndarray           # (m, n) their rows of the Smith row transform, row i mod d_i
+    strides: np.ndarray     # (m,) row-major strides of the dense index over the d_i
     numerators: np.ndarray  # (|Z|, n) canonical numerators in [0, D), dense order
 
     @property
@@ -55,12 +57,11 @@ class QuotientGroup:
         c = np.asarray(x, dtype=np.int64) @ self.kg
         if (c % self.denom).any():
             raise DomainError("numerators are not a point of the dual lattice (kG)^{-1} Z^n")
-        y = (c // self.denom) @ self.u.T % self.divisors
-        return np.ravel_multi_index(tuple(np.moveaxis(y, -1, 0)), self.divisors)
+        return (c // self.denom) @ self.u.T % self.divisors @ self.strides
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """D <a, b>_k mod D for numerators x (A, n), y (B, n), shape (A, B)."""
-        return x @ (y @ self.kg // self.denom).T % self.denom
+        """D <a, b>_k mod D = (kG x / D) . y mod D for numerators x (A, n), y (B, n)."""
+        return (x @ self.kg // self.denom) @ y.T % self.denom
 
     def norm(self, x: np.ndarray) -> np.ndarray:
         """D <a, a>_k mod 2D = 2D q(a) for numerators x (..., n); kG is even,
@@ -106,14 +107,14 @@ def quadratic_module(gram, label: str) -> QuotientGroup:
     d = divisors[keep]
     y = np.indices(d).reshape(len(d), -1).T
     return QuotientGroup(kg=kg, denom=denom, kinv=kinv, divisors=d, u=u[keep] % d[:, None],
+                         strides=np.cumprod(np.append(1, d[:0:-1]))[::-1],
                          numerators=(y * (denom // d)) @ v[:, keep].T % denom)
 
 
 def quotient_group(rs: RootSystem, k: int) -> QuotientGroup:
     """Z_k = (k-scaled dual lattice) / (coroot lattice): the quadratic module
     of k gram1."""
-    if k < 1:
-        raise SchemaError(f"level k must be a positive integer, got {k}")
+    check_level(k)
     return quadratic_module([[k * e for e in row] for row in rs.gram1], f"{rs.lie_type}, k={k}")
 
 
@@ -124,11 +125,15 @@ def quotient_order(rs: RootSystem, k: int) -> int:
     return k ** rs.rank * math.prod(e) * (1 + sum(a * x == 1 for a, x in zip(rs.comarks, e)))
 
 
+def check_level(k: int) -> None:
+    if k < 1:
+        raise SchemaError(f"level k must be a positive integer, got {k}")
+
+
 def orbit_terms(rs: RootSystem, k: int) -> dict:
-    """weyl_orbits' charge: n + 1 permutations and (|Z|, n) int arrays, and
-    n + 1 (|Z|, n) @ (n, n) integer products."""
-    n, order = rs.rank, quotient_order(rs, k)
-    return {"weyl_orbits": 64 * (n + 1) * order, "weyl_orbits_ops": (n + 1) * n * n * order}
+    """weyl_orbits' charge, n + 1 permutations and (|Z|, n) int arrays, once k >= 1."""
+    check_level(k)
+    return {"weyl_orbits": 64 * (rs.rank + 1) * quotient_order(rs, k)}
 
 
 def alcove_count(rs: RootSystem, level: int) -> int:
@@ -187,9 +192,20 @@ class WeylOrbits:
         return np.split(np.argsort(self.orbit, kind="stable"), np.cumsum(sizes)[:-1])
 
 
+def _reflections(rs: RootSystem, z: QuotientGroup) -> List[np.ndarray]:
+    """Each s_i as a permutation of Z's dense indices.  On dual coordinates
+    m = kG x / D it is m -> m - m_i cartan[i] (Bourbaki VI 1.10): a rank-one
+    update of the Smith index y = u m mod d, with m mod D linear in y."""
+    y = np.indices(z.divisors).reshape(len(z.divisors), -1)
+    m = z.numerators[z.strides % z.order] @ z.kg // z.denom   # m at y = e_j (row 0 if |Z| = 1)
+    step = np.array(rs.cartan, dtype=np.int64) @ z.u.T % z.divisors
+    return [z.strides @ ((y - (m[:, i] @ y % z.denom) * step[i, :, None]) % z.divisors[:, None])
+            for i in range(rs.rank)]
+
+
 def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     """Orbit closure of the closed-alcove points under the simple reflections
-    acting on Z mod D, with det(w) signs; no Weyl group enumeration.
+    on Z (`_reflections`), with det(w) signs; no Weyl group enumeration.
 
     The closed alcove is a fundamental domain for W on Z, so the orbits
     partition Z. An alcove point is parametrized by its integer pairings
@@ -199,27 +215,18 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
     """
     require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k))
     z = quotient_group(rs, k)
-    n = rs.rank
-    pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, n)
+    pairings = np.array(_alcove_pairings(rs, k), dtype=np.int64).reshape(-1, rs.rank)
     interior = (pairings >= 1).all(axis=1) & (pairings @ rs.comarks <= k - 1)
     numerators = pairings @ z.kinv.T
 
     dim = len(pairings)
-    orbit = np.full(z.order, -1)
-    sign = np.zeros(z.order, dtype=np.int64)
+    orbit, sign = np.full(z.order, -1), np.zeros(z.order, dtype=np.int64)
     odd = np.zeros(dim, dtype=bool)
-    front = z.index_of(numerators)
+    front = pairings @ z.u.T % z.divisors @ z.strides      # pairings are dual coordinates
     orbit[front], sign[front] = np.arange(dim), 1
-    # breadth-first over the Schreier graph of the simple reflections, each
-    # a permutation of the dense indices of Z: every edge is checked once,
-    # and one whose signs disagree closes an odd cycle. s_i moves coordinate
-    # i only: c -> c - (sum_j a_ij c_j) e_i
-    drop = z.numerators @ np.array(rs.cartan, dtype=np.int64).T
-    perms = []
-    for i in range(n):
-        image = z.numerators.copy()
-        image[:, i] -= drop[:, i]
-        perms.append(z.index_of(image))
+    # breadth-first over the Schreier graph of the simple reflections: every
+    # edge is checked once, and one whose signs disagree closes an odd cycle
+    perms = _reflections(rs, z)
     while len(front):
         known = orbit >= 0
         o0, s0 = orbit[front], sign[front]
@@ -230,11 +237,10 @@ def weyl_orbits(rs: RootSystem, k: int) -> WeylOrbits:
             odd[o0[sign[idx] != -s0]] = True
         front = np.flatnonzero((orbit >= 0) & ~known)
     assert (orbit >= 0).all(), "alcove orbits do not cover the quotient"
-    w_order = weyl_order(rs.lie_type)
+    w_order, sizes = weyl_order(rs.lie_type), np.bincount(orbit, minlength=dim).tolist()
     return WeylOrbits(quotient=z, pairings=pairings, numerators=numerators, interior=interior,
                       orbit=orbit, sign=sign, odd_stabilizer=odd,
-                      stabilizer_sizes=tuple(w_order // int(m) for m in
-                                             np.bincount(orbit, minlength=dim)))
+                      stabilizer_sizes=tuple(w_order // m for m in sizes))
 
 
 def fraction_strings(nums, den: int) -> List[List[str]]:

@@ -533,6 +533,7 @@ def _exit_contract(code, out, err):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(level=_scalar_or(1, 2, 3, 4), rank=_scalar_or(6, 7, 8), sector=_scalar_or(0, 1))
+@example(level=-9223372036854775809, rank=7, sector=0)
 def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, sector):
     """Any JSON scalar for level, rank or sector exits 0-3: exit 0/1 with
     strict JSON on stdout, exit 2/3 with one stderr line. The E family is
@@ -545,18 +546,41 @@ def test_config_scalars_keep_the_exit_contract(tmp_path, capsys, level, rank, se
 
 
 @pytest.mark.parametrize("command,rank,expected", [
-    ("info", 40, 0), ("info", 1000, 3), ("verify", 40, 0), ("verify", 100, 3)])
+    ("info", 40, 0), ("info", 1000, 3), ("verify", 40, 0), ("verify", 100, 0),
+    ("verify", 465, 3)])
 def test_rank_ceiling(capsys, command, rank, expected):
     """No rank ceiling: `roots info` is refused by its n^2 root data from
-    rank 887, a level-1 `rep verify` by the (n + 1) n^2 |Z| steps of its
-    Weyl orbits from rank 100, each before anything of that size is built."""
+    rank 887, a level-1 `rep verify` by the n^3 steps of its Smith form from
+    rank 465, each before anything of that size is built."""
     argv = (("roots", "info") if command == "info"
             else ("rep", "verify", "--level", "1", "--sector", "0"))
     code, out, err = run_err(capsys, *argv, "--type", "A", "--rank", str(rank))
     assert code == expected
     if expected == 3:
-        term = "root_data" if command == "info" else "weyl_orbits_ops"
+        term = "root_data" if command == "info" else "smith_form_ops"
         assert out == "" and err.startswith(f"resource error: A{rank}") and term in err
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 151), ("D", 152), ("A", 170)])
+def test_weyl_orders_past_float_range_verify(capsys, fam, rank):
+    """|W| of B151, D152 and A170 is over the largest float, so the sector
+    is scaled by orbit sizes, sqrt(|O_b| / |O_a|), not by stabilizer sizes."""
+    code, doc = run(capsys, "rep", "verify", "--type", fam, "--rank", str(rank), "--level", "1",
+                    "--sector", "0")
+    assert code == 0 and all(c["value"] < 1e-10 for c in doc["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", "enumerate", "--type", "A", "--rank", "1", "--level", "-100000000000000000000"),
+    ("rep", "verify", "--type", "E", "--rank", "7", "--level", "-9223372036854775809",
+     "--sector", "0"),
+    ("rep", "build", "--type", "A", "--rank", "2", "--level", "0", "--sector", "1")])
+def test_level_below_one_exits_schema(capsys, argv):
+    """A level below 1 is refused before anything is charged from it, also
+    one past int64 that the alcove count's list could not hold."""
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: level k must be a positive integer, got {argv[7]}"]
 
 
 @pytest.mark.parametrize("extra", [

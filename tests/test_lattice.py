@@ -255,21 +255,53 @@ def test_weyl_orbits_match_weyl_group_scan(fam, rank, k):
         assert orbits.stabilizer_sizes[i] * len(signs) == rs.weyl_group().order
 
 
-@pytest.mark.parametrize("fam,rank,k", [("A", 2, 3), ("G", 2, 3), ("D", 4, 2)])
-def test_weyl_orbits_index_each_reflection_once(monkeypatch, fam, rank, k):
-    """The closure runs on each simple reflection's permutation of Z: one
-    index_of for the alcove points and one per reflection, however many
-    breadth-first rounds the orbits take."""
-    calls = []
-    index_of = lattice.QuotientGroup.index_of
+def index_of_closure(rs, k: int):
+    """The reflections and orbits as index_of reads them off whole images:
+    s_i moves coroot coordinate i only, c -> c - (sum_j a_ij c_j) e_i, so
+    each permutation is index_of of Z's numerators so moved, and the alcove
+    front is index_of of the alcove points; then the same breadth-first
+    closure with det(w) signs, odd cycles flagging odd stabilizers."""
+    z = quotient_group(rs, k)
+    pairings = np.array(lattice._alcove_pairings(rs, k), dtype=np.int64).reshape(-1, rs.rank)
+    drop = z.numerators @ np.array(rs.cartan, dtype=np.int64).T
+    perms = []
+    for i in range(rs.rank):
+        image = z.numerators.copy()
+        image[:, i] -= drop[:, i]
+        perms.append(z.index_of(image))
+    orbit = np.full(z.order, -1)
+    sign = np.zeros(z.order, dtype=np.int64)
+    odd = np.zeros(len(pairings), dtype=bool)
+    front = z.index_of(pairings @ z.kinv.T)
+    orbit[front], sign[front] = np.arange(len(pairings)), 1
+    while len(front):
+        known = orbit >= 0
+        o0, s0 = orbit[front], sign[front]
+        for perm in perms:
+            idx = perm[front]
+            fresh = orbit[idx] < 0
+            orbit[idx[fresh]], sign[idx[fresh]] = o0[fresh], -s0[fresh]
+            odd[o0[sign[idx] != -s0]] = True
+        front = np.flatnonzero((orbit >= 0) & ~known)
+    return perms, orbit, sign, odd
 
-    def counted(self, x):
-        calls.append(np.shape(x))
-        return index_of(self, x)
-    monkeypatch.setattr(lattice.QuotientGroup, "index_of", counted)
-    orbits = weyl_orbits(build_root_system(LieType(fam, rank)), k)
-    assert len(calls) == rank + 1
-    assert calls[1:] == [orbits.quotient.numerators.shape] * rank
+
+@pytest.mark.parametrize("fam,rank,k", [
+    ("A", 2, 5), ("B", 3, 4), ("G", 2, 6), ("D", 4, 3), ("F", 4, 2), ("E", 6, 2), ("C", 4, 3),
+    ("A", 4, 10), ("C", 14, 1), ("E", 8, 3), ("A", 99, 1), ("E", 8, 1), ("A", 2, 3), ("G", 2, 3),
+    ("D", 4, 2)])
+def test_reflections_and_orbits_match_the_index_of_images(fam, rank, k):
+    """Each simple reflection's rank-one update of the Smith index is the
+    permutation index_of reads off the reflected numerators, and the orbits,
+    signs and odd stabilizers closed on them are the oracle's; E8 at k = 1
+    has the trivial Z, whose one divisor is 1."""
+    rs = build_root_system(LieType(fam, rank))
+    perms, orbit, sign, odd = index_of_closure(rs, k)
+    orbits = weyl_orbits(rs, k)
+    got = lattice._reflections(rs, orbits.quotient)
+    assert len(got) == rank and all((g == p).all() for g, p in zip(got, perms))
+    assert (orbits.orbit == orbit).all() and (orbits.sign == sign).all()
+    assert (orbits.odd_stabilizer == odd).all()
 
 
 def test_quotient_order_is_the_product_of_smith_divisors(monkeypatch):

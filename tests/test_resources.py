@@ -131,8 +131,8 @@ OVER_BUDGET = [
     (["wgz", "roundtrip", "--type", "A", "--rank", "465", "--level", "1"], "smith_form_ops"),
     (["wgz", "roundtrip", "--type", "A", "--rank", "1", "--level", "10000000"], "quotient"),
     (["lattice", "enumerate", "--type", "A", "--rank", "3", "--level", "100"], "weyl_orbits"),
-    (["rep", "verify", "--type", "A", "--rank", "100", "--level", "1", "--sector", "0"],
-     "weyl_orbits_ops"),
+    (["rep", "verify", "--type", "C", "--rank", "20", "--level", "1", "--sector", "0"],
+     "weyl_orbits"),
     (["lattice", "enumerate", "--type", "A", "--rank", "1", "--level", "200000"],
      "enumeration"),
     (["rep", "build", "--type", "A", "--rank", "1", "--level", "5000", "--sector", "0"],
