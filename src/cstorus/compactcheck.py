@@ -108,7 +108,7 @@ def compare_shifted(rs: RootSystem, k: int,
     rho; S may differ by one global 4th root of unity, T must match exactly."""
     check_level(k)
     h = rs.dual_coxeter
-    # charged first: its 104 dim^2 bytes also hold the oracle's S, a sorted copy and a residual
+    # charged first: its 80 dim^2 bytes also hold the oracle's S, a sorted copy and a residual
     sect = rep_matrices(rs, k + h, sector=1, convention=convention)
     oracle = kac_peterson_sum(rs, k)
     if sect.dim != oracle.dim:

@@ -88,8 +88,8 @@ class SectorMatrices:
         return len(self.labels)
 
     def to_json_dict(self) -> dict:
-        """The `rep build` payload; S and the dense T stay complex arrays,
-        which the CLI's artifact writer renders as rows of [re, im] pairs."""
+        """The `rep build` payload; S and the diagonal T stay complex arrays,
+        which the CLI's artifact writer renders as (rows of) [re, im] pairs."""
         return {
             "type": str(self.rs.lie_type),
             "level": self.k,
@@ -98,7 +98,7 @@ class SectorMatrices:
                            "t_sign": self.convention.t_sign},
             "labels": fraction_strings(self.labels, self.denom),
             "S": self.s,
-            "T": np.diag(self.t),
+            "T": self.t,
         }
 
 
@@ -121,11 +121,11 @@ def rep_matrices(rs: RootSystem, k: int, sector: int,
     to zero. T is held as its diagonal, omega^{-1} exp(pi i <a,a>_k) under
     the default convention. Both read Z's phases: its character, a D-th
     root of unity per pair, and its Gauss phase.  Charged before Z is built:
-    the orbits, and per entry of the alcove count squared S and
-    verify_sl2z's products (83-85 bytes measured at dims 1001-1301).
+    the orbits, and 80 bytes a sector entry: S and verify_sl2z's 3 products
+    (64), or compare_shifted's S, oracle S, sorted copy and residual (72).
     """
     dim = sector_dimension(rs, k, sector)
-    require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k), sector_matrices=104 * dim * dim)
+    require(f"{rs.lie_type}, k={k}", **orbit_terms(rs, k), sector_matrices=80 * dim * dim)
     phases = phase_constants(rs)
     orbits = weyl_orbits(rs, k)
     z = orbits.quotient

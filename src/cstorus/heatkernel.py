@@ -468,6 +468,11 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     params = solve_params(k, s, branch=branch)
     sigma = params.sigma if sigma is None else complex(sigma)
     alpha_constant(sigma)   # refuses sigma off the upper half plane
+    sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
+    for gen, image in sig2.items():     # in it exactly, but rounding may move it off
+        if not (image.imag > 0 and cmath.isfinite(image)):
+            raise DomainError(f"sigma {sigma} has its {gen} image {image} off the upper "
+                              "half plane in floating point")
     if L < 1 or grid_points < 8 or L >= grid_points:
         raise SchemaError(f"need 1 <= L < grid_points and grid_points >= 8, "
                           f"got L={L}, grid_points={grid_points}")
@@ -491,7 +496,6 @@ def verify_conjugation(k: int, s: float, sigma: Optional[complex] = None,
     # every kernel before any basis table, so that a grid too wide for one
     # of them is refused before the grid x L work
     heat_m = _kernel(_mehler_symbol(params, sigma), u, wf, signs)
-    sig2 = {gen: mobius_sigma(gen, sigma) for gen in ("S", "T")}
     flow2 = {gen: _kernel(_mehler_symbol(params, sig2[gen], True), u, wf, signs)
              for gen in sig2}
     rho = {gen: _rho(gen, u, wf, signs) for gen in sig2}

@@ -165,8 +165,9 @@ PEAK_MB = ("with open('/proc/self/status') as fh:\n"
            "    peak_mb = int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)) / 1024\n")
 
 # `rep build` at dim 512 peaked at 73.3-74.3 MB by VmHWM (2-vCPU VM, fifteen
-# runs; 109-123 MB by the ru_maxrss that counted the pytest parent); the
-# nested-list artifact it replaced peaked at 291 MB
+# runs; 109-123 MB by the ru_maxrss that counted the pytest parent), and at
+# 58 MB with T written as its diagonal; the nested-list artifact it replaced
+# peaked at 291 MB
 REP_BUILD_512_PEAK_MB = 120
 
 

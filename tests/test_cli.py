@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from cstorus import cli, compactcheck
 from cstorus.cli import artifact_pieces, build_parser, main
 from cstorus.errors import DomainError
+from cstorus.finrep import rep_matrices
 from cstorus.heatkernel import K_MAX, verify_conjugation
 from cstorus.roots import LieType, build_root_system
 from test_compactcheck import fraction_shifted_weights
@@ -66,7 +67,7 @@ def test_rep_build_over_dimension_ceiling_exits_resource(capsys):
     code, out, err = run_err(capsys, "rep", "build", "--type", "A", "--rank", "1",
                              "--level", "50000", "--sector", "0")
     assert code == 3
-    assert out == "" and "A1, k=50000: sector_matrices needs 4.7e+11 bytes" in err
+    assert out == "" and "A1, k=50000: sector_matrices needs 3e+11 bytes" in err
 
 
 def test_invalid_type_exits_schema(capsys):
@@ -801,6 +802,28 @@ def test_kernel_commands_accept_only_a1(tmp_path, capsys, command, family, expec
         assert err == ""
 
 
+@pytest.mark.parametrize("argv,names", [
+    (("kernel", "heat", "--k", "2", "--s", "1.0", "--input", None), "non-finite"),
+    (("kernel", "eta", "--k", "2", "--s", "1.0", "--sector", "1", "--generator", "S",
+      "--input", None), "non-finite"),
+    (("kernel", "verify", "--k", "2", "--s", "1.0", "--sigma", "1e308+1e308j"),
+     "sigma (1e+308+1e+308j) has its S image (-0+0j)"),
+    (("kernel", "verify", "--k", "2", "--s", "1.0", "--sigma", "1e200+1e-200j"),
+     "sigma (1e+200+1e-200j) has its S image (-1e-200+0j)"),
+], ids=["heat overflow", "eta overflow", "sigma image 0", "sigma image real"])
+def test_kernel_float_range_refusal_is_one_line(tmp_path, capsys, argv, names):
+    """An input that passes its own checks but leaves the float range on the
+    way exits 2 with one stderr line and no numpy warning: samples of 1e308
+    overflow in the kernel's FFTs (the non-finite artifact is refused), and
+    a sigma whose S image -1/sigma rounds onto the real axis is named with it."""
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"y": [0, 0.5, 1], "values": [[1e308, 0]] * 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, *[str(src) if a is None else a for a in argv])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and names in err, err
+
+
 def test_kernel_singular_eta_symbol_exits_schema(tmp_path, capsys, monkeypatch):
     """A composed eta whose inner exponent is singular (here forced by
     Mehler symbols with C_m A_p = -pi^2) exits 2 with one line, never with
@@ -1027,7 +1050,7 @@ def test_modular_sweep_fails_a_row_on_its_milgram_residual(monkeypatch, capsys):
 @pytest.mark.parametrize("rank,k,dim", [(1, 5000, 5001), (2, 60, 1891), (3, 19, 1540)])
 def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, dim):
     """The sector's dimension at level k + h is charged from the alcove
-    count (`rep_matrices`' 104 dim^2 bytes) before Z or the oracle allocates
+    count (`rep_matrices`' 80 dim^2 bytes) before Z or the oracle allocates
     anything of that size."""
     start = time.monotonic()
     code, out, err = run_err(capsys, "compare", "compact", "--type", "A",
@@ -1035,7 +1058,7 @@ def test_compare_compact_over_dimension_ceiling_exits_resource(capsys, rank, k, 
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert out == "" and len(err.strip().splitlines()) == 1
-    assert f"sector_matrices needs {104 * dim * dim:.3g} bytes" in err
+    assert f"sector_matrices needs {80 * dim * dim:.3g} bytes" in err
 
 
 @pytest.mark.parametrize("fam,rank,k", [("B", 2, k) for k in (1, 2, 3)]
@@ -1283,6 +1306,21 @@ def test_zero_dimensional_sector_writes_empty_matrices(capsys, artifacts):
     doc = json.loads(out)
     assert doc["matrices"]["S"] == doc["matrices"]["T"] == []
     assert '"S": [],' in out and '"T": [],' in out
+
+
+@pytest.mark.parametrize("fam,rank,k,sector", [
+    ("A", 1, 3, 0), ("A", 2, 3, 0), ("B", 2, 2, 1), ("G", 2, 3, 1), ("A", 1, 1, 1),
+    ("B", 2, 5, 1), ("G", 2, 6, 1)])
+def test_rep_build_writes_t_as_its_diagonal(capsys, fam, rank, k, sector):
+    """matrices.T is the (dim,) diagonal `rep_matrices` holds, one [re, im]
+    pair an entry equal to it bit for bit, and [] for a 0-dim sector (sector 1
+    of A1 k=1, B2 k=2 and G2 k=3; of B2 k=5 and G2 k=6 it has dim 6 and 4)."""
+    code, doc = run(capsys, "rep", "build", "--type", fam, "--rank", str(rank),
+                    "--level", str(k), "--sector", str(sector))
+    t = rep_matrices(build_root_system(LieType(fam, rank)), k, sector).t
+    assert code == 0 and len(doc["matrices"]["S"]) == len(t)
+    assert [[x.hex() for x in pair] for pair in doc["matrices"]["T"]] == [
+        [z.real.hex(), z.imag.hex()] for z in t]
 
 
 @pytest.mark.parametrize("z", [

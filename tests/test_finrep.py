@@ -463,13 +463,13 @@ def test_quotient_ceiling_raises_resource_limit(fam, rank, k, order):
 
 
 def test_sector_dimension_ceiling_raises_resource_limit():
-    """The dense sector-0 S and T of A1 at k = 50000 would be 50001 x
-    50001, refused from the alcove count before Z is built; dim 1024, the
-    largest `rep build` the tests gate, is within the budget."""
+    """The dense sector-0 S of A1 at k = 50000 would be 50001 x
+    50001, refused from the alcove count before Z is built; dim 1024 is
+    within the budget."""
     rs = build_root_system(LieType("A", 1))
     with pytest.raises(ResourceLimitError,
                        match=r"^A1, k=50000: sector_matrices needs "
-                             + re.escape(f"{104 * 50001 ** 2:.3g} bytes")):
+                             + re.escape(f"{80 * 50001 ** 2:.3g} bytes")):
         rep_matrices(rs, 50_000, sector=0)
     assert rep_matrices(rs, 1023, sector=0).dim == 1024
 

@@ -178,7 +178,7 @@ def _sector_of_dim_two(record) -> bool:
 def test_gate_fails_on_a_flipped_T_sign(reference):
     want, got = _mutable(reference, _sector_of_dim_two)
     mats = got[0]["artifact"]["matrices"]
-    mats["T"] = [[[-x for x in entry] for entry in row] for row in mats["T"]]
+    mats["T"] = [[-x for x in entry] for entry in mats["T"]]
     mismatches = compare_records(want, got)
     assert mismatches and all("matrices/T/" in m for m in mismatches)
 

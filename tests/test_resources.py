@@ -63,7 +63,7 @@ SWEEP = [
     ["lattice", "enumerate", "--type", "A", "--rank", "1", "--level", "25000"],
     ["lattice", "enumerate", "--type", "A", "--rank", "3", "--level", "30"],
     ["lattice", "enumerate", "--type", "D", "--rank", "4", "--level", "8"],
-    ["rep", "build", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
+    ["rep", "build", "--type", "A", "--rank", "1", "--level", "1294", "--sector", "0"],
     ["rep", "build", "--type", "E", "--rank", "8", "--level", "2", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "1", "--level", "1023", "--sector", "0"],
     ["rep", "verify", "--type", "A", "--rank", "1", "--level", "1300", "--sector", "0"],
@@ -92,7 +92,7 @@ def test_predictions_bound_the_measured_peaks(tmp_path):
     """Each command of SWEEP exits 0 or 1 in a fresh process, and where its
     peak RSS above the `roots info` baseline (same process set-up) exceeds
     20 MB, measured <= predicted <= 3 x measured.  The sweep holds today's
-    largest accepted runs: `rep build` at dim 1024, `wgz roundtrip` at
+    largest accepted runs: `rep build` at dim 1295, `wgz roundtrip` at
     N = 1440, `kernel verify` at N = 4096 with L = 128, `rep verify` A1
     k=1300 (dim 1301), A4 k=10 and A5 k=7, the compact bridges A5 and D5
     at k = 1 and A3 at k = 17 (dim 1140).  The model
